@@ -99,7 +99,7 @@ pub fn size_bit_select_for(footprint: u64, target: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Signature, SignatureKind};
+    use crate::SignatureKind;
     use ltse_sim::rng::Xoshiro256StarStar;
 
     /// Measure an empirical FP rate: insert `n` random addresses, probe

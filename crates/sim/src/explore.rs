@@ -34,22 +34,20 @@
 //! breadth-first (each wave's children are derived from the previous wave's
 //! recordings), phases 2 and 3 are pre-seeded, so a wave is an
 //! embarrassingly-parallel batch. [`explore`] runs waves on the calling
-//! thread; [`explore_jobs`] keeps one persistent worker pool alive for the
-//! whole exploration ([`crate::parallel::batch_scope`]) and hands it each
-//! wave as a batch over chunked work-stealing ranges — no per-wave thread
-//! spawn/join, which is what used to make parallel exploration slower than
-//! sequential. Outcomes merge back **in wave order**, and single-schedule
-//! waves (the shrinker's candidates) run inline on the calling thread.
-//! Because wave composition, failure selection (first failing schedule in
-//! wave order), and the explored-set fingerprint are all independent of who
-//! executed what, the two entry points return identical reports at any job
-//! count.
+//! thread; [`explore_jobs`] hands each wave to one
+//! [`crate::parallel::par_map_indexed`] call, whose scoped workers claim
+//! schedules by index. Outcomes merge back **in wave order**, and
+//! single-schedule waves (the shrinker's candidates) run inline on the
+//! calling thread. Because wave composition, failure selection (first
+//! failing schedule in wave order), and the explored-set fingerprint are all
+//! independent of who executed what, the two entry points return identical
+//! reports at any job count.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::event::EventChooser;
-use crate::parallel::{batch_scope, BatchPool};
+use crate::parallel::par_map_indexed;
 use crate::rng::{mix64, Xoshiro256StarStar};
 
 /// A recorded (or prescribed) sequence of scheduling choices.
@@ -361,9 +359,9 @@ struct WaveOutcome {
 
 /// Runs one spec to completion and records what the chooser saw. Both
 /// runners execute exactly this, so seq/parallel outcomes are identical.
-fn run_spec<F>(run: &F, spec: &ChooserSpec) -> WaveOutcome
+fn run_spec<F>(run: &mut F, spec: &ChooserSpec) -> WaveOutcome
 where
-    F: Fn(&mut ScheduleChooser) -> Result<(), String>,
+    F: FnMut(&mut ScheduleChooser) -> Result<(), String>,
 {
     let mut chooser = spec.build();
     let result = run(&mut chooser);
@@ -389,35 +387,24 @@ where
     F: FnMut(&mut ScheduleChooser) -> Result<(), String>,
 {
     fn run_wave(&mut self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
-        specs
-            .iter()
-            .map(|spec| {
-                let mut chooser = spec.build();
-                let result = (self.0)(&mut chooser);
-                WaveOutcome {
-                    result,
-                    taken: chooser.taken().to_vec(),
-                    widths: chooser.widths().to_vec(),
-                }
-            })
-            .collect()
+        specs.iter().map(|spec| run_spec(&mut self.0, spec)).collect()
     }
 }
 
-/// Hands each wave to the persistent [`BatchPool`] as one batch; workers
-/// claim schedules through chunked work-stealing ranges and the pool merges
-/// outcomes back into wave order. Single-spec waves (shrink candidates) run
-/// inline on the calling thread inside the pool, at sequential cost.
-struct PoolRunner<'a, 'p, In, Out, F> {
-    pool: &'a BatchPool<'p, In, Out, F>,
+/// Runs each wave as one [`par_map_indexed`] call on `jobs` threads, which
+/// merges outcomes back into wave order. Single-spec waves (shrink
+/// candidates) run inline on the calling thread, at sequential cost.
+struct ParRunner<F> {
+    run: F,
+    jobs: usize,
 }
 
-impl<F> WaveRunner for PoolRunner<'_, '_, ChooserSpec, WaveOutcome, F>
+impl<F> WaveRunner for ParRunner<F>
 where
-    F: Fn(usize, &ChooserSpec) -> WaveOutcome + Sync,
+    F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
     fn run_wave(&mut self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
-        self.pool.run_batch(specs)
+        par_map_indexed(specs.len(), self.jobs, |i| run_spec(&mut &self.run, &specs[i]))
     }
 }
 
@@ -554,14 +541,12 @@ where
     explore_engine(cfg, &mut SeqRunner(run))
 }
 
-/// [`explore`] fanned across `jobs` persistent worker threads.
+/// [`explore`] fanned across `jobs` threads.
 ///
 /// `run` must additionally be `Fn + Sync` so workers can execute schedules
 /// concurrently; each invocation still gets its own [`ScheduleChooser`] and
-/// must build its own fresh system. The workers are spawned **once** for the
-/// whole exploration and fed each wave through chunked work-stealing ranges
-/// ([`crate::parallel::batch_scope`]), so per-wave dispatch costs a condvar
-/// wakeup rather than a spawn/join cycle. The report — schedules run,
+/// must build its own fresh system. Each wave is one
+/// [`crate::parallel::par_map_indexed`] call. The report — schedules run,
 /// distinct set, fingerprint, and (minimized) failure — is identical to the
 /// sequential [`explore`] and to any other job count; only wall-clock time
 /// changes. Shrinking runs sequentially (each candidate depends on the last
@@ -570,11 +555,7 @@ pub fn explore_jobs<F>(cfg: &ExploreConfig, jobs: usize, run: F) -> ExploreRepor
 where
     F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
-    batch_scope(
-        jobs.max(1),
-        |_, spec: &ChooserSpec| run_spec(&run, spec),
-        |pool| explore_engine(cfg, &mut PoolRunner { pool }),
-    )
+    explore_engine(cfg, &mut ParRunner { run, jobs })
 }
 
 /// Greedy schedule minimization: re-runs candidate simplifications of the

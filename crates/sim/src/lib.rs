@@ -13,13 +13,10 @@
 //! * [`stats`] — counters, histograms, and Student-t 95 % confidence
 //!   intervals matching the paper's multi-seed perturbation methodology
 //!   (§6.1 of the paper, citing Alameldeen & Wood, HPCA 2003).
-//! * [`parallel`] — a fixed-size worker pool that fans independent
-//!   simulations out over OS threads with deterministic (submission-order)
-//!   results and per-run panic isolation.
-//! * [`cache`] — a persistent, content-addressed run cache: stable
-//!   fingerprints over run inputs, a hand-rolled binary codec for run
-//!   results, and a size-bounded on-disk store that lets deterministic
-//!   sweeps short-circuit recomputation.
+//! * [`parallel`] — a scoped, index-ordered parallel map
+//!   ([`parallel::par_map_indexed`]) and the sweep runner built on it, which
+//!   fans independent simulations out over OS threads with deterministic
+//!   (submission-order) results and per-run panic isolation.
 //! * [`check`] — a dependency-free deterministic randomized-testing
 //!   harness used by the workspace's property tests.
 //! * [`obs`] — the structured observability layer: metric registry,
@@ -53,7 +50,6 @@
 mod event;
 mod time;
 
-pub mod cache;
 pub mod check;
 pub mod config;
 pub mod explore;

@@ -2,40 +2,21 @@
 //!
 //! Every table and figure of the reproduction is a sweep of independent
 //! full-system simulations — exactly the embarrassingly-parallel shape the
-//! paper's GEMS evaluation had. This module is the worker pool those sweeps
-//! fan out through:
+//! paper's GEMS evaluation had. The sweeps fan out through [`run_pool`], and
+//! the schedule explorer fans out each of its waves through the same
+//! [`par_map_indexed`]:
 //!
 //! * **Deterministic**: results come back in submission order regardless of
 //!   worker count or scheduling, so a sweep's output is byte-identical
 //!   whether it ran on 1 worker or 256.
-//! * **Panic-isolated**: each job runs under [`std::panic::catch_unwind`];
-//!   one diverging configuration surfaces as a labelled [`RunError`] in its
-//!   result slot instead of killing the whole sweep.
-//! * **Cache-aware**: a spec can carry a [`Fingerprint`] of its inputs;
-//!   [`run_pool_cached`] then serves validated [`RunCache`] entries instead
-//!   of recomputing, and stores fresh results on a miss.
-//! * **Dependency-free**: a fixed-size pool over [`std::thread::scope`] —
-//!   no external runtime.
-//!
-//! # Scheduling: persistent workers, chunked work-stealing ranges
-//!
-//! Callers that submit many small batches (the schedule explorer runs waves
-//! of ~32 simulations, each tens of microseconds) cannot afford to re-pay
-//! thread spawn/join per batch — that overhead is what made wave-parallel
-//! exploration a net *slowdown* before this design. [`batch_scope`] spawns
-//! its workers **once**; batches are then handed over with a single
-//! mutex/condvar epoch bump (microseconds, not milliseconds).
-//!
-//! Within a batch, the index space is split into one contiguous range per
-//! worker, each packed into a single `AtomicU64` (`begin` in the high half,
-//! `end` in the low half). An owner pops an adaptively-sized chunk from the
-//! front of its range with one CAS; an idle worker steals the back *half* of
-//! a victim's range with one CAS and makes it its own, so stolen work keeps
-//! getting re-split instead of serializing on one thief. Every index is
-//! claimed exactly once (ranges over one batch are consumed monotonically,
-//! so a stale CAS can never resurrect spent indices), and results are merged
-//! back **by index**, which is what keeps output independent of which worker
-//! ran what.
+//! * **Panic-isolated**: each item runs under [`std::panic::catch_unwind`].
+//!   [`run_pool`] turns a panic into a labelled [`RunError`] in that run's
+//!   result slot instead of killing the whole sweep; [`par_map_indexed`]
+//!   lets every other item finish before re-raising the lowest-index panic.
+//! * **Dependency-free**: each call spawns its workers under
+//!   [`std::thread::scope`]; they claim indices from one shared atomic
+//!   counter, and results merge back **by index**, which is what keeps
+//!   output independent of which worker ran what.
 //!
 //! Worker count resolves, in priority order: an explicit argument, the
 //! `LTSE_JOBS` environment variable, then
@@ -52,23 +33,19 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9]); // submission order, always
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheCounts, CacheValue, Fingerprint, Lookup, RunCache};
 use crate::stats::Summary;
 
 /// One schedulable unit of work: a label (for error reporting and progress)
-/// plus the closure that performs the run and returns its result. A spec may
-/// additionally carry a content fingerprint of the run's inputs, which lets
-/// [`run_pool_cached`] short-circuit it from a [`RunCache`].
+/// plus the closure that performs the run and returns its result.
 pub struct RunSpec<T> {
     /// Human-readable identity of the run, e.g. `"figure4/Mp3d/BS/seed=2"`.
     pub label: String,
     job: Box<dyn FnOnce() -> T + Send>,
-    cache_key: Option<Fingerprint>,
 }
 
 impl<T> RunSpec<T> {
@@ -77,29 +54,13 @@ impl<T> RunSpec<T> {
         RunSpec {
             label: label.into(),
             job: Box::new(job),
-            cache_key: None,
         }
-    }
-
-    /// Attaches the content fingerprint of this run's inputs, making the
-    /// spec eligible for cache short-circuiting.
-    pub fn keyed(mut self, fp: Fingerprint) -> Self {
-        self.cache_key = Some(fp);
-        self
-    }
-
-    /// The attached fingerprint, if any.
-    pub fn cache_key(&self) -> Option<Fingerprint> {
-        self.cache_key
     }
 }
 
 impl<T> std::fmt::Debug for RunSpec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunSpec")
-            .field("label", &self.label)
-            .field("cache_key", &self.cache_key)
-            .finish()
+        f.debug_struct("RunSpec").field("label", &self.label).finish()
     }
 }
 
@@ -135,8 +96,6 @@ pub struct PoolOutput<T> {
     pub jobs: usize,
     /// Per-run wall-clock times in nanoseconds, merged across workers.
     pub per_run_nanos: Summary,
-    /// Cache traffic (all-zero when the pool ran without a cache).
-    pub cache: CacheCounts,
 }
 
 impl<T> PoolOutput<T> {
@@ -165,13 +124,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Upper bound on the *detected* default worker count. With persistent
-/// workers the pool no longer re-pays spawn cost per wave, and 128/256-core
-/// sweeps legitimately want wide fan-out, so the clamp now only guards
-/// against a miscounting container runtime reporting absurd widths. An
-/// explicit `--jobs`/`LTSE_JOBS` request is honored as given, above or below
-/// this bound — that is the documented override for hosts that really do
-/// have more cores.
+/// Upper bound on the *detected* default worker count. 128/256-core sweeps
+/// legitimately want wide fan-out, so the clamp only guards against a
+/// miscounting container runtime reporting absurd widths. An explicit
+/// `--jobs`/`LTSE_JOBS` request is honored as given, above or below this
+/// bound — that is the documented override for hosts that really do have
+/// more cores.
 pub const MAX_DEFAULT_JOBS: usize = 256;
 
 /// Resolves the worker count: `explicit` if given, else the `LTSE_JOBS`
@@ -192,461 +150,95 @@ pub fn effective_jobs(explicit: Option<usize>) -> usize {
         .max(1)
 }
 
-// ---------------------------------------------------------------------------
-// Work-stealing range deques
-// ---------------------------------------------------------------------------
-
-/// A contiguous index range `begin..end` packed into one `AtomicU64`
-/// (`begin` high 32 bits, `end` low 32 bits). The owner pops chunks from the
-/// front; thieves steal the back half. Both sides mutate with a single CAS,
-/// so the deque is allocation-free and lock-free.
+/// Runs `f(0..n)` on `jobs` threads and returns the results in index order.
 ///
-/// ABA safety: within one batch every index is claimed exactly once, so a
-/// non-empty `(begin, end)` packing can only be *current* while those
-/// indices are still unclaimed — a stale CAS can therefore never hand out an
-/// index twice.
-struct StealRange(AtomicU64);
-
-#[inline]
-fn pack(begin: u32, end: u32) -> u64 {
-    ((begin as u64) << 32) | end as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-impl StealRange {
-    fn new(begin: u32, end: u32) -> Self {
-        StealRange(AtomicU64::new(pack(begin, end)))
-    }
-
-    /// Pops up to `take` indices from the front. Returns the claimed
-    /// sub-range, or `None` when empty.
-    fn pop_front(&self, take: u32) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (begin, end) = unpack(cur);
-            if begin >= end {
-                return None;
-            }
-            let k = take.min(end - begin).max(1);
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(begin + k, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((begin, begin + k)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Steals the back half (at least one index) of the range. Returns the
-    /// stolen sub-range, or `None` when empty.
-    fn steal_back_half(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (begin, end) = unpack(cur);
-            if begin >= end {
-                return None;
-            }
-            let k = ((end - begin) / 2).max(1);
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(begin, end - k),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((end - k, end)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Replaces an *empty* owned range with freshly stolen work. Only the
-    /// owner calls this, and only after draining its range; thieves never
-    /// CAS against an empty packing, so the store cannot race a claim.
-    fn refill(&self, begin: u32, end: u32) {
-        self.0.store(pack(begin, end), Ordering::Release);
-    }
-}
-
-/// One batch of work published to the workers: owned items plus the
-/// per-worker range deques covering `0..items.len()`.
-struct BatchWork<In> {
-    items: Vec<In>,
-    ranges: Vec<StealRange>,
-    /// Owner-side pop granularity for this batch (adaptive: scaled from the
-    /// batch size and worker count at submission).
-    chunk: u32,
-}
-
-struct PoolState<In, Out> {
-    /// Current batch, if one is in flight. `Arc` so workers can keep the
-    /// items alive without holding the lock while they run.
-    batch: Option<Arc<BatchWork<In>>>,
-    /// Bumped once per submitted batch; workers use it to detect new work.
-    epoch: u64,
-    /// `(index, value)` pairs appended by each worker as it finishes.
-    results: Vec<(u32, Out)>,
-    /// Panic payloads captured while running items, tagged by index.
-    panics: Vec<(u32, Box<dyn std::any::Any + Send>)>,
-    /// Workers that have drained the current batch.
-    workers_done: usize,
-    shutdown: bool,
-}
-
-struct PoolShared<In, Out> {
-    state: Mutex<PoolState<In, Out>>,
-    /// Workers wait here for the next epoch (or shutdown).
-    work_cv: Condvar,
-    /// The submitter waits here for `workers_done == jobs`.
-    done_cv: Condvar,
-    jobs: usize,
-}
-
-/// Handle passed to the body of [`batch_scope`]: submit batches of owned
-/// items; results come back in item order.
-pub struct BatchPool<'p, In, Out, F> {
-    shared: Option<&'p PoolShared<In, Out>>,
-    f: &'p F,
-    jobs: usize,
-}
-
-impl<In, Out, F> BatchPool<'_, In, Out, F>
-where
-    In: Send + Sync,
-    Out: Send,
-    F: Fn(usize, &In) -> Out + Sync,
-{
-    /// Workers this pool runs on (1 = everything inline on the caller).
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs `f` over every item and returns the outputs in item order.
-    ///
-    /// Single-item batches (and jobs = 1 pools) run inline on the calling
-    /// thread — no cross-thread handoff, which keeps e.g. the explore
-    /// shrinker's one-schedule waves at sequential cost. A panic inside `f`
-    /// propagates to the caller after the batch drains; when several items
-    /// panic, the lowest index wins, deterministically.
-    pub fn run_batch(&self, items: Vec<In>) -> Vec<Out> {
-        let n = items.len();
-        let shared = match self.shared {
-            Some(s) if n > 1 => s,
-            _ => {
-                return items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| (self.f)(i, item))
-                    .collect();
-            }
-        };
-
-        // Partition 0..n into one contiguous range per worker and pick the
-        // owner-pop chunk: small enough that every worker gets several pops
-        // (load balance), large enough to amortize the CAS (throughput).
-        let jobs = shared.jobs;
-        let n32 = u32::try_from(n).expect("batch fits in u32 indices");
-        let base = n32 / jobs as u32;
-        let rem = (n32 % jobs as u32) as usize;
-        let mut ranges = Vec::with_capacity(jobs);
-        let mut at = 0u32;
-        for w in 0..jobs {
-            let len = base + u32::from(w < rem);
-            ranges.push(StealRange::new(at, at + len));
-            at += len;
-        }
-        let chunk = (n32 / (jobs as u32 * 8)).clamp(1, 64);
-        let work = Arc::new(BatchWork { items, ranges, chunk });
-
-        let mut st = shared.state.lock().expect("pool lock");
-        st.batch = Some(Arc::clone(&work));
-        st.epoch += 1;
-        st.results.clear();
-        st.panics.clear();
-        st.workers_done = 0;
-        shared.work_cv.notify_all();
-        while st.workers_done < jobs {
-            st = shared.done_cv.wait(st).expect("pool lock");
-        }
-        st.batch = None;
-
-        if !st.panics.is_empty() {
-            st.panics.sort_by_key(|(i, _)| *i);
-            let (_, payload) = st.panics.swap_remove(0);
-            drop(st);
-            std::panic::resume_unwind(payload);
-        }
-
-        let mut merged: Vec<Option<Out>> = (0..n).map(|_| None).collect();
-        for (i, v) in st.results.drain(..) {
-            merged[i as usize] = Some(v);
-        }
-        drop(st);
-        merged
-            .into_iter()
-            .map(|v| v.expect("every index claimed exactly once"))
-            .collect()
-    }
-}
-
-fn worker_loop<In, Out, F>(shared: &PoolShared<In, Out>, f: &F, me: usize)
-where
-    In: Send + Sync,
-    Out: Send,
-    F: Fn(usize, &In) -> Out + Sync,
-{
-    let mut seen_epoch = 0u64;
-    loop {
-        let work = {
-            let mut st = shared.state.lock().expect("pool lock");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch > seen_epoch {
-                    seen_epoch = st.epoch;
-                    break Arc::clone(st.batch.as_ref().expect("batch set with epoch"));
-                }
-                st = shared.work_cv.wait(st).expect("pool lock");
-            }
-        };
-
-        let mut local: Vec<(u32, Out)> = Vec::new();
-        let mut local_panics: Vec<(u32, Box<dyn std::any::Any + Send>)> = Vec::new();
-        let own = &work.ranges[me];
-        'batch: loop {
-            // Drain our own range in chunks from the front.
-            while let Some((b, e)) = own.pop_front(work.chunk) {
-                for i in b..e {
-                    let item = &work.items[i as usize];
-                    match catch_unwind(AssertUnwindSafe(|| f(i as usize, item))) {
-                        Ok(v) => local.push((i, v)),
-                        Err(payload) => local_panics.push((i, payload)),
-                    }
-                }
-            }
-            // Empty: steal the back half of the first victim that has work,
-            // make it our own range, and go back to chunked popping.
-            for step in 1..work.ranges.len() {
-                let victim = (me + step) % work.ranges.len();
-                if let Some((b, e)) = work.ranges[victim].steal_back_half() {
-                    own.refill(b, e);
-                    continue 'batch;
-                }
-            }
-            break;
-        }
-        drop(work);
-
-        let mut st = shared.state.lock().expect("pool lock");
-        st.results.append(&mut local);
-        st.panics.append(&mut local_panics);
-        st.workers_done += 1;
-        if st.workers_done == shared.jobs {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-/// Spawns a persistent pool of `jobs` workers for the duration of `body`,
-/// handing it a [`BatchPool`] that can submit any number of batches. Workers
-/// are spawned **once** — each subsequent batch costs one condvar round-trip
-/// instead of a spawn/join cycle, which is what lets callers with many small
-/// waves (the schedule explorer) actually profit from parallelism.
+/// The calling thread and `jobs - 1` scoped helpers claim indices from one
+/// shared counter, so a slow item never holds up the rest of the range.
+/// With `jobs <= 1` or `n <= 1` everything runs inline on the calling
+/// thread, at sequential cost.
 ///
-/// With `jobs <= 1` no threads are spawned at all; every batch runs inline
-/// on the calling thread.
-pub fn batch_scope<In, Out, F, R>(
-    jobs: usize,
-    f: F,
-    body: impl FnOnce(&BatchPool<'_, In, Out, F>) -> R,
-) -> R
-where
-    In: Send + Sync,
-    Out: Send,
-    F: Fn(usize, &In) -> Out + Sync,
-{
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return body(&BatchPool { shared: None, f: &f, jobs: 1 });
-    }
-    let shared = PoolShared {
-        state: Mutex::new(PoolState {
-            batch: None,
-            epoch: 0,
-            results: Vec::new(),
-            panics: Vec::new(),
-            workers_done: 0,
-            shutdown: false,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        jobs,
-    };
-    std::thread::scope(|scope| {
-        for me in 0..jobs {
-            let shared = &shared;
-            let f = &f;
-            scope.spawn(move || worker_loop(shared, f, me));
-        }
-        let pool = BatchPool { shared: Some(&shared), f: &f, jobs };
-        // `body` (or a propagated batch panic) must still release the
-        // workers, or the scope's implicit join would deadlock.
-        let result = catch_unwind(AssertUnwindSafe(|| body(&pool)));
-        {
-            let mut st = shared.state.lock().expect("pool lock");
-            st.shutdown = true;
-        }
-        shared.work_cv.notify_all();
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-/// Runs `f(0..n)` on `jobs` workers and returns the results in index order.
-///
-/// A one-batch convenience over [`batch_scope`]: indices are claimed through
-/// the same chunked work-stealing ranges, each worker accumulates
-/// `(index, value)` pairs locally, and the submitter scatters them back into
-/// index order. With `jobs <= 1` (or a single item) everything runs inline
-/// on the calling thread — no spawn cost, and `f` need not be
-/// `Sync`-exercised.
-///
-/// Panic semantics: a panic inside `f` propagates to the caller (after all
-/// workers have drained); when several indices panic, the lowest one wins.
-/// Callers that want isolation wrap `f` in `catch_unwind`, as [`run_pool`]
-/// does.
+/// Panic semantics: the caller sees the panic of the lowest panicking
+/// index, whichever worker ran it. On threads each item runs under
+/// `catch_unwind`, so every other index still runs before that panic is
+/// resumed; inline, the first panic propagates at once. Callers that want
+/// per-item isolation catch inside `f`, as [`run_pool`] does.
 pub fn par_map_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs == 1 {
+    if jobs <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    batch_scope(jobs, |i, _: &()| f(i), |pool| pool.run_batch(vec![(); n]))
-}
+    // The counter only hands out indices; results reach the caller through
+    // the scope's joins, so `Relaxed` claims suffice.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
+        }
+    };
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs.min(n)).map(|_| scope.spawn(claim)).collect();
+        let mut parts = vec![claim()];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("items run under catch_unwind")),
+        );
+        parts
+    });
 
-/// Monomorphized codec hooks, so the uncached [`run_pool`] needs no
-/// [`CacheValue`] bound on `T`.
-struct CacheAdapter<T> {
-    encode: fn(&T) -> Vec<u8>,
-    decode: fn(&[u8]) -> Option<T>,
-}
-
-fn encode_erased<T: CacheValue>(v: &T) -> Vec<u8> {
-    v.to_cache_bytes()
-}
-
-fn decode_erased<T: CacheValue>(bytes: &[u8]) -> Option<T> {
-    T::from_cache_bytes(bytes)
+    let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
+    for (i, result) in parts.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every index claimed exactly once") {
+            Ok(v) => v,
+            Err(payload) => resume_unwind(payload),
+        })
+        .collect()
 }
 
 /// Executes `specs` on `jobs` workers and returns their results in
-/// submission order. Equivalent to [`run_pool_cached`] with no cache.
+/// submission order. A run that panics becomes a [`RunError`] in its slot;
+/// every other run still completes.
 pub fn run_pool<T: Send>(specs: Vec<RunSpec<T>>, jobs: usize) -> PoolOutput<T> {
-    run_pool_inner(specs, jobs, None)
-}
-
-/// Executes `specs` on `jobs` workers with an optional [`RunCache`].
-///
-/// A spec that carries a fingerprint ([`RunSpec::keyed`]) is first probed in
-/// the cache: a validated entry that decodes cleanly is returned without
-/// running the job (a **hit**); a missing entry runs and is stored (a
-/// **miss**); a corrupt, truncated, or undecodable entry runs, is
-/// overwritten, and is counted **stale**. Unkeyed specs and panicking jobs
-/// never touch the cache. Because results are deterministic functions of
-/// the fingerprinted inputs, a hit is byte-for-byte the value the run would
-/// have produced — submission-order output is identical with the cache hot,
-/// cold, or absent.
-pub fn run_pool_cached<T: Send + CacheValue>(
-    specs: Vec<RunSpec<T>>,
-    jobs: usize,
-    cache: Option<&RunCache>,
-) -> PoolOutput<T> {
-    run_pool_inner(
-        specs,
-        jobs,
-        cache.map(|c| {
-            (
-                c,
-                CacheAdapter {
-                    encode: encode_erased::<T>,
-                    decode: decode_erased::<T>,
-                },
-            )
-        }),
-    )
-}
-
-fn run_pool_inner<T: Send>(
-    specs: Vec<RunSpec<T>>,
-    jobs: usize,
-    cache: Option<(&RunCache, CacheAdapter<T>)>,
-) -> PoolOutput<T> {
     let n = specs.len();
     let jobs = jobs.max(1).min(n.max(1));
     let started = Instant::now();
 
-    // Pre-enumerated slots: index identity is fixed before any worker runs,
-    // which is what makes index-range dispatch sufficient.
+    // A job is `FnOnce + Send` but not `Sync`: each worker takes the one it
+    // claimed out of its slot.
     let slots: Vec<Mutex<Option<RunSpec<T>>>> =
         specs.into_iter().map(|s| Mutex::new(Some(s))).collect();
 
     let outcomes = par_map_indexed(n, jobs, |index| {
-        let spec = slots[index]
+        let RunSpec { label, job } = slots[index]
             .lock()
             .expect("slot lock")
             .take()
             .expect("each slot claimed exactly once");
-        let RunSpec { label, job, cache_key } = spec;
         let run_started = Instant::now();
-        let mut counts = CacheCounts::default();
-
-        let keyed = cache.as_ref().zip(cache_key);
-        if let Some(((store, adapter), fp)) = &keyed {
-            match store.load(*fp) {
-                Lookup::Hit(bytes) => match (adapter.decode)(&bytes) {
-                    Some(v) => {
-                        counts.hits += 1;
-                        return (Ok(v), run_started.elapsed().as_nanos() as u64, counts);
-                    }
-                    // Container was intact but the payload no longer decodes
-                    // as T (e.g. a row type changed without a schema bump):
-                    // fall through to recompute.
-                    None => counts.stale += 1,
-                },
-                Lookup::Miss => counts.misses += 1,
-                Lookup::Stale => counts.stale += 1,
-            }
-        }
-
         let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| RunError {
             index,
             label,
             message: panic_message(payload),
         });
-        if let (Some(((store, adapter), fp)), Ok(v)) = (&keyed, &result) {
-            store.store(*fp, &(adapter.encode)(v));
-        }
-        (result, run_started.elapsed().as_nanos() as u64, counts)
+        (result, run_started.elapsed().as_nanos() as u64)
     });
 
     let mut per_run_nanos = Summary::new();
-    let mut cache_counts = CacheCounts::default();
     let mut results = Vec::with_capacity(n);
-    for (result, nanos, counts) in outcomes {
+    for (result, nanos) in outcomes {
         per_run_nanos.record(nanos);
-        cache_counts.merge(&counts);
         results.push(result);
     }
 
@@ -655,14 +247,12 @@ fn run_pool_inner<T: Send>(
         wall: started.elapsed(),
         jobs,
         per_run_nanos,
-        cache: cache_counts,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FpHasher;
 
     fn squares(n: u64) -> Vec<RunSpec<u64>> {
         (0..n)
@@ -722,7 +312,6 @@ mod tests {
         assert!(out.results.is_empty());
         assert_eq!(out.failed(), 0);
         assert_eq!(out.per_run_nanos.count(), 0);
-        assert_eq!(out.cache.total(), 0);
     }
 
     #[test]
@@ -763,169 +352,19 @@ mod tests {
     }
 
     #[test]
-    fn steal_range_pops_and_steals_disjointly() {
-        let r = StealRange::new(0, 100);
-        let (b, e) = r.pop_front(8).unwrap();
-        assert_eq!((b, e), (0, 8));
-        let (sb, se) = r.steal_back_half().unwrap();
-        assert_eq!((sb, se), (54, 100), "half of 8..100 from the back");
-        let (b2, e2) = r.pop_front(64).unwrap();
-        assert_eq!((b2, e2), (8, 54), "front pop clamped to the remainder");
-        assert!(r.pop_front(1).is_none());
-        assert!(r.steal_back_half().is_none());
-    }
-
-    #[test]
-    fn steal_range_single_index() {
-        let r = StealRange::new(7, 8);
-        assert_eq!(r.steal_back_half(), Some((7, 8)));
-        assert!(r.pop_front(4).is_none());
-    }
-
-    #[test]
-    fn batch_scope_runs_many_batches_on_persistent_workers() {
-        batch_scope(
-            4,
-            |i, item: &u64| (i as u64) * 1000 + item * item,
-            |pool| {
-                assert_eq!(pool.jobs(), 4);
-                for round in 0..50u64 {
-                    let items: Vec<u64> = (0..17).map(|i| i + round).collect();
-                    let got = pool.run_batch(items.clone());
-                    let want: Vec<u64> = items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| (i as u64) * 1000 + v * v)
-                        .collect();
-                    assert_eq!(got, want, "round {round}");
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn batch_scope_inline_paths() {
-        // jobs=1: no threads at all.
-        batch_scope(
-            1,
-            |_, item: &u32| item + 1,
-            |pool| {
-                assert_eq!(pool.run_batch(vec![1, 2, 3]), vec![2, 3, 4]);
-            },
-        );
-        // Single-item batches run inline even on a multi-worker pool.
-        batch_scope(
-            3,
-            |_, item: &u32| item * 2,
-            |pool| {
-                assert_eq!(pool.run_batch(vec![21]), vec![42]);
-                assert_eq!(pool.run_batch(Vec::new()), Vec::<u32>::new());
-            },
-        );
-    }
-
-    #[test]
-    fn batch_scope_propagates_lowest_index_panic() {
+    fn par_map_indexed_propagates_lowest_index_panic() {
+        let ran = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            batch_scope(
-                3,
-                |_, item: &u32| {
-                    if *item >= 90 {
-                        panic!("item {item} diverged");
-                    }
-                    *item
-                },
-                |pool| {
-                    let mut items: Vec<u32> = (0..40).collect();
-                    items[7] = 97;
-                    items[31] = 91;
-                    pool.run_batch(items);
-                },
-            )
-        }));
-        let payload = caught.expect_err("batch must panic");
-        let msg = panic_message(payload);
-        assert_eq!(msg, "item 97 diverged", "lowest submission index wins");
-    }
-
-    #[test]
-    fn batch_scope_survives_a_panicking_batch() {
-        // After a batch panics, the pool must still accept new batches and
-        // shut down cleanly.
-        batch_scope(
-            2,
-            |_, item: &u32| {
-                if *item == 13 {
-                    panic!("unlucky");
+            par_map_indexed(40, 3, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == 7 || i == 31 {
+                    panic!("item {i} diverged");
                 }
-                *item
-            },
-            |pool| {
-                let bad = catch_unwind(AssertUnwindSafe(|| pool.run_batch(vec![1, 13, 2, 4])));
-                assert!(bad.is_err());
-                assert_eq!(pool.run_batch(vec![5, 6, 7]), vec![5, 6, 7]);
-            },
-        );
-    }
-
-    fn cache_in_tmp(tag: &str) -> (RunCache, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "ltse-pool-cache-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        (RunCache::open(&dir).expect("open cache"), dir)
-    }
-
-    fn keyed_squares(n: u64) -> Vec<RunSpec<u64>> {
-        (0..n)
-            .map(|i| {
-                RunSpec::new(format!("sq/{i}"), move || i * i)
-                    .keyed(FpHasher::new("pool-test").feed(&i).finish())
+                i
             })
-            .collect()
-    }
-
-    #[test]
-    fn cached_pool_hits_on_second_run() {
-        let (cache, dir) = cache_in_tmp("hits");
-        let cold = run_pool_cached(keyed_squares(10), 4, Some(&cache));
-        assert_eq!(cold.cache, CacheCounts { hits: 0, misses: 10, stale: 0 });
-
-        let warm = run_pool_cached(keyed_squares(10), 4, Some(&cache));
-        assert_eq!(warm.cache, CacheCounts { hits: 10, misses: 0, stale: 0 });
-        let (a, b): (Vec<u64>, Vec<u64>) = (
-            cold.results.into_iter().map(|r| r.unwrap()).collect(),
-            warm.results.into_iter().map(|r| r.unwrap()).collect(),
-        );
-        assert_eq!(a, b, "hits must reproduce the computed results exactly");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unkeyed_specs_bypass_the_cache() {
-        let (cache, dir) = cache_in_tmp("unkeyed");
-        for _ in 0..2 {
-            let out = run_pool_cached(squares(4), 2, Some(&cache));
-            assert_eq!(out.cache.total(), 0, "no fingerprints, no cache traffic");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn panicking_runs_are_not_cached() {
-        let (cache, dir) = cache_in_tmp("panic");
-        let fp = FpHasher::new("pool-test").feed(&99u64).finish();
-        let boom = || {
-            vec![RunSpec::new("boom", || -> u64 { panic!("diverged") }).keyed(fp)]
-        };
-        let first = run_pool_cached(boom(), 1, Some(&cache));
-        assert_eq!(first.failed(), 1);
-        // Second run must miss (nothing was stored) and fail again.
-        let second = run_pool_cached(boom(), 1, Some(&cache));
-        assert_eq!(second.cache, CacheCounts { hits: 0, misses: 1, stale: 0 });
-        assert_eq!(second.failed(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        }));
+        let payload = caught.expect_err("map must panic");
+        assert_eq!(panic_message(payload), "item 7 diverged", "lowest index wins");
+        assert_eq!(ran.load(Ordering::Relaxed), 40, "every index ran first");
     }
 }

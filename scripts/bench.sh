@@ -4,8 +4,8 @@
 #
 #   BENCH_hotpath.json   — data-structure micro-benchmarks (signatures,
 #                          event queue, end-to-end counter)
-#   BENCH_pipeline.json  — pipeline-level benchmarks (run cache cold vs
-#                          warm, sequential vs parallel exploration)
+#   BENCH_pipeline.json  — pipeline-level benchmark (sequential vs parallel
+#                          schedule exploration)
 #   BENCH_obs.json       — observability-layer overhead (obs-off vs obs-on
 #                          end to end, plus metric/span primitive costs)
 #   BENCH_stm.json       — sim-vs-STM wall-clock comparison on Table-2
@@ -23,7 +23,7 @@
 #                          per-point best-static winner and Adaptive's gap
 #
 # Usage:
-#   scripts/bench.sh                      # full run (~2-3 min), overwrites both files
+#   scripts/bench.sh                      # full run (~2-3 min), overwrites every file
 #   LTSE_BENCH_QUICK=1 scripts/bench.sh   # CI smoke: tiny workloads, same JSON shape
 #   LTSE_BENCH_DIR=out scripts/bench.sh   # write the JSON files elsewhere
 #
@@ -31,7 +31,7 @@
 # derived speedups, so numbers are comparable across PRs: commit the files
 # after a full run on a quiet machine and diff the "speedups" objects.
 # Note: the explore_parallel speedup needs a multicore host — on one CPU it
-# only measures pool overhead (the JSON records "cpus" for this reason).
+# only measures thread overhead (the JSON records "cpus" for this reason).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,10 +47,10 @@ for bench in hotpath pipeline obs stm scale oltp policy; do
 done
 
 # Gate the explore_parallel speedup, but only where the hardware can deliver
-# one: on a single-CPU host the parallel explorer measures pure pool
+# one: on a single-CPU host the parallel explorer measures pure thread
 # overhead, so a ratio below 1.0 is expected and meaningless. nproc (not the
 # JSON "cpus" field) decides the gate — it respects affinity masks, i.e. the
-# parallelism the worker pool could actually use.
+# parallelism the explorer's threads could actually use.
 cpus=$(nproc 2>/dev/null || echo 1)
 if [ "$cpus" -ge 2 ]; then
     python3 - "$outdir/BENCH_pipeline.json" <<'PYEOF'
@@ -59,11 +59,11 @@ doc = json.load(open(sys.argv[1]))
 s = doc["speedups"]["explore_parallel"]
 assert s is not None and s >= 1.0, (
     f"explore_parallel speedup {s} < 1.0 on a {doc['cpus']}-CPU host: "
-    "the persistent worker pool should beat sequential exploration here")
+    "parallel waves should beat sequential exploration here")
 print(f"ok: explore_parallel {s:.2f}x on {doc['cpus']} CPUs")
 PYEOF
 else
-    echo "note: $cpus CPU detected — skipping the explore_parallel >= 1.0 gate"          "(single-core hosts measure pool overhead only)"
+    echo "note: $cpus CPU detected — skipping the explore_parallel >= 1.0 gate"          "(single-core hosts measure thread overhead only)"
 fi
 
 # Gate per-event cost at scale: the banked calendar queue and the event-path
