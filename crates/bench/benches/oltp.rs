@@ -15,12 +15,17 @@
 //!
 //! Output matches the other bench targets: human lines on stderr, one JSON
 //! document on stdout or to `LTSE_BENCH_JSON` (what `scripts/bench.sh`
-//! stores as `BENCH_oltp.json`).
+//! stores as `BENCH_oltp.json`). The document records the host's `cpus`,
+//! and each STM row whether it ran more threads than that
+//! (`oversubscribed`; simulator rows run every thread on one, so never).
+//! An oversubscribed STM run time-slices its threads, so it shows little
+//! real contention.
 //!
 //! Environment: `LTSE_BENCH_QUICK=1` (small runs: 20k transactions in the
 //! mtx section, structure unchanged).
 
 use ltse_bench::experiments::OLTP_POINTS;
+use ltse_bench::harness;
 use ltse_workloads::{run_oltp, BackendKind, OltpConfig, OltpOutcome};
 
 fn quick() -> bool {
@@ -72,7 +77,7 @@ struct PointRow {
     out: OltpOutcome,
 }
 
-fn json_point(r: &PointRow, cfg: &OltpConfig) -> String {
+fn json_point(r: &PointRow, cfg: &OltpConfig, cpus: usize) -> String {
     let (unit, per_mcycle) = match r.backend {
         BackendKind::Sim => {
             let cycles = r.out.report.sim_cycles.unwrap_or(0);
@@ -90,7 +95,7 @@ fn json_point(r: &PointRow, cfg: &OltpConfig) -> String {
     };
     format!(
         "    {{\"point\": \"{}\", \"backend\": \"{}\", \"theta_permille\": {}, \"read_pct\": {}, \
-         \"threads\": {}, \"txs\": {}, \"committed\": {}, \"aborts\": {}, \
+         \"threads\": {}, \"oversubscribed\": {}, \"txs\": {}, \"committed\": {}, \"aborts\": {}, \
          \"latency_unit\": \"{unit}\", \"p50\": {}, \"p99\": {}, \"p999\": {}, \
          \"goodput_tx_per_sec\": {:.1}, \"goodput_tx_per_mcycle\": {per_mcycle}, \
          \"wall_ms\": {:.3}, \"kv_fingerprint\": \"{:016x}\"}}",
@@ -99,6 +104,7 @@ fn json_point(r: &PointRow, cfg: &OltpConfig) -> String {
         r.theta_permille,
         r.read_pct,
         cfg.threads,
+        r.backend == BackendKind::Stm && cfg.threads as usize > cpus,
         cfg.total_txs(),
         r.out.committed_txs,
         r.out.report.aborts,
@@ -203,12 +209,14 @@ fn main() {
     );
 
     // ---- JSON ----------------------------------------------------------
+    let cpus = harness::detected_cpus();
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"oltp\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!("  \"cpus\": {cpus},\n"));
     json.push_str("  \"points\": [\n");
     for (i, (r, cfg)) in rows.iter().enumerate() {
-        json.push_str(&json_point(r, cfg));
+        json.push_str(&json_point(r, cfg, cpus));
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"mtx\": {\n");
@@ -231,8 +239,9 @@ fn main() {
         growth_kb.map_or("null".to_string(), |v| v.to_string()),
     ));
     json.push_str(&format!(
-        "    \"stm\": {{\"committed\": {}, \"wall_ms\": {:.3}, \"p50\": {}, \"p99\": {}, \"p999\": {}}},\n",
+        "    \"stm\": {{\"committed\": {}, \"oversubscribed\": {}, \"wall_ms\": {:.3}, \"p50\": {}, \"p99\": {}, \"p999\": {}}},\n",
         stm.committed_txs,
+        mcfg.threads as usize > cpus,
         stm.report.wall.as_secs_f64() * 1e3,
         stm.latency_permille(500).unwrap_or(0),
         stm.latency_permille(990).unwrap_or(0),

@@ -16,6 +16,12 @@
 //!   `LTSE_BENCH_JSON` if set (what `scripts/bench.sh` uses to produce
 //!   `BENCH_stm.json`).
 //!
+//! The document records the host's `cpus`, and each case the workload's
+//! `threads` and whether it ran more OS threads than the host has CPUs
+//! (`oversubscribed`). Only an STM case can: the simulator runs every
+//! thread on one. An oversubscribed STM run time-slices its threads, so it
+//! shows little real contention.
+//!
 //! Environment:
 //!
 //! * `LTSE_BENCH_QUICK=1` — CI smoke mode: tiny workloads, 2 iterations,
@@ -32,6 +38,7 @@ use ltse_workloads::{run_on_backend, BackendKind, Benchmark, RunParams, SyncMode
 struct CaseResult {
     group: &'static str,
     name: &'static str,
+    threads: u32,
     mean_ms: f64,
     best_ms: f64,
     iters: usize,
@@ -41,6 +48,7 @@ fn time_case<T>(
     out: &mut Vec<CaseResult>,
     group: &'static str,
     name: &'static str,
+    threads: u32,
     iters: usize,
     mut f: impl FnMut() -> T,
 ) {
@@ -63,6 +71,7 @@ fn time_case<T>(
     out.push(CaseResult {
         group,
         name,
+        threads,
         mean_ms,
         best_ms,
         iters,
@@ -108,24 +117,28 @@ fn main() {
     for benchmark in workloads {
         let p = bench_params(benchmark, quick);
         let group = benchmark.name();
-        time_case(&mut out, group, "sim", iters, || {
+        time_case(&mut out, group, "sim", p.threads, iters, || {
             run_on_backend(BackendKind::Sim, &p).expect("sim run")
         });
-        time_case(&mut out, group, "stm", iters, || {
+        time_case(&mut out, group, "stm", p.threads, iters, || {
             run_on_backend(BackendKind::Stm, &p).expect("stm run")
         });
     }
 
     // ---- JSON ----------------------------------------------------------
+    let cpus = harness::detected_cpus();
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"stm\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!("  \"cpus\": {cpus},\n"));
     json.push_str("  \"cases\": [\n");
     for (i, c) in out.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ms\": {:.6}, \"best_ms\": {:.6}, \"iters\": {}}}{}\n",
+            "    {{\"group\": \"{}\", \"name\": \"{}\", \"threads\": {}, \"oversubscribed\": {}, \"mean_ms\": {:.6}, \"best_ms\": {:.6}, \"iters\": {}}}{}\n",
             c.group,
             c.name,
+            c.threads,
+            c.name == "stm" && c.threads as usize > cpus,
             c.mean_ms,
             c.best_ms,
             c.iters,

@@ -173,9 +173,12 @@ pub enum ScriptOp {
 pub struct TxScript {
     txs: Vec<Vec<ScriptOp>>,
     tx_ix: usize,
-    /// 0 = begin; `1..=W` the expanded micro-ops; `W+1` = commit;
-    /// `W+2` = work-unit marker (`W` counts `AddTo` twice).
-    micro: usize,
+    /// Cursor into the current transaction: 0 = begin; `1..=N` op `op - 1`
+    /// of its `N` ops; `N+1` = commit; `N+2` = work-unit marker.
+    op: usize,
+    /// Sub-step within the op: an `AddTo` issues its read at 0 and its
+    /// write at 1.
+    sub: u8,
 }
 
 impl TxScript {
@@ -184,7 +187,8 @@ impl TxScript {
         TxScript {
             txs,
             tx_ix: 0,
-            micro: 0,
+            op: 0,
+            sub: 0,
         }
     }
 
@@ -193,14 +197,6 @@ impl TxScript {
     pub fn counter(addr: WordAddr, iters: usize) -> Self {
         TxScript::new(vec![vec![ScriptOp::AddTo(addr, 1)]; iters])
     }
-
-    fn width(op: ScriptOp) -> usize {
-        if matches!(op, ScriptOp::AddTo(..)) {
-            2
-        } else {
-            1
-        }
-    }
 }
 
 impl ThreadProgram for TxScript {
@@ -208,40 +204,35 @@ impl ThreadProgram for TxScript {
         let Some(ops) = self.txs.get(self.tx_ix) else {
             return Op::Done;
         };
-        let total: usize = ops.iter().map(|&o| TxScript::width(o)).sum();
-        let step = self.micro;
-        self.micro += 1;
-        if step == 0 {
+        let (op, sub) = (self.op, self.sub);
+        self.op += 1;
+        self.sub = 0;
+        if op == 0 {
             return Op::TxBegin;
         }
-        if step == total + 1 {
-            return Op::TxCommit;
-        }
-        if step >= total + 2 {
-            self.tx_ix += 1;
-            self.micro = 0;
-            return Op::WorkUnitDone;
-        }
-        let mut at = step - 1;
-        for &op in ops {
-            let w = TxScript::width(op);
-            if at < w {
-                return match (op, at) {
-                    (ScriptOp::Read(a), _) => Op::Read(a),
-                    (ScriptOp::Write(a, v), _) => Op::Write(a, v),
-                    (ScriptOp::AddTo(a, _), 0) => Op::Read(a),
-                    (ScriptOp::AddTo(a, d), _) => Op::Write(a, t.last_value.wrapping_add(d)),
-                    (ScriptOp::FetchAdd(a, d), _) => Op::FetchAdd(a, d),
-                    (ScriptOp::Work(c), _) => Op::Work(c),
-                };
+        let Some(&script_op) = ops.get(op - 1) else {
+            if op == ops.len() + 1 {
+                return Op::TxCommit;
             }
-            at -= w;
+            self.tx_ix += 1;
+            self.op = 0;
+            return Op::WorkUnitDone;
+        };
+        match (script_op, sub) {
+            (ScriptOp::Read(a), _) => Op::Read(a),
+            (ScriptOp::Write(a, v), _) => Op::Write(a, v),
+            (ScriptOp::AddTo(a, _), 0) => {
+                (self.op, self.sub) = (op, 1);
+                Op::Read(a)
+            }
+            (ScriptOp::AddTo(a, d), _) => Op::Write(a, t.last_value.wrapping_add(d)),
+            (ScriptOp::FetchAdd(a, d), _) => Op::FetchAdd(a, d),
+            (ScriptOp::Work(c), _) => Op::Work(c),
         }
-        unreachable!("micro-step {step} within width {total}")
     }
 
     fn on_tx_abort(&mut self, _t: &mut ProgCtx) {
-        self.micro = 0;
+        (self.op, self.sub) = (0, 0);
     }
 }
 

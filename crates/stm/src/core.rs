@@ -11,9 +11,10 @@
 //!   a locked stripe or a version newer than `rv` aborts the read;
 //! * writes buffer locally until commit;
 //! * commit acquires the write-set's stripe locks in address order (one
-//!   attempt each — contention aborts rather than deadlocks), takes a fresh
-//!   clock value `wv`, re-validates every read stripe against `rv`, writes
-//!   the buffer back, and releases the locks stamped with `wv`.
+//!   attempt each — contention aborts rather than deadlocks), reserves a
+//!   table slot per written word, takes a fresh clock value `wv`,
+//!   re-validates every read stripe against `rv`, writes the buffer back,
+//!   and releases the locks stamped with `wv`.
 //!
 //! Where LogTM-SE is *eager* (old values to a log, conflicts detected at
 //! access time via signatures and NACKs), TL2 is *lazy* (new values to a
@@ -21,6 +22,36 @@
 //! must serialize in commit order, which is exactly what the shared
 //! [`ltse_mem::SerializabilityOracle`] checks — making the two
 //! implementations differential tests of each other.
+//!
+//! # Buffers
+//!
+//! A [`Tx`] owns its read-stripe list, its write buffer and its commit
+//! scratch (the sorted write stripes, the locks taken, the reserved table
+//! slots). [`Stm::begin`] hands out a `Tx` with empty buffers, which is
+//! right for one-shot callers. The executor instead keeps one `Tx` per
+//! worker for its transactions and one for its single-op minis, and
+//! restarts each for every attempt, ordinary or serial: the vectors keep
+//! their capacity, so once they have grown to the workload's largest
+//! transaction an attempt allocates nothing.
+//!
+//! Commit probes the shared table once per written word: the slot returned
+//! by [`Table::reserve`] is the one the write-back stores into (see
+//! `crate::table`).
+//!
+//! # Memory orderings
+//!
+//! Every access to the clock and the stripe words is `SeqCst` except the
+//! unlock that restores or restamps a stripe at the end of a commit, which
+//! is `Release`, as is the table's write-back value store. A reader's three
+//! loads (stripe, value, stripe) are `SeqCst`, hence acquiring, and the
+//! table's module docs give why the two `Release` stores keep the read
+//! check sound. Commit-time validation needs no more. The lock CASes and
+//! validation loads stay in the single `SeqCst` order, so of two committers
+//! whose read and write sets cross, at least one sees the other's lock or
+//! new version when it validates. A lock aborts it. A new version aborts it
+//! unless the version is within its `rv`, and then its reads already saw
+//! the other's writes: its stripe samples came after the other's clock
+//! bump, and a reader that sees a new version synchronizes with the unlock.
 //!
 //! # Progress: the serial fallback
 //!
@@ -32,7 +63,8 @@
 //! can advance and no stripe can be (or become) locked: the serial attempt
 //! cannot fail, giving starvation freedom.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::Ordering::{Release, SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use logtm_se::{BackoffKind, ContentionPolicy};
@@ -227,7 +259,7 @@ impl Stm {
 
     /// Starts an ordinary (speculative) transaction.
     pub fn begin(&self) -> Tx<'_> {
-        self.make_tx(false)
+        Tx::new(self, None)
     }
 
     /// Acquires the serial-fallback token, blocking until every in-flight
@@ -240,28 +272,8 @@ impl Stm {
     /// other thread can commit, so this transaction's commit cannot fail
     /// with a transient conflict. Borrowing the token (rather than a flag)
     /// makes "serial tx without the token" unrepresentable.
-    pub fn begin_serial<'a>(&'a self, _token: &SerialToken<'a>) -> Tx<'a> {
-        self.make_tx(true)
-    }
-
-    fn make_tx(&self, serial: bool) -> Tx<'_> {
-        // A serial transaction validates against u64::MAX — i.e. not at all.
-        // Sound because the held token excludes every other committer: the
-        // only versions that can advance during the transaction are those
-        // its own thread publishes (escape-action minis under the same
-        // token), and those the thread must be allowed to observe.
-        let rv = if serial {
-            u64::MAX
-        } else {
-            self.clock.load(SeqCst)
-        };
-        Tx {
-            stm: self,
-            rv,
-            read_stripes: Vec::new(),
-            writes: Vec::new(),
-            serial,
-        }
+    pub fn begin_serial<'a>(&'a self, token: &SerialToken<'a>) -> Tx<'a> {
+        Tx::new(self, Some(token))
     }
 
     /// Samples stripe `s` and checks it against read timestamp `rv`.
@@ -275,10 +287,25 @@ impl Stm {
         }
         Ok(w)
     }
+
+    /// Unlocks `locked` stripes: restoring their pre-lock versions on abort
+    /// (`None`) or stamping the new write version on success. `Release`:
+    /// a reader or validator that sees the new version also sees every
+    /// value stored before it (see the module docs).
+    fn release(&self, locked: &[(usize, u64)], new_version: Option<u64>) {
+        for &(s, old) in locked {
+            self.stripes[s].store(new_version.unwrap_or(old), Release);
+        }
+    }
 }
 
-/// An in-flight transaction. Dropping it without [`Tx::commit`] is an abort:
-/// writes were only ever buffered, so there is nothing to undo.
+/// A transaction and the buffers it runs in. Dropping it without
+/// [`Tx::commit`] is an abort: writes were only ever buffered, so there is
+/// nothing to undo.
+///
+/// The executor keeps one `Tx` per worker and restarts it for every
+/// attempt, so the vectors below keep their capacity from one attempt to
+/// the next and a steady-state attempt allocates nothing.
 #[derive(Debug)]
 pub struct Tx<'a> {
     stm: &'a Stm,
@@ -292,9 +319,52 @@ pub struct Tx<'a> {
     writes: Vec<(u64, u64)>,
     /// Begun via [`Stm::begin_serial`].
     serial: bool,
+    /// Commit scratch: the write set's stripes, sorted and deduplicated.
+    wstripes: Vec<usize>,
+    /// Commit scratch: stripes this commit locked, with their pre-lock
+    /// versions.
+    locked: Vec<(usize, u64)>,
+    /// Commit scratch: the table slot of each entry of `writes`.
+    slots: Vec<usize>,
 }
 
 impl<'a> Tx<'a> {
+    /// Begins a transaction in empty buffers, under the serial token if
+    /// one is given.
+    pub(crate) fn new(stm: &'a Stm, token: Option<&SerialToken<'a>>) -> Self {
+        let mut tx = Tx {
+            stm,
+            rv: 0,
+            read_stripes: Vec::new(),
+            writes: Vec::new(),
+            serial: false,
+            wstripes: Vec::new(),
+            locked: Vec::new(),
+            slots: Vec::new(),
+        };
+        tx.restart(token);
+        tx
+    }
+
+    /// Begins a fresh attempt in this transaction's buffers, discarding
+    /// whatever the previous attempt read and wrote. `Some(token)` begins
+    /// it under the serial token, as [`Stm::begin_serial`] does.
+    pub(crate) fn restart(&mut self, token: Option<&SerialToken<'a>>) {
+        // A serial transaction validates against u64::MAX — i.e. not at all.
+        // Sound because the held token excludes every other committer: the
+        // only versions that can advance during the transaction are those
+        // its own thread publishes (escape-action minis under the same
+        // token), and those the thread must be allowed to observe.
+        self.serial = token.is_some();
+        self.rv = if self.serial {
+            u64::MAX
+        } else {
+            self.stm.clock.load(SeqCst)
+        };
+        self.read_stripes.clear();
+        self.writes.clear();
+    }
+
     /// The transaction's read timestamp.
     pub fn rv(&self) -> u64 {
         self.rv
@@ -308,7 +378,7 @@ impl<'a> Tx<'a> {
     /// Transactional load of `word`.
     pub fn read(&mut self, word: u64) -> Result<u64, Conflict> {
         // Read-own-writes: the buffer is the newest state for this tx.
-        if let Some(&(_, v)) = self.writes.iter().rev().find(|&&(w, _)| w == word) {
+        if let Some(v) = self.peek_buffered(word) {
             return Ok(v);
         }
         let s = self.stm.stripe_of(word);
@@ -316,7 +386,8 @@ impl<'a> Tx<'a> {
         let value = self.stm.mem.load(word);
         // Re-sample: if the stripe moved (locked or re-versioned) while we
         // loaded, the value may be torn relative to the snapshot. All three
-        // accesses are SeqCst, so they occur in program order.
+        // loads are SeqCst, so they occur in program order; the table's
+        // module docs give why the writer's Release stores suffice.
         let after = self.stm.stripes[s].load(SeqCst);
         if after != before {
             return Err(if after & LOCKED != 0 {
@@ -345,7 +416,13 @@ impl<'a> Tx<'a> {
     /// stamped with the returned version. On `Err` nothing happened (lazy
     /// versioning: there is never anything to undo) — drop the `Tx` and
     /// retry or escalate.
-    pub fn commit(self) -> Result<CommitInfo, Conflict> {
+    pub fn commit(mut self) -> Result<CommitInfo, Conflict> {
+        self.try_commit()
+    }
+
+    /// [`Tx::commit`] without giving up the buffers: the caller restarts
+    /// this `Tx` for its next attempt, whatever the outcome.
+    pub(crate) fn try_commit(&mut self) -> Result<CommitInfo, Conflict> {
         let stm = self.stm;
         if self.writes.is_empty() {
             // Read-only: every read already validated against rv at read
@@ -375,36 +452,36 @@ impl<'a> Tx<'a> {
 
         // Lock the write-set's stripes in ascending order (deadlock-free
         // against all other committers), one CAS attempt each.
-        let mut wstripes: Vec<usize> = self.writes.iter().map(|&(w, _)| stm.stripe_of(w)).collect();
-        wstripes.sort_unstable();
-        wstripes.dedup();
-        let mut locked: Vec<(usize, u64)> = Vec::with_capacity(wstripes.len());
-        for &s in &wstripes {
+        self.wstripes.clear();
+        self.wstripes
+            .extend(self.writes.iter().map(|&(w, _)| stm.stripe_of(w)));
+        self.wstripes.sort_unstable();
+        self.wstripes.dedup();
+        self.locked.clear();
+        for &s in &self.wstripes {
             let w = stm.stripes[s].load(SeqCst);
-            let conflict = if w & LOCKED != 0 {
-                Some(Conflict::Locked { stripe: s })
-            } else if stm.stripes[s]
-                .compare_exchange(w, w | LOCKED, SeqCst, SeqCst)
-                .is_err()
+            if w & LOCKED != 0
+                || stm.stripes[s]
+                    .compare_exchange(w, w | LOCKED, SeqCst, SeqCst)
+                    .is_err()
             {
-                Some(Conflict::Locked { stripe: s })
-            } else {
-                locked.push((s, w));
-                None
-            };
-            if let Some(c) = conflict {
-                Self::release(stm, &locked, None);
-                return Err(c);
+                stm.release(&self.locked, None);
+                return Err(Conflict::Locked { stripe: s });
             }
+            self.locked.push((s, w));
         }
 
         // Reserve table slots *before* taking wv: a full table must abort
         // without publishing anything. A freshly reserved slot reads 0,
         // identical to the absent key it replaces, so readers are unaffected.
+        self.slots.clear();
         for &(w, _) in &self.writes {
-            if stm.mem.reserve(w).is_err() {
-                Self::release(stm, &locked, None);
-                return Err(Conflict::TableFull);
+            match stm.mem.reserve(w) {
+                Ok(slot) => self.slots.push(slot),
+                Err(_) => {
+                    stm.release(&self.locked, None);
+                    return Err(Conflict::TableFull);
+                }
             }
         }
 
@@ -417,10 +494,10 @@ impl<'a> Tx<'a> {
         for &s in &self.read_stripes {
             let w = stm.stripes[s].load(SeqCst);
             let effective = if w & LOCKED != 0 {
-                match locked.iter().find(|&&(ls, _)| ls == s) {
+                match self.locked.iter().find(|&&(ls, _)| ls == s) {
                     Some(&(_, old)) => old,
                     None => {
-                        Self::release(stm, &locked, None);
+                        stm.release(&self.locked, None);
                         return Err(Conflict::Locked { stripe: s });
                     }
                 }
@@ -428,37 +505,28 @@ impl<'a> Tx<'a> {
                 w
             };
             if effective > self.rv {
-                Self::release(stm, &locked, None);
+                stm.release(&self.locked, None);
                 return Err(Conflict::Stale { stripe: s });
             }
         }
 
-        // Write back. Slots were reserved above, so stores cannot fail.
-        let mut writes = self.writes;
+        // Write back through the reserved slots: no second probe, and no
+        // store can fail.
+        let mut n = self.writes.len();
         if stm.cfg.fault_skip_one_writeback && stm.fault_armed.swap(false, SeqCst) {
-            writes.pop();
+            n -= 1;
         }
-        for &(w, v) in &writes {
-            stm.mem
-                .store(w, v)
-                .expect("slot reserved before write-back");
+        for (&(_, v), &slot) in self.writes[..n].iter().zip(&self.slots) {
+            stm.mem.store_at(slot, v);
         }
 
         // Release every locked stripe stamped with the new version.
-        Self::release(stm, &locked, Some(wv));
+        stm.release(&self.locked, Some(wv));
         Ok(CommitInfo {
             version: wv,
             writer: true,
             serial: self.serial,
         })
-    }
-
-    /// Unlocks `locked` stripes: restoring their pre-lock versions on abort
-    /// (`None`) or stamping the new write version on success.
-    fn release(stm: &Stm, locked: &[(usize, u64)], new_version: Option<u64>) {
-        for &(s, old) in locked {
-            stm.stripes[s].store(new_version.unwrap_or(old), SeqCst);
-        }
     }
 }
 

@@ -679,7 +679,12 @@ struct Worker<'a> {
     escape: usize,
     /// Consecutive-abort streak driving backoff and serial escalation.
     retry: RetryState,
-    tx: Option<Tx<'a>>,
+    /// The outermost transaction's buffers, restarted at every `TxBegin`;
+    /// live while `depth > 0`.
+    tx: Tx<'a>,
+    /// The buffers of mini transactions, which can run inside an escape
+    /// action while `tx` is live.
+    mini_tx: Tx<'a>,
     token: Option<SerialToken<'a>>,
     stats: WorkerStats,
     log: Vec<TxRecord>,
@@ -701,7 +706,8 @@ impl<'a> Worker<'a> {
             depth: 0,
             escape: 0,
             retry: RetryState::default(),
-            tx: None,
+            tx: Tx::new(stm, None),
+            mini_tx: Tx::new(stm, None),
             token: None,
             stats: WorkerStats::default(),
             log: Vec::new(),
@@ -716,7 +722,7 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn push_record(&mut self, version: u64, writer: bool, ops: Vec<RecOp>) {
+    fn push_record(&mut self, version: u64, writer: bool, ops: &[RecOp]) {
         if !self.check {
             return;
         }
@@ -727,7 +733,7 @@ impl<'a> Worker<'a> {
             writer,
             thread: self.tid,
             seq,
-            ops,
+            ops: ops.to_vec(),
         });
     }
 
@@ -736,7 +742,6 @@ impl<'a> Worker<'a> {
     /// via [`StmSystem::obs_report`], the observability layer).
     fn abort(&mut self, program: &mut dyn ThreadProgram, cause: Conflict) {
         debug_assert!(self.token.is_none(), "serial transactions cannot abort");
-        self.tx = None;
         self.token = None;
         self.depth = 0;
         self.escape = 0;
@@ -769,23 +774,21 @@ impl<'a> Worker<'a> {
         &mut self,
         mut body: impl FnMut(&mut Tx<'a>) -> Result<R, Conflict>,
     ) -> Result<(R, CommitInfo), StmError> {
-        let mut attempt = 0u32;
+        let mut retry = RetryState::default();
         loop {
             // If this worker already holds the serial token (an escape
             // action inside a serial transaction), the mini MUST run under
             // it: taking the commit read-gate from the token-holding thread
             // would self-deadlock on the RwLock.
-            let (kind, max_retries) = policy_levers(&self.cfg, attempt);
-            let escalated = if self.token.is_none() && attempt > max_retries {
+            let (kind, max_retries) = policy_levers(&self.cfg, retry.streak);
+            let escalated = if self.token.is_none() && retry.should_escalate(max_retries) {
                 Some(self.stm.serial_token())
             } else {
                 None
             };
-            let mut tx = match self.token.as_ref().or(escalated.as_ref()) {
-                Some(tok) => self.stm.begin_serial(tok),
-                None => self.stm.begin(),
-            };
-            match body(&mut tx).and_then(|r| tx.commit().map(|info| (r, info))) {
+            let tx = &mut self.mini_tx;
+            tx.restart(self.token.as_ref().or(escalated.as_ref()));
+            match body(tx).and_then(|r| tx.try_commit().map(|info| (r, info))) {
                 Ok(out) => {
                     self.stats.mini_commits += 1;
                     return Ok(out);
@@ -796,7 +799,7 @@ impl<'a> Worker<'a> {
                 Err(_) => {
                     drop(escalated);
                     self.stats.mini_aborts += 1;
-                    attempt += 1;
+                    let attempt = retry.on_abort();
                     backoff(&mut self.rng, attempt, kind, &self.cfg);
                 }
             }
@@ -841,10 +844,7 @@ impl<'a> Worker<'a> {
                             self.token = Some(self.stm.serial_token());
                             self.stats.serial_fallbacks += 1;
                         }
-                        self.tx = Some(match &self.token {
-                            Some(tok) => self.stm.begin_serial(tok),
-                            None => self.stm.begin(),
-                        });
+                        self.tx.restart(self.token.as_ref());
                         self.rec.clear();
                     }
                     self.depth += 1;
@@ -859,8 +859,7 @@ impl<'a> Worker<'a> {
                     0 => return Err(self.protocol("TxCommit without TxBegin")),
                     d if d > 1 => self.depth -= 1,
                     _ => {
-                        let tx = self.tx.take().expect("depth 1 implies a live tx");
-                        match tx.commit() {
+                        match self.tx.try_commit() {
                             Ok(info) => {
                                 self.depth = 0;
                                 self.retry.on_commit();
@@ -870,7 +869,8 @@ impl<'a> Worker<'a> {
                                     self.stats.serial_commits += 1;
                                 }
                                 let ops = std::mem::take(&mut self.rec);
-                                self.push_record(info.version, info.writer, ops);
+                                self.push_record(info.version, info.writer, &ops);
+                                self.rec = ops;
                             }
                             Err(Conflict::TableFull) => {
                                 return Err(StmError::TableFull { thread: self.tid })
@@ -905,14 +905,14 @@ impl<'a> Worker<'a> {
         if self.escape > 0 {
             // Escape read: unchecked, sees the enclosing tx's buffered
             // stores (eager-hardware illusion) or raw memory.
-            self.last_value = self
-                .tx
-                .as_ref()
-                .and_then(|tx| tx.peek_buffered(word))
-                .unwrap_or_else(|| self.stm.read_word_raw(word));
+            let buffered = if self.depth > 0 {
+                self.tx.peek_buffered(word)
+            } else {
+                None
+            };
+            self.last_value = buffered.unwrap_or_else(|| self.stm.read_word_raw(word));
         } else if self.depth > 0 {
-            let tx = self.tx.as_mut().expect("in-tx read implies a live tx");
-            match tx.read(word) {
+            match self.tx.read(word) {
                 Ok(v) => {
                     self.last_value = v;
                     self.stats.tx_reads += 1;
@@ -932,7 +932,7 @@ impl<'a> Worker<'a> {
             // are waiting for needs the CPU.
             let (v, info) = self.mini(|tx| tx.read(word))?;
             self.last_value = v;
-            self.push_record(info.version, false, vec![RecOp::Read { word, seen: v }]);
+            self.push_record(info.version, false, &[RecOp::Read { word, seen: v }]);
             std::thread::yield_now();
         }
         Ok(())
@@ -941,8 +941,7 @@ impl<'a> Worker<'a> {
     fn do_write(&mut self, a: WordAddr, v: u64) -> Result<(), StmError> {
         let word = a.as_u64();
         if self.escape == 0 && self.depth > 0 {
-            let tx = self.tx.as_mut().expect("in-tx write implies a live tx");
-            tx.write(word, v);
+            self.tx.write(word, v);
             self.stats.tx_writes += 1;
             if self.check {
                 self.rec.push(RecOp::Write { word, value: v });
@@ -956,7 +955,7 @@ impl<'a> Worker<'a> {
                 tx.write(word, v);
                 Ok(())
             })?;
-            self.push_record(info.version, true, vec![RecOp::Write { word, value: v }]);
+            self.push_record(info.version, true, &[RecOp::Write { word, value: v }]);
         }
         Ok(())
     }
@@ -970,15 +969,14 @@ impl<'a> Worker<'a> {
     ) -> Result<(), StmError> {
         let word = a.as_u64();
         if self.escape == 0 && self.depth > 0 {
-            let tx = self.tx.as_mut().expect("in-tx cas implies a live tx");
-            match tx.read(word) {
+            match self.tx.read(word) {
                 Ok(v) => {
                     self.stats.tx_reads += 1;
                     if self.check {
                         self.rec.push(RecOp::Read { word, seen: v });
                     }
                     if v == expected {
-                        tx.write(word, new);
+                        self.tx.write(word, new);
                         self.stats.tx_writes += 1;
                         if self.check {
                             self.rec.push(RecOp::Write { word, value: new });
@@ -1000,15 +998,15 @@ impl<'a> Worker<'a> {
                 Ok(v)
             })?;
             let swapped = seen == expected;
-            let mut ops = Vec::with_capacity(2);
-            if self.escape == 0 {
-                ops.push(RecOp::Read { word, seen });
-            }
-            if swapped {
-                ops.push(RecOp::Write { word, value: new });
-            }
-            if !ops.is_empty() {
-                self.push_record(info.version, swapped, ops);
+            let read = RecOp::Read { word, seen };
+            let write = RecOp::Write { word, value: new };
+            // A bare CAS records its read, an escape CAS does not; only a
+            // successful one records its write.
+            match (self.escape > 0, swapped) {
+                (false, true) => self.push_record(info.version, true, &[read, write]),
+                (false, false) => self.push_record(info.version, false, &[read]),
+                (true, true) => self.push_record(info.version, true, &[write]),
+                (true, false) => {}
             }
             self.last_value = seen;
             if !swapped {
@@ -1027,11 +1025,10 @@ impl<'a> Worker<'a> {
     ) -> Result<(), StmError> {
         let word = a.as_u64();
         if self.escape == 0 && self.depth > 0 {
-            let tx = self.tx.as_mut().expect("in-tx rmw implies a live tx");
-            match tx.read(word) {
+            match self.tx.read(word) {
                 Ok(v) => {
                     let new = v.wrapping_add(d);
-                    tx.write(word, new);
+                    self.tx.write(word, new);
                     self.stats.tx_reads += 1;
                     self.stats.tx_writes += 1;
                     if self.check {
@@ -1051,16 +1048,17 @@ impl<'a> Worker<'a> {
                 tx.write(word, v.wrapping_add(d));
                 Ok(v)
             })?;
-            let new = seen.wrapping_add(d);
-            let ops = if self.escape == 0 {
-                vec![
-                    RecOp::Read { word, seen },
-                    RecOp::Write { word, value: new },
-                ]
-            } else {
-                vec![RecOp::Write { word, value: new }]
+            let read = RecOp::Read { word, seen };
+            let write = RecOp::Write {
+                word,
+                value: seen.wrapping_add(d),
             };
-            self.push_record(info.version, true, ops);
+            // An escape RMW records only its write; a bare one its read too.
+            if self.escape > 0 {
+                self.push_record(info.version, true, &[write]);
+            } else {
+                self.push_record(info.version, true, &[read, write]);
+            }
             self.last_value = seen;
         }
         Ok(())
@@ -1331,6 +1329,29 @@ mod tests {
         assert_eq!(r.aborts, 0, "serial transactions cannot abort");
         assert_eq!(sys.read_word(WordAddr(0)), 60);
         assert!(sys.finish_checks().is_empty());
+    }
+
+    #[test]
+    fn max_retries_zero_runs_bare_ops_serially_too() {
+        // `0` makes every transaction serial, the single-op minis of bare
+        // accesses included: none may run speculatively first, so two
+        // threads hammering one word never abort.
+        const ADDS: u64 = 100_000;
+        let mut sys = StmBuilder::new().seed(23).max_retries(0).build();
+        for _ in 0..2 {
+            let mut left = ADDS;
+            sys.add_thread(Box::new(FnProgram::new(move |_, _| {
+                if left == 0 {
+                    return Op::Done;
+                }
+                left -= 1;
+                Op::FetchAdd(WordAddr(0), 1)
+            })));
+        }
+        let r = sys.run().expect("run completes");
+        assert_eq!(r.mini_aborts, 0, "a serial mini cannot abort");
+        assert_eq!(r.mini_commits, 2 * ADDS);
+        assert_eq!(sys.read_word(WordAddr(0)), 2 * ADDS);
     }
 
     #[test]

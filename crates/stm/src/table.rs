@@ -12,14 +12,36 @@
 //! pointers, no `unsafe`. Capacity is fixed at construction; running out is
 //! surfaced as an explicit error by the caller rather than a reallocation.
 //!
-//! All accesses use `SeqCst`: the TL2 protocol's correctness argument leans
-//! on the value load between the two stripe-version samples not being
-//! reordered against them, and keeping every shared access in the single
-//! sequentially-consistent order makes that argument airtight without
-//! per-site fence reasoning. The STM measures *relative* throughput against
-//! a cycle-level simulator, not peak memory bandwidth.
+//! # One probe per written word
+//!
+//! A committing writer probes each written word once, with
+//! [`Table::reserve`], and writes back through the slot it returned
+//! (`Table::store_at`). The probe loads each key before trying a CAS, so
+//! the only read-modify-write a probe ever issues is the one that claims an
+//! `EMPTY` slot for a word seen for the first time; finding a word that is
+//! already present costs plain loads.
+//!
+//! # Memory orderings
+//!
+//! Key loads, the claiming CAS, value loads and the `used` counter are
+//! `SeqCst`. The one weaker access is the value store, which is `Release`
+//! (a plain `mov` on x86 rather than an `xchg`). The STM's read protocol
+//! needs two things from it, and both follow from `Release` paired with
+//! the reader's `SeqCst` (hence acquiring) loads:
+//!
+//! * A reader that loads a new value synchronizes with its store, so the
+//!   writer's stripe-lock CAS, sequenced before the store, happens before
+//!   the reader's re-sample of the stripe. The re-sample then sees the lock
+//!   or a version stamped at or after the writer's unlock. A writer stores
+//!   values only after it has validated, so it never restores the version
+//!   the reader sampled first: the samples differ and the read aborts.
+//! * A reader that sees the version stamped at unlock (itself a `Release`
+//!   store, see `crate::core`) synchronizes with the unlock, so every value
+//!   stored before the unlock is visible to its value load, and so is the
+//!   key of every slot the writer claimed.
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Release, SeqCst};
 
 use ltse_sim::rng::mix64;
 
@@ -89,19 +111,26 @@ impl Table {
         None
     }
 
-    /// Finds or claims the slot for `word`.
+    /// Finds or claims the slot for `word`. Each key is loaded before any
+    /// CAS, so a word that is already present costs no read-modify-write.
     fn probe_insert(&self, word: u64) -> Result<usize, TableFull> {
         let tag = word.wrapping_add(1);
         let mut ix = mix64(word) as usize & self.mask;
         for _ in 0..=self.mask {
-            match self.keys[ix].compare_exchange(EMPTY, tag, SeqCst, SeqCst) {
-                Ok(_) => {
-                    self.used.fetch_add(1, SeqCst);
-                    return Ok(ix);
-                }
-                Err(k) if k == tag => return Ok(ix),
-                Err(_) => ix = (ix + 1) & self.mask,
+            let key = match self.keys[ix].load(SeqCst) {
+                EMPTY => match self.keys[ix].compare_exchange(EMPTY, tag, SeqCst, SeqCst) {
+                    Ok(_) => {
+                        self.used.fetch_add(1, SeqCst);
+                        return Ok(ix);
+                    }
+                    Err(k) => k,
+                },
+                k => k,
+            };
+            if key == tag {
+                return Ok(ix);
             }
+            ix = (ix + 1) & self.mask;
         }
         Err(TableFull)
     }
@@ -114,18 +143,23 @@ impl Table {
         }
     }
 
-    /// Ensures a slot exists for `word` without disturbing its value: a
-    /// freshly claimed slot holds 0, exactly what an absent key reads as.
-    /// Writers call this *before* taking a commit timestamp so a mid-commit
-    /// capacity failure aborts cleanly instead of tearing a write-back.
-    pub fn reserve(&self, word: u64) -> Result<(), TableFull> {
-        self.probe_insert(word).map(|_| ())
+    /// Ensures a slot exists for `word` without disturbing its value, and
+    /// returns it: a freshly claimed slot holds 0, exactly what an absent
+    /// key reads as. Writers call this *before* taking a commit timestamp
+    /// so a mid-commit capacity failure aborts cleanly instead of tearing a
+    /// write-back, then store through the returned slot.
+    pub fn reserve(&self, word: u64) -> Result<usize, TableFull> {
+        self.probe_insert(word)
+    }
+
+    /// Stores `value` into a slot returned by [`Table::reserve`].
+    pub(crate) fn store_at(&self, slot: usize, value: u64) {
+        self.vals[slot].store(value, Release);
     }
 
     /// Stores `value` into `word`, claiming a slot if needed.
     pub fn store(&self, word: u64, value: u64) -> Result<(), TableFull> {
-        let ix = self.probe_insert(word)?;
-        self.vals[ix].store(value, SeqCst);
+        self.store_at(self.probe_insert(word)?, value);
         Ok(())
     }
 
@@ -178,8 +212,11 @@ mod tests {
     #[test]
     fn reserve_keeps_value_zero_and_overwrite_wins() {
         let t = Table::new(16);
-        t.reserve(40).unwrap();
+        let slot = t.reserve(40).unwrap();
         assert_eq!(t.load(40), 0);
+        assert_eq!(t.reserve(40), Ok(slot), "a present word keeps its slot");
+        t.store_at(slot, 6);
+        assert_eq!(t.load(40), 6);
         t.store(40, 7).unwrap();
         t.store(40, 8).unwrap();
         assert_eq!(t.load(40), 8);

@@ -89,6 +89,15 @@ for bench, speedups in expected_speedups.items():
     assert set(doc["speedups"]) == speedups, doc["speedups"]
     print(f"ok: BENCH_{bench} json well-formed, {n} cases")
 
+# The STM runs real threads, so BENCH_stm.json and BENCH_oltp.json must
+# say how many CPUs the host had and which STM rows ran more threads than
+# that (the simulator runs every thread on one).
+with open(os.path.join(d, "BENCH_stm.json")) as f:
+    doc = json.load(f)
+assert doc["cpus"] >= 1, doc
+for c in doc["cases"]:
+    assert c["oversubscribed"] == (c["name"] == "stm" and c["threads"] > doc["cpus"]), c
+
 # BENCH_scale.json additionally records the simulated-run facts: the sweep
 # must cover 64/128/256 cores and include the serializability-checked
 # 256-context run.
@@ -110,6 +119,7 @@ print(f"ok: BENCH_scale runs cover {sorted(sweep_cores)} cores + checked 256-ctx
 with open(os.path.join(d, "BENCH_oltp.json")) as f:
     doc = json.load(f)
 assert doc["bench"] == "oltp" and doc["quick"] is True, doc
+assert doc["cpus"] >= 1, doc
 points = doc["points"]
 assert len(points) >= 6, f"expected >=3 points x 2 backends, got {len(points)}"
 backends = {p["backend"] for p in points}
@@ -118,6 +128,7 @@ for p in points:
     assert p["committed"] == p["txs"] > 0, p
     assert p["p50"] <= p["p99"] <= p["p999"], p
     assert p["latency_unit"] in ("cycles", "ns"), p
+    assert p["oversubscribed"] == (p["backend"] == "stm" and p["threads"] > doc["cpus"]), p
 by_point = {}
 for p in points:
     by_point.setdefault(p["point"], set()).add(p["kv_fingerprint"])
@@ -126,6 +137,7 @@ for name, fps in by_point.items():
 mtx = doc["mtx"]
 assert mtx["sim"]["committed"] == mtx["stm"]["committed"] == mtx["txs_total"], mtx
 assert mtx["kv_match"] is True, mtx
+assert mtx["stm"]["oversubscribed"] == (mtx["threads"] > doc["cpus"]), mtx
 growth = mtx["sim"]["rss_growth_kb"]
 assert growth is None or growth < 64 * 1024, f"mtx RSS growth {growth} KiB"
 print(f"ok: BENCH_oltp {len(points)} point rows + mtx section "
