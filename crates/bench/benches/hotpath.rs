@@ -1,12 +1,12 @@
-//! Hot-path micro-benchmarks for the PR 3 performance work, with machine-
-//! readable output.
+//! Hot-path micro-benchmarks, with machine-readable output.
 //!
-//! Unlike the paper-figure benches, every optimized path here is timed
-//! **against its baseline in the same run** — the boxed `dyn Signature`
-//! membership test vs the enum-dispatched `SigRepr`, and a plain
-//! `BinaryHeap` event queue vs the bucketed calendar `EventQueue` — so the
-//! emitted JSON carries both numbers and the speedup is comparable across
-//! machines and PRs.
+//! * `sig/conflict_sweep_*` times the signature call the simulator makes
+//!   for every coherence request: `ReadWriteSignature::conflicts_with`, once
+//!   per remote context.
+//! * `event_queue/*` times a plain `BinaryHeap` event queue against the
+//!   bucketed calendar `EventQueue` **in the same run**, so the emitted
+//!   speedup is comparable across machines and PRs.
+//! * `end_to_end/contended_counter` times a small transactional run.
 //!
 //! Output:
 //!
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use logtm_se::{SignatureKind, SystemBuilder, WordAddr};
 use ltse_bench::harness;
-use ltse_sig::{Signature, SigRepr};
+use ltse_sig::{ReadWriteSignature, SigOp};
 use ltse_sim::rng::mix64;
 use ltse_sim::{Cycle, EventQueue};
 use ltse_workloads::{CsProgram, SharedCounter, SyncMode};
@@ -89,74 +89,41 @@ fn main() {
     let iters = harness::iters(if quick { 2 } else { 30 });
     let mut out: Vec<CaseResult> = Vec::new();
 
-    // ---- signature membership: boxed trait objects vs SigRepr -----------
+    // ---- signature conflict sweep ---------------------------------------
     // The simulator's hot path is `check_cores_except`: one incoming
-    // coherence request is checked against *every* remote context's read and
-    // write signature. Mirror that shape — each probe sweeps 16 contexts'
-    // pairs — so the per-check dispatch cost is what dominates, exactly as
-    // it does in the real conflict-check loop.
+    // coherence request is checked against *every* remote context, one
+    // `ReadWriteSignature::conflicts_with` call each. Time that call for an
+    // incoming GETM, which consults both the read- and the write-set
+    // (paper §2), swept over 16 contexts.
     const CTXS: usize = 16;
     let probes: Vec<u64> = {
         let n = if quick { 4_096 } else { 65_536 };
         (0..n).map(|i| mix64(i as u64) >> 20).collect()
     };
 
-    for (tag_boxed, tag_repr, kind) in [
-        (
-            "membership_boxed_bitselect",
-            "membership_repr_bitselect",
-            SignatureKind::paper_bs_2kb(),
-        ),
-        (
-            "membership_boxed_bloom",
-            "membership_repr_bloom",
-            SignatureKind::Bloom { bits: 2048, k: 4 },
-        ),
+    for (name, kind) in [
+        ("conflict_sweep_bitselect", SignatureKind::paper_bs_2kb()),
+        ("conflict_sweep_bloom", SignatureKind::Bloom { bits: 2048, k: 4 }),
     ] {
-        // Launder the kind so LLVM cannot constant-fold the variant and
-        // devirtualize the boxed calls — in the simulator the kind is
-        // runtime configuration, and that is the case being measured.
+        // Launder the kind so LLVM cannot constant-fold the variant — in the
+        // simulator the kind is runtime configuration.
         let kind = black_box(kind);
-        let mut boxed: Vec<(Box<dyn Signature>, Box<dyn Signature>)> = (0..CTXS)
-            .map(|_| (kind.build(), kind.build()))
-            .collect();
-        let mut repr: Vec<(SigRepr, SigRepr)> = (0..CTXS)
-            .map(|_| (SigRepr::new(&kind), SigRepr::new(&kind)))
-            .collect();
-        for c in 0..CTXS {
-            for i in 0..64u64 {
-                let a = mix64(i ^ (c as u64) << 32) >> 20;
-                boxed[c].0.insert(a);
-                repr[c].0.insert_block(a);
-                let w = mix64(a) >> 20;
-                boxed[c].1.insert(w);
-                repr[c].1.insert_block(w);
-            }
-        }
-        // An incoming GETM conflicts if the address may be in a remote
-        // read- OR write-set (paper §2) — two membership tests per context.
-        time_case(&mut out, "sig", tag_boxed, iters, || {
-            let mut hits = 0u64;
-            for &a in &probes {
-                for (read, write) in &boxed {
-                    hits += (read.maybe_contains(a) || write.maybe_contains(a)) as u64;
+        let ctxs: Vec<ReadWriteSignature> = (0..CTXS)
+            .map(|c| {
+                let mut rw = ReadWriteSignature::new(&kind);
+                for i in 0..64u64 {
+                    let a = mix64(i ^ (c as u64) << 32) >> 20;
+                    rw.insert(SigOp::Read, a);
+                    rw.insert(SigOp::Write, mix64(a) >> 20);
                 }
-            }
-            hits
-        });
-        // The optimized sweep: resolve each context's packed filter once
-        // (signatures are fixed for the duration of a check), then per
-        // address hash once (`probe`) and test raw words per context.
-        let pairs: Vec<(&ltse_sig::SigBits, &ltse_sig::SigBits)> = repr
-            .iter()
-            .map(|(r, w)| (r.filter_bits().unwrap(), w.filter_bits().unwrap()))
+                rw
+            })
             .collect();
-        time_case(&mut out, "sig", tag_repr, iters, || {
+        time_case(&mut out, "sig", name, iters, || {
             let mut hits = 0u64;
             for &a in &probes {
-                let p = repr[0].0.probe(a);
-                for &(read, write) in &pairs {
-                    hits += (p.test_bits(read) || p.test_bits(write)) as u64;
+                for rw in &ctxs {
+                    hits += rw.conflicts_with(SigOp::Write, a) as u64;
                 }
             }
             hits
@@ -228,6 +195,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"hotpath\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!("  \"cpus\": {},\n", harness::detected_cpus()));
     json.push_str("  \"cases\": [\n");
     for (i, c) in out.iter().enumerate() {
         json.push_str(&format!(
@@ -241,20 +209,10 @@ fn main() {
         ));
     }
     json.push_str("  ],\n  \"speedups\": {\n");
-    let pairs = [
-        (
-            "sig_membership_bitselect",
-            speedup(&out, "sig", "membership_boxed_bitselect", "membership_repr_bitselect"),
-        ),
-        (
-            "sig_membership_bloom",
-            speedup(&out, "sig", "membership_boxed_bloom", "membership_repr_bloom"),
-        ),
-        (
-            "event_queue_churn",
-            speedup(&out, "event_queue", "churn_heap_ref", "churn_calendar"),
-        ),
-    ];
+    let pairs = [(
+        "event_queue_churn",
+        speedup(&out, "event_queue", "churn_heap_ref", "churn_calendar"),
+    )];
     for (i, (name, s)) in pairs.iter().enumerate() {
         json.push_str(&format!(
             "    \"{name}\": {}{}\n",

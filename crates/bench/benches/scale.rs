@@ -26,9 +26,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use logtm_se::{Cycle, MemConfig, RunReport, System, SystemBuilder};
+use logtm_se::{MemConfig, RunReport, System, SystemBuilder};
 use ltse_bench::harness;
-use ltse_sim::EventQueue;
 use ltse_workloads::{Benchmark, SyncMode};
 
 struct CaseResult {
@@ -107,34 +106,6 @@ fn quick() -> bool {
     std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Synthetic calendar-queue churn isolating the two-level occupancy bitmap:
-/// ~64 events in flight over a 4096-bucket window (the 256-context shape),
-/// mostly short hops plus occasional long jumps, so the scan-for-next-bucket
-/// path dominates exactly as it does in sparse simulation phases.
-fn queue_churn(banked: bool, ops: u64) -> u64 {
-    let n_buckets = 4096;
-    let mut q: EventQueue<u64> = if banked {
-        EventQueue::with_buckets(n_buckets)
-    } else {
-        EventQueue::with_buckets_unbanked(n_buckets)
-    };
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut acc = 0u64;
-    for i in 0..64 {
-        q.push_after(Cycle(i % 7 + 1), i);
-    }
-    for _ in 0..ops {
-        let (t, v) = q.pop().expect("queue never drains");
-        acc = acc.wrapping_add(t.as_u64() ^ v);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let delay = if x % 97 == 0 { 1 + x % 60_000 } else { 1 + x % 64 };
-        q.push_after(Cycle(delay), v);
-    }
-    acc
-}
-
 fn run_once(n_cores: u16, checked: bool) -> RunReport {
     let mut s = build_system(n_cores, checked);
     let report = s.run().expect("scaled run");
@@ -192,24 +163,6 @@ fn main() {
         run_once(256, true)
     });
 
-    // ---- banked vs unbanked queue ---------------------------------------
-    // Same churn, only the occupancy-scan strategy differs; the ratio lands
-    // in `speedups.queue_banked_vs_unbanked` (>1 = banking pays off).
-    let qops: u64 = if quick { 200_000 } else { 2_000_000 };
-    time_case(&mut out, "queue", "banked", iters, || queue_churn(true, qops));
-    time_case(&mut out, "queue", "unbanked", iters, || {
-        queue_churn(false, qops)
-    });
-    let queue_ratio = {
-        let b = out.iter().find(|c| c.group == "queue" && c.name == "banked");
-        let u = out
-            .iter()
-            .find(|c| c.group == "queue" && c.name == "unbanked");
-        b.zip(u)
-            .filter(|(b, _)| b.best_ms > 0.0)
-            .map(|(b, u)| u.best_ms / b.best_ms)
-    };
-
     // ---- per-event scaling ----------------------------------------------
     // best_ms over events from the recorded (deterministic) run: the event
     // count is a pure function of (config, seed), so pairing it with the
@@ -229,7 +182,6 @@ fn main() {
             "per_event_64_vs_256",
             base.zip(ns_per_event("cores_256", 256)).map(|(b, o)| b / o),
         ),
-        ("queue_banked_vs_unbanked", queue_ratio),
     ];
     for (pname, s) in pairs {
         if let Some(s) = s {

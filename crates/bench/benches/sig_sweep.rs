@@ -3,7 +3,7 @@
 //! signature design space (paper §5, "Signature Design").
 
 use ltse_bench::harness::BenchGroup;
-use ltse_sig::SignatureKind;
+use ltse_sig::{SigRepr, SignatureKind};
 
 fn main() {
     let group = BenchGroup::new("sig_ops", 200);
@@ -20,27 +20,27 @@ fn main() {
     ];
     for kind in kinds {
         group.case(&format!("insert_lookup/{}", kind.label()), || {
-            let mut sig = kind.build();
+            let mut sig = SigRepr::new(&kind);
             for a in 0..256u64 {
-                sig.insert(a * 97);
+                sig.insert_block(a * 97);
             }
             let mut hits = 0u32;
             for a in 0..256u64 {
-                if sig.maybe_contains(a * 89) {
+                if sig.test_block(a * 89) {
                     hits += 1;
                 }
             }
             hits
         });
         group.case(&format!("save_restore/{}", kind.label()), || {
-            let mut sig = kind.build();
+            let mut sig = SigRepr::new(&kind);
             for a in 0..64u64 {
-                sig.insert(a * 131);
+                sig.insert_block(a * 131);
             }
-            let saved = sig.save();
-            let mut fresh = kind.build();
-            fresh.restore(&saved);
-            fresh.saturation()
+            let saved = sig.save_state();
+            let mut fresh = SigRepr::new(&kind);
+            fresh.restore_saved(&saved);
+            fresh.fill()
         });
     }
 }

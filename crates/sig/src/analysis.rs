@@ -99,26 +99,26 @@ pub fn size_bit_select_for(footprint: u64, target: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignatureKind;
+    use crate::{SigRepr, SignatureKind};
     use ltse_sim::rng::Xoshiro256StarStar;
 
     /// Measure an empirical FP rate: insert `n` random addresses, probe
     /// with fresh random addresses, count hits.
     fn measured_fp(kind: SignatureKind, n: u64, seed: u64) -> f64 {
         let mut rng = Xoshiro256StarStar::new(seed);
-        let mut sig = kind.build();
+        let mut sig = SigRepr::new(&kind);
         let mut inserted = std::collections::HashSet::new();
         while inserted.len() < n as usize {
             let a = rng.next_u64() >> 20; // dense-ish block numbers
             if inserted.insert(a) {
-                sig.insert(a);
+                sig.insert_block(a);
             }
         }
         let probes = 20_000;
         let mut hits = 0;
         for _ in 0..probes {
             let p = rng.next_u64() >> 20;
-            if !inserted.contains(&p) && sig.maybe_contains(p) {
+            if !inserted.contains(&p) && sig.test_block(p) {
                 hits += 1;
             }
         }

@@ -6,7 +6,7 @@
 //! of suspended threads setting each summary signature bit, similar to VTM's
 //! XF data structure."
 
-use crate::traits::{SavedSignature, Signature};
+use crate::{SavedSignature, SigRepr, SignatureKind};
 
 /// A per-bit reference-counted signature.
 ///
@@ -20,26 +20,26 @@ use crate::traits::{SavedSignature, Signature};
 /// `u32`s with no hardware-width pretension.
 ///
 /// ```
-/// use ltse_sig::{CountingSignature, SignatureKind, Signature};
+/// use ltse_sig::{CountingSignature, SigRepr, SignatureKind};
 ///
 /// let kind = SignatureKind::BitSelect { bits: 64 };
 /// let mut counting = CountingSignature::new(64);
 ///
-/// let mut t1 = kind.build();
-/// t1.insert(5);
-/// let mut t2 = kind.build();
-/// t2.insert(5);
+/// let mut t1 = SigRepr::new(&kind);
+/// t1.insert_block(5);
+/// let mut t2 = SigRepr::new(&kind);
+/// t2.insert_block(5);
 ///
-/// counting.add(&t1.save());
-/// counting.add(&t2.save());
-/// counting.remove(&t1.save());
+/// counting.add(&t1.save_state());
+/// counting.add(&t2.save_state());
+/// counting.remove(&t1.save_state());
 ///
 /// // Bit 5 still owed to t2:
 /// let summary = counting.materialize(&kind);
-/// assert!(summary.maybe_contains(5));
+/// assert!(summary.test_block(5));
 ///
-/// counting.remove(&t2.save());
-/// assert!(counting.materialize(&kind).is_empty());
+/// counting.remove(&t2.save_state());
+/// assert!(counting.materialize(&kind).is_clear());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingSignature {
@@ -128,10 +128,10 @@ impl CountingSignature {
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is [`crate::SignatureKind::Perfect`] or its bit width
+    /// Panics if `kind` is [`SignatureKind::Perfect`] or its bit width
     /// differs from this counting signature's.
-    pub fn materialize(&self, kind: &crate::SignatureKind) -> Box<dyn Signature> {
-        let mut sig = kind.build();
+    pub fn materialize(&self, kind: &SignatureKind) -> SigRepr {
+        let mut sig = SigRepr::new(kind);
         let want_words = self.counts.len().div_ceil(64);
         let mut words = vec![0u64; want_words];
         for (i, &c) in self.counts.iter().enumerate() {
@@ -139,7 +139,7 @@ impl CountingSignature {
                 words[i / 64] |= 1 << (i % 64);
             }
         }
-        sig.restore(&SavedSignature::Bits(words));
+        sig.restore_saved(&SavedSignature::Bits(words));
         sig
     }
 }
@@ -147,14 +147,13 @@ impl CountingSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignatureKind;
 
     fn saved_with_bits(kind: &SignatureKind, addrs: &[u64]) -> SavedSignature {
-        let mut s = kind.build();
+        let mut s = SigRepr::new(kind);
         for &a in addrs {
-            s.insert(a);
+            s.insert_block(a);
         }
-        s.save()
+        s.save_state()
     }
 
     #[test]
@@ -167,8 +166,8 @@ mod tests {
         c.add(&s2);
         c.remove(&s1);
         let m = c.materialize(&kind);
-        assert!(m.maybe_contains(3), "bit 3 still owed to s2");
-        assert!(m.maybe_contains(70));
+        assert!(m.test_block(3), "bit 3 still owed to s2");
+        assert!(m.test_block(70));
         c.remove(&s2);
         assert!(!c.any_set());
     }
@@ -192,7 +191,7 @@ mod tests {
     fn materialize_empty_is_empty() {
         let kind = SignatureKind::BitSelect { bits: 64 };
         let c = CountingSignature::new(64);
-        assert!(c.materialize(&kind).is_empty());
+        assert!(c.materialize(&kind).is_clear());
     }
 
     #[test]
@@ -211,7 +210,7 @@ mod tests {
         let s = saved_with_bits(&kind, &[0xabcd]);
         c.add(&s);
         let m = c.materialize(&kind);
-        assert!(m.maybe_contains(0xabcd));
+        assert!(m.test_block(0xabcd));
         c.remove(&s);
         assert!(!c.any_set());
     }

@@ -1,25 +1,21 @@
 //! Run-time signature configuration.
 
-use crate::{
-    BitSelectSignature, BloomSignature, CoarseBitSelectSignature, DoubleBitSelectSignature,
-    PerfectSignature, PermutedBitSelectSignature, Signature,
-};
-
 /// Which signature implementation a system is configured with, and its size.
 ///
 /// These correspond to the bars of the paper's Figure 4: `Perfect` ("P"),
 /// `BitSelect { bits: 2048 }` ("BS"), `CoarseBitSelect { bits: 2048, .. }`
 /// ("CBS"), `DoubleBitSelect { bits: 2048 }` ("DBS") and
-/// `BitSelect { bits: 64 }` ("BS_64").
+/// `BitSelect { bits: 64 }` ("BS_64"). [`crate::SigRepr::new`] builds a
+/// signature of a kind.
 ///
 /// ```
-/// use ltse_sig::SignatureKind;
+/// use ltse_sig::{SigRepr, SignatureKind};
 ///
 /// let kind = SignatureKind::paper_bs_2kb();
-/// let mut sig = kind.build();
-/// sig.insert(7);
-/// assert!(sig.maybe_contains(7));
-/// assert_eq!(sig.storage_bits(), 2048);
+/// let mut sig = SigRepr::new(&kind);
+/// sig.insert_block(7);
+/// assert!(sig.test_block(7));
+/// assert_eq!(sig.bits_len(), 2048);
 /// assert_eq!(kind.label(), "BS_2048");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,21 +90,6 @@ impl SignatureKind {
         ]
     }
 
-    /// Instantiates a fresh, empty signature of this kind.
-    pub fn build(&self) -> Box<dyn Signature> {
-        match *self {
-            SignatureKind::Perfect => Box::new(PerfectSignature::new()),
-            SignatureKind::BitSelect { bits } => Box::new(BitSelectSignature::new(bits)),
-            SignatureKind::CoarseBitSelect {
-                bits,
-                blocks_per_macroblock,
-            } => Box::new(CoarseBitSelectSignature::new(bits, blocks_per_macroblock)),
-            SignatureKind::DoubleBitSelect { bits } => Box::new(DoubleBitSelectSignature::new(bits)),
-            SignatureKind::Bloom { bits, k } => Box::new(BloomSignature::new(bits, k)),
-            SignatureKind::PermutedDbs { bits } => Box::new(PermutedBitSelectSignature::new(bits)),
-        }
-    }
-
     /// A short stable label for tables and bench ids (e.g. `"BS_2048"`).
     pub fn label(&self) -> String {
         match *self {
@@ -131,6 +112,7 @@ impl std::fmt::Display for SignatureKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SigRepr;
 
     #[test]
     fn builds_every_kind() {
@@ -143,10 +125,10 @@ mod tests {
             SignatureKind::Bloom { bits: 512, k: 3 },
             SignatureKind::PermutedDbs { bits: 512 },
         ] {
-            let mut s = kind.build();
-            assert!(s.is_empty());
-            s.insert(123);
-            assert!(s.maybe_contains(123), "{kind}");
+            let mut s = SigRepr::new(&kind);
+            assert!(s.is_clear());
+            s.insert_block(123);
+            assert!(s.test_block(123), "{kind}");
         }
     }
 
@@ -163,9 +145,10 @@ mod tests {
 
     #[test]
     fn storage_bits_reported() {
-        assert_eq!(SignatureKind::Perfect.build().storage_bits(), 0);
-        assert_eq!(SignatureKind::paper_bs_2kb().build().storage_bits(), 2048);
-        assert_eq!(SignatureKind::paper_bs_64().build().storage_bits(), 64);
+        let bits = |kind: SignatureKind| SigRepr::new(&kind).bits_len();
+        assert_eq!(bits(SignatureKind::Perfect), 0);
+        assert_eq!(bits(SignatureKind::paper_bs_2kb()), 2048);
+        assert_eq!(bits(SignatureKind::paper_bs_64()), 64);
     }
 
     #[test]

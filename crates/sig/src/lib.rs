@@ -4,28 +4,31 @@
 //! addresses (paper §2, "Tracking Read- and Write-Sets with Signatures").
 //! It supports the paper's three operations:
 //!
-//! * `INSERT(O, A)` — [`Signature::insert`]
-//! * `CONFLICT(O, A)` — [`Signature::maybe_contains`] composed per access
-//!   kind by [`ReadWriteSignature::conflicts_with`]
-//! * `CLEAR(O)` — [`Signature::clear`]
+//! * `INSERT(O, A)` — [`SigRepr::insert_block`]
+//! * `CONFLICT(O, A)` — [`SigRepr::test_block`] composed per access kind by
+//!   [`ReadWriteSignature::conflicts_with`]
+//! * `CLEAR(O)` — [`SigRepr::clear_all`]
 //!
 //! Lookups may return **false positives** (report a conflict where none
 //! exists) but never false negatives — this asymmetry is what makes small
 //! signatures safe and is the root cause of the performance effects the
 //! paper studies in Table 3.
 //!
-//! Implementations (paper Figure 3, plus extensions):
+//! [`SigRepr`] is the one signature type: an enum with one variant per
+//! kind, built from a [`SignatureKind`] by [`SigRepr::new`]. The kinds
+//! (paper Figure 3, plus extensions):
 //!
-//! * [`PerfectSignature`] — exact sets; the paper's idealized "P" config.
-//! * [`BitSelectSignature`] — "BS": decode the `n` least-significant bits of
-//!   the block address.
-//! * [`DoubleBitSelectSignature`] — "DBS": decode two address fields into two
-//!   signature halves; conflict only when *both* bits are set (Bulk-style).
-//! * [`CoarseBitSelectSignature`] — "CBS": bit-select at macroblock (e.g.
-//!   1 KB) granularity, targeting large transactions.
-//! * [`BloomSignature`] — a k-hash H3-style Bloom filter (extension; not in
-//!   the paper's evaluation but anticipated by its "more creative
-//!   signatures" remark).
+//! * `Perfect` — exact sets; the paper's idealized "P" configuration.
+//! * `BitSelect` — "BS": decode the `n` least-significant bits of the block
+//!   address.
+//! * `CoarseBitSelect` — "CBS": bit-select at macroblock (e.g. 1 KB)
+//!   granularity, targeting large transactions.
+//! * `DoubleBitSelect` — "DBS": decode two address fields into two
+//!   signature halves; conflict only when *both* bits are set.
+//! * `PermutedDbs` — "PDBS": Bulk's permute-then-decode DBS (extension).
+//! * `Bloom` — a k-hash H3-style Bloom filter (extension; not in the
+//!   paper's evaluation but anticipated by its "more creative signatures"
+//!   remark).
 //!
 //! Supporting types:
 //!
@@ -33,9 +36,12 @@
 //!   context owns, with the paper's conflict semantics.
 //! * [`CountingSignature`] — the OS-side counting structure that maintains
 //!   per-process summary signatures (paper §4.1 footnote, citing VTM's XF).
+//!   A summary signature is an ordinary [`SigRepr`] pair, rebuilt from the
+//!   counts by [`CountingSignature::materialize`].
 //! * [`ShadowedRwSignature`] — pairs any signature with exact shadow sets to
 //!   classify each reported conflict as a true hit or a false positive
 //!   (regenerates the paper's Table 3 "False Positive %" columns).
+//! * [`SavedSignature`] — a signature's software-visible saved state.
 //!
 //! Addresses passed to this crate are **block numbers** (byte address divided
 //! by the 64-byte block size), not raw byte addresses.
@@ -43,7 +49,7 @@
 //! # Example
 //!
 //! ```
-//! use ltse_sig::{Signature, SignatureKind, SigOp, ReadWriteSignature};
+//! use ltse_sig::{SignatureKind, SigOp, ReadWriteSignature};
 //!
 //! // A 2 Kb bit-select signature pair, as in the paper's Figure 4.
 //! let mut rw = ReadWriteSignature::new(&SignatureKind::BitSelect { bits: 2048 });
@@ -66,8 +72,6 @@
 pub mod analysis;
 
 mod bits;
-mod bitselect;
-mod bloom;
 mod counting;
 mod kind;
 mod perfect;
@@ -77,21 +81,10 @@ mod shadow;
 mod traits;
 
 pub use bits::SigBits;
-pub use bitselect::{
-    BitSelectSignature, CoarseBitSelectSignature, DoubleBitSelectSignature,
-    PermutedBitSelectSignature,
-};
-pub use bloom::BloomSignature;
 pub use counting::CountingSignature;
 pub use kind::SignatureKind;
 pub use perfect::PerfectSignature;
 pub use repr::{SigProbe, SigRepr};
 pub use rw::{ReadWriteSignature, SigOp};
 pub use shadow::{ConflictVerdict, ShadowedRwSignature, ShadowedSave};
-pub use traits::{SavedSignature, Signature};
-
-/// The paper's summary signature: a plain signature holding the union of all
-/// descheduled threads' read- and write-sets for one process, installed on
-/// every active thread context of that process (paper §4.1). The OS-side
-/// maintenance logic lives in `ltse-tm`; the type is any boxed signature.
-pub type SummarySignature = Box<dyn Signature>;
+pub use traits::SavedSignature;

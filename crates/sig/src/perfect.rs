@@ -2,20 +2,20 @@
 
 use std::collections::BTreeSet;
 
-use crate::traits::{SavedSignature, Signature};
+use crate::SavedSignature;
 
 /// An exact read- or write-set: no false positives, unbounded size.
 ///
 /// The paper uses perfect signatures as an unimplementable upper bound
 /// ("idealized signatures that record exact read- and write-sets, regardless
-/// of their size", §6.3 Result 1). [`Signature::storage_bits`] reports 0 to
-/// reflect that no fixed hardware budget corresponds to it.
+/// of their size", §6.3 Result 1). It backs [`crate::SigRepr::Perfect`] and
+/// the exact shadow sets of [`crate::ShadowedRwSignature`].
 ///
 /// A `BTreeSet` keeps iteration deterministic, which keeps whole-run
 /// determinism intact.
 ///
 /// ```
-/// use ltse_sig::{PerfectSignature, Signature};
+/// use ltse_sig::PerfectSignature;
 ///
 /// let mut s = PerfectSignature::new();
 /// s.insert(10);
@@ -49,39 +49,38 @@ impl PerfectSignature {
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.set.iter().copied()
     }
-}
 
-impl Signature for PerfectSignature {
-    fn insert(&mut self, a: u64) {
+    /// `INSERT(A)`: adds block address `a`.
+    pub fn insert(&mut self, a: u64) {
         self.set.insert(a);
     }
 
-    fn maybe_contains(&self, a: u64) -> bool {
+    /// `CONFLICT(A)`: whether `a` is in the set, exactly.
+    pub fn maybe_contains(&self, a: u64) -> bool {
         self.set.contains(&a)
     }
 
-    fn clear(&mut self) {
+    /// `CLEAR`: empties the set.
+    pub fn clear(&mut self) {
         self.set.clear();
     }
 
-    fn is_empty(&self) -> bool {
-        self.set.is_empty()
+    /// Set union with `other`.
+    pub fn union_with(&mut self, other: &PerfectSignature) {
+        self.set.extend(other.iter());
     }
 
-    fn union_with(&mut self, other: &dyn Signature) {
-        match other.save() {
-            SavedSignature::Exact(es) => self.set.extend(es),
-            SavedSignature::Bits(_) => {
-                panic!("cannot union a hashed signature into a perfect signature")
-            }
-        }
+    /// Captures the exact element list as software-visible data.
+    pub fn save(&self) -> SavedSignature {
+        SavedSignature::Exact(self.iter().collect())
     }
 
-    fn save(&self) -> SavedSignature {
-        SavedSignature::Exact(self.set.iter().copied().collect())
-    }
-
-    fn restore(&mut self, saved: &SavedSignature) {
+    /// Restores a previously saved element list, replacing the contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `saved` holds filter bits rather than an element list.
+    pub fn restore(&mut self, saved: &SavedSignature) {
         match saved {
             SavedSignature::Exact(es) => {
                 self.set = es.iter().copied().collect();
@@ -90,18 +89,21 @@ impl Signature for PerfectSignature {
         }
     }
 
-    fn saturation(&self) -> f64 {
-        // A perfect signature never saturates; report a proxy that grows with
-        // set size so dashboards can still plot it.
+    /// A perfect signature never saturates; this is a proxy that grows with
+    /// set size so dashboards can still plot it.
+    pub fn saturation(&self) -> f64 {
         1.0 - 1.0 / (1.0 + self.set.len() as f64)
     }
 
-    fn storage_bits(&self) -> usize {
-        0
-    }
-
-    fn clone_box(&self) -> Box<dyn Signature> {
-        Box::new(self.clone())
+    /// Exact page remap (paper §4.2): for every block of the old page in
+    /// the set, inserts the matching block of the new page, keeping the old
+    /// one.
+    pub fn rehash_page(&mut self, old_page_base_block: u64, new_page_base_block: u64, blocks: u64) {
+        for i in 0..blocks {
+            if self.maybe_contains(old_page_base_block + i) {
+                self.insert(new_page_base_block + i);
+            }
+        }
     }
 }
 
@@ -155,7 +157,7 @@ mod tests {
         let mut s = PerfectSignature::new();
         s.insert(9);
         s.clear();
-        assert!(Signature::is_empty(&s));
+        assert!(s.is_empty());
         assert!(!s.maybe_contains(9));
     }
 

@@ -1,7 +1,7 @@
 //! The paired read/write signatures a thread context owns, with the paper's
 //! conflict semantics.
 
-use crate::{SavedSignature, SigRepr, Signature, SignatureKind};
+use crate::{SavedSignature, SigRepr, SignatureKind};
 
 /// Whether a memory access (or the coherence request it generates) reads or
 /// writes — the `O` in the paper's `INSERT(O, A)` / `CONFLICT(O, A)`.
@@ -41,10 +41,9 @@ impl std::fmt::Display for SigOp {
 /// assert!(rw.conflicts_with(SigOp::Write, 1));
 /// assert!(!rw.conflicts_with(SigOp::Read, 1)); // read-read never conflicts
 /// ```
-/// The pair is backed by [`SigRepr`], the enum-dispatched representation, so
-/// the per-access conflict check is a `match` plus word ops rather than two
-/// virtual calls. Boxed [`Signature`] trait objects appear only at the API
-/// edges ([`ReadWriteSignature::from_parts`], [`ReadWriteSignature::read_sig`]).
+///
+/// Both halves are [`SigRepr`]s, so the per-access conflict check is a
+/// `match` plus word ops.
 #[derive(Debug, Clone)]
 pub struct ReadWriteSignature {
     read: SigRepr,
@@ -63,17 +62,12 @@ impl ReadWriteSignature {
     }
 
     /// Assembles a pair from pre-built signatures (used by the OS model to
-    /// materialize summary signatures from counting structures). The boxed
-    /// contents are copied verbatim into the enum representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `read`/`write` do not actually match `kind` (their saved
-    /// shape fails to load into a fresh signature of that kind).
-    pub fn from_parts(kind: &SignatureKind, read: Box<dyn Signature>, write: Box<dyn Signature>) -> Self {
+    /// materialize summary signatures from counting structures). `read` and
+    /// `write` must have been built for `kind`.
+    pub fn from_parts(kind: &SignatureKind, read: SigRepr, write: SigRepr) -> Self {
         ReadWriteSignature {
-            read: SigRepr::from_boxed(kind, read.as_ref()),
-            write: SigRepr::from_boxed(kind, write.as_ref()),
+            read,
+            write,
             kind: *kind,
         }
     }
@@ -161,13 +155,6 @@ impl ReadWriteSignature {
         self.write.union_repr(&other.write);
     }
 
-    /// Folds both of this pair's sets into a single signature (a summary
-    /// signature is one signature covering reads and writes, §4.1).
-    pub fn fold_into(&self, summary: &mut dyn Signature) {
-        summary.union_with(&self.read);
-        summary.union_with(&self.write);
-    }
-
     /// Mean saturation across the two filters.
     pub fn saturation(&self) -> f64 {
         (self.read.fill() + self.write.fill()) / 2.0
@@ -175,30 +162,10 @@ impl ReadWriteSignature {
 
     /// Conservative page-remap of both sets (paper §4.2).
     pub fn rehash_page(&mut self, old_page_base_block: u64, new_page_base_block: u64, blocks: u64) {
-        Signature::rehash_page(&mut self.read, old_page_base_block, new_page_base_block, blocks);
-        Signature::rehash_page(&mut self.write, old_page_base_block, new_page_base_block, blocks);
-    }
-
-    /// Read-only access to the read signature as a trait object (API edge).
-    pub fn read_sig(&self) -> &dyn Signature {
-        &self.read
-    }
-
-    /// Read-only access to the write signature as a trait object (API edge).
-    pub fn write_sig(&self) -> &dyn Signature {
-        &self.write
-    }
-
-    /// The read set's enum representation (hot-path consumers).
-    #[inline]
-    pub fn read_repr(&self) -> &SigRepr {
-        &self.read
-    }
-
-    /// The write set's enum representation (hot-path consumers).
-    #[inline]
-    pub fn write_repr(&self) -> &SigRepr {
-        &self.write
+        self.read
+            .rehash_page(old_page_base_block, new_page_base_block, blocks);
+        self.write
+            .rehash_page(old_page_base_block, new_page_base_block, blocks);
     }
 }
 
@@ -262,18 +229,6 @@ mod tests {
             assert!(fresh.conflicts_with(SigOp::Write, 11), "{kind}");
             assert!(fresh.conflicts_with(SigOp::Read, 22), "{kind}");
         }
-    }
-
-    #[test]
-    fn fold_into_summary_covers_both_sets() {
-        let kind = SignatureKind::paper_bs_2kb();
-        let mut rw = ReadWriteSignature::new(&kind);
-        rw.insert(SigOp::Read, 100);
-        rw.insert(SigOp::Write, 200);
-        let mut summary = kind.build();
-        rw.fold_into(summary.as_mut());
-        assert!(summary.maybe_contains(100));
-        assert!(summary.maybe_contains(200));
     }
 
     #[test]

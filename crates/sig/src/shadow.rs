@@ -6,7 +6,7 @@
 //! exact read/write shadow sets alongside the configured signature so every
 //! conflict check can be classified.
 
-use crate::{PerfectSignature, ReadWriteSignature, SavedSignature, SigOp, Signature, SignatureKind};
+use crate::{PerfectSignature, ReadWriteSignature, SavedSignature, SigOp, SignatureKind};
 
 /// Classification of a reported conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,15 +184,6 @@ impl ShadowedRwSignature {
         self.exact_write.restore(&saved.exact_write);
     }
 
-    /// Folds both hardware sets into `summary` and both exact sets into
-    /// `exact_summary` (summary-signature construction with shadow
-    /// accounting).
-    pub fn fold_into(&self, summary: &mut dyn Signature, exact_summary: &mut PerfectSignature) {
-        self.sig.fold_into(summary);
-        exact_summary.union_with(&self.exact_read);
-        exact_summary.union_with(&self.exact_write);
-    }
-
     /// Underlying hardware signature pair.
     pub fn hw(&self) -> &ReadWriteSignature {
         &self.sig
@@ -286,21 +277,5 @@ mod tests {
         assert!(!ConflictVerdict::None.is_conflict());
         assert!(ConflictVerdict::True.is_conflict());
         assert!(ConflictVerdict::FalsePositive.is_conflict());
-    }
-
-    #[test]
-    fn fold_into_summary_with_shadow() {
-        let kind = SignatureKind::paper_bs_2kb();
-        let mut rw = ShadowedRwSignature::new(&kind);
-        rw.insert(SigOp::Read, 100);
-        rw.insert(SigOp::Write, 200);
-        let mut summary = kind.build();
-        let mut exact = PerfectSignature::new();
-        rw.fold_into(summary.as_mut(), &mut exact);
-        assert!(summary.maybe_contains(100));
-        assert!(summary.maybe_contains(200));
-        assert!(exact.maybe_contains(100));
-        assert!(exact.maybe_contains(200));
-        assert_eq!(exact.len(), 2);
     }
 }

@@ -1,86 +1,4 @@
-//! The core [`Signature`] abstraction.
-
-use std::fmt::Debug;
-
-/// A conservative, software-accessible summary of a set of block addresses.
-///
-/// Implementations must uphold the paper's **no-false-negative invariant**:
-/// after `insert(a)`, `maybe_contains(a)` must return `true` until the next
-/// `clear()`. False positives are allowed (and are the interesting part).
-///
-/// Signatures are *software accessible* (the paper's second key benefit):
-/// [`Signature::save`] captures the full state as plain data that the OS or
-/// runtime can park in a log frame and later [`Signature::restore`].
-///
-/// This trait is object safe; thread contexts hold `Box<dyn Signature>` so a
-/// system can be configured with any implementation at run time. `Send` is a
-/// supertrait so whole simulated systems can move across OS threads in the
-/// parallel experiment runner.
-pub trait Signature: Debug + Send {
-    /// `INSERT(A)`: adds block address `a` to the summarized set.
-    fn insert(&mut self, a: u64);
-
-    /// `CONFLICT(A)`: returns `true` if `a` **may** be in the set. Never
-    /// returns `false` for an address that was inserted since the last clear.
-    fn maybe_contains(&self, a: u64) -> bool;
-
-    /// `CLEAR`: empties the summarized set (a transaction commit/abort).
-    fn clear(&mut self);
-
-    /// Whether the summarized set is empty (no bit set / no element).
-    fn is_empty(&self) -> bool;
-
-    /// Merges another signature of the *same concrete shape* into this one
-    /// (set union); used to build summary signatures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has an incompatible shape (different kind or size).
-    fn union_with(&mut self, other: &dyn Signature);
-
-    /// Captures the complete signature state as software-visible data — the
-    /// operation the OS performs when descheduling a thread or starting a
-    /// nested transaction (signature-save area in the log frame header).
-    fn save(&self) -> SavedSignature;
-
-    /// Restores previously [`Signature::save`]d state, replacing the current
-    /// contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the saved state has an incompatible shape.
-    fn restore(&mut self, saved: &SavedSignature);
-
-    /// Fraction of the filter that is occupied, in `[0, 1]`: set bits over
-    /// total bits for hashed signatures, or a size-derived proxy for perfect
-    /// signatures. Drives the "signatures fill up" analyses.
-    fn saturation(&self) -> f64;
-
-    /// The hardware cost of this signature in bits (0 for the idealized
-    /// perfect signature, which is unimplementable hardware).
-    fn storage_bits(&self) -> usize;
-
-    /// Clones into a boxed trait object (object-safe `Clone`).
-    fn clone_box(&self) -> Box<dyn Signature>;
-
-    /// Conservative page-remap support (paper §4.2): for every block of the
-    /// old page that may be in the set, insert the corresponding block of the
-    /// new page. Old entries are retained, matching the paper ("the updated
-    /// signature contains both the old and new physical addresses").
-    fn rehash_page(&mut self, old_page_base_block: u64, new_page_base_block: u64, blocks: u64) {
-        for i in 0..blocks {
-            if self.maybe_contains(old_page_base_block + i) {
-                self.insert(new_page_base_block + i);
-            }
-        }
-    }
-}
-
-impl Clone for Box<dyn Signature> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
+//! [`SavedSignature`]: the software-visible form of a signature.
 
 /// Saved signature state: plain, software-visible data.
 ///

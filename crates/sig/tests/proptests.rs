@@ -7,12 +7,12 @@ use ltse_sim::check::{cases, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 
 use ltse_sig::{
-    ConflictVerdict, CountingSignature, ReadWriteSignature, ShadowedRwSignature, SigOp,
+    ConflictVerdict, CountingSignature, ReadWriteSignature, ShadowedRwSignature, SigOp, SigRepr,
     SignatureKind,
 };
 
 fn random_kind(rng: &mut Xoshiro256StarStar) -> SignatureKind {
-    match rng.gen_index(5) {
+    match rng.gen_index(6) {
         0 => SignatureKind::Perfect,
         1 => SignatureKind::BitSelect {
             bits: 1 << rng.gen_range(4, 13),
@@ -23,6 +23,9 @@ fn random_kind(rng: &mut Xoshiro256StarStar) -> SignatureKind {
         3 => SignatureKind::CoarseBitSelect {
             bits: 1 << rng.gen_range(4, 13),
             blocks_per_macroblock: 16,
+        },
+        4 => SignatureKind::PermutedDbs {
+            bits: 1 << rng.gen_range(4, 13),
         },
         _ => SignatureKind::Bloom {
             bits: 1 << rng.gen_range(6, 13),
@@ -36,12 +39,12 @@ fn no_false_negatives() {
     cases(64, 0xF0151, |rng| {
         let kind = random_kind(rng);
         let addrs = vec_of(rng, 1, 200, |r| r.gen_range(0, 1 << 32));
-        let mut sig = kind.build();
+        let mut sig = SigRepr::new(&kind);
         for &a in &addrs {
-            sig.insert(a);
+            sig.insert_block(a);
         }
         for &a in &addrs {
-            assert!(sig.maybe_contains(a), "{kind} lost {a:#x}");
+            assert!(sig.test_block(a), "{kind} lost {a:#x}");
         }
     });
 }
@@ -51,16 +54,16 @@ fn clear_releases_everything_inserted() {
     cases(64, 0xC1EA2, |rng| {
         let kind = random_kind(rng);
         let addrs = vec_of(rng, 1, 100, |r| r.gen_range(0, 1 << 32));
-        let mut sig = kind.build();
+        let mut sig = SigRepr::new(&kind);
         for &a in &addrs {
-            sig.insert(a);
+            sig.insert_block(a);
         }
-        sig.clear();
-        assert!(sig.is_empty());
+        sig.clear_all();
+        assert!(sig.is_clear());
         // Perfect signatures must drop every address; hashed ones must too
         // because all bits are zero.
         for &a in &addrs {
-            assert!(!sig.maybe_contains(a));
+            assert!(!sig.test_block(a));
         }
     });
 }
@@ -71,17 +74,17 @@ fn union_superset_of_both() {
         let kind = random_kind(rng);
         let a_addrs = vec_of(rng, 0, 60, |r| r.gen_range(0, 1 << 24));
         let b_addrs = vec_of(rng, 0, 60, |r| r.gen_range(0, 1 << 24));
-        let mut a = kind.build();
-        let mut b = kind.build();
+        let mut a = SigRepr::new(&kind);
+        let mut b = SigRepr::new(&kind);
         for &x in &a_addrs {
-            a.insert(x);
+            a.insert_block(x);
         }
         for &x in &b_addrs {
-            b.insert(x);
+            b.insert_block(x);
         }
-        a.union_with(b.as_ref());
+        a.union_repr(&b);
         for &x in a_addrs.iter().chain(&b_addrs) {
-            assert!(a.maybe_contains(x));
+            assert!(a.test_block(x));
         }
     });
 }
@@ -91,17 +94,17 @@ fn save_restore_is_lossless() {
     cases(64, 0x5A7E, |rng| {
         let kind = random_kind(rng);
         let addrs = vec_of(rng, 0, 100, |r| r.gen_range(0, 1 << 32));
-        let mut sig = kind.build();
+        let mut sig = SigRepr::new(&kind);
         for &a in &addrs {
-            sig.insert(a);
+            sig.insert_block(a);
         }
-        let saved = sig.save();
-        let mut fresh = kind.build();
-        fresh.restore(&saved);
+        let saved = sig.save_state();
+        let mut fresh = SigRepr::new(&kind);
+        fresh.restore_saved(&saved);
         for &a in &addrs {
-            assert!(fresh.maybe_contains(a));
+            assert!(fresh.test_block(a));
         }
-        assert_eq!(fresh.saturation(), sig.saturation());
+        assert_eq!(fresh.fill(), sig.fill());
     });
 }
 
@@ -157,11 +160,11 @@ fn counting_signature_matches_naive_union() {
         let saves: Vec<_> = per_thread
             .iter()
             .map(|addrs| {
-                let mut s = kind.build();
+                let mut s = SigRepr::new(&kind);
                 for &a in addrs {
-                    s.insert(a);
+                    s.insert_block(a);
                 }
-                s.save()
+                s.save_state()
             })
             .collect();
         for s in &saves {
@@ -173,7 +176,7 @@ fn counting_signature_matches_naive_union() {
             let m = counting.materialize(&kind);
             for addrs in per_thread.iter().skip(1) {
                 for &a in addrs {
-                    assert!(m.maybe_contains(a));
+                    assert!(m.test_block(a));
                 }
             }
         }
@@ -194,14 +197,14 @@ fn rehash_page_covers_new_locations() {
         let offsets = vec_of(rng, 1, 20, |r| r.gen_range(0, 64));
         let old_base = 1024u64;
         let new_base = 8192u64;
-        let mut sig = kind.build();
+        let mut sig = SigRepr::new(&kind);
         for &o in &offsets {
-            sig.insert(old_base + o);
+            sig.insert_block(old_base + o);
         }
         sig.rehash_page(old_base, new_base, 64);
         for &o in &offsets {
-            assert!(sig.maybe_contains(old_base + o), "old retained");
-            assert!(sig.maybe_contains(new_base + o), "new covered");
+            assert!(sig.test_block(old_base + o), "old retained");
+            assert!(sig.test_block(new_base + o), "new covered");
         }
     });
 }

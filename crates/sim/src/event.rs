@@ -100,12 +100,10 @@ struct Node<E> {
 /// per slot plus a separate heap block each — the dominant per-event cost at
 /// scale before this layout).
 ///
-/// The occupancy bitmap is **banked**: buckets are grouped into 64-slot
-/// banks (one occupancy word each) and a second-level bank summary marks
-/// which banks are non-empty, so the next-event scan jumps straight to the
-/// first occupied bank instead of walking empty occupancy words. Banking is
-/// a pure scan-path optimization — [`EventQueue::with_buckets_unbanked`]
-/// keeps the linear scan for A/B benchmarking and must pop identically.
+/// One occupancy bit per bucket finds the next event: the scan walks the
+/// occupancy words from the window start. The simulator's windows are 256 to
+/// 4096 buckets, so that is 4 to 64 words; a second-level summary over the
+/// words measured no faster, even at 4096 buckets.
 ///
 /// # Example
 ///
@@ -139,12 +137,6 @@ pub struct EventQueue<E> {
     mask: u64,
     /// Occupancy bitmap over buckets, for O(words) next-event scans.
     occ: Vec<u64>,
-    /// Bank summary over `occ`: bit `w` set iff `occ[w] != 0`. Lets the
-    /// scan skip empty 64-bucket banks in one `trailing_zeros`.
-    bank_occ: Vec<u64>,
-    /// Whether the scan consults `bank_occ` (see
-    /// [`EventQueue::with_buckets_unbanked`]).
-    banked: bool,
     /// Total entries across all buckets.
     bucket_len: usize,
     /// Start of the bucket window. Only ever advances, and only to the
@@ -181,32 +173,17 @@ impl<E> EventQueue<E> {
     /// Panics unless `n` is a power of two and at least 64 (one occupancy
     /// word).
     pub fn with_buckets(n: usize) -> Self {
-        Self::build(n, true)
-    }
-
-    /// Like [`EventQueue::with_buckets`] but with the bank-summary scan
-    /// disabled: next-event scans walk occupancy words linearly. Pop order is
-    /// identical; this exists purely as the measurement baseline for the
-    /// banked/unbanked A/B in the scale benchmark.
-    pub fn with_buckets_unbanked(n: usize) -> Self {
-        Self::build(n, false)
-    }
-
-    fn build(n: usize, banked: bool) -> Self {
         assert!(
             n.is_power_of_two() && n >= 64,
             "bucket count must be a power of two >= 64, got {n}"
         );
-        let occ_words = n / 64;
         EventQueue {
             heads: vec![NIL; n],
             tails: vec![NIL; n],
             nodes: Vec::new(),
             free: NIL,
             mask: n as u64 - 1,
-            occ: vec![0; occ_words],
-            bank_occ: vec![0; occ_words.div_ceil(64)],
-            banked,
+            occ: vec![0; n / 64],
             bucket_len: 0,
             window_start: Cycle::ZERO,
             heap: BinaryHeap::new(),
@@ -241,25 +218,6 @@ impl<E> EventQueue<E> {
             assert!(idx != NIL, "event arena exhausted");
             self.nodes.push(node);
             idx
-        }
-    }
-
-    /// Marks bucket `idx` occupied in both bitmap levels.
-    #[inline]
-    fn set_occ(&mut self, idx: usize) {
-        let w = idx / 64;
-        self.occ[w] |= 1u64 << (idx % 64);
-        self.bank_occ[w / 64] |= 1u64 << (w % 64);
-    }
-
-    /// Clears bucket `idx` from the occupancy bitmap, dropping the bank
-    /// summary bit when its whole bank empties.
-    #[inline]
-    fn clear_occ(&mut self, idx: usize) {
-        let w = idx / 64;
-        self.occ[w] &= !(1u64 << (idx % 64));
-        if self.occ[w] == 0 {
-            self.bank_occ[w / 64] &= !(1u64 << (w % 64));
         }
     }
 
@@ -314,7 +272,7 @@ impl<E> EventQueue<E> {
         if tail == NIL {
             self.heads[idx] = node;
             self.tails[idx] = node;
-            self.set_occ(idx);
+            self.occ[idx / 64] |= 1u64 << (idx % 64);
         } else if self.nodes[tail as usize].seq < seq {
             // Fast path: ordinary pushes carry the largest seq so far.
             debug_assert_eq!(self.nodes[tail as usize].time, time);
@@ -359,40 +317,10 @@ impl<E> EventQueue<E> {
         self.heads[idx] = next;
         if next == NIL {
             self.tails[idx] = NIL;
-            self.clear_occ(idx);
+            self.occ[idx / 64] &= !(1u64 << (idx % 64));
         }
         self.bucket_len -= 1;
         e
-    }
-
-    /// Index of the first non-zero occupancy word in `[from, last]`, using
-    /// the bank summary to skip empty banks when enabled.
-    #[inline]
-    fn next_occupied_word(&self, from: usize, last: usize) -> Option<usize> {
-        if self.banked {
-            let mut bw = from / 64;
-            let last_bw = last / 64;
-            let mut bank = self.bank_occ[bw] & (!0u64 << (from % 64));
-            loop {
-                while bank != 0 {
-                    let w = bw * 64 + bank.trailing_zeros() as usize;
-                    if w > last {
-                        return None;
-                    }
-                    if w >= from {
-                        return Some(w);
-                    }
-                    bank &= bank - 1;
-                }
-                if bw == last_bw {
-                    return None;
-                }
-                bw += 1;
-                bank = self.bank_occ[bw];
-            }
-        } else {
-            (from..=last).find(|&w| self.occ[w] != 0)
-        }
     }
 
     /// First occupied bucket bit in `[lo, hi)`, if any.
@@ -417,7 +345,7 @@ impl<E> EventQueue<E> {
             if w == last_w {
                 return None;
             }
-            w = self.next_occupied_word(w + 1, last_w)?;
+            w += 1;
             masked = self.occ[w];
         }
     }
@@ -584,7 +512,6 @@ impl<E> EventQueue<E> {
         self.nodes.clear();
         self.free = NIL;
         self.occ.fill(0);
-        self.bank_occ.fill(0);
         self.bucket_len = 0;
         self.heap.clear();
     }
@@ -840,13 +767,12 @@ mod tests {
 
     #[test]
     fn bucket_widths_agree_on_pop_order() {
-        // The bucket count (and the bank-summary toggle) is a pure
-        // performance knob: any configuration must produce the identical
+        // The bucket count is a pure performance knob: any width, up to the
+        // 4096 buckets of a 256-context system, must produce the identical
         // pop sequence.
-        let mut queues: Vec<EventQueue<u64>> = [64, 256, 1024]
+        let mut queues: Vec<EventQueue<u64>> = [64, 256, 1024, 4096]
             .into_iter()
             .map(EventQueue::with_buckets)
-            .chain([64, 1024].into_iter().map(EventQueue::with_buckets_unbanked))
             .collect();
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut t = 0u64;
@@ -956,7 +882,6 @@ mod tests {
     fn differential_random_push_pop_matches_reference() {
         crate::check::cases(60, 0x5EED_CA1E, |rng| {
             let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut flat: EventQueue<u32> = EventQueue::with_buckets_unbanked(DEFAULT_BUCKETS);
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
             for _ in 0..400 {
@@ -972,22 +897,18 @@ mod tests {
                     };
                     let at = Cycle(cal.now().0 + delta);
                     cal.push(at, next_payload);
-                    flat.push(at, next_payload);
                     refq.push(at, next_payload);
                     next_payload += 1;
                 } else {
                     let expect = refq.pop();
                     assert_eq!(cal.pop(), expect);
-                    assert_eq!(flat.pop(), expect);
                 }
                 assert_eq!(cal.len(), refq.heap.len());
                 assert_eq!(cal.peek_time(), refq.heap.peek().map(|e| e.time));
-                assert_eq!(flat.peek_time(), cal.peek_time());
             }
             while !cal.is_empty() {
                 let expect = refq.pop();
                 assert_eq!(cal.pop(), expect);
-                assert_eq!(flat.pop(), expect);
             }
             assert!(refq.heap.is_empty());
         });
@@ -1000,15 +921,13 @@ mod tests {
     fn differential_random_pop_explored_matches_reference() {
         crate::check::cases(40, 0xE0E0_57AC, |rng| {
             let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut flat: EventQueue<u32> = EventQueue::with_buckets_unbanked(DEFAULT_BUCKETS);
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
-            // All sides must see the same choice sequence.
+            // Both sides must see the same choice sequence.
             let picks: Vec<usize> =
                 (0..200).map(|_| rng.gen_range(0, 6) as usize).collect();
             let mut c1 = Fixed(picks.clone(), 0);
-            let mut c2 = Fixed(picks.clone(), 0);
-            let mut c3 = Fixed(picks, 0);
+            let mut c2 = Fixed(picks, 0);
             for _ in 0..300 {
                 let action = rng.gen_range(0, 4);
                 if action < 2 || cal.is_empty() {
@@ -1019,29 +938,23 @@ mod tests {
                     };
                     let at = Cycle(cal.now().0 + delta);
                     cal.push(at, next_payload);
-                    flat.push(at, next_payload);
                     refq.push(at, next_payload);
                     next_payload += 1;
                 } else if action == 2 {
                     let expect = refq.pop();
                     assert_eq!(cal.pop(), expect);
-                    assert_eq!(flat.pop(), expect);
                 } else {
                     let horizon = Cycle(rng.gen_range(0, 400));
                     let window = 1 + rng.gen_range(0, 4) as usize;
                     let expect = refq.pop_explored(&mut c2, horizon, window);
                     assert_eq!(cal.pop_explored(&mut c1, horizon, window), expect);
-                    assert_eq!(flat.pop_explored(&mut c3, horizon, window), expect);
                     assert_eq!(c1.1, c2.1, "choosers must be consulted identically");
-                    assert_eq!(c3.1, c2.1, "choosers must be consulted identically");
                 }
                 assert_eq!(cal.len(), refq.heap.len());
-                assert_eq!(flat.len(), refq.heap.len());
             }
             while !cal.is_empty() {
                 let expect = refq.pop();
                 assert_eq!(cal.pop(), expect);
-                assert_eq!(flat.pop(), expect);
             }
         });
     }

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use ltse_mem::{Asid, CtxId, PageId};
 use ltse_sig::{
     CountingSignature, PerfectSignature, ReadWriteSignature, SavedSignature, ShadowedRwSignature,
-    Signature, SignatureKind,
+    SigRepr, SignatureKind,
 };
 use ltse_sim::Cycle;
 
@@ -54,16 +54,21 @@ struct Process {
 
 impl Process {
     fn new(kind: &SignatureKind) -> Self {
-        let counting = |k: &SignatureKind| match k {
-            SignatureKind::Perfect => None,
-            _ => Some(CountingSignature::new(kind.build().storage_bits().max(1))),
-        };
         Process {
-            counting_read: counting(kind),
-            counting_write: counting(kind),
+            counting_read: counting_filter(kind),
+            counting_write: counting_filter(kind),
             contributions: HashMap::new(),
             parked: HashMap::new(),
         }
+    }
+}
+
+/// An empty counting filter as wide as a `kind` signature, or `None` for
+/// perfect signatures (their summaries are exact unions instead).
+fn counting_filter(kind: &SignatureKind) -> Option<CountingSignature> {
+    match kind {
+        SignatureKind::Perfect => None,
+        _ => Some(CountingSignature::new(SigRepr::new(kind).bits_len())),
     }
 }
 
@@ -167,7 +172,16 @@ impl OsModel {
                 write_save,
             };
             let proc = self.process(asid);
+            // A second deschedule in the same transaction replaces the
+            // thread's earlier save, so those bits leave the counts too;
+            // commit removes only the latest save, and anything left over
+            // would stay in every later summary.
+            let replaced = proc.contributions.remove(&thread_id);
             if let (Some(cr), Some(cw)) = (&mut proc.counting_read, &mut proc.counting_write) {
+                if let Some(old) = &replaced {
+                    cr.remove(&old.read_save);
+                    cw.remove(&old.write_save);
+                }
                 cr.add(&contribution.read_save);
                 cw.add(&contribution.write_save);
             }
@@ -323,7 +337,7 @@ impl OsModel {
         // the new page's blocks inserted wherever the old page's may be.
         let mut rebuilt = false;
         for contribution in proc.contributions.values_mut() {
-            let mut tmp = ReadWriteSignature::from_parts(&kind, kind.build(), kind.build());
+            let mut tmp = ReadWriteSignature::new(&kind);
             tmp.restore(&(contribution.read_save.clone(), contribution.write_save.clone()));
             tmp.rehash_page(
                 old.first_block().as_u64(),
@@ -350,10 +364,7 @@ impl OsModel {
         if rebuilt {
             // Counting filters no longer match the rewritten saves; rebuild
             // them from scratch.
-            if proc.counting_read.is_some() {
-                let bits = kind.build().storage_bits().max(1);
-                let mut cr = CountingSignature::new(bits);
-                let mut cw = CountingSignature::new(bits);
+            if let (Some(mut cr), Some(mut cw)) = (counting_filter(&kind), counting_filter(&kind)) {
                 for c in proc.contributions.values() {
                     cr.add(&c.read_save);
                     cw.add(&c.write_save);
@@ -382,37 +393,6 @@ impl OsModel {
             return None;
         }
 
-        let (read_hw, write_hw): (Box<dyn Signature>, Box<dyn Signature>) =
-            match (&proc.counting_read, &proc.counting_write) {
-                (Some(cr), Some(cw)) => {
-                    // Counting structures cover ALL contributions; clone and
-                    // subtract the excluded thread's.
-                    let mut cr = cr.clone();
-                    let mut cw = cw.clone();
-                    if let Some(ex) = exclude_thread {
-                        if let Some(c) = proc.contributions.get(&ex) {
-                            cr.remove(&c.read_save);
-                            cw.remove(&c.write_save);
-                        }
-                    }
-                    (cr.materialize(&kind), cw.materialize(&kind))
-                }
-                _ => {
-                    // Perfect signatures: exact union of the relevant sets.
-                    let mut r = PerfectSignature::new();
-                    let mut w = PerfectSignature::new();
-                    for c in &relevant {
-                        for &b in &c.exact_read {
-                            r.insert(b);
-                        }
-                        for &b in &c.exact_write {
-                            w.insert(b);
-                        }
-                    }
-                    (Box::new(r), Box::new(w))
-                }
-            };
-
         let mut exact_read = PerfectSignature::new();
         let mut exact_write = PerfectSignature::new();
         for c in &relevant {
@@ -423,6 +403,26 @@ impl OsModel {
                 exact_write.insert(b);
             }
         }
+        let (read_hw, write_hw) = match (&proc.counting_read, &proc.counting_write) {
+            (Some(cr), Some(cw)) => {
+                // Counting structures cover ALL contributions; clone and
+                // subtract the excluded thread's.
+                let mut cr = cr.clone();
+                let mut cw = cw.clone();
+                if let Some(ex) = exclude_thread {
+                    if let Some(c) = proc.contributions.get(&ex) {
+                        cr.remove(&c.read_save);
+                        cw.remove(&c.write_save);
+                    }
+                }
+                (cr.materialize(&kind), cw.materialize(&kind))
+            }
+            // Perfect signatures: the exact union is the summary.
+            _ => (
+                SigRepr::Perfect(exact_read.clone()),
+                SigRepr::Perfect(exact_write.clone()),
+            ),
+        };
         Some(ShadowedRwSignature::from_raw(
             ReadWriteSignature::from_parts(&kind, read_hw, write_hw),
             exact_read,
@@ -546,6 +546,30 @@ mod tests {
         let t1 = tm.thread(1).unwrap();
         assert!(!t1.check_summary(SigOp::Write, BlockAddr(100)), "0 gone");
         assert!(t1.check_summary(SigOp::Write, BlockAddr(200)), "2 remains");
+    }
+
+    #[test]
+    fn second_deschedule_in_one_tx_leaves_no_stale_summary_bits() {
+        let (mut tm, mut os) = setup(SignatureKind::paper_bs_2kb());
+        tm.begin_tx(0, NestKind::Closed, Cycle(0));
+        tm.record_access(0, AccessKind::Store, BlockAddr(100));
+        for _ in 0..2 {
+            os.deschedule(&mut tm, 0);
+            os.reschedule(&mut tm, Asid(0), 0, 0);
+        }
+        tm.commit_tx(0, Cycle(50));
+        os.on_outer_commit(&mut tm, Asid(0), 0);
+        // The next mid-transaction deschedule rebuilds every summary from
+        // the counting filters: only thread 2's write may be in them.
+        tm.begin_tx(2, NestKind::Closed, Cycle(60));
+        tm.record_access(2, AccessKind::Store, BlockAddr(200));
+        os.deschedule(&mut tm, 2);
+        let t1 = tm.thread(1).unwrap();
+        assert!(t1.check_summary(SigOp::Write, BlockAddr(200)));
+        assert!(
+            !t1.check_summary(SigOp::Write, BlockAddr(100)),
+            "committed transaction's bits left in the summary"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Run the benchmark suites and serialize the results to JSON files at the
 # repo root:
 #
-#   BENCH_hotpath.json   — data-structure micro-benchmarks (signatures,
-#                          event queue, end-to-end counter)
+#   BENCH_hotpath.json   — data-structure micro-benchmarks (signature
+#                          conflict sweep, event queue, end-to-end counter)
 #   BENCH_pipeline.json  — pipeline-level benchmark (sequential vs parallel
 #                          schedule exploration)
 #   BENCH_obs.json       — observability-layer overhead (obs-off vs obs-on
@@ -11,8 +11,7 @@
 #   BENCH_stm.json       — sim-vs-STM wall-clock comparison on Table-2
 #                          workloads (real threads; host-speed numbers)
 #   BENCH_scale.json     — 64/128/256-core scale sweep (per-event cost,
-#                          256-context serializability-checked run, banked
-#                          vs unbanked calendar-queue ratio)
+#                          256-context serializability-checked run)
 #   BENCH_oltp.json      — open-loop OLTP driver: p50/p99/p999 commit
 #                          latency + goodput per skew/mix point on both
 #                          backends, and the million-transaction streaming
@@ -27,8 +26,8 @@
 #   LTSE_BENCH_QUICK=1 scripts/bench.sh   # CI smoke: tiny workloads, same JSON shape
 #   LTSE_BENCH_DIR=out scripts/bench.sh   # write the JSON files elsewhere
 #
-# Each JSON carries baseline AND optimized timings for each path plus the
-# derived speedups, so numbers are comparable across PRs: commit the files
+# Where a JSON times a path against its baseline it carries both timings plus
+# the derived speedup, so numbers are comparable across PRs: commit the files
 # after a full run on a quiet machine and diff the "speedups" objects.
 # Note: the explore_parallel speedup needs a multicore host — on one CPU it
 # only measures thread overhead (the JSON records "cpus" for this reason).
@@ -66,8 +65,8 @@ else
     echo "note: $cpus CPU detected — skipping the explore_parallel >= 1.0 gate"          "(single-core hosts measure thread overhead only)"
 fi
 
-# Gate per-event cost at scale: the banked calendar queue and the event-path
-# work must keep 256-core per-event cost within 5% of the 64-core baseline.
+# Gate per-event cost at scale: the event path must keep 256-core per-event
+# cost within 5% of the 64-core baseline.
 # Timing ratios need a quiet multicore host to be meaningful; on one CPU the
 # sweep still runs (the JSON is produced above) but the gate is skipped with
 # a note, mirroring the explore_parallel policy.
@@ -78,9 +77,7 @@ doc = json.load(open(sys.argv[1]))
 s = doc["speedups"]["per_event_64_vs_256"]
 assert s is not None and s >= 0.95, (
     f"per_event_64_vs_256 {s} < 0.95: per-event cost regressed at 256 cores")
-q = doc["speedups"].get("queue_banked_vs_unbanked")
-print(f"ok: per_event_64_vs_256 {s:.2f}x (gate >= 0.95), "
-      f"queue banked/unbanked {q if q is None else f'{q:.2f}x'}")
+print(f"ok: per_event_64_vs_256 {s:.2f}x (gate >= 0.95)")
 PYEOF
 else
     echo "note: $cpus CPU detected — skipping the per_event_64_vs_256 >= 0.95 gate"          "(single-core timing ratios are noise-bound; BENCH_scale.json still records them)"
