@@ -3,7 +3,7 @@
 
 use logtm_se::{CoherenceKind, ContentionPolicy, Cycle, SignatureKind, SystemBuilder};
 use ltse_bench::experiments::{nesting_ablation, smt_comparison, ExperimentScale};
-use ltse_bench::harness::BenchGroup;
+use ltse_bench::harness::{self, Bench};
 use ltse_workloads::{run_benchmark, Benchmark, RunParams, SyncMode};
 
 fn base_params(benchmark: Benchmark) -> RunParams {
@@ -23,9 +23,11 @@ fn base_params(benchmark: Benchmark) -> RunParams {
 }
 
 fn main() {
-    let sticky = BenchGroup::new("sticky_ablation", 10);
+    let iters = harness::iters(10);
+    let mut bench = Bench::new("ablations");
+    bench.group("sticky_ablation", iters);
     for on in [true, false] {
-        sticky.case(&format!("raytrace/sticky={on}"), || {
+        bench.case(&format!("raytrace/sticky={on}"), || {
             let mut p = base_params(Benchmark::Raytrace);
             p.sticky = on;
             p.units_per_thread = 8;
@@ -33,21 +35,21 @@ fn main() {
         });
     }
 
-    let log_filter = BenchGroup::new("log_filter", 10);
+    bench.group("log_filter", iters);
     for entries in [0usize, 4, 16, 64] {
-        log_filter.case(&format!("berkeleydb/entries={entries}"), || {
+        bench.case(&format!("berkeleydb/entries={entries}"), || {
             let mut p = base_params(Benchmark::BerkeleyDb);
             p.log_filter_entries = entries;
             run_benchmark(&p).expect("run")
         });
     }
 
-    let virt = BenchGroup::new("virtualization", 10);
+    bench.group("virtualization", iters);
     for (label, quantum, defer) in [
         ("defer", Cycle(10_000), true),
         ("no_defer", Cycle(10_000), false),
     ] {
-        virt.case(&format!("mp3d_oversubscribed/{label}"), || {
+        bench.case(&format!("mp3d_oversubscribed/{label}"), || {
             let mut system = SystemBuilder::paper_default()
                 .signature(SignatureKind::paper_bs_2kb())
                 .seed(4)
@@ -60,18 +62,18 @@ fn main() {
         });
     }
 
-    let coherence = BenchGroup::new("coherence", 10);
+    bench.group("coherence", iters);
     for kind in [CoherenceKind::DirectoryMesi, CoherenceKind::SnoopingMesi] {
-        coherence.case(&format!("mp3d/{kind}"), || {
+        bench.case(&format!("mp3d/{kind}"), || {
             let mut p = base_params(Benchmark::Mp3d);
             p.coherence = kind;
             run_benchmark(&p).expect("run")
         });
     }
 
-    let multi_cmp = BenchGroup::new("multi_cmp", 10);
+    bench.group("multi_cmp", iters);
     for chips in [1u8, 4] {
-        multi_cmp.case(&format!("mp3d/chips={chips}"), || {
+        bench.case(&format!("mp3d/chips={chips}"), || {
             let mut system = SystemBuilder::paper_default()
                 .signature(SignatureKind::paper_bs_2kb())
                 .chips(chips)
@@ -84,12 +86,12 @@ fn main() {
         });
     }
 
-    let contention = BenchGroup::new("contention", 10);
+    bench.group("contention", iters);
     for policy in [
         ContentionPolicy::RequesterStalls,
         ContentionPolicy::SizeMatters,
     ] {
-        contention.case(&format!("berkeleydb/{policy:?}"), || {
+        bench.case(&format!("berkeleydb/{policy:?}"), || {
             let mut system = SystemBuilder::paper_default()
                 .signature(SignatureKind::paper_bs_2kb())
                 .contention(policy)
@@ -102,13 +104,13 @@ fn main() {
         });
     }
 
-    let nesting = BenchGroup::new("nesting", 10);
-    nesting.case("flat_vs_nested", || {
+    bench.group("nesting", iters);
+    bench.case("flat_vs_nested", || {
         nesting_ablation(&ExperimentScale::quick()).expect("sweep")
     });
 
-    let smt = BenchGroup::new("smt", 10);
-    smt.case("16x2_vs_32x1", || {
+    bench.group("smt", iters);
+    bench.case("16x2_vs_32x1", || {
         smt_comparison(&ExperimentScale::quick()).expect("sweep")
     });
 }

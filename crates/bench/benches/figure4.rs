@@ -4,7 +4,7 @@
 //! every cell exercised and regression-tracked.
 
 use logtm_se::{CoherenceKind, SignatureKind};
-use ltse_bench::harness::BenchGroup;
+use ltse_bench::harness::{self, Bench};
 use ltse_workloads::{run_benchmark, Benchmark, RunParams, SyncMode};
 
 fn cell_params(benchmark: Benchmark, mode: SyncMode, signature: SignatureKind) -> RunParams {
@@ -24,16 +24,17 @@ fn cell_params(benchmark: Benchmark, mode: SyncMode, signature: SignatureKind) -
 }
 
 fn main() {
-    let group = BenchGroup::new("figure4", 10);
+    let mut bench = Bench::new("figure4");
+    bench.group("figure4", harness::iters(10));
     for benchmark in Benchmark::all() {
         // Lock baseline bar.
         let p = cell_params(benchmark, SyncMode::Lock, SignatureKind::Perfect);
-        group.case(&format!("{benchmark}/lock"), || {
+        bench.case(&format!("{benchmark}/lock"), || {
             run_benchmark(&p).expect("run")
         });
         for kind in SignatureKind::figure4_set() {
             let p = cell_params(benchmark, SyncMode::Tm, kind);
-            group.case(&format!("{benchmark}/tm/{}", kind.label()), || {
+            bench.case(&format!("{benchmark}/tm/{}", kind.label()), || {
                 run_benchmark(&p).expect("run")
             });
         }

@@ -3,13 +3,14 @@
 //! claims are cheap.
 
 use logtm_se::{SignatureKind, SystemBuilder, WordAddr};
-use ltse_bench::harness::BenchGroup;
+use ltse_bench::harness::{self, Bench};
 use ltse_mem::{AccessKind, BlockAddr, MemConfig, MemorySystem, NullOracle};
 use ltse_workloads::{CsProgram, SharedCounter, SyncMode};
 
 fn main() {
-    let mem = BenchGroup::new("mem_paths", 50);
-    mem.case("l1_hit_loop", || {
+    let mut bench = Bench::new("microbench");
+    bench.group("mem_paths", harness::iters(50));
+    bench.case("l1_hit_loop", || {
         let mut m = MemorySystem::new(MemConfig::paper_cmp());
         let ctx = m.config().ctx(0, 0);
         m.access(ctx, AccessKind::Load, BlockAddr(1), &NullOracle);
@@ -18,7 +19,7 @@ fn main() {
         }
         m.stats().dram_accesses.get()
     });
-    mem.case("cold_miss_stream", || {
+    bench.case("cold_miss_stream", || {
         let mut m = MemorySystem::new(MemConfig::paper_cmp());
         let ctx = m.config().ctx(0, 0);
         for i in 0..256u64 {
@@ -27,8 +28,8 @@ fn main() {
         m.stats().dram_accesses.get()
     });
 
-    let tm = BenchGroup::new("tm_fast_paths", 20);
-    tm.case("counter_tx_throughput", || {
+    bench.group("tm_fast_paths", harness::iters(20));
+    bench.case("counter_tx_throughput", || {
         let mut sys = SystemBuilder::paper_default()
             .signature(SignatureKind::paper_bs_2kb())
             .seed(5)

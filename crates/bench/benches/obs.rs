@@ -10,79 +10,14 @@
 //! primitives (metric bumps and span-ring pushes) are timed alongside so a
 //! future regression is attributable.
 //!
-//! Output:
-//!
-//! * human-readable lines on **stderr**;
-//! * a single JSON document on **stdout**, or to the file named by
-//!   `LTSE_BENCH_JSON` if set (what `scripts/bench.sh` uses to produce
-//!   `BENCH_obs.json`).
-//!
-//! Environment:
-//!
-//! * `LTSE_BENCH_QUICK=1` — CI smoke mode: tiny workloads, 2 iterations,
-//!   still full JSON structure (no timing thresholds are asserted anywhere).
-//! * `LTSE_BENCH_ITERS=N` — override the per-case iteration count.
-
-use std::hint::black_box;
-use std::time::Instant;
+//! Writes `BENCH_obs.json` through [`ltse_bench::harness`].
 
 use logtm_se::{SignatureKind, SystemBuilder, WordAddr};
-use ltse_bench::harness;
+use ltse_bench::harness::{self, Bench};
 use ltse_sim::obs::{ObsCore, StallCause};
 use ltse_sim::rng::mix64;
 use ltse_sim::Cycle;
 use ltse_workloads::{CsProgram, SharedCounter, SyncMode};
-
-struct CaseResult {
-    group: &'static str,
-    name: &'static str,
-    mean_ms: f64,
-    best_ms: f64,
-    iters: usize,
-}
-
-fn time_case<T>(
-    out: &mut Vec<CaseResult>,
-    group: &'static str,
-    name: &'static str,
-    iters: usize,
-    mut f: impl FnMut() -> T,
-) {
-    black_box(f()); // warmup
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        best = best.min(dt);
-    }
-    let mean_ms = total / iters as f64 * 1e3;
-    let best_ms = best * 1e3;
-    eprintln!(
-        "{:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({iters} iters)",
-        format!("{group}/{name}")
-    );
-    out.push(CaseResult {
-        group,
-        name,
-        mean_ms,
-        best_ms,
-        iters,
-    });
-}
-
-fn mean_of<'a>(out: &'a [CaseResult], group: &str, name: &str) -> Option<&'a CaseResult> {
-    out.iter().find(|c| c.group == group && c.name == name)
-}
-
-/// best-time ratio `baseline / optimized` (higher = optimized is faster).
-fn speedup(out: &[CaseResult], group: &str, baseline: &str, optimized: &str) -> Option<f64> {
-    let b = mean_of(out, group, baseline)?;
-    let o = mean_of(out, group, optimized)?;
-    (o.best_ms > 0.0).then(|| b.best_ms / o.best_ms)
-}
 
 /// The hotpath bench's end-to-end workload, with the obs layer toggled.
 fn run_contended(observe: bool, cs_rounds: u64) -> logtm_se::RunReport {
@@ -102,9 +37,9 @@ fn run_contended(observe: bool, cs_rounds: u64) -> logtm_se::RunReport {
 }
 
 fn main() {
-    let quick = std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = harness::quick();
     let iters = harness::iters(if quick { 2 } else { 30 });
-    let mut out: Vec<CaseResult> = Vec::new();
+    let mut bench = Bench::new("obs");
 
     // ---- end to end: the off-path overhead bound ------------------------
     // `run_obs_on` is the baseline and `run_obs_off` the "optimized" side,
@@ -115,16 +50,14 @@ fn main() {
     // at most, so the per-run time must dwarf timer and scheduler noise.
     let cs_rounds = if quick { 10 } else { 800 };
     let e2e_iters = iters.min(12).max(if quick { 2 } else { 8 });
-    time_case(&mut out, "end_to_end", "run_obs_off", e2e_iters, || {
-        run_contended(false, cs_rounds)
-    });
-    time_case(&mut out, "end_to_end", "run_obs_on", e2e_iters, || {
-        run_contended(true, cs_rounds)
-    });
+    bench.group("end_to_end", e2e_iters);
+    bench.case("run_obs_off", || run_contended(false, cs_rounds));
+    bench.case("run_obs_on", || run_contended(true, cs_rounds));
 
     // ---- obs primitives -------------------------------------------------
     let bumps = if quick { 50_000u64 } else { 2_000_000 };
-    time_case(&mut out, "primitives", "registry_bump", iters, || {
+    bench.group("primitives", iters);
+    bench.case("registry_bump", || {
         let mut o = ObsCore::new(0);
         for i in 0..bumps {
             // Rotate over a few static names like real hook sites do.
@@ -137,7 +70,7 @@ fn main() {
         o.report().metrics.get("preemptions")
     });
     let spans = if quick { 20_000u64 } else { 500_000 };
-    time_case(&mut out, "primitives", "span_ring_push", iters, || {
+    bench.case("span_ring_push", || {
         let mut o = ObsCore::new(4096);
         for i in 0..spans {
             let tid = (i % 32) as u32;
@@ -148,53 +81,14 @@ fn main() {
         o.report().spans_committed
     });
 
-    // ---- JSON ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"obs\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"cases\": [\n");
-    for (i, c) in out.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ms\": {:.6}, \"best_ms\": {:.6}, \"iters\": {}}}{}\n",
-            c.group,
-            c.name,
-            c.mean_ms,
-            c.best_ms,
-            c.iters,
-            if i + 1 < out.len() { "," } else { "" }
-        ));
+    let ratio = bench.speedup("obs_off_vs_on", "end_to_end", "run_obs_on", "run_obs_off");
+    if let Some(s) = ratio {
+        // The headline number: how much the *disabled* layer costs
+        // relative to full attribution being on.
+        eprintln!(
+            "obs-off overhead vs obs-on               {:+.2}%",
+            (1.0 / s - 1.0) * 100.0
+        );
     }
-    json.push_str("  ],\n  \"speedups\": {\n");
-    let pairs = [(
-        "obs_off_vs_on",
-        speedup(&out, "end_to_end", "run_obs_on", "run_obs_off"),
-    )];
-    for (i, (name, s)) in pairs.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{name}\": {}{}\n",
-            s.map_or("null".to_string(), |v| format!("{v:.3}")),
-            if i + 1 < pairs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    for (name, s) in pairs {
-        if let Some(s) = s {
-            eprintln!("speedup {name:<32} {s:.2}x");
-            // The headline number: how much the *disabled* layer costs
-            // relative to full attribution being on.
-            eprintln!(
-                "obs-off overhead vs obs-on               {:+.2}%",
-                (1.0 / s - 1.0) * 100.0
-            );
-        }
-    }
-
-    match std::env::var("LTSE_BENCH_JSON") {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, &json).expect("write LTSE_BENCH_JSON file");
-            eprintln!("wrote {path}");
-        }
-        _ => print!("{json}"),
-    }
+    bench.finish();
 }

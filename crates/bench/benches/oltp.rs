@@ -13,24 +13,16 @@
 //!    materialized), then the *same workload* on the STM backend with the
 //!    fingerprint equality check.
 //!
-//! Output matches the other bench targets: human lines on stderr, one JSON
-//! document on stdout or to `LTSE_BENCH_JSON` (what `scripts/bench.sh`
-//! stores as `BENCH_oltp.json`). The document records the host's `cpus`,
-//! and each STM row whether it ran more threads than that
-//! (`oversubscribed`; simulator rows run every thread on one, so never).
-//! An oversubscribed STM run time-slices its threads, so it shows little
-//! real contention.
-//!
-//! Environment: `LTSE_BENCH_QUICK=1` (small runs: 20k transactions in the
-//! mtx section, structure unchanged).
+//! Writes `BENCH_oltp.json` through [`ltse_bench::harness`]; quick mode
+//! runs 20k transactions in the mtx section. Each STM row records whether
+//! it ran more threads than the host has CPUs (`oversubscribed`; simulator
+//! rows run every thread on one, so never). An oversubscribed STM run
+//! time-slices its threads, so it shows little real contention.
 
 use ltse_bench::experiments::OLTP_POINTS;
-use ltse_bench::harness;
+use ltse_bench::harness::{self, Bench};
+use ltse_bench::json::Json;
 use ltse_workloads::{run_oltp, BackendKind, OltpConfig, OltpOutcome};
-
-fn quick() -> bool {
-    std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
 
 /// Resident-set size of this process in KiB, from `/proc/self/status`
 /// (Linux-only; `None` elsewhere, which downgrades the bound to a note).
@@ -69,57 +61,59 @@ fn mtx_cfg(quick: bool) -> OltpConfig {
     }
 }
 
-struct PointRow {
-    point: &'static str,
-    backend: BackendKind,
-    theta_permille: u32,
-    read_pct: u8,
-    out: OltpOutcome,
+fn wall_ms(out: &OltpOutcome) -> Json {
+    Json::Num(out.report.wall.as_secs_f64() * 1e3, 3)
 }
 
-fn json_point(r: &PointRow, cfg: &OltpConfig, cpus: usize) -> String {
-    let (unit, per_mcycle) = match r.backend {
+/// Appends the p50/p99/p999 commit latencies to `row`.
+fn percentiles(row: Json, out: &OltpOutcome) -> Json {
+    row.field("p50", out.latency_permille(500).unwrap_or(0))
+        .field("p99", out.latency_permille(990).unwrap_or(0))
+        .field("p999", out.latency_permille(999).unwrap_or(0))
+}
+
+/// One `points` row: a skew/mix point on one backend.
+fn point_row(
+    (point, theta_permille, read_pct): (&str, u32, u8),
+    backend: BackendKind,
+    cfg: &OltpConfig,
+    cpus: usize,
+    out: &OltpOutcome,
+) -> Json {
+    let (unit, per_mcycle) = match backend {
         BackendKind::Sim => {
-            let cycles = r.out.report.sim_cycles.unwrap_or(0);
-            let g = if cycles > 0 {
-                format!(
-                    "{:.3}",
-                    r.out.committed_txs as f64 * 1e6 / cycles as f64
-                )
-            } else {
-                "null".to_string()
-            };
-            ("cycles", g)
+            let cycles = out.report.sim_cycles.unwrap_or(0);
+            let g = (cycles > 0).then(|| out.committed_txs as f64 * 1e6 / cycles as f64);
+            ("cycles", g.map(|g| Json::Num(g, 3)))
         }
-        BackendKind::Stm => ("ns", "null".to_string()),
+        BackendKind::Stm => ("ns", None),
     };
-    format!(
-        "    {{\"point\": \"{}\", \"backend\": \"{}\", \"theta_permille\": {}, \"read_pct\": {}, \
-         \"threads\": {}, \"oversubscribed\": {}, \"txs\": {}, \"committed\": {}, \"aborts\": {}, \
-         \"latency_unit\": \"{unit}\", \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-         \"goodput_tx_per_sec\": {:.1}, \"goodput_tx_per_mcycle\": {per_mcycle}, \
-         \"wall_ms\": {:.3}, \"kv_fingerprint\": \"{:016x}\"}}",
-        r.point,
-        r.backend.name(),
-        r.theta_permille,
-        r.read_pct,
-        cfg.threads,
-        r.backend == BackendKind::Stm && cfg.threads as usize > cpus,
-        cfg.total_txs(),
-        r.out.committed_txs,
-        r.out.report.aborts,
-        r.out.latency_permille(500).unwrap_or(0),
-        r.out.latency_permille(990).unwrap_or(0),
-        r.out.latency_permille(999).unwrap_or(0),
-        r.out.goodput_tx_per_sec(),
-        r.out.report.wall.as_secs_f64() * 1e3,
-        r.out.kv_fingerprint,
-    )
+    let row = Json::obj()
+        .field("point", point)
+        .field("backend", backend.name())
+        .field("theta_permille", theta_permille)
+        .field("read_pct", read_pct)
+        .field("threads", cfg.threads)
+        .field(
+            "oversubscribed",
+            backend == BackendKind::Stm && cfg.threads as usize > cpus,
+        )
+        .field("txs", cfg.total_txs())
+        .field("committed", out.committed_txs)
+        .field("aborts", out.report.aborts)
+        .field("latency_unit", unit);
+    percentiles(row, out)
+        .field("goodput_tx_per_sec", Json::Num(out.goodput_tx_per_sec(), 1))
+        .field("goodput_tx_per_mcycle", per_mcycle)
+        .field("wall_ms", wall_ms(out))
+        .field("kv_fingerprint", format!("{:016x}", out.kv_fingerprint))
 }
 
 fn main() {
-    let quick = quick();
-    let mut rows: Vec<(PointRow, OltpConfig)> = Vec::new();
+    let quick = harness::quick();
+    let cpus = harness::detected_cpus();
+    let mut bench = Bench::new("oltp");
+    let mut points = Vec::new();
 
     // ---- skew/mix points on both backends -------------------------------
     for (point, theta_permille, read_pct) in OLTP_POINTS {
@@ -144,15 +138,12 @@ fn main() {
                 out.goodput_tx_per_sec(),
             );
             fingerprints.push(out.kv_fingerprint);
-            rows.push((
-                PointRow {
-                    point,
-                    backend: kind,
-                    theta_permille,
-                    read_pct,
-                    out,
-                },
-                cfg,
+            points.push(point_row(
+                (point, theta_permille, read_pct),
+                kind,
+                &cfg,
+                cpus,
+                &out,
             ));
         }
         assert_eq!(
@@ -208,55 +199,29 @@ fn main() {
         stm.goodput_tx_per_sec(),
     );
 
-    // ---- JSON ----------------------------------------------------------
-    let cpus = harness::detected_cpus();
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"oltp\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"cpus\": {cpus},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, (r, cfg)) in rows.iter().enumerate() {
-        json.push_str(&json_point(r, cfg, cpus));
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"mtx\": {\n");
-    json.push_str(&format!(
-        "    \"threads\": {}, \"txs_total\": {},\n",
-        mcfg.threads,
-        mcfg.total_txs()
-    ));
-    json.push_str(&format!(
-        "    \"sim\": {{\"committed\": {}, \"cycles\": {}, \"wall_ms\": {:.3}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-         \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"rss_growth_kb\": {}}},\n",
-        sim.committed_txs,
-        sim.report.sim_cycles.unwrap_or(0),
-        sim.report.wall.as_secs_f64() * 1e3,
-        sim.latency_permille(500).unwrap_or(0),
-        sim.latency_permille(990).unwrap_or(0),
-        sim.latency_permille(999).unwrap_or(0),
-        rss_before.map_or("null".to_string(), |v| v.to_string()),
-        rss_after.map_or("null".to_string(), |v| v.to_string()),
-        growth_kb.map_or("null".to_string(), |v| v.to_string()),
-    ));
-    json.push_str(&format!(
-        "    \"stm\": {{\"committed\": {}, \"oversubscribed\": {}, \"wall_ms\": {:.3}, \"p50\": {}, \"p99\": {}, \"p999\": {}}},\n",
-        stm.committed_txs,
-        mcfg.threads as usize > cpus,
-        stm.report.wall.as_secs_f64() * 1e3,
-        stm.latency_permille(500).unwrap_or(0),
-        stm.latency_permille(990).unwrap_or(0),
-        stm.latency_permille(999).unwrap_or(0),
-    ));
-    json.push_str(&format!(
-        "    \"kv_match\": {}\n  }}\n}}\n",
-        sim.kv_fingerprint == stm.kv_fingerprint
-    ));
-
-    match std::env::var("LTSE_BENCH_JSON") {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, &json).expect("write LTSE_BENCH_JSON file");
-            eprintln!("wrote {path}");
-        }
-        _ => print!("{json}"),
-    }
+    let sim_row = Json::obj()
+        .field("committed", sim.committed_txs)
+        .field("cycles", sim.report.sim_cycles.unwrap_or(0))
+        .field("wall_ms", wall_ms(&sim));
+    let stm_row = Json::obj()
+        .field("committed", stm.committed_txs)
+        .field("oversubscribed", mcfg.threads as usize > cpus)
+        .field("wall_ms", wall_ms(&stm));
+    bench.field("points", points);
+    bench.field(
+        "mtx",
+        Json::obj()
+            .field("threads", mcfg.threads)
+            .field("txs_total", mcfg.total_txs())
+            .field(
+                "sim",
+                percentiles(sim_row, &sim)
+                    .field("rss_before_kb", rss_before)
+                    .field("rss_after_kb", rss_after)
+                    .field("rss_growth_kb", growth_kb),
+            )
+            .field("stm", percentiles(stm_row, &stm))
+            .field("kv_match", sim.kv_fingerprint == stm.kv_fingerprint),
+    );
+    bench.finish();
 }

@@ -7,75 +7,14 @@
 //! system sequentially vs with each wave fanned out over `N` threads, with
 //! the reports asserted identical before any timing is reported.
 //!
-//! Output:
-//!
-//! * human-readable lines on **stderr**;
-//! * a single JSON document on **stdout**, or to the file named by
-//!   `LTSE_BENCH_JSON` if set (what `scripts/bench.sh` uses to produce
-//!   `BENCH_pipeline.json`).
-//!
-//! Environment:
-//!
-//! * `LTSE_BENCH_QUICK=1` — CI smoke mode: tiny workloads, 2 iterations,
-//!   still full JSON structure (no timing thresholds are asserted anywhere).
-//! * `LTSE_BENCH_ITERS=N` — override the per-case iteration count.
-
-use std::hint::black_box;
-use std::time::Instant;
+//! Writes `BENCH_pipeline.json` through [`ltse_bench::harness`].
 
 use logtm_se::{
     explore, explore_jobs, Cycle, ExploreConfig, ExploreReport, ScheduleChooser, System,
     SystemBuilder, TxScript, WordAddr,
 };
-use ltse_bench::harness;
+use ltse_bench::harness::{self, Bench};
 use ltse_sim::parallel::effective_jobs;
-
-struct CaseResult {
-    group: &'static str,
-    name: &'static str,
-    mean_ms: f64,
-    best_ms: f64,
-    iters: usize,
-}
-
-fn time_case<T>(
-    out: &mut Vec<CaseResult>,
-    group: &'static str,
-    name: &'static str,
-    iters: usize,
-    mut f: impl FnMut() -> T,
-) {
-    black_box(f()); // warmup
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        best = best.min(dt);
-    }
-    let mean_ms = total / iters as f64 * 1e3;
-    let best_ms = best * 1e3;
-    eprintln!(
-        "{:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({iters} iters)",
-        format!("{group}/{name}")
-    );
-    out.push(CaseResult {
-        group,
-        name,
-        mean_ms,
-        best_ms,
-        iters,
-    });
-}
-
-/// best-time ratio `baseline / optimized` (higher = optimized is faster).
-fn speedup(out: &[CaseResult], group: &str, baseline: &str, optimized: &str) -> Option<f64> {
-    let b = out.iter().find(|c| c.group == group && c.name == baseline)?;
-    let o = out.iter().find(|c| c.group == group && c.name == optimized)?;
-    (o.best_ms > 0.0).then(|| b.best_ms / o.best_ms)
-}
 
 // ------------------------------------------------------------ explore model
 
@@ -117,9 +56,8 @@ fn report_key(r: &ExploreReport) -> (usize, usize, u64, bool) {
 }
 
 fn main() {
-    let quick = std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let iters = harness::iters(if quick { 2 } else { 10 });
-    let mut out: Vec<CaseResult> = Vec::new();
+    let quick = harness::quick();
+    let mut bench = Bench::new("pipeline");
 
     // ---- schedule exploration: sequential vs parallel waves -------------
     let budget = if quick { 96 } else { 512 };
@@ -144,54 +82,11 @@ fn main() {
         report_key(&par),
         "explore_jobs({jobs}) diverged from sequential explore"
     );
-    time_case(&mut out, "explore", "jobs_1", iters, || {
-        explore_jobs(&cfg, 1, check_one)
-    });
-    let name: &'static str = Box::leak(format!("jobs_{jobs}").into_boxed_str());
-    time_case(&mut out, "explore", name, iters, || {
-        explore_jobs(&cfg, jobs, check_one)
-    });
-
-    // ---- JSON ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"pipeline\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"cpus\": {cpus},\n"));
-    json.push_str(&format!("  \"explore_jobs\": {jobs},\n"));
-    json.push_str("  \"cases\": [\n");
-    for (i, c) in out.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ms\": {:.6}, \"best_ms\": {:.6}, \"iters\": {}}}{}\n",
-            c.group,
-            c.name,
-            c.mean_ms,
-            c.best_ms,
-            c.iters,
-            if i + 1 < out.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"speedups\": {\n");
-    let pairs = [("explore_parallel", speedup(&out, "explore", "jobs_1", name))];
-    for (i, (pname, s)) in pairs.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{pname}\": {}{}\n",
-            s.map_or("null".to_string(), |v| format!("{v:.3}")),
-            if i + 1 < pairs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    for (pname, s) in pairs {
-        if let Some(s) = s {
-            eprintln!("speedup {pname:<32} {s:.2}x");
-        }
-    }
-
-    match std::env::var("LTSE_BENCH_JSON") {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, &json).expect("write LTSE_BENCH_JSON file");
-            eprintln!("wrote {path}");
-        }
-        _ => print!("{json}"),
-    }
+    bench.field("explore_jobs", jobs);
+    bench.group("explore", harness::iters(if quick { 2 } else { 10 }));
+    bench.case("jobs_1", || explore_jobs(&cfg, 1, check_one));
+    let name = format!("jobs_{jobs}");
+    bench.case(&name, || explore_jobs(&cfg, jobs, check_one));
+    bench.speedup("explore_parallel", "explore", "jobs_1", &name);
+    bench.finish();
 }

@@ -17,24 +17,20 @@
 //! Sim rows are cycle-denominated and deterministic. STM rows are
 //! wall-clock goodput from real OS threads and noisy on small hosts, so
 //! they are re-run a few times and the best run is kept (best-of-N damps
-//! scheduler noise without hiding systematic policy differences).
+//! scheduler noise without hiding systematic policy differences). Each row
+//! records whether it ran more OS threads than the host has CPUs
+//! (`oversubscribed`; simulator rows run every thread on one, so never).
 //!
-//! Output matches the other bench targets: human lines on stderr, one JSON
-//! document on stdout or to `LTSE_BENCH_JSON` (what `scripts/bench.sh`
-//! stores as `BENCH_policy.json`).
-//!
-//! Environment: `LTSE_BENCH_QUICK=1` (smaller runs, structure unchanged).
+//! Writes `BENCH_policy.json` through [`ltse_bench::harness`].
 
 use logtm_se::ContentionPolicy;
 use ltse_bench::experiments::{
     policy_oltp_config, policy_sweep, ExperimentScale, PolicySweepRow, POLICY_ESCALATE_AFTER,
     POLICY_OLTP_POINTS,
 };
+use ltse_bench::harness::{self, Bench};
+use ltse_bench::json::Json;
 use ltse_workloads::{run_oltp_with, BackendKind, PolicyTune};
-
-fn quick() -> bool {
-    std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
 
 fn tune(policy: ContentionPolicy) -> PolicyTune {
     PolicyTune {
@@ -70,23 +66,25 @@ fn stm_best_of(row: &mut PolicySweepRow, scale: &ExperimentScale, extra: usize) 
     }
 }
 
-fn json_row(r: &PolicySweepRow) -> String {
-    format!(
-        "    {{\"point\": \"{}\", \"backend\": \"{}\", \"policy\": \"{}\", \"score\": {:.4}, \
-         \"committed\": {}, \"aborts\": {}, \"serial_escalations\": {}, \"completed\": {}}}",
-        r.workload,
-        r.backend.name(),
-        r.policy.name(),
-        r.score,
-        r.committed,
-        r.aborts,
-        r.serial_escalations,
-        r.completed,
-    )
+fn row_json(r: &PolicySweepRow, threads: u32, cpus: usize) -> Json {
+    Json::obj()
+        .field("point", r.workload)
+        .field("backend", r.backend.name())
+        .field("policy", r.policy.name())
+        .field("score", Json::Num(r.score, 4))
+        .field("committed", r.committed)
+        .field("aborts", r.aborts)
+        .field("serial_escalations", r.serial_escalations)
+        .field("completed", r.completed)
+        .field(
+            "oversubscribed",
+            r.backend == BackendKind::Stm && threads as usize > cpus,
+        )
 }
 
 fn main() {
-    let quick = quick();
+    let quick = harness::quick();
+    let mut bench = Bench::new("policy");
     let scale = if quick {
         ExperimentScale::quick()
     } else {
@@ -156,16 +154,15 @@ fn main() {
             adaptive.score,
             rel * 100.0,
         );
-        point_summaries.push(format!(
-            "    {{\"point\": \"{workload}\", \"backend\": \"{}\", \
-             \"best_static_policy\": \"{}\", \"best_static_score\": {:.4}, \
-             \"adaptive_score\": {:.4}, \"adaptive_vs_best\": {:.4}}}",
-            backend.name(),
-            best_static.policy.name(),
-            best_static.score,
-            adaptive.score,
-            rel,
-        ));
+        point_summaries.push(
+            Json::obj()
+                .field("point", *workload)
+                .field("backend", backend.name())
+                .field("best_static_policy", best_static.policy.name())
+                .field("best_static_score", Json::Num(best_static.score, 4))
+                .field("adaptive_score", Json::Num(adaptive.score, 4))
+                .field("adaptive_vs_best", Json::Num(rel, 4)),
+        );
     }
     let adaptive_ok = adaptive_min_rel >= 0.95;
     eprintln!(
@@ -176,46 +173,23 @@ fn main() {
         adaptive_ok,
     );
 
-    // ---- JSON ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"policy\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"threads\": {}, \"escalate_after\": {},\n",
-        scale.threads, POLICY_ESCALATE_AFTER
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&json_row(r));
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"points\": [\n");
-    for (i, p) in point_summaries.iter().enumerate() {
-        json.push_str(p);
-        json.push_str(if i + 1 < point_summaries.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"summary\": {\n");
-    json.push_str(&format!(
-        "    \"static_winners\": [{}],\n",
-        static_winners
-            .iter()
-            .map(|w| format!("\"{w}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "    \"distinct_static_winners\": {},\n    \"adaptive_min_rel\": {:.4},\n    \
-         \"adaptive_ok\": {}\n  }}\n}}\n",
-        static_winners.len(),
-        adaptive_min_rel,
-        adaptive_ok,
-    ));
-
-    match std::env::var("LTSE_BENCH_JSON") {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, &json).expect("write LTSE_BENCH_JSON file");
-            eprintln!("wrote {path}");
-        }
-        _ => print!("{json}"),
-    }
+    let cpus = harness::detected_cpus();
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| row_json(r, scale.threads, cpus))
+        .collect();
+    bench.field("threads", scale.threads);
+    bench.field("escalate_after", POLICY_ESCALATE_AFTER);
+    bench.field("rows", rows);
+    bench.field("points", point_summaries);
+    let distinct_static_winners = static_winners.len();
+    bench.field(
+        "summary",
+        Json::obj()
+            .field("static_winners", static_winners)
+            .field("distinct_static_winners", distinct_static_winners)
+            .field("adaptive_min_rel", Json::Num(adaptive_min_rel, 4))
+            .field("adaptive_ok", adaptive_ok),
+    );
+    bench.finish();
 }

@@ -16,70 +16,12 @@
 //! allocation storms). The `speedups` map reports the 64-core baseline
 //! divided by each larger config — ≈1.0 means flat per-event cost.
 //!
-//! Output matches the other bench targets: human lines on stderr, one JSON
-//! document on stdout or to `LTSE_BENCH_JSON` (what `scripts/bench.sh`
-//! stores as `BENCH_scale.json`).
-//!
-//! Environment: `LTSE_BENCH_QUICK=1` (tiny workloads, 2 iters),
-//! `LTSE_BENCH_ITERS=N`.
-
-use std::hint::black_box;
-use std::time::Instant;
+//! Writes `BENCH_scale.json` through [`ltse_bench::harness`].
 
 use logtm_se::{MemConfig, RunReport, System, SystemBuilder};
-use ltse_bench::harness;
+use ltse_bench::harness::{self, Bench};
+use ltse_bench::json::Json;
 use ltse_workloads::{Benchmark, SyncMode};
-
-struct CaseResult {
-    group: &'static str,
-    name: &'static str,
-    mean_ms: f64,
-    best_ms: f64,
-    iters: usize,
-}
-
-fn time_case<T>(
-    out: &mut Vec<CaseResult>,
-    group: &'static str,
-    name: &'static str,
-    iters: usize,
-    mut f: impl FnMut() -> T,
-) {
-    black_box(f()); // warmup
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        best = best.min(dt);
-    }
-    let mean_ms = total / iters as f64 * 1e3;
-    let best_ms = best * 1e3;
-    eprintln!(
-        "{:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({iters} iters)",
-        format!("{group}/{name}")
-    );
-    out.push(CaseResult {
-        group,
-        name,
-        mean_ms,
-        best_ms,
-        iters,
-    });
-}
-
-/// One row of the sweep: simulated-run facts recorded next to the timings.
-struct SweepRow {
-    n_cores: u16,
-    n_ctxs: u32,
-    cycles: u64,
-    events: u64,
-    commits: u64,
-    aborts: u64,
-    checked: bool,
-}
 
 const SWEEP_CORES: [u16; 3] = [64, 128, 256];
 const SEED: u64 = 42;
@@ -99,11 +41,11 @@ fn build_system(n_cores: u16, checked: bool) -> System {
 }
 
 fn units_per_thread() -> u64 {
-    if quick() { 1 } else { 4 }
-}
-
-fn quick() -> bool {
-    std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
+    if harness::quick() {
+        1
+    } else {
+        4
+    }
 }
 
 fn run_once(n_cores: u16, checked: bool) -> RunReport {
@@ -120,123 +62,55 @@ fn run_once(n_cores: u16, checked: bool) -> RunReport {
     report
 }
 
+/// One `runs` entry: the simulated-run facts recorded next to the timings.
+fn run_row(n_cores: u16, checked: bool, r: &RunReport) -> Json {
+    Json::obj()
+        .field("n_cores", n_cores)
+        .field("n_ctxs", n_cores)
+        .field("cycles", r.cycles.as_u64())
+        .field("events", r.events_dispatched)
+        .field("commits", r.tm.commits)
+        .field("aborts", r.tm.aborts)
+        .field("checked", checked)
+}
+
 fn main() {
-    let quick = quick();
-    let iters = harness::iters(if quick { 2 } else { 5 });
-    let cpus = harness::detected_cpus();
-    let mut out: Vec<CaseResult> = Vec::new();
-    let mut rows: Vec<SweepRow> = Vec::new();
+    let iters = harness::iters(if harness::quick() { 2 } else { 5 });
+    let mut bench = Bench::new("scale");
+    let mut runs = Vec::new();
+    let mut events = Vec::new();
 
     // ---- the 64/128/256-core sweep --------------------------------------
-    for (n_cores, name) in SWEEP_CORES
-        .into_iter()
-        .zip(["cores_64", "cores_128", "cores_256"])
-    {
+    bench.group("sweep", iters);
+    for n_cores in SWEEP_CORES {
         let r = run_once(n_cores, false);
         assert!(r.tm.commits > 0, "{n_cores}-core run committed nothing");
-        rows.push(SweepRow {
-            n_cores,
-            n_ctxs: n_cores as u32,
-            cycles: r.cycles.as_u64(),
-            events: r.events_dispatched,
-            commits: r.tm.commits,
-            aborts: r.tm.aborts,
-            checked: false,
-        });
-        time_case(&mut out, "sweep", name, iters, || run_once(n_cores, false));
+        runs.push(run_row(n_cores, false, &r));
+        events.push(r.events_dispatched);
+        bench.case(&format!("cores_{n_cores}"), || run_once(n_cores, false));
     }
 
     // ---- 256 contexts under the serializability oracle ------------------
     // `run_once(_, true)` panics on any violation, so a finished timing run
     // doubles as the correctness gate.
-    let r = run_once(256, true);
-    rows.push(SweepRow {
-        n_cores: 256,
-        n_ctxs: 256,
-        cycles: r.cycles.as_u64(),
-        events: r.events_dispatched,
-        commits: r.tm.commits,
-        aborts: r.tm.aborts,
-        checked: true,
-    });
-    time_case(&mut out, "checked", "cores_256_serializability", iters, || {
-        run_once(256, true)
-    });
+    runs.push(run_row(256, true, &run_once(256, true)));
+    bench.group("checked", iters);
+    bench.case("cores_256_serializability", || run_once(256, true));
 
     // ---- per-event scaling ----------------------------------------------
     // best_ms over events from the recorded (deterministic) run: the event
     // count is a pure function of (config, seed), so pairing it with the
     // best timing of the same config is sound.
-    let ns_per_event = |name: &str, n_cores: u16| -> Option<f64> {
-        let c = out.iter().find(|c| c.group == "sweep" && c.name == name)?;
-        let row = rows.iter().find(|r| r.n_cores == n_cores && !r.checked)?;
-        (row.events > 0).then(|| c.best_ms * 1e6 / row.events as f64)
+    let ns_per_event = |i: usize| {
+        let best = bench.best_ms("sweep", &format!("cores_{}", SWEEP_CORES[i]))?;
+        (events[i] > 0).then(|| best * 1e6 / events[i] as f64)
     };
-    let base = ns_per_event("cores_64", 64);
-    let pairs = [
-        (
-            "per_event_64_vs_128",
-            base.zip(ns_per_event("cores_128", 128)).map(|(b, o)| b / o),
-        ),
-        (
-            "per_event_64_vs_256",
-            base.zip(ns_per_event("cores_256", 256)).map(|(b, o)| b / o),
-        ),
-    ];
-    for (pname, s) in pairs {
-        if let Some(s) = s {
-            eprintln!("scaling {pname:<32} {s:.2}x (1.0 = flat per-event cost)");
-        }
-    }
-
-    // ---- JSON ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"scale\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"cpus\": {cpus},\n"));
-    json.push_str(&format!("  \"units_per_thread\": {},\n", units_per_thread()));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n_cores\": {}, \"n_ctxs\": {}, \"cycles\": {}, \"events\": {}, \
-             \"commits\": {}, \"aborts\": {}, \"checked\": {}}}{}\n",
-            r.n_cores,
-            r.n_ctxs,
-            r.cycles,
-            r.events,
-            r.commits,
-            r.aborts,
-            r.checked,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"cases\": [\n");
-    for (i, c) in out.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ms\": {:.6}, \"best_ms\": {:.6}, \"iters\": {}}}{}\n",
-            c.group,
-            c.name,
-            c.mean_ms,
-            c.best_ms,
-            c.iters,
-            if i + 1 < out.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"speedups\": {\n");
-    for (i, (pname, s)) in pairs.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{pname}\": {}{}\n",
-            s.map_or("null".to_string(), |v| format!("{v:.3}")),
-            if i + 1 < pairs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    match std::env::var("LTSE_BENCH_JSON") {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, &json).expect("write LTSE_BENCH_JSON file");
-            eprintln!("wrote {path}");
-        }
-        _ => print!("{json}"),
-    }
+    let base = ns_per_event(0);
+    let vs_128 = base.zip(ns_per_event(1)).map(|(b, o)| b / o);
+    let vs_256 = base.zip(ns_per_event(2)).map(|(b, o)| b / o);
+    bench.ratio("per_event_64_vs_128", vs_128);
+    bench.ratio("per_event_64_vs_256", vs_256);
+    bench.field("units_per_thread", units_per_thread());
+    bench.field("runs", runs);
+    bench.finish();
 }

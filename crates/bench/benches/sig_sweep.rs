@@ -2,11 +2,12 @@
 //! across implementations and sizes — the hardware-cost side of the
 //! signature design space (paper §5, "Signature Design").
 
-use ltse_bench::harness::BenchGroup;
+use ltse_bench::harness::{self, Bench};
 use ltse_sig::{SigRepr, SignatureKind};
 
 fn main() {
-    let group = BenchGroup::new("sig_ops", 200);
+    let mut bench = Bench::new("sig_sweep");
+    bench.group("sig_ops", harness::iters(200));
     let kinds = [
         SignatureKind::Perfect,
         SignatureKind::BitSelect { bits: 64 },
@@ -19,7 +20,7 @@ fn main() {
         SignatureKind::Bloom { bits: 2048, k: 4 },
     ];
     for kind in kinds {
-        group.case(&format!("insert_lookup/{}", kind.label()), || {
+        bench.case(&format!("insert_lookup/{}", kind.label()), || {
             let mut sig = SigRepr::new(&kind);
             for a in 0..256u64 {
                 sig.insert_block(a * 97);
@@ -32,7 +33,7 @@ fn main() {
             }
             hits
         });
-        group.case(&format!("save_restore/{}", kind.label()), || {
+        bench.case(&format!("save_restore/{}", kind.label()), || {
             let mut sig = SigRepr::new(&kind);
             for a in 0..64u64 {
                 sig.insert_block(a * 131);

@@ -3,11 +3,12 @@
 //! accounting path end to end.
 
 use logtm_se::{CoherenceKind, SignatureKind};
-use ltse_bench::harness::BenchGroup;
+use ltse_bench::harness::{self, Bench};
 use ltse_workloads::{run_benchmark, Benchmark, RunParams, SyncMode};
 
 fn main() {
-    let group = BenchGroup::new("table3", 10);
+    let mut bench = Bench::new("table3");
+    bench.group("table3", harness::iters(10));
     let signatures = [
         SignatureKind::Perfect,
         SignatureKind::BitSelect { bits: 2048 },
@@ -33,7 +34,7 @@ fn main() {
                 coherence: CoherenceKind::DirectoryMesi,
                 warmup_units: 0,
             };
-            group.case(&format!("{benchmark}/{}", kind.label()), || {
+            bench.case(&format!("{benchmark}/{}", kind.label()), || {
                 run_benchmark(&p).expect("run")
             });
         }

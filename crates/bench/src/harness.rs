@@ -1,20 +1,53 @@
-//! Minimal timing harness backing the `[[bench]]` targets.
+//! The timing harness and document writer behind every `[[bench]]` target.
 //!
 //! The sandbox this repo builds in has no network access, so the bench
 //! targets cannot pull in an external framework. Each target is instead a
-//! plain `fn main()` (`harness = false`) that times closures with
-//! [`std::time::Instant`] and prints one line per case:
+//! plain `fn main()` (`harness = false`) that builds one [`Bench`], times
+//! closures with [`std::time::Instant`] through [`Bench::case`], and prints
+//! one human-readable line per case on **stderr**:
 //!
 //! ```text
-//! figure4/berkeleydb/lock        mean 12.481 ms   best 12.102 ms   (10 iters)
+//! figure4/berkeleydb/lock                      mean    12.481 ms   best    12.102 ms   (10 iters)
 //! ```
 //!
-//! Iteration counts default per target and can be overridden with the
-//! `LTSE_BENCH_ITERS` environment variable. `cargo bench <filter>` substring
-//! filters work the same way cargo's built-in harness treats them.
+//! `cargo bench <filter>` substring filters work the way cargo's built-in
+//! harness treats them: a case runs only when `group/name` contains one.
+//!
+//! The five timing-only targets (`figure4`, `table3`, `sig_sweep`,
+//! `ablations`, `microbench`) stop there. The seven JSON targets
+//! (`hotpath`, `pipeline`, `obs`, `stm`, `scale`, `oltp`, `policy`) end
+//! with [`Bench::finish`], which writes one document
+//! (see [`crate::json`] for the layout) to the file named by
+//! `LTSE_BENCH_JSON`, or to **stdout** when that is unset.
+//! `scripts/bench.sh` uses the variable to produce the `BENCH_*.json` files.
+//! Every document starts with the same header:
+//!
+//! * `bench` — the target's name;
+//! * `quick` — whether `LTSE_BENCH_QUICK=1` shrank the workloads;
+//! * `cpus` — [`detected_cpus`], since host timings only compare across
+//!   hosts of the same size;
+//!
+//! then the target's own sections, then `cases` (`group`, `name`, any
+//! per-case fields, `mean_ms`, `best_ms`, `iters`) and `speedups`, each
+//! only when non-empty.
+//!
+//! Environment:
+//!
+//! * `LTSE_BENCH_QUICK=1` — CI smoke mode: tiny workloads and few
+//!   iterations, the same document structure (no timing thresholds are
+//!   asserted here);
+//! * `LTSE_BENCH_ITERS=N` — override the per-case iteration count;
+//! * `LTSE_BENCH_JSON=path` — write the document there instead of stdout.
 
 use std::hint::black_box;
 use std::time::Instant;
+
+use crate::json::Json;
+
+/// Whether `LTSE_BENCH_QUICK=1` asks for the CI smoke scale.
+pub fn quick() -> bool {
+    std::env::var("LTSE_BENCH_QUICK").is_ok_and(|v| v == "1")
+}
 
 /// Resolve the per-case iteration count: `LTSE_BENCH_ITERS` if set and
 /// positive, otherwise the target's default.
@@ -26,38 +59,95 @@ pub fn iters(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Substring filters passed on the command line (`cargo bench fig` forwards
-/// `fig` to the target). Flags such as `--bench` that cargo injects are
-/// ignored.
-pub fn cli_filters() -> Vec<String> {
-    std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with('-'))
-        .collect()
+/// Detected CPU count for bench metadata (`"cpus"` in the JSON documents).
+///
+/// `std::thread::available_parallelism` respects affinity masks and cgroup
+/// quotas, which is right for sizing worker pools but under-reports the
+/// machine when a runner pins the bench process — `BENCH_pipeline.json` was
+/// recording `"cpus": 1` on multi-core hosts. For *metadata* we want the
+/// larger of that and the `/proc/cpuinfo` processor count.
+pub fn detected_cpus() -> usize {
+    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo")
+        .map(|s| {
+            s.lines()
+                .filter(|l| l.starts_with("processor"))
+                .count()
+        })
+        .unwrap_or(0);
+    avail.max(cpuinfo).max(1)
 }
 
-/// A named group of timed cases, mirroring the old `benchmark_group` layout.
-pub struct BenchGroup {
+/// One timed case, as recorded in the document's `cases`.
+struct Case {
     group: String,
-    filters: Vec<String>,
+    name: String,
+    fields: Vec<(&'static str, Json)>,
+    mean_ms: f64,
+    best_ms: f64,
     iters: usize,
 }
 
-impl BenchGroup {
-    /// Start a group. `default_iters` applies to every case unless
-    /// `LTSE_BENCH_ITERS` overrides it.
-    pub fn new(group: &str, default_iters: usize) -> Self {
-        BenchGroup {
-            group: group.to_string(),
-            filters: cli_filters(),
-            iters: iters(default_iters),
+/// One bench target's timing loop and document.
+pub struct Bench {
+    /// The header, then the fields added by [`Bench::field`].
+    doc: Vec<(String, Json)>,
+    filters: Vec<String>,
+    group: String,
+    iters: usize,
+    cases: Vec<Case>,
+    speedups: Vec<(String, Json)>,
+}
+
+impl Bench {
+    /// Start the document of the target `bench`, taking substring filters
+    /// from the command line (flags such as the `--bench` cargo injects are
+    /// ignored).
+    pub fn new(bench: &str) -> Bench {
+        let filters = std::env::args()
+            .skip(1)
+            .filter(|a| !a.starts_with('-'))
+            .collect();
+        Bench::with_filters(bench, filters)
+    }
+
+    fn with_filters(bench: &str, filters: Vec<String>) -> Bench {
+        Bench {
+            doc: vec![
+                ("bench".to_string(), bench.into()),
+                ("quick".to_string(), quick().into()),
+                ("cpus".to_string(), detected_cpus().into()),
+            ],
+            filters,
+            group: String::new(),
+            iters: 1,
+            cases: Vec::new(),
+            speedups: Vec::new(),
         }
     }
 
-    /// Time `f` (after one untimed warmup call) and print mean/best. Skipped
-    /// when CLI filters are present and none matches `group/name`.
-    pub fn case<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-        let full = format!("{}/{}", self.group, name);
+    /// Name the group the following cases belong to, and their iteration
+    /// count.
+    pub fn group(&mut self, name: &str, iters: usize) {
+        self.group = name.to_string();
+        self.iters = iters;
+    }
+
+    /// Time `f` (after one untimed warmup call) and record mean and best.
+    /// Skipped when CLI filters are present and none matches `group/name`.
+    pub fn case<T>(&mut self, name: &str, f: impl FnMut() -> T) {
+        self.case_with(name, Vec::new(), f);
+    }
+
+    /// [`Bench::case`] with extra per-case fields, recorded between the
+    /// case's `name` and its `mean_ms`.
+    pub fn case_with<T>(
+        &mut self,
+        name: &str,
+        fields: Vec<(&'static str, Json)>,
+        mut f: impl FnMut() -> T,
+    ) {
+        let full = format!("{}/{name}", self.group);
         if !self.filters.is_empty() && !self.filters.iter().any(|p| full.contains(p.as_str())) {
             return;
         }
@@ -71,44 +161,87 @@ impl BenchGroup {
             total += dt;
             best = best.min(dt);
         }
-        println!(
-            "{full:<44} mean {:>9} ms   best {:>9} ms   ({} iters)",
-            format_ms(total / self.iters as f64),
-            format_ms(best),
+        let (mean_ms, best_ms) = (total / self.iters as f64 * 1e3, best * 1e3);
+        eprintln!(
+            "{full:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({} iters)",
             self.iters
         );
+        self.cases.push(Case {
+            group: self.group.clone(),
+            name: name.to_string(),
+            fields,
+            mean_ms,
+            best_ms,
+            iters: self.iters,
+        });
     }
-}
 
-fn format_ms(secs: f64) -> String {
-    format!("{:.3}", secs * 1e3)
-}
-
-/// Detected CPU count for bench metadata (`"cpus"` in the JSON documents).
-///
-/// `std::thread::available_parallelism` respects affinity masks and cgroup
-/// quotas, which is right for sizing worker pools but under-reports the
-/// machine when a runner pins the bench process — `BENCH_pipeline.json` was
-/// recording `"cpus": 1` on multi-core hosts. For *metadata* we want the
-/// larger of that and the `/proc/cpuinfo` processor count, with an
-/// `LTSE_BENCH_CPUS` override for platforms without procfs.
-pub fn detected_cpus() -> usize {
-    if let Some(n) = std::env::var("LTSE_BENCH_CPUS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
+    /// Best time of a recorded case, in milliseconds; `None` if the case
+    /// was filtered out.
+    pub fn best_ms(&self, group: &str, name: &str) -> Option<f64> {
+        self.cases
+            .iter()
+            .find(|c| c.group == group && c.name == name)
+            .map(|c| c.best_ms)
     }
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo")
-        .map(|s| {
-            s.lines()
-                .filter(|l| l.starts_with("processor"))
-                .count()
-        })
-        .unwrap_or(0);
-    avail.max(cpuinfo).max(1)
+
+    /// Record the best-time ratio `base / opt` of two cases of `group` as
+    /// `speedups.<ratio>` (higher = `opt` is faster), and return it.
+    pub fn speedup(&mut self, ratio: &str, group: &str, base: &str, opt: &str) -> Option<f64> {
+        let b = self.best_ms(group, base);
+        let o = self.best_ms(group, opt).filter(|&o| o > 0.0);
+        let value = b.zip(o).map(|(b, o)| b / o);
+        self.ratio(ratio, value);
+        value
+    }
+
+    /// Record `speedups.<name>` (3 decimals; `null` when a case it needs
+    /// was not run).
+    pub fn ratio(&mut self, name: &str, value: Option<f64>) {
+        if let Some(v) = value {
+            eprintln!("speedup {name:<32} {v:.2}x");
+        }
+        let value = value.map(|v| Json::Num(v, 3));
+        self.speedups.push((name.to_string(), value.into()));
+    }
+
+    /// Add a bench-specific top-level section, written after the header.
+    pub fn field(&mut self, key: &str, value: impl Into<Json>) {
+        self.doc.push((key.to_string(), value.into()));
+    }
+
+    fn document(mut self) -> Json {
+        if !self.cases.is_empty() {
+            let cases = self.cases.into_iter().map(|c| {
+                let mut case = Json::obj().field("group", c.group).field("name", c.name);
+                for (key, value) in c.fields {
+                    case = case.field(key, value);
+                }
+                case.field("mean_ms", Json::Num(c.mean_ms, 6))
+                    .field("best_ms", Json::Num(c.best_ms, 6))
+                    .field("iters", c.iters)
+            });
+            let cases = Json::Arr(cases.collect());
+            self.doc.push(("cases".to_string(), cases));
+        }
+        if !self.speedups.is_empty() {
+            self.doc
+                .push(("speedups".to_string(), Json::Obj(self.speedups)));
+        }
+        Json::Obj(self.doc)
+    }
+
+    /// Write the document to `LTSE_BENCH_JSON`, or to stdout when unset.
+    pub fn finish(self) {
+        let doc = self.document().render();
+        match std::env::var("LTSE_BENCH_JSON") {
+            Ok(path) if !path.is_empty() => {
+                std::fs::write(&path, &doc).expect("write LTSE_BENCH_JSON file");
+                eprintln!("wrote {path}");
+            }
+            _ => print!("{doc}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -124,16 +257,63 @@ mod tests {
     }
 
     #[test]
-    fn format_is_milliseconds() {
-        assert_eq!(format_ms(0.012345), "12.345");
+    fn detected_cpus_is_at_least_available_parallelism() {
+        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(detected_cpus() >= avail);
+        assert!(detected_cpus() >= 1);
+    }
+
+    fn keys(doc: &Json) -> Vec<&str> {
+        match doc {
+            Json::Obj(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    fn get<'a>(doc: &'a Json, key: &str) -> &'a Json {
+        match doc {
+            Json::Obj(entries) => &entries.iter().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("not an object: {other:?}"),
+        }
     }
 
     #[test]
-    fn detected_cpus_is_at_least_available_parallelism() {
-        if std::env::var("LTSE_BENCH_CPUS").is_err() {
-            let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-            assert!(detected_cpus() >= avail);
-        }
-        assert!(detected_cpus() >= 1);
+    fn document_layout() {
+        // Built from an explicit filter list, not from the test runner's
+        // own command line; the filter skips `g/skipped`.
+        let mut bench = Bench::with_filters("demo", vec!["g/run".to_string()]);
+        bench.field("runs", vec![1u64, 2]);
+        bench.group("g", 2);
+        bench.case_with("run", vec![("threads", Json::Int(4))], || 1 + 1);
+        bench.case("skipped", || 0);
+        assert!(bench.best_ms("g", "run").is_some());
+        assert_eq!(bench.speedup("missing", "g", "skipped", "run"), None);
+        bench.ratio("given", Some(1.23456));
+
+        let doc = bench.document();
+        assert_eq!(
+            keys(&doc),
+            ["bench", "quick", "cpus", "runs", "cases", "speedups"]
+        );
+        assert_eq!(get(&doc, "bench"), &Json::Str("demo".into()));
+        let Json::Arr(cases) = get(&doc, "cases") else {
+            panic!("cases is an array")
+        };
+        assert_eq!(cases.len(), 1, "the filtered case is absent");
+        assert_eq!(
+            keys(&cases[0]),
+            ["group", "name", "threads", "mean_ms", "best_ms", "iters"]
+        );
+        assert_eq!(get(&cases[0], "iters"), &Json::Int(2));
+        let speedups = get(&doc, "speedups");
+        assert_eq!(get(speedups, "missing"), &Json::Null);
+        assert_eq!(get(speedups, "given").render(), "1.235\n");
+    }
+
+    #[test]
+    fn document_without_cases_has_only_header_and_fields() {
+        let mut bench = Bench::with_filters("rows_only", Vec::new());
+        bench.field("rows", Json::Arr(Vec::new()));
+        assert_eq!(keys(&bench.document()), ["bench", "quick", "cpus", "rows"]);
     }
 }

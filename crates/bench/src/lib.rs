@@ -12,6 +12,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod json;
 pub mod render;
 pub mod runner;
 pub mod stats_json;

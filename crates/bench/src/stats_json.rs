@@ -20,6 +20,7 @@ use ltse_stm::StmBuilder;
 use ltse_workloads::{run_oltp, BackendKind, Benchmark, OltpOutcome, SyncMode};
 
 use crate::experiments::{oltp_config, ExperimentScale, OLTP_POINTS};
+use crate::json::Json;
 
 /// Schema tag of the emitted document; bump on any breaking shape change.
 pub const STATS_SCHEMA: &str = "ltse.stats.v1";
@@ -141,143 +142,123 @@ fn run_case(case: &ObsCase, scale: &ExperimentScale, seed: u64) -> Result<RunRep
         .map_err(|e| format!("{}/{}: {e:?}", case.experiment, case.benchmark))
 }
 
-// ---------------------------------------------------------------------
-// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-// All keys and enum-derived strings are quote-free ASCII, so plain
-// formatting is safe.
-// ---------------------------------------------------------------------
-
-fn push_kv(out: &mut String, key: &str, value: u64, trailing: bool) {
-    out.push_str(&format!("\"{key}\":{value}"));
-    if trailing {
-        out.push(',');
-    }
-}
-
-fn obs_json(o: &ObsReport) -> String {
-    let mut s = String::new();
-    s.push('{');
-    s.push_str("\"stalls\":{");
-    push_kv(&mut s, "coherence_nack", o.stalls_coherence, true);
-    push_kv(&mut s, "sibling_nack", o.stalls_sibling, true);
-    push_kv(&mut s, "summary_conflict", o.stalls_summary, false);
-    s.push_str("},\"aborts\":{");
-    push_kv(&mut s, "conflict_resolution", o.aborts_conflict, true);
-    push_kv(&mut s, "summary_stall_limit", o.aborts_summary_limit, true);
-    push_kv(&mut s, "sticky_overflow", o.aborts_sticky_overflow, true);
-    push_kv(&mut s, "parked_by_summary_handler", o.aborts_parked, false);
-    s.push_str("},\"nacks\":{");
-    push_kv(&mut s, "in_cache", o.nacks_in_cache, true);
-    push_kv(&mut s, "sticky", o.nacks_sticky, true);
-    push_kv(&mut s, "judged_true", o.nacks_judged_true, true);
-    push_kv(&mut s, "judged_false", o.nacks_judged_false, true);
-    push_kv(&mut s, "unjudged", o.metrics.get("nacks_unjudged"), false);
-    s.push_str("},\"cycles\":{");
+fn obs_json(o: &ObsReport) -> Json {
     let c = o.cycles_total();
-    push_kv(&mut s, "useful", c.useful, true);
-    push_kv(&mut s, "stalled", c.stalled, true);
-    push_kv(&mut s, "aborted", c.aborted, true);
-    push_kv(&mut s, "log_walk", c.log_walk, false);
-    s.push_str("},\"spans\":{");
-    push_kv(&mut s, "committed", o.spans_committed, true);
-    push_kv(&mut s, "aborted", o.spans_aborted, true);
-    push_kv(&mut s, "dropped", o.spans_dropped, true);
-    push_kv(&mut s, "retained", o.spans.len() as u64, false);
-    s.push_str("},\"metrics\":{");
-    let mut first = true;
-    for (name, value) in o.metrics.iter() {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!("\"{name}\":{value}"));
-    }
-    s.push_str("},\"nack_pairs\":[");
-    for (i, &(nacker, requester, count)) in o.nack_pairs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("[{nacker},{requester},{count}]"));
-    }
-    s.push_str("]}");
-    s
+    let metrics = o
+        .metrics
+        .iter()
+        .map(|(name, v)| (name.to_string(), v.into()));
+    let nack_pairs = o.nack_pairs.iter().map(|&(nacker, requester, count)| {
+        Json::Arr(vec![nacker.into(), requester.into(), count.into()])
+    });
+    Json::obj()
+        .field(
+            "stalls",
+            Json::obj()
+                .field("coherence_nack", o.stalls_coherence)
+                .field("sibling_nack", o.stalls_sibling)
+                .field("summary_conflict", o.stalls_summary),
+        )
+        .field(
+            "aborts",
+            Json::obj()
+                .field("conflict_resolution", o.aborts_conflict)
+                .field("summary_stall_limit", o.aborts_summary_limit)
+                .field("sticky_overflow", o.aborts_sticky_overflow)
+                .field("parked_by_summary_handler", o.aborts_parked),
+        )
+        .field(
+            "nacks",
+            Json::obj()
+                .field("in_cache", o.nacks_in_cache)
+                .field("sticky", o.nacks_sticky)
+                .field("judged_true", o.nacks_judged_true)
+                .field("judged_false", o.nacks_judged_false)
+                .field("unjudged", o.metrics.get("nacks_unjudged")),
+        )
+        .field(
+            "cycles",
+            Json::obj()
+                .field("useful", c.useful)
+                .field("stalled", c.stalled)
+                .field("aborted", c.aborted)
+                .field("log_walk", c.log_walk),
+        )
+        .field(
+            "spans",
+            Json::obj()
+                .field("committed", o.spans_committed)
+                .field("aborted", o.spans_aborted)
+                .field("dropped", o.spans_dropped)
+                .field("retained", o.spans.len()),
+        )
+        .field("metrics", Json::Obj(metrics.collect()))
+        .field("nack_pairs", Json::Arr(nack_pairs.collect()))
 }
 
-fn row_json(case: &ObsCase, seed: u64, r: &RunReport) -> String {
+fn row_json(case: &ObsCase, seed: u64, r: &RunReport) -> Json {
     let o = r.obs.as_ref().expect("stats-json runs enable observe");
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"experiment\":\"{}\",\"benchmark\":\"{}\",\"signature\":\"{}\",\"seed\":{seed},",
-        case.experiment, case.benchmark, case.signature
-    ));
-    s.push_str(&format!(
-        "\"cycles\":{},\"measured_cycles\":{},",
-        r.cycles.as_u64(),
-        r.measured_cycles.as_u64()
-    ));
-    s.push_str("\"tm\":{");
-    push_kv(&mut s, "commits", r.tm.commits, true);
-    push_kv(&mut s, "aborts", r.tm.aborts, true);
-    push_kv(&mut s, "partial_aborts", r.tm.partial_aborts, true);
-    push_kv(&mut s, "stalls", r.tm.stalls, true);
-    push_kv(&mut s, "sibling_stalls", r.tm.sibling_stalls, true);
-    push_kv(&mut s, "wasted_cycles", r.tm.wasted_cycles, true);
-    push_kv(&mut s, "work_units", r.tm.work_units, false);
-    s.push_str("},\"obs\":");
-    s.push_str(&obs_json(o));
-    let recon = [
-        ("stalls", o.stall_total() == r.tm.stalls),
-        ("sibling_stalls", o.stalls_sibling == r.tm.sibling_stalls),
-        ("aborts", o.abort_total() == r.tm.aborts),
-        (
-            "partial_aborts",
-            o.metrics.get("partial_aborts") == r.tm.partial_aborts,
-        ),
-        ("spans", o.spans_committed == r.tm.commits),
-    ];
-    s.push_str(",\"reconciled\":{");
-    for (i, (name, ok)) in recon.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{name}\":{ok}"));
-    }
-    s.push_str("}}");
-    s
+    Json::obj()
+        .field("experiment", case.experiment)
+        .field("benchmark", case.benchmark.to_string())
+        .field("signature", case.signature.to_string())
+        .field("seed", seed)
+        .field("cycles", r.cycles.as_u64())
+        .field("measured_cycles", r.measured_cycles.as_u64())
+        .field(
+            "tm",
+            Json::obj()
+                .field("commits", r.tm.commits)
+                .field("aborts", r.tm.aborts)
+                .field("partial_aborts", r.tm.partial_aborts)
+                .field("stalls", r.tm.stalls)
+                .field("sibling_stalls", r.tm.sibling_stalls)
+                .field("wasted_cycles", r.tm.wasted_cycles)
+                .field("work_units", r.tm.work_units),
+        )
+        .field("obs", obs_json(o))
+        .field(
+            "reconciled",
+            Json::obj()
+                .field("stalls", o.stall_total() == r.tm.stalls)
+                .field("sibling_stalls", o.stalls_sibling == r.tm.sibling_stalls)
+                .field("aborts", o.abort_total() == r.tm.aborts)
+                .field(
+                    "partial_aborts",
+                    o.metrics.get("partial_aborts") == r.tm.partial_aborts,
+                )
+                .field("spans", o.spans_committed == r.tm.commits),
+        )
 }
 
 /// One `oltp_slo` row: commit-latency percentiles and goodput for a
 /// skew/mix point on the simulator. Every value is cycle-denominated or an
 /// integer count, so the section is byte-deterministic like the rest of
 /// the document.
-fn oltp_slo_row_json(
-    point: &str,
-    theta_permille: u32,
-    read_pct: u8,
-    out: &OltpOutcome,
-) -> String {
+fn oltp_slo_row_json(point: &str, theta_permille: u32, read_pct: u8, out: &OltpOutcome) -> Json {
     let cycles = out.report.sim_cycles.unwrap_or(0);
     let goodput = if cycles > 0 {
         out.committed_txs as f64 * 1e6 / cycles as f64
     } else {
         0.0
     };
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"point\":\"{point}\",\"backend\":\"sim\",\"theta_permille\":{theta_permille},\"read_pct\":{read_pct},"
-    ));
-    push_kv(&mut s, "committed", out.committed_txs, true);
-    push_kv(&mut s, "aborts", out.report.aborts, true);
-    push_kv(&mut s, "cycles", cycles, true);
-    s.push_str("\"latency_cycles\":{");
-    push_kv(&mut s, "p50", out.latency_permille(500).unwrap_or(0), true);
-    push_kv(&mut s, "p99", out.latency_permille(990).unwrap_or(0), true);
-    push_kv(&mut s, "p999", out.latency_permille(999).unwrap_or(0), false);
-    s.push_str(&format!(
-        "}},\"goodput_tx_per_mcycle\":{goodput:.3},\"kv_fingerprint\":\"{:016x}\"}}",
-        out.kv_fingerprint
-    ));
-    s
+    Json::obj()
+        .field("point", point)
+        .field("backend", "sim")
+        .field("theta_permille", theta_permille)
+        .field("read_pct", read_pct)
+        .field("committed", out.committed_txs)
+        .field("aborts", out.report.aborts)
+        .field("cycles", cycles)
+        .field(
+            "latency_cycles",
+            Json::obj()
+                .field("p50", out.latency_permille(500).unwrap_or(0))
+                .field("p99", out.latency_permille(990).unwrap_or(0))
+                .field("p999", out.latency_permille(999).unwrap_or(0)),
+        )
+        .field("goodput_tx_per_mcycle", Json::Num(goodput, 3))
+        .field("kv_fingerprint", format!("{:016x}", out.kv_fingerprint))
 }
 
 /// Runs one observability-enabled simulation per experiment and renders the
@@ -285,32 +266,26 @@ fn oltp_slo_row_json(
 /// name the failing case.
 pub fn stats_json(scale: &ExperimentScale) -> Result<String, String> {
     let seed = seed_sequence(scale.base_seed, 1)[0];
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n\"schema\":\"{STATS_SCHEMA}\",\n\"threads\":{},\n\"units_per_thread\":{},\n\"warmup_units\":{},\n\"experiments\":[\n",
-        scale.threads, scale.units_per_thread, scale.warmup_units
-    ));
-    let cases = cases();
-    for (i, case) in cases.iter().enumerate() {
-        let report = run_case(case, scale, seed)?;
-        out.push_str(&row_json(case, seed, &report));
-        if i + 1 < cases.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    let mut experiments = Vec::new();
+    for case in cases() {
+        let report = run_case(&case, scale, seed)?;
+        experiments.push(row_json(&case, seed, &report));
     }
-    out.push_str("],\n\"oltp_slo\":[\n");
-    for (i, (point, theta_permille, read_pct)) in OLTP_POINTS.into_iter().enumerate() {
+    let mut oltp_slo = Vec::new();
+    for (point, theta_permille, read_pct) in OLTP_POINTS {
         let cfg = oltp_config(scale, theta_permille, read_pct);
-        let o = run_oltp(BackendKind::Sim, &cfg, false).map_err(|e| format!("oltp/{point}: {e}"))?;
-        out.push_str(&oltp_slo_row_json(point, theta_permille, read_pct, &o));
-        if i + 1 < OLTP_POINTS.len() {
-            out.push(',');
-        }
-        out.push('\n');
+        let o =
+            run_oltp(BackendKind::Sim, &cfg, false).map_err(|e| format!("oltp/{point}: {e}"))?;
+        oltp_slo.push(oltp_slo_row_json(point, theta_permille, read_pct, &o));
     }
-    out.push_str("]\n}\n");
-    Ok(out)
+    let doc = Json::obj()
+        .field("schema", STATS_SCHEMA)
+        .field("threads", scale.threads)
+        .field("units_per_thread", scale.units_per_thread)
+        .field("warmup_units", scale.warmup_units)
+        .field("experiments", experiments)
+        .field("oltp_slo", oltp_slo);
+    Ok(doc.render())
 }
 
 /// The `--backend stm --stats-json` document: per-cause STM abort counters
@@ -320,13 +295,8 @@ pub fn stats_json(scale: &ExperimentScale) -> Result<String, String> {
 /// hold on every run.
 pub fn stats_json_stm(scale: &ExperimentScale) -> Result<String, String> {
     let seed = seed_sequence(scale.base_seed, 1)[0];
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n\"schema\":\"{STATS_SCHEMA}\",\n\"backend\":\"stm\",\n\"threads\":{},\n\"units_per_thread\":{},\n\"experiments\":[\n",
-        scale.threads, scale.units_per_thread
-    ));
-    let benchmarks = [Benchmark::BerkeleyDb, Benchmark::Raytrace, Benchmark::Mp3d];
-    for (i, benchmark) in benchmarks.into_iter().enumerate() {
+    let mut experiments = Vec::new();
+    for benchmark in [Benchmark::BerkeleyDb, Benchmark::Raytrace, Benchmark::Mp3d] {
         let mut system = StmBuilder::new().seed(seed).build();
         for program in benchmark.programs(SyncMode::Tm, scale.threads, scale.units_per_thread) {
             system.add_thread(program);
@@ -334,46 +304,41 @@ pub fn stats_json_stm(scale: &ExperimentScale) -> Result<String, String> {
         TmBackend::run_backend(&mut system).map_err(|e| format!("stm/{benchmark}: {e}"))?;
         let r = *system.report().expect("finished run has a report");
         let obs = system.obs_report().expect("finished run has an obs view");
-        let mut s = String::new();
-        s.push_str(&format!("{{\"benchmark\":\"{benchmark}\",\"stm\":{{"));
-        push_kv(&mut s, "commits", r.commits, true);
-        push_kv(&mut s, "aborts", r.aborts, true);
-        push_kv(&mut s, "aborts_locked", r.aborts_locked, true);
-        push_kv(&mut s, "aborts_stale", r.aborts_stale, true);
-        push_kv(&mut s, "serial_commits", r.serial_commits, true);
-        push_kv(&mut s, "serial_fallbacks", r.serial_fallbacks, true);
-        push_kv(&mut s, "mini_commits", r.mini_commits, true);
-        push_kv(&mut s, "mini_aborts", r.mini_aborts, true);
-        push_kv(&mut s, "work_units", r.work_units, false);
-        s.push_str("},\"obs\":");
-        s.push_str(&obs_json(&obs));
-        let recon = [
-            ("aborts", obs.abort_total() == r.aborts),
-            ("abort_causes", r.aborts_locked + r.aborts_stale == r.aborts),
-            ("spans", obs.spans_committed == r.commits),
-            (
+        let stm = Json::obj()
+            .field("commits", r.commits)
+            .field("aborts", r.aborts)
+            .field("aborts_locked", r.aborts_locked)
+            .field("aborts_stale", r.aborts_stale)
+            .field("serial_commits", r.serial_commits)
+            .field("serial_fallbacks", r.serial_fallbacks)
+            .field("mini_commits", r.mini_commits)
+            .field("mini_aborts", r.mini_aborts)
+            .field("work_units", r.work_units);
+        let reconciled = Json::obj()
+            .field("aborts", obs.abort_total() == r.aborts)
+            .field("abort_causes", r.aborts_locked + r.aborts_stale == r.aborts)
+            .field("spans", obs.spans_committed == r.commits)
+            .field(
                 "cause_metrics",
                 obs.metrics.get("stm_aborts_locked") == r.aborts_locked
                     && obs.metrics.get("stm_aborts_stale") == r.aborts_stale
                     && obs.metrics.get("stm_serial_fallbacks") == r.serial_fallbacks,
-            ),
-        ];
-        s.push_str(",\"reconciled\":{");
-        for (j, (name, ok)) in recon.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{name}\":{ok}"));
-        }
-        s.push_str("}}");
-        out.push_str(&s);
-        if i + 1 < benchmarks.len() {
-            out.push(',');
-        }
-        out.push('\n');
+            );
+        experiments.push(
+            Json::obj()
+                .field("benchmark", benchmark.to_string())
+                .field("stm", stm)
+                .field("obs", obs_json(&obs))
+                .field("reconciled", reconciled),
+        );
     }
-    out.push_str("]\n}\n");
-    Ok(out)
+    let doc = Json::obj()
+        .field("schema", STATS_SCHEMA)
+        .field("backend", "stm")
+        .field("threads", scale.threads)
+        .field("units_per_thread", scale.units_per_thread)
+        .field("experiments", experiments);
+    Ok(doc.render())
 }
 
 #[cfg(test)]

@@ -227,7 +227,9 @@ impl OsModel {
 
     /// Finds a *parked* thread whose exact saved read/write-sets conflict
     /// with an access of kind `op` to `block` — the thread a summary-
-    /// signature trap handler would have to deal with.
+    /// signature trap handler would have to deal with. When several do, the
+    /// lowest thread id wins, so the choice does not depend on `HashMap`
+    /// iteration order.
     pub fn parked_tx_conflictor(
         &self,
         asid: Asid,
@@ -238,13 +240,14 @@ impl OsModel {
         proc.contributions
             .iter()
             .filter(|(id, _)| proc.parked.contains_key(id))
-            .find(|(_, c)| match op {
+            .filter(|(_, c)| match op {
                 ltse_sig::SigOp::Read => c.exact_write.contains(&block),
                 ltse_sig::SigOp::Write => {
                     c.exact_read.contains(&block) || c.exact_write.contains(&block)
                 }
             })
             .map(|(id, _)| *id)
+            .min()
     }
 
     /// Aborts a *descheduled* transaction in software — the escape valve of
@@ -635,6 +638,21 @@ mod tests {
         assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Write, 42 + 64), None);
         // Other processes never match.
         assert_eq!(os.parked_tx_conflictor(Asid(9), SigOp::Write, 42), None);
+    }
+
+    #[test]
+    fn two_parked_conflictors_pick_the_lowest_thread_id() {
+        // Every fresh `OsModel` draws new `HashMap` keys, so 64 rounds cover
+        // both iteration orders of the two contributions.
+        for _ in 0..64 {
+            let (mut tm, mut os) = setup(SignatureKind::paper_bs_2kb());
+            for ctx in [5, 2] {
+                tm.begin_tx(ctx, NestKind::Closed, Cycle(0));
+                tm.record_access(ctx, AccessKind::Load, BlockAddr(42));
+                os.deschedule(&mut tm, ctx);
+            }
+            assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Write, 42), Some(2));
+        }
     }
 
     #[test]

@@ -61,54 +61,63 @@ t_stm1=$(date +%s%N)
 echo "ok: stm differential smoke in $(( (t_stm1 - t_stm0) / 1000000 )) ms"
 
 echo "== bench smoke: hotpath + pipeline + obs + stm + scale + oltp + policy suites in quick mode =="
-# Asserts both suites run and emit valid JSON with the expected shape; no
+# Asserts all seven suites run and emit valid JSON with the expected shape,
+# and that the committed BENCH_*.json files share the same header; no
 # timing thresholds — CI machines are too noisy for that.
 bench_dir=$(mktemp -d)
 trap 'rm -rf "$bench_dir"' EXIT
 LTSE_BENCH_QUICK=1 LTSE_BENCH_DIR="$bench_dir" scripts/bench.sh 2>&1 | tail -5
-python3 - "$bench_dir" <<'EOF'
+python3 - "$bench_dir" "$PWD" <<'EOF'
 import json, os, sys
-d = sys.argv[1]
+d, root = sys.argv[1], sys.argv[2]
 expected_speedups = {
     "hotpath": {"event_queue_churn"},
     "pipeline": {"explore_parallel"},
     "obs": {"obs_off_vs_on"},
     "stm": {"stm_vs_sim_berkeleydb", "stm_vs_sim_raytrace", "stm_vs_sim_mp3d"},
     "scale": {"per_event_64_vs_128", "per_event_64_vs_256"},
+    "oltp": set(),
+    "policy": set(),
 }
-min_cases = {"hotpath": 5, "pipeline": 2, "obs": 4, "stm": 6, "scale": 4}
-for bench, speedups in expected_speedups.items():
-    with open(os.path.join(d, f"BENCH_{bench}.json")) as f:
+min_cases = {"hotpath": 5, "pipeline": 2, "obs": 4, "stm": 6, "scale": 4, "oltp": 0, "policy": 0}
+
+# Every bench document starts with the same header (bench, quick, cpus);
+# host timings only compare across runs on hosts of the same size. Timed
+# cases share one record, and each suite has a fixed set of speedups.
+def check_header(directory, bench, quick):
+    path = os.path.join(directory, f"BENCH_{bench}.json")
+    with open(path) as f:
         doc = json.load(f)
-    assert doc["bench"] == bench, doc
-    assert doc["quick"] is True, "smoke must run in quick mode"
-    n = len(doc["cases"])
-    assert n >= min_cases[bench], f"{bench}: expected >={min_cases[bench]} cases, got {n}"
-    for c in doc["cases"]:
+    assert doc["bench"] == bench, (path, doc["bench"])
+    assert doc["quick"] is quick, f"{path}: quick must be {quick}"
+    assert doc["cpus"] >= 1, f"{path} must record cpus"
+    cases = doc.get("cases", [])
+    n = len(cases)
+    assert n >= min_cases[bench], f"{path}: expected >={min_cases[bench]} cases, got {n}"
+    for c in cases:
         assert c["best_ms"] > 0 and c["mean_ms"] >= c["best_ms"], c
-    assert set(doc["speedups"]) == speedups, doc["speedups"]
-    print(f"ok: BENCH_{bench} json well-formed, {n} cases")
+    assert set(doc.get("speedups", {})) == expected_speedups[bench], doc.get("speedups")
+    return doc
 
-# Host timings only compare across runs on hosts of the same size.
-with open(os.path.join(d, "BENCH_hotpath.json")) as f:
-    assert json.load(f)["cpus"] >= 1, "BENCH_hotpath.json must record cpus"
+for bench in expected_speedups:
+    check_header(root, bench, False)
+print("ok: the seven committed BENCH_*.json share the header")
+docs = {}
+for bench in expected_speedups:
+    docs[bench] = check_header(d, bench, True)
+    print(f"ok: BENCH_{bench} json well-formed, {len(docs[bench].get('cases', []))} cases")
 
-# The STM runs real threads, so BENCH_stm.json and BENCH_oltp.json must
-# say how many CPUs the host had and which STM rows ran more threads than
-# that (the simulator runs every thread on one).
-with open(os.path.join(d, "BENCH_stm.json")) as f:
-    doc = json.load(f)
-assert doc["cpus"] >= 1, doc
+# The STM runs real threads, so the stm, oltp and policy documents must say
+# which STM rows ran more threads than the host has CPUs (the simulator
+# runs every thread on one).
+doc = docs["stm"]
 for c in doc["cases"]:
     assert c["oversubscribed"] == (c["name"] == "stm" and c["threads"] > doc["cpus"]), c
 
 # BENCH_scale.json additionally records the simulated-run facts: the sweep
 # must cover 64/128/256 cores and include the serializability-checked
 # 256-context run.
-with open(os.path.join(d, "BENCH_scale.json")) as f:
-    doc = json.load(f)
-assert doc["cpus"] >= 1, doc
-runs = doc["runs"]
+runs = docs["scale"]["runs"]
 sweep_cores = {r["n_cores"] for r in runs if not r["checked"]}
 assert sweep_cores == {64, 128, 256}, sweep_cores
 checked = [r for r in runs if r["checked"]]
@@ -117,13 +126,10 @@ for r in runs:
     assert r["commits"] > 0 and r["events"] > 0 and r["cycles"] > 0, r
 print(f"ok: BENCH_scale runs cover {sorted(sweep_cores)} cores + checked 256-ctx run")
 
-# BENCH_oltp.json has its own shape: skew/mix point rows on both backends
-# with the latency SLOs, plus the streaming million-transaction section
-# (reduced to 20k transactions in quick mode, same structure).
-with open(os.path.join(d, "BENCH_oltp.json")) as f:
-    doc = json.load(f)
-assert doc["bench"] == "oltp" and doc["quick"] is True, doc
-assert doc["cpus"] >= 1, doc
+# BENCH_oltp.json has its own sections: skew/mix point rows on both
+# backends with the latency SLOs, plus the streaming million-transaction
+# section (reduced to 20k transactions in quick mode, same structure).
+doc = docs["oltp"]
 points = doc["points"]
 assert len(points) >= 6, f"expected >=3 points x 2 backends, got {len(points)}"
 backends = {p["backend"] for p in points}
@@ -150,9 +156,7 @@ print(f"ok: BENCH_oltp {len(points)} point rows + mtx section "
 # BENCH_policy.json: every contention policy on every contended point on
 # both backends, with the per-point winner analysis. Structure only here —
 # the ratio gates are full-scale and live in scripts/bench.sh.
-with open(os.path.join(d, "BENCH_policy.json")) as f:
-    doc = json.load(f)
-assert doc["bench"] == "policy" and doc["quick"] is True, doc
+doc = docs["policy"]
 rows = doc["rows"]
 all_policies = {"requester_stalls", "requester_aborts", "size_matters", "karma", "adaptive"}
 # 5 policies x (1 mp3d sim point + 2 oltp points x 2 backends).
@@ -161,6 +165,7 @@ assert {r["policy"] for r in rows} == all_policies
 assert {r["backend"] for r in rows} == {"sim", "stm"}
 for r in rows:
     assert r["score"] >= 0 and r["committed"] > 0 and r["completed"] is True, r
+    assert r["oversubscribed"] == (r["backend"] == "stm" and doc["threads"] > doc["cpus"]), r
 pts = doc["points"]
 assert len(pts) == 5, f"expected 5 (point, backend) summaries, got {len(pts)}"
 for p in pts:
