@@ -4,19 +4,13 @@
 //! targets cannot pull in an external framework. Each target is instead a
 //! plain `fn main()` (`harness = false`) that builds one [`Bench`], times
 //! closures with [`std::time::Instant`] through [`Bench::case`], and prints
-//! one human-readable line per case on **stderr**:
-//!
-//! ```text
-//! figure4/berkeleydb/lock                      mean    12.481 ms   best    12.102 ms   (10 iters)
-//! ```
+//! one human-readable line per case on **stderr**.
 //!
 //! `cargo bench <filter>` substring filters work the way cargo's built-in
 //! harness treats them: a case runs only when `group/name` contains one.
 //!
-//! The five timing-only targets (`figure4`, `table3`, `sig_sweep`,
-//! `ablations`, `microbench`) stop there. The seven JSON targets
-//! (`hotpath`, `pipeline`, `obs`, `stm`, `scale`, `oltp`, `policy`) end
-//! with [`Bench::finish`], which writes one document
+//! The seven targets (`hotpath`, `pipeline`, `obs`, `stm`, `scale`,
+//! `oltp`, `policy`) end with [`Bench::finish`], which writes one document
 //! (see [`crate::json`] for the layout) to the file named by
 //! `LTSE_BENCH_JSON`, or to **stdout** when that is unset.
 //! `scripts/bench.sh` uses the variable to produce the `BENCH_*.json` files.

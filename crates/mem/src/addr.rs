@@ -1,6 +1,10 @@
-//! Address types: words, 64-byte blocks, 4 KB pages, address-space ids.
+//! Address types: words, 64-byte blocks, 4 KB pages, address-space ids,
+//! and the hasher the memory system's address-keyed maps use.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use ltse_sim::rng::mix64;
 
 /// Bytes per cache block (the paper's Table 1: 64-byte blocks everywhere).
 pub const BLOCK_BYTES: u64 = 64;
@@ -137,6 +141,37 @@ impl fmt::Display for Asid {
         write!(f, "asid:{}", self.0)
     }
 }
+
+/// Hasher for maps and sets keyed by simulated addresses: it keeps the
+/// last `u64` written and [`mix64`]es it on `finish`, one multiply-xor
+/// chain in place of SipHash on every simulated word access.
+///
+/// Only for keys the simulator generates itself. No flag or config supplies
+/// an address, so nobody outside the process can pick colliding keys; a
+/// collision could only slow the caller's own simulation. The maps using it
+/// are only probed, never iterated for output, so its order reaches no
+/// report.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// `BuildHasher` for [`AddrHasher`]-keyed collections.
+pub(crate) type AddrBuildHasher = BuildHasherDefault<AddrHasher>;
 
 #[cfg(test)]
 mod tests {

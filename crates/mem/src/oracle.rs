@@ -61,7 +61,9 @@ pub trait ConflictOracle {
     /// Does any active transaction on `core` *exactly* (shadow sets, no
     /// false positives) hold `block` in its read- or write-set? Used only
     /// for the paper's Result 4 victimization statistics, never for
-    /// protocol decisions.
+    /// protocol decisions. Must imply [`Self::block_is_transactional_hw`]
+    /// (signatures have no false negatives): the memory system asks only
+    /// where the hardware view already hits.
     fn block_is_transactional_exact(&self, core: crate::dir::CoreId, block: BlockAddr) -> bool;
 }
 
@@ -127,15 +129,23 @@ const MAX_ERRORS: usize = 32;
 /// serialized at execution time: eager conflict detection NACKs them until
 /// no live transaction holds the block, so execution order *is* their
 /// serialization order.
+///
+/// Frame stacks are indexed by thread id (the simulator's ids are dense,
+/// `0..threads`). A frame's op buffer is cleared and kept when the frame
+/// commits, merges or aborts, and the next `begin` on any thread takes it,
+/// so a checked run stops allocating for frames once the buffers have
+/// reached their working size.
 #[derive(Debug, Default)]
 pub struct SerializabilityOracle {
     /// The sequential reference memory (missing key = 0).
     reference: BTreeMap<u64, u64>,
     /// Every key any access or init ever touched (for the final sweep).
     touched: BTreeSet<u64>,
-    /// Per-thread stack of open transaction frames; `.1` is `true` for an
-    /// open-nested frame.
-    frames: BTreeMap<u32, Vec<(bool, Vec<DataOp>)>>,
+    /// Per-thread stack of open transaction frames, indexed by thread id;
+    /// `.0` is `true` for an open-nested frame.
+    frames: Vec<Vec<(bool, Vec<DataOp>)>>,
+    /// Emptied op buffers of finished frames, for `begin` to reuse.
+    spare: Vec<Vec<DataOp>>,
     errors: Vec<String>,
     committed_txs: u64,
     checked_reads: u64,
@@ -187,20 +197,39 @@ impl SerializabilityOracle {
     }
 
     fn record(&mut self, thread: u32, op: DataOp) {
-        match self.frames.get_mut(&thread).and_then(|s| s.last_mut()) {
-            Some((_, frame)) => frame.push(op),
+        match self.innermost(thread) {
+            Some(frame) => frame.push(op),
             // Outside any transaction: a single-op transaction serialized
             // right now (see type-level docs).
             None => self.apply(thread, &[op]),
         }
     }
 
+    /// The op buffer of `thread`'s innermost live frame.
+    fn innermost(&mut self, thread: u32) -> Option<&mut Vec<DataOp>> {
+        let stack = self.frames.get_mut(thread as usize)?;
+        stack.last_mut().map(|(_, ops)| ops)
+    }
+
+    /// `thread`'s frame stack, created empty on first use.
+    fn stack(&mut self, thread: u32) -> &mut Vec<(bool, Vec<DataOp>)> {
+        let t = thread as usize;
+        if t >= self.frames.len() {
+            self.frames.resize_with(t + 1, Vec::new);
+        }
+        &mut self.frames[t]
+    }
+
+    /// Returns a finished frame's op buffer to the spare list.
+    fn recycle(&mut self, mut ops: Vec<DataOp>) {
+        ops.clear();
+        self.spare.push(ops);
+    }
+
     /// A transaction (or nested child) began. `open` marks open nesting.
     pub fn begin(&mut self, thread: u32, open: bool) {
-        self.frames
-            .entry(thread)
-            .or_default()
-            .push((open, Vec::new()));
+        let ops = self.spare.pop().unwrap_or_default();
+        self.stack(thread).push((open, ops));
     }
 
     /// The thread's innermost transaction committed.
@@ -210,36 +239,44 @@ impl SerializabilityOracle {
     /// replay against the reference immediately — this call site *is* their
     /// commit-order position.
     pub fn commit(&mut self, thread: u32) {
-        let stack = self.frames.entry(thread).or_default();
+        let stack = self.stack(thread);
         let Some((open, ops)) = stack.pop() else {
             self.push_error(format!("thread {thread}: commit without a live frame"));
             return;
         };
-        if open || stack.is_empty() {
-            self.committed_txs += 1;
-            self.apply(thread, &ops);
-        } else {
-            let (_, parent) = stack.last_mut().expect("non-empty checked above");
-            parent.extend(ops);
+        match stack.last_mut() {
+            Some((_, parent)) if !open => parent.extend_from_slice(&ops),
+            _ => {
+                self.committed_txs += 1;
+                self.apply(thread, &ops);
+            }
         }
+        self.recycle(ops);
     }
 
     /// The thread's innermost frame aborted (partial abort): its recorded
     /// operations are discarded.
     pub fn abort_innermost(&mut self, thread: u32) {
-        if self.frames.entry(thread).or_default().pop().is_none() {
-            self.push_error(format!("thread {thread}: partial abort without a live frame"));
+        match self.stack(thread).pop() {
+            Some((_, ops)) => self.recycle(ops),
+            None => self.push_error(format!(
+                "thread {thread}: partial abort without a live frame"
+            )),
         }
     }
 
     /// The thread's whole nest aborted: everything is discarded.
     pub fn abort_all(&mut self, thread: u32) {
-        self.frames.entry(thread).or_default().clear();
+        while let Some((_, ops)) = self.stack(thread).pop() {
+            self.recycle(ops);
+        }
     }
 
     /// Whether `thread` has a live (uncommitted) frame.
     pub fn in_tx(&self, thread: u32) -> bool {
-        self.frames.get(&thread).is_some_and(|s| !s.is_empty())
+        self.frames
+            .get(thread as usize)
+            .is_some_and(|s| !s.is_empty())
     }
 
     /// A committed load of `key` observed `seen`.
@@ -263,8 +300,8 @@ impl SerializabilityOracle {
             ops[1] = DataOp::Write { key, value };
             n = 2;
         }
-        match self.frames.get_mut(&thread).and_then(|s| s.last_mut()) {
-            Some((_, frame)) => frame.extend_from_slice(&ops[..n]),
+        match self.innermost(thread) {
+            Some(frame) => frame.extend_from_slice(&ops[..n]),
             None => self.apply(thread, &ops[..n]),
         }
     }
@@ -292,11 +329,8 @@ impl SerializabilityOracle {
     /// Threads still holding live frames at this point are reported too —
     /// a finished run must have no transaction in flight.
     pub fn check_final(&mut self, mut actual: impl FnMut(u64) -> u64) {
-        let live: Vec<u32> = self
-            .frames
-            .iter()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(t, _)| *t)
+        let live: Vec<usize> = (0..self.frames.len())
+            .filter(|&t| !self.frames[t].is_empty())
             .collect();
         for thread in live {
             self.push_error(format!(
@@ -514,6 +548,48 @@ mod tests {
         let mut o = SerializabilityOracle::new();
         o.commit(3);
         assert!(o.errors()[0].contains("commit without"), "{:?}", o.errors());
+    }
+
+    #[test]
+    fn recycled_frames_start_empty() {
+        let mut o = SerializabilityOracle::new();
+        // An aborted frame's buffer goes to the next begin, which must not
+        // replay the aborted write (it would fail the read and the final
+        // sweep).
+        o.begin(0, false);
+        o.write(0, 0x90, 5);
+        o.abort_all(0);
+        o.begin(0, false);
+        o.read(0, 0x90, 0);
+        o.commit(0);
+        // A merged closed child's buffer goes to thread 2's begin.
+        o.begin(1, false);
+        o.begin(1, false);
+        o.write(1, 0x91, 6);
+        o.commit(1);
+        o.begin(2, false);
+        o.read(2, 0x91, 0);
+        o.commit(2);
+        o.commit(1);
+        assert_eq!(o.committed_txs(), 3);
+        assert_eq!(o.checked_reads(), 2);
+        o.check_final(|k| if k == 0x91 { 6 } else { 0 });
+        assert!(o.errors().is_empty(), "{:?}", o.errors());
+    }
+
+    #[test]
+    fn live_threads_are_reported_in_ascending_id_order() {
+        let mut o = SerializabilityOracle::new();
+        o.begin(5, false);
+        o.begin(2, false);
+        o.check_final(|_| 0);
+        assert_eq!(
+            o.errors(),
+            [
+                "thread 2: transaction still live at end of run",
+                "thread 5: transaction still live at end of run",
+            ]
+        );
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! place* (straight into this store) and old values are saved in the
 //! transaction's log (by the TM crate) before the first transactional
 //! overwrite.
+//!
+//! The words sit in a `HashMap` hashed with the crate's `AddrHasher`
+//! (a `mix64` finish, not SipHash): every simulated load and store probes
+//! it, and every key is an address the simulator generated itself. Hash
+//! order is never observable — the only iteration, [`MemStore::iter_sorted`],
+//! sorts by address first.
 
 use std::collections::HashMap;
 
-use crate::addr::WordAddr;
+use crate::addr::{AddrBuildHasher, WordAddr};
 
 /// Word-addressable simulated memory. Unwritten words read as zero.
 ///
@@ -24,13 +30,13 @@ use crate::addr::WordAddr;
 /// ```
 #[derive(Clone, Default)]
 pub struct MemStore {
-    words: HashMap<u64, u64>,
+    words: HashMap<u64, u64, AddrBuildHasher>,
 }
 
-/// Renders the nonzero words in **address order**. The backing map is a
-/// `HashMap` whose iteration order is seeded per process, so a derived
-/// `Debug` would differ run to run and anything quoting it in a report or
-/// failure message would break byte-identical repro output.
+/// Renders the nonzero words in **address order**. The backing map's
+/// iteration order follows its hash layout, not the addresses, so a derived
+/// `Debug` would depend on insertion history and anything quoting it in a
+/// report or failure message could break byte-identical repro output.
 impl std::fmt::Debug for MemStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map().entries(self.iter_sorted()).finish()
@@ -74,8 +80,8 @@ impl MemStore {
 
     /// The nonzero words in **ascending address order** — the only iteration
     /// this type exposes. Dumps, fingerprints, and divergence reports must
-    /// come through here: the backing `HashMap`'s own order is seeded per
-    /// process and would leak nondeterminism into any output built from it.
+    /// come through here: the backing `HashMap`'s own order follows its hash
+    /// layout and would leak insertion history into any output built from it.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (WordAddr, u64)> + '_ {
         let mut entries: Vec<(u64, u64)> = self.words.iter().map(|(&a, &v)| (a, v)).collect();
         entries.sort_unstable_by_key(|&(a, _)| a);

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use ltse_sim::Cycle;
 
-use crate::addr::{BlockAddr, WordAddr};
+use crate::addr::{AddrBuildHasher, BlockAddr, WordAddr};
 use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dir::DirEntry;
 use crate::latency::LatencyConfig;
@@ -314,9 +314,9 @@ pub struct MemorySystem {
     l2_banks: Vec<SetAssocCache<L2Line>>,
     /// Blocks whose directory state was lost to an L2 eviction while
     /// transactional; accesses must broadcast until one succeeds.
-    lost: HashSet<BlockAddr>,
+    lost: HashSet<BlockAddr, AddrBuildHasher>,
     /// Blocks that have ever been fetched (cold-miss classification).
-    touched: HashSet<BlockAddr>,
+    touched: HashSet<BlockAddr, AddrBuildHasher>,
     store: MemStore,
     stats: MemStats,
     overflow_events: Vec<OverflowEvent>,
@@ -341,8 +341,8 @@ impl MemorySystem {
             l2_banks: (0..config.n_banks)
                 .map(|_| SetAssocCache::new(config.l2_bank))
                 .collect(),
-            lost: HashSet::new(),
-            touched: HashSet::new(),
+            lost: HashSet::default(),
+            touched: HashSet::default(),
             store: MemStore::new(),
             stats: MemStats::new(),
             overflow_events: Vec::new(),
@@ -1105,7 +1105,9 @@ impl MemorySystem {
     ) {
         self.stats.l1_evictions.inc();
         let tx_hw = oracle.block_is_transactional_hw(core, victim);
-        let tx_exact = oracle.block_is_transactional_exact(core, victim);
+        // Exact coverage implies hardware coverage (signatures have no false
+        // negatives), so the exact probe only runs where the hardware hits.
+        let tx_exact = tx_hw && oracle.block_is_transactional_exact(core, victim);
         if tx_exact {
             self.stats.l1_tx_evictions_exact.inc();
         }
@@ -1182,6 +1184,7 @@ impl MemorySystem {
         let mut tx_hw_any = false;
         let mut tx_exact_any = false;
         for c in 0..self.config.n_cores {
+            // As on L1 eviction: only a hardware hit can be an exact one.
             if oracle.block_is_transactional_hw(c, victim) {
                 tx_hw_any = true;
                 if !self.config.sticky_enabled {
@@ -1190,9 +1193,7 @@ impl MemorySystem {
                         block: victim,
                     });
                 }
-            }
-            if oracle.block_is_transactional_exact(c, victim) {
-                tx_exact_any = true;
+                tx_exact_any = tx_exact_any || oracle.block_is_transactional_exact(c, victim);
             }
         }
         if tx_exact_any {

@@ -1,6 +1,11 @@
 //! The idealized perfect signature (the paper's "P" configuration).
-
-use std::collections::BTreeSet;
+//!
+//! The exact set is one sorted, deduplicated `Vec<u64>`: membership is a
+//! binary search, an insert shifts the tail, and `clear` keeps the buffer,
+//! so a thread that reuses its signature across transactions stops
+//! allocating once the buffer has reached its working size. Ascending order
+//! is also the order `iter` and `save` report, which keeps whole-run
+//! determinism (and the saved bytes) independent of insertion order.
 
 use crate::SavedSignature;
 
@@ -10,9 +15,6 @@ use crate::SavedSignature;
 /// ("idealized signatures that record exact read- and write-sets, regardless
 /// of their size", §6.3 Result 1). It backs [`crate::SigRepr::Perfect`] and
 /// the exact shadow sets of [`crate::ShadowedRwSignature`].
-///
-/// A `BTreeSet` keeps iteration deterministic, which keeps whole-run
-/// determinism intact.
 ///
 /// ```
 /// use ltse_sig::PerfectSignature;
@@ -25,7 +27,8 @@ use crate::SavedSignature;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PerfectSignature {
-    set: BTreeSet<u64>,
+    /// Strictly ascending: sorted with no duplicates.
+    set: Vec<u64>,
 }
 
 impl PerfectSignature {
@@ -52,30 +55,48 @@ impl PerfectSignature {
 
     /// `INSERT(A)`: adds block address `a`.
     pub fn insert(&mut self, a: u64) {
-        self.set.insert(a);
+        if let Err(at) = self.set.binary_search(&a) {
+            self.set.insert(at, a);
+        }
     }
 
     /// `CONFLICT(A)`: whether `a` is in the set, exactly.
     pub fn maybe_contains(&self, a: u64) -> bool {
-        self.set.contains(&a)
+        self.set.binary_search(&a).is_ok()
     }
 
-    /// `CLEAR`: empties the set.
+    /// `CLEAR`: empties the set, keeping its buffer.
     pub fn clear(&mut self) {
         self.set.clear();
     }
 
-    /// Set union with `other`.
+    /// Set union with `other`: merges the two ascending lists in place,
+    /// from the back, so no element is overwritten before it is read.
     pub fn union_with(&mut self, other: &PerfectSignature) {
-        self.set.extend(other.iter());
+        let (mut i, mut j) = (self.set.len(), other.set.len());
+        self.set.resize(i + j, 0);
+        while j > 0 {
+            let k = i + j - 1;
+            if i > 0 && self.set[i - 1] > other.set[j - 1] {
+                self.set[k] = self.set[i - 1];
+                i -= 1;
+            } else {
+                self.set[k] = other.set[j - 1];
+                j -= 1;
+            }
+        }
+        // Each side was duplicate-free, so any repeat is an adjacent pair.
+        self.set.dedup();
     }
 
-    /// Captures the exact element list as software-visible data.
+    /// Captures the exact element list, ascending, as software-visible data.
     pub fn save(&self) -> SavedSignature {
-        SavedSignature::Exact(self.iter().collect())
+        SavedSignature::Exact(self.set.clone())
     }
 
-    /// Restores a previously saved element list, replacing the contents.
+    /// Restores a saved element list, replacing the contents. The list may
+    /// come in any order and hold duplicates ([`SavedSignature::Exact`] is
+    /// plain data anyone can build); the set is sorted and deduplicated.
     ///
     /// # Panics
     ///
@@ -83,7 +104,10 @@ impl PerfectSignature {
     pub fn restore(&mut self, saved: &SavedSignature) {
         match saved {
             SavedSignature::Exact(es) => {
-                self.set = es.iter().copied().collect();
+                self.set.clear();
+                self.set.extend_from_slice(es);
+                self.set.sort_unstable();
+                self.set.dedup();
             }
             SavedSignature::Bits(_) => panic!("saved state shape mismatch"),
         }

@@ -3,12 +3,14 @@
 //! an over-approximation of set union, and save/restore is lossless.
 //! Randomized deterministically through `ltse_sim::check`.
 
+use std::collections::BTreeSet;
+
 use ltse_sim::check::{cases, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 
 use ltse_sig::{
-    ConflictVerdict, CountingSignature, ReadWriteSignature, ShadowedRwSignature, SigOp, SigRepr,
-    SignatureKind,
+    ConflictVerdict, CountingSignature, PerfectSignature, ReadWriteSignature, SavedSignature,
+    ShadowedRwSignature, SigOp, SigRepr, SignatureKind,
 };
 
 fn random_kind(rng: &mut Xoshiro256StarStar) -> SignatureKind {
@@ -205,6 +207,78 @@ fn rehash_page_covers_new_locations() {
         for &o in &offsets {
             assert!(sig.test_block(old_base + o), "old retained");
             assert!(sig.test_block(new_base + o), "new covered");
+        }
+    });
+}
+
+/// `PerfectSignature` (a sorted `Vec`) against a `BTreeSet` reference over
+/// random interleavings of duplicate inserts, clear-then-reuse, `union_with`,
+/// `restore` from an unsorted list with duplicates, and `rehash_page`. After
+/// every step: `len`, ascending `iter`, `save` bytes, equality with a set
+/// built fresh from the reference, and exact membership of every element
+/// and of fresh probes.
+#[test]
+fn perfect_signature_matches_btreeset_reference() {
+    cases(64, 0x9E8F_EC07, |rng| {
+        // A narrow address span makes duplicates, hits and page overlap
+        // common.
+        let span = 1u64 << rng.gen_range(6, 11);
+        let mut sig = PerfectSignature::new();
+        let mut reference = BTreeSet::new();
+        for _ in 0..rng.gen_range(1, 120) {
+            match rng.gen_index(8) {
+                0..=3 => {
+                    let a = rng.gen_range(0, span);
+                    sig.insert(a);
+                    reference.insert(a);
+                }
+                4 => {
+                    sig.clear();
+                    reference.clear();
+                }
+                5 => {
+                    let addrs = vec_of(rng, 0, 40, |r| r.gen_range(0, span));
+                    let mut other = PerfectSignature::new();
+                    for &a in &addrs {
+                        other.insert(a);
+                    }
+                    sig.union_with(&other);
+                    reference.extend(addrs);
+                }
+                6 => {
+                    let list = vec_of(rng, 0, 40, |r| r.gen_range(0, span));
+                    sig.restore(&SavedSignature::Exact(list.clone()));
+                    reference = list.into_iter().collect();
+                }
+                _ => {
+                    let pages = span / 64 + 1;
+                    let old = rng.gen_range(0, pages) * 64;
+                    let new = rng.gen_range(0, pages) * 64;
+                    sig.rehash_page(old, new, 64);
+                    for i in 0..64 {
+                        if reference.contains(&(old + i)) {
+                            reference.insert(new + i);
+                        }
+                    }
+                }
+            }
+            assert_eq!(sig.len(), reference.len());
+            assert_eq!(sig.is_empty(), reference.is_empty());
+            assert!(sig.iter().eq(reference.iter().copied()), "iter order");
+            let sorted: Vec<u64> = reference.iter().copied().collect();
+            assert_eq!(sig.save(), SavedSignature::Exact(sorted.clone()));
+            let mut fresh = PerfectSignature::new();
+            for &a in &sorted {
+                fresh.insert(a);
+            }
+            assert_eq!(sig, fresh);
+            for &a in &sorted {
+                assert!(sig.maybe_contains(a), "lost {a}");
+            }
+            for _ in 0..16 {
+                let p = rng.gen_range(0, 2 * span + 64);
+                assert_eq!(sig.maybe_contains(p), reference.contains(&p), "probe {p}");
+            }
         }
     });
 }

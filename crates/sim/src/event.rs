@@ -105,6 +105,11 @@ struct Node<E> {
 /// 4096 buckets, so that is 4 to 64 words; a second-level summary over the
 /// words measured no faster, even at 4096 buckets.
 ///
+/// [`EventQueue::pop_explored`] gathers its candidates in one buffer the
+/// queue owns: each call takes it, fills it, re-pushes the unchosen entries
+/// out of it and puts it back empty, so exploration allocates nothing per
+/// pop either.
+///
 /// # Example
 ///
 /// ```
@@ -146,6 +151,8 @@ pub struct EventQueue<E> {
     /// Fallback for events beyond the window (and for rare stray pushes at
     /// times the window has already passed, which exploration can create).
     heap: BinaryHeap<Entry<E>>,
+    /// [`EventQueue::pop_explored`]'s candidate list, empty between calls.
+    candidates: Vec<Entry<E>>,
     next_seq: u64,
     now: Cycle,
 }
@@ -187,6 +194,7 @@ impl<E> EventQueue<E> {
             bucket_len: 0,
             window_start: Cycle::ZERO,
             heap: BinaryHeap::new(),
+            candidates: Vec::new(),
             next_seq: 0,
             now: Cycle::ZERO,
         }
@@ -454,7 +462,8 @@ impl<E> EventQueue<E> {
         let first = self.pop_min_entry()?;
         let fire_at = first.time;
         let cutoff = fire_at + horizon;
-        let mut eligible = vec![first];
+        let mut eligible = std::mem::take(&mut self.candidates);
+        eligible.push(first);
         while eligible.len() < window {
             match self.peek_time() {
                 Some(t) if t <= cutoff => {
@@ -469,9 +478,10 @@ impl<E> EventQueue<E> {
             0
         };
         let chosen = eligible.swap_remove(pick);
-        for entry in eligible {
+        for entry in eligible.drain(..) {
             self.push_entry(entry);
         }
+        self.candidates = eligible;
         self.now = fire_at;
         Some((fire_at, chosen.payload))
     }

@@ -298,8 +298,10 @@ impl ThreadTmState {
                     let saved = frame
                         .header
                         .saved_parent_sig
+                        .as_ref()
                         .expect("nested frame has saved parent signature");
-                    self.sig.restore(&saved);
+                    self.sig.restore(saved);
+                    self.log.recycle(frame);
                     self.filter.clear();
                     (false, config.commit_cycles + config.sig_save_cycles)
                 }
@@ -346,12 +348,15 @@ impl ThreadTmState {
         let saved = frame
             .header
             .saved_parent_sig
+            .as_ref()
             .expect("nested frame has saved parent signature");
-        self.sig.restore(&saved);
+        self.sig.restore(saved);
         self.filter.clear();
         self.stats.partial_aborts += 1;
+        let restored = frame.undo.len() as u64;
+        self.log.recycle(frame);
         config.abort_trap_cycles
-            + Cycle(frame.undo.len() as u64 * config.abort_per_block_cycles.as_u64())
+            + Cycle(restored * config.abort_per_block_cycles.as_u64())
             + config.sig_save_cycles
     }
 
@@ -381,6 +386,7 @@ impl ThreadTmState {
                 restored += 1;
                 restore(base, old);
             });
+            self.log.recycle(frame);
         }
         let stamp = self.stamp.take().expect("active tx has a stamp");
         self.preserved_stamp = Some(stamp);

@@ -9,6 +9,13 @@
 //! the log's *address footprint* so the simulator can issue real stores for
 //! log appends (they occupy cache space and generate coherence traffic, as
 //! in the paper's design).
+//!
+//! Frame bodies are recycled: an emptied undo vector goes on the log's
+//! spare list, and the next [`TxLog::push_frame`] takes it. Commit and merge
+//! do this themselves; a caller of [`TxLog::pop_frame`] hands the popped
+//! frame back with [`TxLog::recycle`] once it has walked the records. A
+//! thread's log therefore stops allocating once its bodies have reached
+//! their working size.
 
 use ltse_mem::{WordAddr, WORDS_PER_BLOCK};
 use ltse_sig::{SigOp, ShadowedRwSignature};
@@ -78,6 +85,8 @@ pub struct LogFrame {
 pub struct TxLog {
     base: WordAddr,
     frames: Vec<LogFrame>,
+    /// Emptied undo bodies for `push_frame` to reuse.
+    spare: Vec<Vec<UndoRecord>>,
     /// Next free word offset from `base` (the hardware log pointer).
     ptr_words: u64,
     /// High-water mark of `ptr_words` (peak log size, for reporting).
@@ -91,6 +100,7 @@ impl TxLog {
         TxLog {
             base,
             frames: Vec::new(),
+            spare: Vec::new(),
             ptr_words: 0,
             high_water_words: 0,
         }
@@ -131,7 +141,7 @@ impl TxLog {
                 checkpoint,
                 saved_parent_sig,
             },
-            undo: Vec::new(),
+            undo: self.spare.pop().unwrap_or_default(),
         });
         self.advance(HEADER_WORDS);
         header_addr
@@ -162,12 +172,20 @@ impl TxLog {
     }
 
     /// Pops the innermost frame (abort unroll or open-commit discard),
-    /// resetting the log pointer to the frame's start.
+    /// resetting the log pointer to the frame's start. Hand the frame back
+    /// with [`TxLog::recycle`] when done with it.
     pub fn pop_frame(&mut self) -> Option<LogFrame> {
         let frame = self.frames.pop()?;
         let words = HEADER_WORDS + frame.undo.len() as u64 * UndoRecord::WORDS;
         self.ptr_words = self.ptr_words.saturating_sub(words);
         Some(frame)
+    }
+
+    /// Takes back a popped frame's undo body for a later `push_frame`.
+    pub fn recycle(&mut self, frame: LogFrame) {
+        let mut undo = frame.undo;
+        undo.clear();
+        self.spare.push(undo);
     }
 
     /// Closed-nested commit: merges the innermost frame into its parent.
@@ -182,9 +200,10 @@ impl TxLog {
     /// Panics if fewer than two frames are live.
     pub fn merge_into_parent(&mut self) -> FrameHeader {
         assert!(self.frames.len() >= 2, "merge requires a nested frame");
-        let child = self.frames.pop().expect("child frame");
+        let mut child = self.frames.pop().expect("child frame");
         let parent = self.frames.last_mut().expect("parent frame");
-        parent.undo.extend(child.undo);
+        parent.undo.append(&mut child.undo);
+        self.spare.push(child.undo);
         child.header
     }
 
@@ -198,7 +217,8 @@ impl TxLog {
     /// or popped first) or if no frame is live.
     pub fn commit_outer(&mut self) {
         assert_eq!(self.frames.len(), 1, "outer commit with live inner frames");
-        self.frames.clear();
+        let frame = self.frames.pop().expect("one live frame");
+        self.recycle(frame);
         self.ptr_words = 0;
     }
 
@@ -306,6 +326,28 @@ mod tests {
         assert_eq!(log.innermost().unwrap().undo.len(), 2);
         // Log pointer unchanged by the merge (records still occupy space).
         assert!(log.log_ptr().0 > HEADER_WORDS);
+    }
+
+    #[test]
+    fn recycled_undo_bodies_start_empty() {
+        let mut log = TxLog::new(WordAddr(0));
+        // Popped and handed back, then reused by the next push.
+        log.push_frame(NestKind::Closed, 0, None);
+        log.append_undo(WordAddr(64), old(1));
+        let f = log.pop_frame().unwrap();
+        log.recycle(f);
+        log.push_frame(NestKind::Closed, 1, None);
+        assert_eq!(log.total_undo_records(), 0);
+        // A merged child's body, then an outer commit's.
+        log.push_frame(NestKind::Closed, 2, None);
+        log.append_undo(WordAddr(128), old(2));
+        log.merge_into_parent();
+        log.push_frame(NestKind::Closed, 3, None);
+        assert!(log.innermost().unwrap().undo.is_empty());
+        log.merge_into_parent();
+        log.commit_outer();
+        log.push_frame(NestKind::Closed, 4, None);
+        assert_eq!(log.total_undo_records(), 0);
     }
 
     #[test]
