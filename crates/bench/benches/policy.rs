@@ -25,20 +25,12 @@
 
 use logtm_se::ContentionPolicy;
 use ltse_bench::experiments::{
-    policy_oltp_config, policy_sweep, ExperimentScale, PolicySweepRow, POLICY_ESCALATE_AFTER,
-    POLICY_OLTP_POINTS,
+    policy_oltp_config, policy_sweep, policy_tune, ExperimentScale, PolicySweepRow,
+    POLICY_ESCALATE_AFTER, POLICY_OLTP_POINTS,
 };
 use ltse_bench::harness::{self, Bench};
 use ltse_bench::json::Json;
-use ltse_workloads::{run_oltp_with, BackendKind, PolicyTune};
-
-fn tune(policy: ContentionPolicy) -> PolicyTune {
-    PolicyTune {
-        contention: Some(policy),
-        escalate_after: Some(POLICY_ESCALATE_AFTER),
-        ..PolicyTune::default()
-    }
-}
+use ltse_workloads::{run_oltp_with, BackendKind};
 
 /// Re-runs the STM leg of one OLTP row `extra` more times and keeps the
 /// best wall-clock goodput (sim rows are deterministic and never re-run).
@@ -51,7 +43,7 @@ fn stm_best_of(row: &mut PolicySweepRow, scale: &ExperimentScale, extra: usize) 
     };
     let cfg = policy_oltp_config(scale, *theta_permille, *read_pct);
     for _ in 0..extra {
-        match run_oltp_with(BackendKind::Stm, &cfg, false, &tune(row.policy)) {
+        match run_oltp_with(BackendKind::Stm, &cfg, false, &policy_tune(row.policy)) {
             Ok(out) => {
                 let score = out.goodput_tx_per_sec();
                 if score > row.score {

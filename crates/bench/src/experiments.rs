@@ -1380,11 +1380,12 @@ pub fn policy_oltp_config(
     }
 }
 
-fn policy_tune(policy: ContentionPolicy) -> PolicyTune {
+/// The contention overrides of one policy-sweep row: `policy`, with serial
+/// escalation after [`POLICY_ESCALATE_AFTER`] consecutive aborts.
+pub fn policy_tune(policy: ContentionPolicy) -> PolicyTune {
     PolicyTune {
         contention: Some(policy),
         escalate_after: Some(POLICY_ESCALATE_AFTER),
-        ..PolicyTune::default()
     }
 }
 

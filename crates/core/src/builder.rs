@@ -5,7 +5,7 @@ use ltse_sig::SignatureKind;
 use ltse_sim::config::SimLimits;
 use ltse_sim::Cycle;
 use ltse_tm::conflict::ContentionPolicy;
-use ltse_tm::{BackoffKind, TmConfig};
+use ltse_tm::TmConfig;
 
 use crate::system::System;
 
@@ -99,16 +99,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Replaces the TM configuration.
-    pub fn tm_config(mut self, tm: TmConfig) -> Self {
-        let sig = self.tm.signature;
-        self.tm = tm;
-        // Keep a previously chosen signature unless the new config sets one
-        // explicitly different from the default marker.
-        let _ = sig;
-        self
-    }
-
     /// Enables or disables LogTM sticky states (ablation A2).
     pub fn sticky(mut self, enabled: bool) -> Self {
         self.mem.sticky_enabled = enabled;
@@ -126,13 +116,6 @@ impl SystemBuilder {
     /// paper's "trap to a contention manager" future work).
     pub fn contention(mut self, policy: ContentionPolicy) -> Self {
         self.tm.contention = policy;
-        self
-    }
-
-    /// Selects the backoff family shaping post-abort (and partial-abort)
-    /// waits. Default: randomized exponential.
-    pub fn backoff_kind(mut self, kind: BackoffKind) -> Self {
-        self.tm.backoff_kind = kind;
         self
     }
 
@@ -258,11 +241,6 @@ impl SystemBuilder {
         &self.mem
     }
 
-    /// The TM configuration currently held by the builder.
-    pub fn tm_config_view(&self) -> &TmConfig {
-        &self.tm
-    }
-
     /// Builds the system (cold caches, no threads yet).
     pub fn build(&self) -> System {
         System::from_builder(self)
@@ -302,7 +280,6 @@ mod tests {
             .check_serializability(true)
             .fault_skip_one_undo(true)
             .contention(ContentionPolicy::Adaptive)
-            .backoff_kind(BackoffKind::Linear)
             .escalate_after(Some(4))
             .adaptive_pin(Some(ContentionPolicy::Karma))
             .observe(true)
@@ -317,7 +294,6 @@ mod tests {
         assert!(!b.mem.sticky_enabled);
         assert_eq!(b.tm.log_filter_entries, 0);
         assert_eq!(b.tm.contention, ContentionPolicy::Adaptive);
-        assert_eq!(b.tm.backoff_kind, BackoffKind::Linear);
         assert_eq!(b.tm.escalate_after, Some(4));
         assert_eq!(b.tm.adaptive_pin, Some(ContentionPolicy::Karma));
         assert_eq!(b.seed, 99);

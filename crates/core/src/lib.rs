@@ -107,7 +107,7 @@ pub use ltse_sim::obs::{
 };
 pub use ltse_sim::{config::SimLimits, Cycle, EventChooser};
 pub use ltse_tm::conflict::ContentionPolicy;
-pub use ltse_tm::{BackoffKind, ConflictHistory, NestKind, TmConfig};
+pub use ltse_tm::{ConflictHistory, NestKind, TmConfig};
 
 /// The supporting crates, re-exported for advanced use.
 pub mod substrates {

@@ -905,12 +905,12 @@ impl System {
             if slot.program.on_partial_abort(&mut prog_ctx, depth - 1) {
                 slot.partial_streak += 1;
                 slot.pending_op = None;
-                // The partial-abort retry waits under the same configured
-                // backoff family as a full abort, scaled by the streak of
-                // fruitless partials, so repeated inner-frame collisions
-                // spread out instead of re-colliding inside a flat window.
-                let backoff = ltse_tm::backoff_cycles(
-                    cfg.backoff_kind,
+                // The partial-abort retry waits under the same
+                // randomized-exponential backoff as a full abort, scaled by
+                // the streak of fruitless partials, so repeated inner-frame
+                // collisions spread out instead of re-colliding inside a
+                // flat window.
+                let backoff = ltse_tm::conflict::abort_backoff(
                     &mut slot.rng,
                     cfg.backoff_base_cycles,
                     cfg.backoff_cap_shift,

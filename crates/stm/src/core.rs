@@ -67,7 +67,7 @@ use std::sync::atomic::Ordering::{Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use logtm_se::{BackoffKind, ContentionPolicy};
+use logtm_se::ContentionPolicy;
 
 use crate::table::{Table, TableFull};
 
@@ -76,7 +76,9 @@ use crate::table::{Table, TableFull};
 /// so validation against `rv` works in either state.
 const LOCKED: u64 = 1 << 63;
 
-/// Tuning and test knobs for the STM runtime.
+/// Tuning and test knobs for the STM runtime. Post-abort backoff spins
+/// are fixed constants of the executor; [`StmConfig::contention`] picks
+/// their family and the serial-escalation threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StmConfig {
     /// Number of lock stripes (rounded up to a power of two). Word numbers
@@ -88,21 +90,11 @@ pub struct StmConfig {
     /// Consecutive aborts of one transaction before it escalates to the
     /// serial fallback. `0` makes every transaction serial.
     pub max_retries: u32,
-    /// Base spin count for post-abort exponential backoff.
-    pub backoff_base: u64,
-    /// Cap on the backoff spin count.
-    pub backoff_cap: u64,
     /// Contention policy, shared vocabulary with the simulator. TL2 has no
     /// NACK matrix, so each policy translates to the STM's two real levers:
     /// the backoff family a loser waits under and the serial-escalation
     /// threshold (see the executor's `policy_levers`).
     pub contention: ContentionPolicy,
-    /// Backoff family used by policies that do not force one of their own
-    /// ([`ContentionPolicy::RequesterStalls`] / `Karma`).
-    pub backoff_kind: BackoffKind,
-    /// Pins [`ContentionPolicy::Adaptive`] to one static policy's levers —
-    /// for tests that prove pinned-adaptive ≡ static. Ignored otherwise.
-    pub adaptive_pin: Option<ContentionPolicy>,
     /// Watchdog: a single thread issuing more ops than this fails the run
     /// with a clean error instead of hanging a wedged workload forever.
     pub max_ops_per_thread: u64,
@@ -119,11 +111,7 @@ impl Default for StmConfig {
             n_stripes: 1 << 14,
             mem_slots: 1 << 18,
             max_retries: 32,
-            backoff_base: 32,
-            backoff_cap: 1 << 14,
             contention: ContentionPolicy::RequesterStalls,
-            backoff_kind: BackoffKind::RandExp,
-            adaptive_pin: None,
             max_ops_per_thread: 50_000_000,
             fault_skip_one_writeback: false,
         }

@@ -16,9 +16,10 @@
 //!   this is a semantics *refinement* (more isolation, never less), so every
 //!   history it admits is one the oracle accepts.
 //! * Aborts always roll back the whole nest ([`ThreadProgram::on_tx_abort`];
-//!   `on_partial_abort` is never invoked), then back off exponentially with
-//!   jitter and retry. After [`StmConfig::max_retries`] consecutive aborts
-//!   the retry runs under the serial token and cannot fail.
+//!   `on_partial_abort` is never invoked), then back off with jitter, in
+//!   the family the contention policy picks, and retry. After
+//!   [`StmConfig::max_retries`] consecutive aborts the retry runs under the
+//!   serial token and cannot fail.
 //! * Ops outside any transaction run as single-op TL2 transactions, giving
 //!   them a commit timestamp so the replay can order them — the execution-
 //!   order serialization the oracle assumes for bare accesses.
@@ -46,7 +47,7 @@
 
 use std::time::{Duration, Instant};
 
-use logtm_se::{BackoffKind, ContentionPolicy, Cycle, Op, ProgCtx, ThreadProgram, WordAddr};
+use logtm_se::{ContentionPolicy, Cycle, Op, ProgCtx, ThreadProgram, WordAddr};
 use ltse_mem::SerializabilityOracle;
 use ltse_sim::config::seed_sequence;
 use ltse_sim::obs::ObsReport;
@@ -295,31 +296,11 @@ impl StmBuilder {
         self
     }
 
-    /// Post-abort backoff tuning: base and cap spin counts.
-    pub fn backoff(mut self, base: u64, cap: u64) -> Self {
-        self.cfg.backoff_base = base;
-        self.cfg.backoff_cap = cap;
-        self
-    }
-
     /// Contention policy (vocabulary shared with the simulator); maps onto
     /// the STM's backoff family and serial-escalation threshold — see
     /// [`policy_levers`].
     pub fn contention(mut self, policy: ContentionPolicy) -> Self {
         self.cfg.contention = policy;
-        self
-    }
-
-    /// Backoff family used by policies that do not force one of their own.
-    pub fn backoff_kind(mut self, kind: BackoffKind) -> Self {
-        self.cfg.backoff_kind = kind;
-        self
-    }
-
-    /// Pins [`ContentionPolicy::Adaptive`] to one static policy's levers
-    /// (determinism tests). Ignored by static policies.
-    pub fn adaptive_pin(mut self, pin: Option<ContentionPolicy>) -> Self {
-        self.cfg.adaptive_pin = pin;
         self
     }
 
@@ -554,60 +535,64 @@ impl StmSystem {
     }
 }
 
+/// Base spin count for post-abort backoff.
+const BACKOFF_BASE: u64 = 32;
+/// Cap on the backoff spin count.
+const BACKOFF_CAP: u64 = 1 << 14;
+
+/// The shape of a loser's post-abort wait, before the [`BACKOFF_CAP`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BackoffKind {
+    /// Randomized exponential: `BACKOFF_BASE << min(attempt, 16)`.
+    RandExp,
+    /// Linear: `BACKOFF_BASE * (attempt + 1)`.
+    Linear,
+    /// Constant: `BACKOFF_BASE` whatever the streak.
+    Constant,
+}
+
 /// The STM's two real contention levers for one worker, derived from the
 /// configured policy: which backoff family shapes a loser's wait, and the
 /// consecutive-abort count at which the transaction escalates to the serial
 /// token. TL2 resolves conflicts at commit time — there is no NACK matrix
 /// to arbitrate — so the simulator's requester-centric policies translate
-/// as:
+/// as a plain table:
 ///
-/// * `RequesterStalls` — the configured family (default randomized
-///   exponential): losers wait progressively longer, the stalling analogue.
+/// * `RequesterStalls` — randomized exponential: losers wait progressively
+///   longer, the stalling analogue.
 /// * `RequesterAborts` — constant backoff: abort fast, retry fast.
 /// * `SizeMatters` — linear backoff: waits grow with the streak but never
 ///   explode, approximating work-proportional politeness.
-/// * `Karma` — the configured family with half the retry budget: chronic
+/// * `Karma` — randomized exponential with half the retry budget: chronic
 ///   losers serialize sooner, the age-priority analogue.
 /// * `Adaptive` — family escalates with the streak (constant → linear →
-///   randomized exponential); a pin reproduces a static policy's levers
-///   exactly.
+///   randomized exponential).
 fn policy_levers(cfg: &StmConfig, streak: u32) -> (BackoffKind, u32) {
-    let policy = match (cfg.contention, cfg.adaptive_pin) {
-        (ContentionPolicy::Adaptive, Some(pin)) => pin,
-        (p, _) => p,
-    };
-    match policy {
-        ContentionPolicy::RequesterStalls => (cfg.backoff_kind, cfg.max_retries),
-        ContentionPolicy::RequesterAborts => (BackoffKind::Constant, cfg.max_retries),
-        ContentionPolicy::SizeMatters => (BackoffKind::Linear, cfg.max_retries),
+    let m = cfg.max_retries;
+    match cfg.contention {
+        ContentionPolicy::RequesterStalls => (BackoffKind::RandExp, m),
+        ContentionPolicy::RequesterAborts => (BackoffKind::Constant, m),
+        ContentionPolicy::SizeMatters => (BackoffKind::Linear, m),
         // `div_ceil` keeps the `0 = always serial` contract intact and
         // never rounds a nonzero budget down to always-serial.
-        ContentionPolicy::Karma => (cfg.backoff_kind, cfg.max_retries.div_ceil(2)),
-        ContentionPolicy::Adaptive => {
-            let kind = if streak < 4 {
-                BackoffKind::Constant
-            } else if streak < 12 {
-                BackoffKind::Linear
-            } else {
-                BackoffKind::RandExp
-            };
-            (kind, cfg.max_retries)
-        }
+        ContentionPolicy::Karma => (BackoffKind::RandExp, m.div_ceil(2)),
+        ContentionPolicy::Adaptive if streak < 4 => (BackoffKind::Constant, m),
+        ContentionPolicy::Adaptive if streak < 12 => (BackoffKind::Linear, m),
+        ContentionPolicy::Adaptive => (BackoffKind::RandExp, m),
     }
 }
 
 /// Post-abort backoff: yield the core (essential on single-CPU machines —
 /// the conflicting thread cannot progress while we spin), then spin a
 /// jittered count shaped by the backoff family.
-fn backoff(rng: &mut Xoshiro256StarStar, attempt: u32, kind: BackoffKind, cfg: &StmConfig) {
+fn backoff(rng: &mut Xoshiro256StarStar, attempt: u32, kind: BackoffKind) {
     std::thread::yield_now();
     let spins = match kind {
-        BackoffKind::RandExp => cfg.backoff_base.saturating_shl(attempt.min(16)),
-        BackoffKind::Linear => cfg.backoff_base.saturating_mul(u64::from(attempt) + 1),
-        BackoffKind::Constant => cfg.backoff_base,
+        BackoffKind::RandExp => BACKOFF_BASE << attempt.min(16),
+        BackoffKind::Linear => BACKOFF_BASE * (u64::from(attempt) + 1),
+        BackoffKind::Constant => BACKOFF_BASE,
     }
-    .min(cfg.backoff_cap)
-    .max(1);
+    .min(BACKOFF_CAP);
     let jitter = rng.gen_range(spins / 2 + 1, spins + 2);
     for _ in 0..jitter {
         std::hint::spin_loop();
@@ -764,7 +749,7 @@ impl<'a> Worker<'a> {
         };
         program.on_tx_abort(&mut ctx);
         let (kind, _) = policy_levers(&self.cfg, attempt);
-        backoff(&mut self.rng, attempt, kind, &self.cfg);
+        backoff(&mut self.rng, attempt, kind);
     }
 
     /// Runs `body` + commit as a single-op transaction, retrying through
@@ -800,7 +785,7 @@ impl<'a> Worker<'a> {
                     drop(escalated);
                     self.stats.mini_aborts += 1;
                     let attempt = retry.on_abort();
-                    backoff(&mut self.rng, attempt, kind, &self.cfg);
+                    backoff(&mut self.rng, attempt, kind);
                 }
             }
         }
@@ -1065,18 +1050,6 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// `u64::checked_shl`-with-saturation helper used by [`backoff`]: shifting
-/// past the width saturates instead of wrapping.
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> Self {
-        self.checked_shl(rhs).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,31 +1116,6 @@ mod tests {
             ..cfg
         };
         assert_eq!(policy_levers(&zero, 0).1, 0);
-    }
-
-    #[test]
-    fn pinned_adaptive_levers_match_the_static_policy() {
-        for p in ContentionPolicy::ALL {
-            if p == ContentionPolicy::Adaptive {
-                continue;
-            }
-            let pinned = StmConfig {
-                contention: ContentionPolicy::Adaptive,
-                adaptive_pin: Some(p),
-                ..StmConfig::default()
-            };
-            let fixed = StmConfig {
-                contention: p,
-                ..StmConfig::default()
-            };
-            for streak in [0, 3, 8, 40] {
-                assert_eq!(
-                    policy_levers(&pinned, streak),
-                    policy_levers(&fixed, streak),
-                    "{p:?} at streak {streak}"
-                );
-            }
-        }
     }
 
     #[test]

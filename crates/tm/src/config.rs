@@ -3,7 +3,6 @@
 use ltse_sig::SignatureKind;
 use ltse_sim::Cycle;
 
-use crate::adapt::BackoffKind;
 use crate::conflict::ContentionPolicy;
 
 /// Configuration for the LogTM-SE hardware additions and software handlers.
@@ -51,8 +50,6 @@ pub struct TmConfig {
     pub begin_cycles: Cycle,
     /// Contention-management policy on NACKs.
     pub contention: ContentionPolicy,
-    /// Which backoff family shapes post-abort (and partial-abort) waits.
-    pub backoff_kind: BackoffKind,
     /// Bounded-retry escalation: after this many consecutive aborts of one
     /// transaction, its retry acquires the global serialization token and
     /// runs exempt from conflict-resolution aborts (mirroring the STM
@@ -89,7 +86,6 @@ impl TmConfig {
             backoff_cap_shift: 6,
             begin_cycles: Cycle(4),
             contention: ContentionPolicy::RequesterStalls,
-            backoff_kind: BackoffKind::RandExp,
             escalate_after: None,
             adaptive_pin: None,
             fault_skip_one_undo: false,

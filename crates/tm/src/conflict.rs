@@ -8,7 +8,26 @@
 //! request is NACKed by an **older** transaction while its own
 //! `possible_cycle` flag is set conservatively assumes a deadlock cycle and
 //! aborts. Everyone else stalls and retries.
+//!
+//! The paper leaves anything smarter to "more sophisticated future versions
+//! \[that\] could trap to a contention manager". This module is that hook,
+//! with one representation per concept:
+//!
+//! * **Policies** ([`ContentionPolicy`]): the baseline plus four managers,
+//!   and [`ContentionPolicy::resolve`], the one per-NACK decision over a
+//!   [`NackContext`].
+//! * **Conflict history** ([`ConflictHistory`]): a light, always-on
+//!   per-thread record of abort and stall streaks. It is maintained
+//!   identically under *every* policy (so pinning the adaptive selector to
+//!   a static policy is byte-identical to running that policy), and it
+//!   works with the observability layer off.
+//! * **Adaptive selection** ([`select_policy`]): a pure function of the
+//!   requester's history and invested work. It consumes **no** RNG draws,
+//!   so explore-mode schedules see identical randomness under every policy.
+//! * **Backoff** ([`abort_backoff`]): the paper's randomized-exponential
+//!   window, waited after every full and partial abort.
 
+use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
 /// A transaction's position in the age order: begin time plus a context-id
@@ -58,8 +77,9 @@ pub enum Resolution {
 ///
 /// The paper's baseline "stalls, retries its coherence operation, and
 /// aborts on a possible deadlock cycle", and notes that "more sophisticated
-/// future versions could trap to a contention manager" — these are three
-/// such managers.
+/// future versions could trap to a contention manager" — the four variants
+/// after the baseline are such managers. [`ContentionPolicy::resolve`]
+/// applies one to a NACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ContentionPolicy {
     /// LogTM's default: requester stalls; abort only when the timestamp /
@@ -81,8 +101,8 @@ pub enum ContentionPolicy {
     /// retries make the oldest transaction win eventually.
     Karma,
     /// Online adaptive selection: every NACK is resolved by the static
-    /// policy [`crate::adapt::select_policy`] picks from the requester's
-    /// [`crate::adapt::ConflictHistory`] (abort streaks → `Karma`,
+    /// policy [`select_policy`] picks from the requester's
+    /// [`ConflictHistory`] (abort streaks → `Karma`,
     /// convoys with nothing invested → `RequesterAborts`, otherwise the
     /// baseline `RequesterStalls`).
     Adaptive,
@@ -117,6 +137,40 @@ impl ContentionPolicy {
             ContentionPolicy::Adaptive => "adaptive",
         }
     }
+
+    /// Decides `(requester resolution, nacker sets possible_cycle)` for one
+    /// NACK.
+    ///
+    /// A non-transactional requester (a plain or escape-action access)
+    /// holds no isolation anyone could wait on, and a summary-signature
+    /// conflict has no live nacker context (the OS breaks it by
+    /// rescheduling the parked thread): both always stall, with no flag.
+    /// Between two transactions the nacker sets `possible_cycle` when the
+    /// requester is older, and the policy decides whether the requester
+    /// aborts.
+    pub fn resolve(self, cx: &NackContext) -> (Resolution, bool) {
+        let (Some(req), Some(nk)) = (cx.requester, cx.nacker) else {
+            return (Resolution::Stall, false);
+        };
+        let deadlock_possible = nk.older_than(req) && cx.requester_possible_cycle;
+        let abort = match self {
+            ContentionPolicy::RequesterStalls => deadlock_possible,
+            ContentionPolicy::RequesterAborts => true,
+            ContentionPolicy::SizeMatters => {
+                deadlock_possible && cx.requester_work <= cx.nacker_work
+            }
+            ContentionPolicy::Karma => nk.older_than(req),
+            ContentionPolicy::Adaptive => {
+                return select_policy(self, None, &cx.history, cx.requester_work).resolve(cx);
+            }
+        };
+        let resolution = if abort {
+            Resolution::Abort
+        } else {
+            Resolution::Stall
+        };
+        (resolution, req.older_than(nk))
+    }
 }
 
 impl std::str::FromStr for ContentionPolicy {
@@ -130,65 +184,108 @@ impl std::str::FromStr for ContentionPolicy {
     }
 }
 
-/// Decides the requester's action and whether the *nacker* must set its
-/// `possible_cycle` flag.
-///
-/// * `requester`: the NACKed context's stamp, or `None` if it is not in a
-///   transaction (plain or escape-action access — always stalls).
-/// * `requester_possible_cycle`: the requester's current flag.
-/// * `nacker`: the conflicting context's stamp, or `None` if the conflict
-///   came from a *descheduled* transaction's summary signature (no live
-///   context to compare against — the caller handles that case separately).
-///
-/// Returns `(resolution, nacker_sets_possible_cycle)`.
-pub fn resolve_nack(
-    requester: Option<TxStamp>,
-    requester_possible_cycle: bool,
-    nacker: Option<TxStamp>,
-) -> (Resolution, bool) {
-    resolve_nack_with(
-        ContentionPolicy::RequesterStalls,
-        requester,
-        requester_possible_cycle,
-        nacker,
-        0,
-        0,
-    )
+/// Everything [`ContentionPolicy::resolve`] may consult for one NACK.
+#[derive(Debug, Clone, Copy)]
+pub struct NackContext {
+    /// The NACKed context's stamp (`None`: not in a transaction).
+    pub requester: Option<TxStamp>,
+    /// The requester's `possible_cycle` flag.
+    pub requester_possible_cycle: bool,
+    /// The conflicting context's stamp (`None`: summary-signature conflict).
+    pub nacker: Option<TxStamp>,
+    /// Requester's invested work (undo records).
+    pub requester_work: usize,
+    /// Nacker's invested work (undo records).
+    pub nacker_work: usize,
+    /// The requester's conflict history.
+    pub history: ConflictHistory,
 }
 
-/// [`resolve_nack`] under an explicit [`ContentionPolicy`].
-/// `requester_work`/`nacker_work` are invested-work estimates (undo
-/// records) consulted by [`ContentionPolicy::SizeMatters`].
+/// The two streaks [`select_policy`] reads: how contention has been
+/// treating one thread. Maintained unconditionally (a couple of integer
+/// bumps on paths that already trap to software), under every policy, with
+/// the observability layer on or off — so the adaptive selector always has
+/// its input, and enabling it changes no other thread-visible state.
+/// Lifetime totals (stalls, aborts, commits, wasted cycles) live in
+/// [`crate::TmStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConflictHistory {
+    /// Consecutive outermost aborts since the last commit.
+    pub abort_streak: u32,
+    /// Consecutive stalls since the last commit or abort.
+    pub stall_streak: u32,
+}
+
+impl ConflictHistory {
+    /// This thread's request was NACKed and it will stall.
+    pub fn on_stall(&mut self) {
+        self.stall_streak = self.stall_streak.saturating_add(1);
+    }
+
+    /// This thread's outermost transaction aborted.
+    pub fn on_abort(&mut self) {
+        self.abort_streak = self.abort_streak.saturating_add(1);
+        self.stall_streak = 0;
+    }
+
+    /// This thread committed an outermost transaction.
+    pub fn on_commit(&mut self) {
+        self.abort_streak = 0;
+        self.stall_streak = 0;
+    }
+}
+
+/// Maps a configured policy to the concrete static policy applied to the
+/// next conflict. Static policies map to themselves; `Adaptive` consults
+/// the requester's history:
 ///
-/// This is the history-free entry point: it dispatches through the
-/// [`crate::adapt::ContentionManager`] for `policy` with an empty
-/// [`crate::adapt::ConflictHistory`], so [`ContentionPolicy::Adaptive`]
-/// here behaves as its default selection. Callers holding real per-thread
-/// history (the [`crate::TmUnit`] NACK path) resolve through
-/// [`crate::adapt::select_policy`] + the managers directly.
-pub fn resolve_nack_with(
+/// * a thread on an abort streak has been losing conflicts — switch to the
+///   age-based [`Karma`](ContentionPolicy::Karma) arbitration, which
+///   guarantees the oldest transaction progresses and empirically wins on
+///   hot-key workloads;
+/// * a thread stalling repeatedly with (almost) nothing invested is paying
+///   convoy latency to protect nothing — restart it cheaply via
+///   [`RequesterAborts`](ContentionPolicy::RequesterAborts) and let backoff
+///   de-synchronize the colliders;
+/// * otherwise the paper's baseline stall policy is the right default.
+///
+/// Pure function of its arguments: **no RNG draws**, so an `Adaptive` run
+/// pinned to a static policy is byte-identical to that policy. A pin of
+/// `Adaptive` itself is ignored (falls through to the heuristic).
+pub fn select_policy(
     policy: ContentionPolicy,
-    requester: Option<TxStamp>,
-    requester_possible_cycle: bool,
-    nacker: Option<TxStamp>,
+    pin: Option<ContentionPolicy>,
+    history: &ConflictHistory,
     requester_work: usize,
-    nacker_work: usize,
-) -> (Resolution, bool) {
-    let cx = crate::adapt::NackContext {
-        requester,
-        requester_possible_cycle,
-        nacker,
-        requester_work,
-        nacker_work,
-        history: crate::adapt::ConflictHistory::default(),
-    };
-    crate::adapt::manager_for(policy, None).resolve(&cx)
+) -> ContentionPolicy {
+    if policy != ContentionPolicy::Adaptive {
+        return policy;
+    }
+    if let Some(p) = pin {
+        if p != ContentionPolicy::Adaptive {
+            return p;
+        }
+    }
+    if history.abort_streak >= 2 {
+        // Repeated aborts mean the stall-first default is losing work to
+        // conflict cycles: switch to age-based arbitration, which always
+        // makes forward progress on the oldest transaction and empirically
+        // dominates on hot-key workloads.
+        ContentionPolicy::Karma
+    } else if requester_work <= 1 && history.stall_streak >= 4 {
+        // A requester that has invested almost nothing but keeps running
+        // into busy lines is cheapest to restart outright.
+        ContentionPolicy::RequesterAborts
+    } else {
+        ContentionPolicy::RequesterStalls
+    }
 }
 
 /// Randomized-exponential backoff after the `attempt`-th consecutive abort:
-/// a uniform draw from `[0, base << min(attempt, cap_shift))`.
+/// a uniform draw from `[0, base << min(attempt, cap_shift))`. A zero
+/// window returns `Cycle::ZERO` without touching the RNG.
 pub fn abort_backoff(
-    rng: &mut ltse_sim::rng::Xoshiro256StarStar,
+    rng: &mut Xoshiro256StarStar,
     base: Cycle,
     cap_shift: u32,
     attempt: u32,
@@ -203,9 +300,53 @@ pub fn abort_backoff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn st(t: u64, ctx: u32) -> TxStamp {
         TxStamp::new(Cycle(t), ctx)
+    }
+
+    fn cx(req: Option<TxStamp>, flag: bool, nk: Option<TxStamp>) -> NackContext {
+        NackContext {
+            requester: req,
+            requester_possible_cycle: flag,
+            nacker: nk,
+            requester_work: 0,
+            nacker_work: 0,
+            history: ConflictHistory::default(),
+        }
+    }
+
+    /// One NACK under `policy` with a calm history.
+    fn resolve_nack_with(
+        policy: ContentionPolicy,
+        requester: Option<TxStamp>,
+        requester_possible_cycle: bool,
+        nacker: Option<TxStamp>,
+        requester_work: usize,
+        nacker_work: usize,
+    ) -> (Resolution, bool) {
+        policy.resolve(&NackContext {
+            requester_work,
+            nacker_work,
+            ..cx(requester, requester_possible_cycle, nacker)
+        })
+    }
+
+    /// One NACK under the paper's baseline policy.
+    fn resolve_nack(
+        requester: Option<TxStamp>,
+        requester_possible_cycle: bool,
+        nacker: Option<TxStamp>,
+    ) -> (Resolution, bool) {
+        resolve_nack_with(
+            ContentionPolicy::RequesterStalls,
+            requester,
+            requester_possible_cycle,
+            nacker,
+            0,
+            0,
+        )
     }
 
     #[test]
@@ -384,5 +525,213 @@ mod tests {
             assert_eq!(p.name().parse::<ContentionPolicy>(), Ok(p));
         }
         assert!("bogus".parse::<ContentionPolicy>().is_err());
+    }
+
+    #[test]
+    fn backoff_zero_base_skips_the_rng() {
+        let mut a = Xoshiro256StarStar::new(9);
+        let mut b = Xoshiro256StarStar::new(9);
+        assert_eq!(abort_backoff(&mut a, Cycle(0), 6, 3), Cycle::ZERO);
+        // `a` drew nothing: it must still agree with the untouched `b`.
+        assert_eq!(a.gen_range(0, 1 << 30), b.gen_range(0, 1 << 30));
+    }
+
+    #[test]
+    fn history_streaks_reset_correctly() {
+        let mut h = ConflictHistory::default();
+        h.on_stall();
+        h.on_stall();
+        assert_eq!(h.stall_streak, 2);
+        h.on_abort();
+        assert_eq!((h.abort_streak, h.stall_streak), (1, 0));
+        h.on_abort();
+        assert_eq!(h.abort_streak, 2);
+        h.on_commit();
+        assert_eq!((h.abort_streak, h.stall_streak), (0, 0));
+    }
+
+    #[test]
+    fn karma_youngest_always_loses() {
+        let km = ContentionPolicy::Karma;
+        // Younger requester NACKed by older: abort, flag unset.
+        let (r, f) = km.resolve(&cx(Some(st(100, 1)), false, Some(st(10, 0))));
+        assert_eq!(r, Resolution::Abort);
+        assert!(!f);
+        // Older requester NACKed by younger: stall, nacker flags.
+        let (r, f) = km.resolve(&cx(Some(st(10, 0)), false, Some(st(100, 1))));
+        assert_eq!(r, Resolution::Stall);
+        assert!(f);
+        // Non-transactional and summary conflicts stall as everywhere else.
+        assert_eq!(km.resolve(&cx(None, false, Some(st(1, 0)))).0, Resolution::Stall);
+        assert_eq!(km.resolve(&cx(Some(st(1, 0)), true, None)).0, Resolution::Stall);
+    }
+
+    #[test]
+    fn adaptive_selection_is_pure_and_pinnable() {
+        let calm = ConflictHistory::default();
+        let mut losing = ConflictHistory::default();
+        losing.on_abort();
+        losing.on_abort();
+        let mut convoy = ConflictHistory::default();
+        for _ in 0..5 {
+            convoy.on_stall();
+        }
+        assert_eq!(
+            select_policy(ContentionPolicy::Adaptive, None, &calm, 0),
+            ContentionPolicy::RequesterStalls
+        );
+        assert_eq!(
+            select_policy(ContentionPolicy::Adaptive, None, &losing, 5),
+            ContentionPolicy::Karma
+        );
+        assert_eq!(
+            select_policy(ContentionPolicy::Adaptive, None, &convoy, 0),
+            ContentionPolicy::RequesterAborts
+        );
+        // Work invested suppresses the cheap-restart path.
+        assert_eq!(
+            select_policy(ContentionPolicy::Adaptive, None, &convoy, 8),
+            ContentionPolicy::RequesterStalls
+        );
+        // Static policies ignore history entirely.
+        for p in ContentionPolicy::ALL {
+            if p != ContentionPolicy::Adaptive {
+                assert_eq!(select_policy(p, None, &losing, 0), p);
+            }
+        }
+        // A pin overrides the heuristic; pinning Adaptive falls through.
+        assert_eq!(
+            select_policy(
+                ContentionPolicy::Adaptive,
+                Some(ContentionPolicy::Karma),
+                &losing,
+                0
+            ),
+            ContentionPolicy::Karma
+        );
+        assert_eq!(
+            select_policy(
+                ContentionPolicy::Adaptive,
+                Some(ContentionPolicy::Adaptive),
+                &losing,
+                0
+            ),
+            ContentionPolicy::Karma
+        );
+    }
+
+    #[test]
+    fn adaptive_resolves_as_the_policy_it_selects() {
+        let mut losing = ConflictHistory::default();
+        losing.on_abort();
+        losing.on_abort();
+        for history in [ConflictHistory::default(), losing] {
+            for (req, nk) in [
+                (Some(st(5, 0)), Some(st(9, 1))),
+                (Some(st(9, 1)), Some(st(5, 0))),
+                (None, Some(st(5, 0))),
+                (Some(st(5, 0)), None),
+            ] {
+                for flag in [false, true] {
+                    let c = NackContext {
+                        history,
+                        ..cx(req, flag, nk)
+                    };
+                    let chosen =
+                        select_policy(ContentionPolicy::Adaptive, None, &history, c.requester_work);
+                    assert_eq!(
+                        ContentionPolicy::Adaptive.resolve(&c),
+                        chosen.resolve(&c),
+                        "{history:?} {chosen:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The `(Resolution, nacker flag)` of every case of a 540-case grid,
+    /// pinned so that a change to any policy's rule shows up as a diff:
+    /// `S`tall or `A`bort, then `1` if the nacker sets `possible_cycle`.
+    /// One line per policy, history (calm, an abort streak of 2, a stall
+    /// streak of 5) and requester (none, stamp 50); one group per nacker
+    /// (none, older stamp 10, younger stamp 90); six cases per group,
+    /// `possible_cycle` (off, on) by (requester, nacker) work (0, 1),
+    /// (1, 1), (5, 1).
+    const DECISION_TABLE: &str = "\
+requester_stalls calm none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_stalls calm tx50: S0S0S0S0S0S0 S0S0S0A0A0A0 S1S1S1S1S1S1\n\
+requester_stalls aborts2 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_stalls aborts2 tx50: S0S0S0S0S0S0 S0S0S0A0A0A0 S1S1S1S1S1S1\n\
+requester_stalls stalls5 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_stalls stalls5 tx50: S0S0S0S0S0S0 S0S0S0A0A0A0 S1S1S1S1S1S1\n\
+requester_aborts calm none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_aborts calm tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 A1A1A1A1A1A1\n\
+requester_aborts aborts2 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_aborts aborts2 tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 A1A1A1A1A1A1\n\
+requester_aborts stalls5 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+requester_aborts stalls5 tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 A1A1A1A1A1A1\n\
+size_matters calm none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+size_matters calm tx50: S0S0S0S0S0S0 S0S0S0A0A0S0 S1S1S1S1S1S1\n\
+size_matters aborts2 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+size_matters aborts2 tx50: S0S0S0S0S0S0 S0S0S0A0A0S0 S1S1S1S1S1S1\n\
+size_matters stalls5 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+size_matters stalls5 tx50: S0S0S0S0S0S0 S0S0S0A0A0S0 S1S1S1S1S1S1\n\
+karma calm none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+karma calm tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 S1S1S1S1S1S1\n\
+karma aborts2 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+karma aborts2 tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 S1S1S1S1S1S1\n\
+karma stalls5 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+karma stalls5 tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 S1S1S1S1S1S1\n\
+adaptive calm none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+adaptive calm tx50: S0S0S0S0S0S0 S0S0S0A0A0A0 S1S1S1S1S1S1\n\
+adaptive aborts2 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+adaptive aborts2 tx50: S0S0S0S0S0S0 A0A0A0A0A0A0 S1S1S1S1S1S1\n\
+adaptive stalls5 none: S0S0S0S0S0S0 S0S0S0S0S0S0 S0S0S0S0S0S0\n\
+adaptive stalls5 tx50: S0S0S0S0S0S0 A0A0S0A0A0A0 A1A1S1A1A1S1\n";
+
+    #[test]
+    fn resolve_matches_the_recorded_decision_table() {
+        let histories = [
+            ("calm", ConflictHistory::default()),
+            (
+                "aborts2",
+                ConflictHistory {
+                    abort_streak: 2,
+                    ..Default::default()
+                },
+            ),
+            (
+                "stalls5",
+                ConflictHistory {
+                    stall_streak: 5,
+                    ..Default::default()
+                },
+            ),
+        ];
+        let mut table = String::new();
+        for policy in ContentionPolicy::ALL {
+            for (hname, history) in histories {
+                for (rname, requester) in [("none", None), ("tx50", Some(st(50, 0)))] {
+                    write!(table, "{} {hname} {rname}:", policy.name()).unwrap();
+                    for nacker in [None, Some(st(10, 1)), Some(st(90, 1))] {
+                        table.push(' ');
+                        for flag in [false, true] {
+                            for (requester_work, nacker_work) in [(0, 1), (1, 1), (5, 1)] {
+                                let (r, f) = policy.resolve(&NackContext {
+                                    requester_work,
+                                    nacker_work,
+                                    history,
+                                    ..cx(requester, flag, nacker)
+                                });
+                                table.push(if r == Resolution::Abort { 'A' } else { 'S' });
+                                table.push(if f { '1' } else { '0' });
+                            }
+                        }
+                    }
+                    table.push('\n');
+                }
+            }
+        }
+        assert_eq!(table, DECISION_TABLE);
     }
 }

@@ -6,9 +6,8 @@ use ltse_sig::{ConflictVerdict, ShadowedRwSignature, SigOp, SignatureKind};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
-use crate::adapt::{backoff_cycles, ConflictHistory};
 use crate::config::TmConfig;
-use crate::conflict::TxStamp;
+use crate::conflict::{abort_backoff, ConflictHistory, TxStamp};
 use crate::filter::LogFilter;
 use crate::log::{unroll_frame, TxLog};
 use crate::stats::{TmStats, TxSetSizes};
@@ -394,13 +393,11 @@ impl ThreadTmState {
         self.filter.clear();
         self.possible_cycle = false;
         self.stats.aborts += 1;
-        let wasted = now.saturating_sub(stamp.begin).as_u64();
-        self.stats.wasted_cycles += wasted;
-        self.history.on_abort(wasted);
+        self.stats.wasted_cycles += now.saturating_sub(stamp.begin).as_u64();
+        self.history.on_abort();
         self.abort_attempts += 1;
         let needs_summary_update = std::mem::take(&mut self.in_summary);
-        let backoff = backoff_cycles(
-            config.backoff_kind,
+        let backoff = abort_backoff(
             &mut self.rng,
             config.backoff_base_cycles,
             config.backoff_cap_shift,

@@ -24,7 +24,12 @@
 //!   `ltse-mem`'s `ConflictOracle` so the coherence protocol can delegate
 //!   signature checks without owning TM state.
 //! * [`conflict`] — LogTM's distributed timestamp/`possible_cycle` conflict
-//!   resolution: stall on NACK, abort on a possible deadlock cycle.
+//!   resolution (stall on NACK, abort on a possible deadlock cycle) and the
+//!   contention-management hook around it: five
+//!   [`ContentionPolicy`](conflict::ContentionPolicy)s behind one
+//!   [`resolve`](conflict::ContentionPolicy::resolve), the always-on
+//!   [`ConflictHistory`] the adaptive selector reads, and the
+//!   randomized-exponential abort backoff.
 //! * [`OsModel`] — thread deschedule/migrate with per-process **summary
 //!   signatures** maintained through a counting signature (§4.1), and
 //!   transactional **paging** (§4.2).
@@ -59,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod conflict;
 pub mod virt_compare;
 
@@ -71,7 +75,7 @@ mod os;
 mod stats;
 mod unit;
 
-pub use adapt::{backoff_cycles, BackoffKind, ConflictHistory, ContentionManager};
+pub use conflict::ConflictHistory;
 pub use config::TmConfig;
 pub use ctx::{NestKind, ThreadTmState, TxPhase};
 pub use filter::LogFilter;

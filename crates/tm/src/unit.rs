@@ -5,9 +5,8 @@ use ltse_mem::{AccessKind, Asid, BlockAddr, ConflictOracle, CtxId, WordAddr, WOR
 use ltse_sig::SigOp;
 use ltse_sim::Cycle;
 
-use crate::adapt::{manager_for, select_policy, NackContext};
 use crate::config::TmConfig;
-use crate::conflict::{ContentionPolicy, Resolution};
+use crate::conflict::{select_policy, ContentionPolicy, NackContext, Resolution};
 use crate::ctx::{AbortCosts, NestKind, ThreadTmState};
 use crate::stats::TmStats;
 
@@ -362,11 +361,11 @@ impl TmUnit {
     }
 
     /// Applies LogTM conflict resolution after a NACK: selects the
-    /// effective contention policy (per-conflict for `Adaptive`), runs its
-    /// [`crate::adapt::ContentionManager`], applies the serialization-token
-    /// overrides, updates the nacker's `possible_cycle` flag and both sides'
-    /// conflict histories, bumps the requester's stall count, and returns
-    /// what the requester must do.
+    /// effective contention policy (per-conflict for `Adaptive`), resolves
+    /// the NACK through [`ContentionPolicy::resolve`], applies the
+    /// serialization-token overrides, updates the nacker's `possible_cycle`
+    /// flag and the requester's conflict history, bumps the requester's
+    /// stall count, and returns what the requester must do.
     pub fn on_nack(&mut self, requester: CtxId, nacker: Option<CtxId>) -> Resolution {
         let req_stamp = self.thread(requester).and_then(|t| t.stamp());
         let req_flag = self
@@ -394,7 +393,7 @@ impl TmUnit {
             &history,
             req_work,
         );
-        let (mut resolution, nacker_flags) = manager_for(effective, None).resolve(&NackContext {
+        let (mut resolution, nacker_flags) = effective.resolve(&NackContext {
             requester: req_stamp,
             requester_possible_cycle: req_flag,
             nacker: nk_stamp,
@@ -435,11 +434,6 @@ impl TmUnit {
                 if let Some(t) = self.thread_mut(n) {
                     t.set_possible_cycle();
                 }
-            }
-        }
-        if let Some(n) = nacker {
-            if let Some(t) = self.thread_mut(n) {
-                t.history.on_nack_caused();
             }
         }
         if let Some(t) = self.thread_mut(requester) {

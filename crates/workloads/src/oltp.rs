@@ -34,8 +34,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use logtm_se::{
-    BackendReport, BackoffKind, ContentionPolicy, MemConfig, Op, ProgCtx, SystemBuilder,
-    ThreadProgram, TmBackend, WordAddr, MAX_CORES,
+    BackendReport, ContentionPolicy, MemConfig, Op, ProgCtx, SystemBuilder, ThreadProgram,
+    TmBackend, WordAddr, MAX_CORES,
 };
 use ltse_sim::config::seed_sequence;
 use ltse_sim::rng::{mix64, Xoshiro256StarStar};
@@ -499,14 +499,10 @@ fn sim_cores_for(threads: u32) -> u16 {
 pub struct PolicyTune {
     /// Contention policy (shared vocabulary across both backends).
     pub contention: Option<ContentionPolicy>,
-    /// Backoff family shaping post-abort waits.
-    pub backoff_kind: Option<BackoffKind>,
     /// Consecutive-abort threshold for serial escalation: the simulator's
     /// `TmConfig::escalate_after` and the STM's `max_retries` — one knob,
     /// both serial fallbacks.
     pub escalate_after: Option<u32>,
-    /// Pin for [`ContentionPolicy::Adaptive`] (determinism tests).
-    pub adaptive_pin: Option<ContentionPolicy>,
 }
 
 /// Runs one open-loop OLTP configuration on the chosen backend.
@@ -539,13 +535,9 @@ pub fn run_oltp_with(
                 .mem_config(MemConfig::scaled_cmp(sim_cores_for(cfg.threads), 1))
                 .seed(cfg.seed)
                 .check_serializability(check)
-                .escalate_after(tune.escalate_after)
-                .adaptive_pin(tune.adaptive_pin);
+                .escalate_after(tune.escalate_after);
             if let Some(p) = tune.contention {
                 b = b.contention(p);
-            }
-            if let Some(k) = tune.backoff_kind {
-                b = b.backoff_kind(k);
             }
             Box::new(b.build())
         }
@@ -556,13 +548,9 @@ pub fn run_oltp_with(
             let mut b = StmBuilder::new()
                 .seed(cfg.seed)
                 .mem_slots(slots)
-                .check_serializability(check)
-                .adaptive_pin(tune.adaptive_pin);
+                .check_serializability(check);
             if let Some(p) = tune.contention {
                 b = b.contention(p);
-            }
-            if let Some(k) = tune.backoff_kind {
-                b = b.backoff_kind(k);
             }
             if let Some(n) = tune.escalate_after {
                 b = b.max_retries(n);

@@ -281,6 +281,18 @@ if grep -q " NO " "$oltp1"; then
 fi
 echo "ok: policy sweep ran 5 policies x 5 (point, backend) combinations"
 
+# The sim rows are deterministic and the only stdout that runs karma and
+# adaptive end to end, so they must not depend on the worker count.
+"$repro" --quick --jobs 1 policy 2>/dev/null | grep " sim " >"$oltp1"
+"$repro" --quick --jobs 4 policy 2>/dev/null | grep " sim " >"$oltp2"
+sim_rows=$(wc -l <"$oltp1")
+if [ "$sim_rows" -ne 15 ] || ! cmp -s "$oltp1" "$oltp2"; then
+    echo "FAIL: expected 15 policy sim rows, byte-identical on 1 and 4 workers" >&2
+    diff "$oltp1" "$oltp2" | head -20 >&2
+    exit 1
+fi
+echo "ok: policy sweep's $sim_rows sim rows byte-identical across worker counts"
+
 echo "== stats-json smoke: emit, validate schema, cross-jobs byte-identity =="
 stats_dir=$(mktemp -d)
 trap 'rm -f "$out1" "$out4" "$oltp1" "$oltp2"; rm -rf "$bench_dir" "$stats_dir"' EXIT
@@ -337,5 +349,20 @@ for row in rows:
     assert stm["aborts_locked"] + stm["aborts_stale"] == stm["aborts"], row
 print(f"ok: stm stats-json {len(rows)} rows, per-cause aborts reconcile")
 EOF
+
+echo "== goldens: full repro all and quick stats-json match the committed bytes =="
+# A change that keeps every simulated decision leaves both files as they
+# are; regenerate them only with a change that means to alter the output.
+check_golden() {
+    if ! cmp -s "$1" "$2"; then
+        echo "FAIL: $1 differs from a fresh run; first differing lines:" >&2
+        diff "$1" "$2" | head -20 >&2
+        exit 1
+    fi
+    echo "ok: $1 byte-identical ($(wc -c <"$1") bytes)"
+}
+"$repro" --jobs 2 all >"$stats_dir/repro_all.txt" 2>/dev/null
+check_golden golden/repro_all.txt "$stats_dir/repro_all.txt"
+check_golden golden/stats_quick.json "$stats_dir/stats_j1.json"
 
 echo "== verify OK =="
