@@ -1,10 +1,10 @@
 //! Adaptive contention-management policy bench, with machine-readable
 //! output.
 //!
-//! Runs the `policy_sweep` experiment — every [`ContentionPolicy`]
-//! (including `Adaptive`) over contended workload points (Mp3d plus two
-//! OLTP skew/mix points) on both backends — then answers the two questions
-//! the adaptive manager exists to answer:
+//! Runs the `policy_sweep` experiment — every contention policy (including
+//! `Adaptive`) over contended workload points (Mp3d plus two OLTP skew/mix
+//! points) on both backends — then answers the two questions the adaptive
+//! manager exists to answer:
 //!
 //! 1. **Do the static policies trade places?** Per (point, backend) the
 //!    best *static* policy is recorded; the sweep is interesting exactly
@@ -23,10 +23,9 @@
 //!
 //! Writes `BENCH_policy.json` through [`ltse_bench::harness`].
 
-use logtm_se::ContentionPolicy;
 use ltse_bench::experiments::{
-    policy_oltp_config, policy_sweep, policy_tune, ExperimentScale, PolicySweepRow,
-    POLICY_ESCALATE_AFTER, POLICY_OLTP_POINTS,
+    policy_oltp_config, policy_points, policy_sweep, policy_tune, ExperimentScale,
+    PolicySweepRow, POLICY_ESCALATE_AFTER, POLICY_OLTP_POINTS,
 };
 use ltse_bench::harness::{self, Bench};
 use ltse_bench::json::Json;
@@ -50,6 +49,7 @@ fn stm_best_of(row: &mut PolicySweepRow, scale: &ExperimentScale, extra: usize) 
                     row.score = score;
                     row.committed = out.committed_txs;
                     row.aborts = out.report.aborts;
+                    row.serial_escalations = out.report.serial_escalations;
                     row.completed = out.committed_txs == cfg.total_txs();
                 }
             }
@@ -109,31 +109,14 @@ fn main() {
     }
 
     // ---- per-point analysis --------------------------------------------
-    let mut points: Vec<(&str, BackendKind)> = Vec::new();
-    for r in &rows {
-        if !points.contains(&(r.workload, r.backend)) {
-            points.push((r.workload, r.backend));
-        }
-    }
     let mut point_summaries = Vec::new();
     let mut static_winners: Vec<&'static str> = Vec::new();
     let mut adaptive_min_rel = f64::INFINITY;
-    for (workload, backend) in &points {
-        let group: Vec<&PolicySweepRow> = rows
-            .iter()
-            .filter(|r| r.workload == *workload && r.backend == *backend)
-            .collect();
-        let best = group.iter().map(|r| r.score).fold(0.0_f64, f64::max);
-        let best_static = group
-            .iter()
-            .filter(|r| r.policy != ContentionPolicy::Adaptive)
-            .max_by(|a, b| a.score.total_cmp(&b.score))
-            .expect("static rows");
-        let adaptive = group
-            .iter()
-            .find(|r| r.policy == ContentionPolicy::Adaptive)
-            .expect("adaptive row");
-        let rel = if best > 0.0 { adaptive.score / best } else { 0.0 };
+    for point in policy_points(&rows) {
+        let (workload, backend) = (point.rows[0].workload, point.rows[0].backend);
+        let best_static = point.best_static.expect("static rows");
+        let adaptive = point.adaptive.expect("adaptive row");
+        let rel = point.adaptive_vs_best().expect("adaptive row");
         adaptive_min_rel = adaptive_min_rel.min(rel);
         if !static_winners.contains(&best_static.policy.name()) {
             static_winners.push(best_static.policy.name());
@@ -148,7 +131,7 @@ fn main() {
         );
         point_summaries.push(
             Json::obj()
-                .field("point", *workload)
+                .field("point", workload)
                 .field("backend", backend.name())
                 .field("best_static_policy", best_static.policy.name())
                 .field("best_static_score", Json::Num(best_static.score, 4))

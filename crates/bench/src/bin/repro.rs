@@ -18,14 +18,14 @@
 //!   logfilter      Ablation A3: log-filter size
 //!   virt           Ablation A4: context-switch overhead
 //!   snooping       §7: directory vs. snooping coherence
-//!   policies       Contention managers (future-work hook)
 //!   multicmp       §7: multiple-CMP partitioning
 //!   nesting        Partial aborts: flat vs. nested (§3.2)
 //!   smt            16×2 SMT vs. 32×1 cores, sibling-conflict cost
 //!   oltp           Open-loop OLTP driver: latency SLOs by skew/mix point
 //!   policy         Adaptive contention management: every policy on
 //!                  contended workloads, both backends
-//!   all            Everything above except oltp and policy, in order
+//!   all            Everything above except oltp, in order; policy
+//!                  contributes only its simulator rows
 //! ```
 //!
 //! `--quick` runs at reduced scale (for smoke tests); `--csv` emits
@@ -35,8 +35,9 @@
 //! that is not a positive integer is a usage error (exit 2).
 //!
 //! Every experiment fans its independent simulation runs out over a worker
-//! pool. `--jobs N` (or the `LTSE_JOBS` environment variable) sets the
-//! worker count; the default is one worker per available core. Results are
+//! pool (wall-clock STM runs go one at a time). `--jobs N` (or the
+//! `LTSE_JOBS` environment variable) sets the pool's worker count; the
+//! default is one worker per available core. Results are
 //! collected in submission order, so **stdout is byte-identical regardless
 //! of worker count**. Wall-clock/throughput lines (inherently
 //! nondeterministic) go to stderr; a run that panics or errors is reported
@@ -55,8 +56,8 @@
 //! engines and prints a side-by-side comparison (simulated cycles vs. real
 //! wall clock), and `oltp` runs every skew/mix point on both engines with
 //! a final-KV-state cross-check. Because the STM numbers are wall-clock
-//! from real OS threads, those tables are *not* byte-deterministic and the
-//! runs bypass the worker pool; only the `table2`, `oltp`,
+//! from real OS threads, those tables are *not* byte-deterministic, and the
+//! STM runs go one at a time on a single worker; only the `table2`, `oltp`,
 //! and `all` subcommands are meaningful there. `--stats-json` on the STM
 //! branch writes the STM telemetry document: per-cause abort counters
 //! (locked/stale/serial-fallback) mapped onto the obs layer with a
@@ -73,7 +74,7 @@
 //! contention policy (including `Adaptive`) over contended workload
 //! points — Mp3d plus two OLTP skew/mix points — on **both** backends in
 //! one table. Its STM rows are wall-clock and therefore not
-//! byte-deterministic, so like `oltp` it stays out of `all`.
+//! byte-deterministic, so `all` prints only its simulator rows.
 
 use logtm_se::{MemConfig, SystemBuilder};
 use ltse_bench::experiments::ExperimentScale;
@@ -237,10 +238,10 @@ fn main() {
         ExperimentScale::full()
     };
 
-    // The STM backend has exactly one table: the sim-vs-stm differential
-    // comparison over the Table-2 workloads. It runs sequentially (real
-    // wall clock — no pool) and exits here so the simulator-only
-    // stats-json below never engages.
+    // The STM backend has two tables, each a sim-vs-stm differential
+    // comparison: the Table-2 workloads and the OLTP points. The STM runs
+    // go on one worker (real wall clock), and the branch exits here so the
+    // simulator-only stats-json below never engages.
     if backend == ltse_workloads::BackendKind::Stm {
         let mut ok = match cmd {
             "table2" | "all" => emit(stm_compare(&scale), |r| render::render_stm(r)),
@@ -296,18 +297,18 @@ fn main() {
             }
             "virt" => emit(virtualization_overhead(&scale), |r| render::render_virt(r)),
             "snooping" => emit(snooping_comparison(&scale), |r| render::render_snooping(r)),
-            "policies" => emit(contention_policies(&scale), |r| render::render_policies(r)),
             "multicmp" => emit(multi_cmp_comparison(&scale), |r| render::render_multi_cmp(r)),
             "nesting" => emit(nesting_ablation(&scale), |r| render::render_nesting(r)),
             "smt" => emit(smt_comparison(&scale), |r| render::render_smt(r)),
-            "oltp" => emit(
-                oltp_experiment(&scale, ltse_workloads::BackendKind::Sim),
-                |r| render::render_oltp(r),
-            ),
+            "oltp" => emit(oltp_experiment(&scale), |r| render::render_oltp(r)),
+            // Inside `all`, only the deterministic simulator rows.
+            "policy" if cmd == "all" => {
+                emit(policy_sweep_sim(&scale), |r| render::render_policy_sweep(r))
+            }
             "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
             other => {
                 eprintln!("unknown subcommand: {other}");
-                eprintln!("known: table1 table2 figure4 table3 victimization table4 sweep sticky logfilter virt snooping policies multicmp nesting smt oltp policy all");
+                eprintln!("known: table1 table2 figure4 table3 victimization table4 sweep sticky logfilter virt snooping multicmp nesting smt oltp policy all");
                 std::process::exit(2);
             }
         };
@@ -329,7 +330,7 @@ fn main() {
             "logfilter",
             "virt",
             "snooping",
-            "policies",
+            "policy",
             "multicmp",
             "nesting",
             "smt",

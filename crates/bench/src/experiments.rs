@@ -1,11 +1,12 @@
 //! The experiment implementations.
 //!
-//! Every experiment builds its full list of independent simulation runs as
-//! labelled [`RunSpec`]s and fans them out through [`crate::runner`] — the
-//! parallel, deterministic, panic-isolated pool. Results come back in
-//! submission order, so every table below is byte-identical regardless of
-//! worker count; a diverging configuration surfaces as a labelled entry in
-//! the returned [`SweepError`] instead of killing the sweep.
+//! Every experiment builds its full list of independent runs as labelled
+//! [`RunSpec`]s and runs them through [`crate::runner::sweep`] — on the
+//! parallel pool for simulator runs, on one worker for wall-clock STM runs.
+//! Results come back in submission order, so every simulator table below is
+//! byte-identical regardless of worker count; a diverging configuration
+//! surfaces as a labelled entry in the returned [`SweepError`] instead of
+//! killing the sweep.
 
 use logtm_se::{ContentionPolicy, CoherenceKind, Cycle, SignatureKind, SystemBuilder};
 use ltse_sim::config::seed_sequence;
@@ -16,7 +17,7 @@ use ltse_workloads::{
     PolicyTune, RunParams, SyncMode,
 };
 
-use crate::runner::{sweep, sweep_ok, FailedRun, SweepError};
+use crate::runner::{jobs, sweep, FailedRun, SweepError};
 
 /// How big each experiment runs: the trade-off between statistical quality
 /// and wall-clock time.
@@ -83,81 +84,6 @@ fn params(
 }
 
 // ---------------------------------------------------------------------
-// Contention-manager comparison (the paper's future-work hook)
-// ---------------------------------------------------------------------
-
-/// One datapoint of the contention-policy comparison.
-#[derive(Debug, Clone)]
-pub struct PolicyRow {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// The policy.
-    pub policy: logtm_se::ContentionPolicy,
-    /// Cycles to complete the fixed work.
-    pub cycles: Cycle,
-    /// Aborts.
-    pub aborts: u64,
-    /// Stalls.
-    pub stalls: u64,
-    /// Cycles inside transactions that ultimately aborted.
-    pub wasted_cycles: u64,
-    /// Whether the run finished its fixed work (the naive
-    /// requester-aborts manager can livelock under heavy contention —
-    /// exactly why LogTM's default stalls).
-    pub completed: bool,
-}
-
-/// Compares the three contention managers on the two most contended
-/// benchmarks. Hitting the cycle watchdog is a *result* here (the
-/// livelock-prone manager demonstrably livelocking), not a failure, so
-/// these runs handle the simulator error internally.
-pub fn contention_policies(scale: &ExperimentScale) -> Result<Vec<PolicyRow>, SweepError> {
-    use logtm_se::ContentionPolicy;
-    let scale = *scale;
-    let seed = seed_sequence(scale.base_seed, 1)[0];
-    let mut specs = Vec::new();
-    for benchmark in [Benchmark::BerkeleyDb, Benchmark::Raytrace] {
-        for policy in [
-            ContentionPolicy::RequesterStalls,
-            ContentionPolicy::RequesterAborts,
-            ContentionPolicy::SizeMatters,
-        ] {
-            specs.push(RunSpec::new(
-                format!("contention/{benchmark}/{policy:?}"),
-                move || {
-                    let mut system = SystemBuilder::paper_default()
-                        .signature(SignatureKind::paper_bs_2kb())
-                        .contention(policy)
-                        .seed(seed)
-                        .limits(ltse_sim::config::SimLimits {
-                            max_cycles: Cycle(10_000_000),
-                            max_events: 1_000_000_000,
-                        })
-                        .build();
-                    for program in
-                        benchmark.programs(SyncMode::Tm, scale.threads, scale.units_per_thread)
-                    {
-                        system.add_thread(program);
-                    }
-                    let completed = system.run().is_ok();
-                    let r = system.report();
-                    PolicyRow {
-                        benchmark,
-                        policy,
-                        cycles: r.cycles,
-                        aborts: r.tm.aborts,
-                        stalls: r.tm.stalls,
-                        wasted_cycles: r.tm.wasted_cycles,
-                        completed,
-                    }
-                },
-            ));
-        }
-    }
-    sweep_ok("contention_policies", specs)
-}
-
-// ---------------------------------------------------------------------
 // SMT: 32 contexts as 16×2 SMT vs. 32×1 single-threaded cores
 // ---------------------------------------------------------------------
 
@@ -213,7 +139,7 @@ pub fn smt_comparison(scale: &ExperimentScale) -> Result<Vec<SmtRow>, SweepError
             }));
         }
     }
-    sweep("smt_comparison", specs)
+    sweep("smt_comparison", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -347,7 +273,7 @@ pub fn nesting_ablation(scale: &ExperimentScale) -> Result<Vec<NestingRow>, Swee
             })
         })
         .collect();
-    sweep("nesting_ablation", specs)
+    sweep("nesting_ablation", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -403,7 +329,7 @@ pub fn multi_cmp_comparison(scale: &ExperimentScale) -> Result<Vec<MultiCmpRow>,
             ));
         }
     }
-    sweep("multi_cmp_comparison", specs)
+    sweep("multi_cmp_comparison", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -461,7 +387,7 @@ pub fn snooping_comparison(scale: &ExperimentScale) -> Result<Vec<SnoopRow>, Swe
             }
         }
     }
-    sweep("snooping_comparison", specs)
+    sweep("snooping_comparison", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -517,7 +443,7 @@ pub fn figure4(scale: &ExperimentScale) -> Result<Vec<Fig4Row>, SweepError> {
             }
         }
     }
-    let throughputs = sweep("figure4", specs)?;
+    let throughputs = sweep("figure4", jobs(), specs)?;
 
     let mut it = throughputs.into_iter();
     let rows = Benchmark::all()
@@ -615,7 +541,7 @@ pub fn table2(scale: &ExperimentScale) -> Result<Vec<Table2Row>, SweepError> {
             })
         })
         .collect();
-    sweep("table2", specs)
+    sweep("table2", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -684,7 +610,7 @@ pub fn table3(scale: &ExperimentScale) -> Result<Vec<Table3Row>, SweepError> {
             ));
         }
     }
-    sweep("table3", specs)
+    sweep("table3", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -727,7 +653,7 @@ pub fn victimization(scale: &ExperimentScale) -> Result<Vec<VictimRow>, SweepErr
             })
         })
         .collect();
-    sweep("victimization", specs)
+    sweep("victimization", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -787,7 +713,7 @@ pub fn signature_sweep(scale: &ExperimentScale) -> Result<Vec<SweepRow>, SweepEr
             }
         }
     }
-    let stats = sweep("signature_sweep", specs)?;
+    let stats = sweep("signature_sweep", jobs(), specs)?;
 
     let mut it = stats.into_iter();
     let mut rows = Vec::new();
@@ -911,7 +837,7 @@ pub fn sticky_ablation(scale: &ExperimentScale) -> Result<Vec<StickyRow>, SweepE
             })
         }));
     }
-    sweep("sticky_ablation", specs)
+    sweep("sticky_ablation", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -969,7 +895,7 @@ pub fn log_filter_ablation(scale: &ExperimentScale) -> Result<Vec<LogFilterRow>,
             })
         })
         .collect();
-    sweep("log_filter_ablation", specs)
+    sweep("log_filter_ablation", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -1048,7 +974,7 @@ pub fn virtualization_overhead(scale: &ExperimentScale) -> Result<Vec<VirtRow>, 
             ));
         }
     }
-    sweep("virtualization_overhead", specs)
+    sweep("virtualization_overhead", jobs(), specs)
 }
 
 // ---------------------------------------------------------------------
@@ -1088,78 +1014,110 @@ pub struct StmRow {
     pub stm_units_per_ms: f64,
 }
 
-/// Runs every Table-2 workload in TM mode on the cycle-level simulator and
-/// on the TL2 STM backend, side by side.
-///
-/// Unlike the sweep experiments this runs sequentially and bypasses the
-/// worker pool: the STM side measures real wall clock on real threads, so
-/// sharing cores with sibling runs would corrupt the one number the
-/// experiment exists to report.
-pub fn stm_compare(scale: &ExperimentScale) -> Result<Vec<StmRow>, SweepError> {
-    let seed = seed_sequence(scale.base_seed, 1)[0];
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let mut runs = 0usize;
-    for benchmark in Benchmark::all() {
-        let p = params(scale, benchmark, SyncMode::Tm, SignatureKind::Perfect, seed);
-        runs += 2;
-        let run = |kind: BackendKind| {
-            run_on_backend(kind, &p).map_err(|reason| FailedRun {
-                label: format!("stm_compare/{benchmark}/{kind}"),
-                reason,
+/// Runs an experiment's legs on both backends: the simulator legs on the
+/// pool, then the STM legs on one worker, because wall-clock STM runs must
+/// not share the host with sibling runs. Returns the `(sim, stm)` rows, each
+/// in submission order, or one [`SweepError`] naming every failed run of
+/// both sweeps.
+fn sim_then_stm<R: Send>(
+    experiment: &'static str,
+    legs: impl Fn(BackendKind) -> Vec<RunSpec<Result<R, String>>>,
+) -> Result<(Vec<R>, Vec<R>), SweepError> {
+    let sim = sweep(experiment, jobs(), legs(BackendKind::Sim));
+    let stm = sweep(experiment, 1, legs(BackendKind::Stm));
+    match (sim, stm) {
+        (Ok(sim), Ok(stm)) => Ok((sim, stm)),
+        (sim, stm) => {
+            let runs = |part: &Result<Vec<R>, SweepError>| {
+                part.as_ref().map_or_else(|e| e.runs, Vec::len)
+            };
+            Err(SweepError {
+                experiment,
+                runs: runs(&sim) + runs(&stm),
+                failures: [sim.err(), stm.err()]
+                    .into_iter()
+                    .flatten()
+                    .flat_map(|e| e.failures)
+                    .collect(),
             })
-        };
-        let (sim, stm) = match (run(BackendKind::Sim), run(BackendKind::Stm)) {
-            (Ok(sim), Ok(stm)) => (sim, stm),
-            (sim, stm) => {
-                failures.extend(sim.err());
-                failures.extend(stm.err());
-                continue;
-            }
-        };
-        if sim.work_units != stm.work_units {
-            failures.push(FailedRun {
-                label: format!("stm_compare/{benchmark}"),
-                reason: format!(
-                    "work-unit mismatch: sim completed {} units, stm {}",
-                    sim.work_units, stm.work_units
-                ),
-            });
-            continue;
         }
-        let sim_cycles = sim.sim_cycles.unwrap_or(0);
-        let stm_wall_ms = stm.wall.as_secs_f64() * 1e3;
-        rows.push(StmRow {
-            benchmark,
-            threads: p.threads,
-            units: sim.work_units,
-            sim_cycles,
-            sim_commits: sim.commits,
-            sim_aborts: sim.aborts,
-            sim_units_per_kcycle: if sim_cycles > 0 {
-                sim.work_units as f64 * 1e3 / sim_cycles as f64
-            } else {
-                0.0
-            },
-            stm_wall_ms,
-            stm_commits: stm.commits,
-            stm_aborts: stm.aborts,
-            stm_units_per_ms: if stm_wall_ms > 0.0 {
-                stm.work_units as f64 / stm_wall_ms
-            } else {
-                0.0
-            },
-        });
     }
+}
+
+/// Pairs each simulator row with its STM twin. `disagree` names a pair
+/// whose results must match and do not; every such pair fails the
+/// experiment.
+fn cross_check<R>(
+    experiment: &'static str,
+    (sim, stm): (Vec<R>, Vec<R>),
+    disagree: impl Fn(&R, &R) -> Option<FailedRun>,
+) -> Result<Vec<(R, R)>, SweepError> {
+    let failures: Vec<FailedRun> =
+        sim.iter().zip(&stm).filter_map(|(a, b)| disagree(a, b)).collect();
     if failures.is_empty() {
-        Ok(rows)
+        Ok(sim.into_iter().zip(stm).collect())
     } else {
         Err(SweepError {
-            experiment: "stm_compare",
-            runs,
+            experiment,
+            runs: sim.len() + stm.len(),
             failures,
         })
     }
+}
+
+/// Runs every Table-2 workload in TM mode on the cycle-level simulator and
+/// on the TL2 STM backend, side by side, and checks that both complete the
+/// same units of work.
+pub fn stm_compare(scale: &ExperimentScale) -> Result<Vec<StmRow>, SweepError> {
+    let seed = seed_sequence(scale.base_seed, 1)[0];
+    let legs = sim_then_stm("stm_compare", |kind| {
+        Benchmark::all()
+            .into_iter()
+            .map(|benchmark| {
+                let p = params(scale, benchmark, SyncMode::Tm, SignatureKind::Perfect, seed);
+                RunSpec::new(format!("stm_compare/{benchmark}/{kind}"), move || {
+                    run_on_backend(kind, &p).map(|report| (p, report))
+                })
+            })
+            .collect()
+    })?;
+    let pairs = cross_check("stm_compare", legs, |(p, sim), (_, stm)| {
+        (sim.work_units != stm.work_units).then(|| FailedRun {
+            label: format!("stm_compare/{}", p.benchmark),
+            reason: format!(
+                "work-unit mismatch: sim completed {} units, stm {}",
+                sim.work_units, stm.work_units
+            ),
+        })
+    })?;
+    Ok(pairs
+        .into_iter()
+        .map(|((p, sim), (_, stm))| {
+            let sim_cycles = sim.sim_cycles.unwrap_or(0);
+            let stm_wall_ms = stm.wall.as_secs_f64() * 1e3;
+            StmRow {
+                benchmark: p.benchmark,
+                threads: p.threads,
+                units: sim.work_units,
+                sim_cycles,
+                sim_commits: sim.commits,
+                sim_aborts: sim.aborts,
+                sim_units_per_kcycle: if sim_cycles > 0 {
+                    sim.work_units as f64 * 1e3 / sim_cycles as f64
+                } else {
+                    0.0
+                },
+                stm_wall_ms,
+                stm_commits: stm.commits,
+                stm_aborts: stm.aborts,
+                stm_units_per_ms: if stm_wall_ms > 0.0 {
+                    stm.work_units as f64 / stm_wall_ms
+                } else {
+                    0.0
+                },
+            }
+        })
+        .collect())
 }
 
 /// One row of the `oltp` experiment: a skew/mix point run on one backend.
@@ -1221,11 +1179,8 @@ fn oltp_row(
     theta_permille: u32,
     read_pct: u8,
     cfg: &OltpConfig,
-) -> Result<OltpRow, FailedRun> {
-    let out = run_oltp(kind, cfg, false).map_err(|reason| FailedRun {
-        label: format!("oltp/{point}/{kind}"),
-        reason,
-    })?;
+) -> Result<OltpRow, String> {
+    let out = run_oltp(kind, cfg, false)?;
     Ok(OltpRow {
         point,
         backend: kind,
@@ -1242,33 +1197,24 @@ fn oltp_row(
     })
 }
 
-/// `repro oltp`: the open-loop OLTP skew/mix points on one backend.
-///
-/// Runs sequentially: open-loop latency distributions shouldn't share the
-/// host with sibling runs, and on stm they're wall-clock. Sim rows are
-/// fully deterministic — cycles in, cycles out.
-pub fn oltp_experiment(
-    scale: &ExperimentScale,
-    kind: BackendKind,
-) -> Result<Vec<OltpRow>, SweepError> {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for (point, theta_permille, read_pct) in OLTP_POINTS {
-        let cfg = oltp_config(scale, theta_permille, read_pct);
-        match oltp_row(point, kind, theta_permille, read_pct, &cfg) {
-            Ok(row) => rows.push(row),
-            Err(f) => failures.push(f),
-        }
-    }
-    if failures.is_empty() {
-        Ok(rows)
-    } else {
-        Err(SweepError {
-            experiment: "oltp",
-            runs: OLTP_POINTS.len(),
-            failures,
+/// One run per OLTP skew/mix point on `kind`.
+fn oltp_specs(scale: &ExperimentScale, kind: BackendKind) -> Vec<RunSpec<Result<OltpRow, String>>> {
+    OLTP_POINTS
+        .iter()
+        .map(|&(point, theta_permille, read_pct)| {
+            let cfg = oltp_config(scale, theta_permille, read_pct);
+            RunSpec::new(format!("oltp/{point}/{kind}"), move || {
+                oltp_row(point, kind, theta_permille, read_pct, &cfg)
+            })
         })
-    }
+        .collect()
+}
+
+/// `repro oltp`: the open-loop OLTP skew/mix points on the simulator. The
+/// rows are cycle-denominated and fully deterministic, so they run on the
+/// pool.
+pub fn oltp_experiment(scale: &ExperimentScale) -> Result<Vec<OltpRow>, SweepError> {
+    sweep("oltp", jobs(), oltp_specs(scale, BackendKind::Sim))
 }
 
 /// `repro --backend stm oltp`: every skew/mix point on both engines, with
@@ -1276,44 +1222,17 @@ pub fn oltp_experiment(
 /// state regardless of interleaving — a backend pair that disagrees has a
 /// lost update).
 pub fn oltp_compare(scale: &ExperimentScale) -> Result<Vec<OltpRow>, SweepError> {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let mut runs = 0usize;
-    for (point, theta_permille, read_pct) in OLTP_POINTS {
-        let cfg = oltp_config(scale, theta_permille, read_pct);
-        runs += 2;
-        let sim = oltp_row(point, BackendKind::Sim, theta_permille, read_pct, &cfg);
-        let stm = oltp_row(point, BackendKind::Stm, theta_permille, read_pct, &cfg);
-        let (sim, stm) = match (sim, stm) {
-            (Ok(sim), Ok(stm)) => (sim, stm),
-            (sim, stm) => {
-                failures.extend(sim.err());
-                failures.extend(stm.err());
-                continue;
-            }
-        };
-        if sim.kv_fingerprint != stm.kv_fingerprint {
-            failures.push(FailedRun {
-                label: format!("oltp/{point}"),
-                reason: format!(
-                    "final KV state diverged: sim {:016x}, stm {:016x}",
-                    sim.kv_fingerprint, stm.kv_fingerprint
-                ),
-            });
-            continue;
-        }
-        rows.push(sim);
-        rows.push(stm);
-    }
-    if failures.is_empty() {
-        Ok(rows)
-    } else {
-        Err(SweepError {
-            experiment: "oltp",
-            runs,
-            failures,
+    let legs = sim_then_stm("oltp", |kind| oltp_specs(scale, kind))?;
+    let pairs = cross_check("oltp", legs, |sim, stm| {
+        (sim.kv_fingerprint != stm.kv_fingerprint).then(|| FailedRun {
+            label: format!("oltp/{}", sim.point),
+            reason: format!(
+                "final KV state diverged: sim {:016x}, stm {:016x}",
+                sim.kv_fingerprint, stm.kv_fingerprint
+            ),
         })
-    }
+    })?;
+    Ok(pairs.into_iter().flat_map(|(sim, stm)| [sim, stm]).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -1338,8 +1257,8 @@ pub struct PolicySweepRow {
     pub committed: u64,
     /// Aborts along the way.
     pub aborts: u64,
-    /// Serial-token escalations (`sim` rows; the STM reports fallbacks in
-    /// its own stats and 0 here).
+    /// Escalations to the serial fallback: the simulator's serial-token
+    /// escalations, the STM's serial fallbacks.
     pub serial_escalations: u64,
     /// Whether the run finished its fixed work inside the watchdogs
     /// (completed-as-data: a policy that livelocks is a result).
@@ -1389,22 +1308,21 @@ pub fn policy_tune(policy: ContentionPolicy) -> PolicyTune {
     }
 }
 
-/// `repro policy`: every [`ContentionPolicy`] on contended workloads, on
-/// both backends — where does each static policy win, and is `Adaptive`
-/// ever far from the per-point best?
-///
-/// The Mp3d sim rows are deterministic and fan out through the parallel
-/// runner. The OLTP rows run sequentially, like the `oltp` experiment:
-/// wall-clock STM goodput shouldn't share the host.
-pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, SweepError> {
+/// One run per policy-sweep row on `kind`: Mp3d (simulator only) and the
+/// OLTP points, under every [`ContentionPolicy`].
+fn policy_specs(
+    scale: &ExperimentScale,
+    kind: BackendKind,
+) -> Vec<RunSpec<Result<PolicySweepRow, String>>> {
     let scale = *scale;
     let seed = seed_sequence(scale.base_seed, 1)[0];
+    let mut specs = Vec::new();
 
     // Mp3d at fixed work: the paper's most contended Table 2 benchmark.
-    let mut specs = Vec::new();
-    for policy in ContentionPolicy::ALL {
-        specs.push(
-            RunSpec::new(format!("policy/mp3d/{}", policy.name()), move || {
+    // Hitting the cycle watchdog is a result here, not a failure.
+    if kind == BackendKind::Sim {
+        for policy in ContentionPolicy::ALL {
+            specs.push(RunSpec::new(format!("policy/mp3d/{}", policy.name()), move || {
                 let mut system = SystemBuilder::paper_default()
                     .signature(SignatureKind::paper_bs_2kb())
                     .contention(policy)
@@ -1423,39 +1341,26 @@ pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, Swee
                 let completed = system.run().is_ok();
                 let r = system.report();
                 let cycles = r.cycles.as_u64().max(1);
-                PolicySweepRow {
+                Ok(PolicySweepRow {
                     workload: "mp3d_tm",
-                    backend: BackendKind::Sim,
+                    backend: kind,
                     policy,
                     score: r.tm.work_units as f64 * 1e6 / cycles as f64,
                     committed: r.tm.commits,
                     aborts: r.tm.aborts,
                     serial_escalations: r.tm.serial_escalations,
                     completed,
-                }
-            }),
-        );
+                })
+            }));
+        }
     }
-    let mut rows = sweep_ok("policy_sweep", specs)?;
 
-    // The OLTP points, sim then stm, every policy.
-    let mut failures = Vec::new();
-    let mut runs = ContentionPolicy::ALL.len();
     for (point, theta_permille, read_pct) in POLICY_OLTP_POINTS {
         let cfg = policy_oltp_config(&scale, theta_permille, read_pct);
-        for kind in [BackendKind::Sim, BackendKind::Stm] {
-            for policy in ContentionPolicy::ALL {
-                runs += 1;
-                let out = match run_oltp_with(kind, &cfg, false, &policy_tune(policy)) {
-                    Ok(out) => out,
-                    Err(reason) => {
-                        failures.push(FailedRun {
-                            label: format!("policy/{point}/{kind}/{}", policy.name()),
-                            reason,
-                        });
-                        continue;
-                    }
-                };
+        for policy in ContentionPolicy::ALL {
+            let label = format!("policy/{point}/{kind}/{}", policy.name());
+            specs.push(RunSpec::new(label, move || {
+                let out = run_oltp_with(kind, &cfg, false, &policy_tune(policy))?;
                 let score = match kind {
                     BackendKind::Sim => {
                         let cycles = out.report.sim_cycles.unwrap_or(0).max(1);
@@ -1463,28 +1368,96 @@ pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, Swee
                     }
                     BackendKind::Stm => out.goodput_tx_per_sec(),
                 };
-                rows.push(PolicySweepRow {
+                Ok(PolicySweepRow {
                     workload: point,
                     backend: kind,
                     policy,
                     score,
                     committed: out.committed_txs,
                     aborts: out.report.aborts,
-                    serial_escalations: 0,
+                    serial_escalations: out.report.serial_escalations,
                     completed: out.committed_txs == cfg.total_txs(),
-                });
-            }
+                })
+            }));
         }
     }
-    if failures.is_empty() {
-        Ok(rows)
-    } else {
-        Err(SweepError {
-            experiment: "policy_sweep",
-            runs,
-            failures,
-        })
+    specs
+}
+
+/// The deterministic simulator rows of [`policy_sweep`]: Mp3d plus the
+/// OLTP points under every policy, on the pool. `repro all` prints these.
+pub fn policy_sweep_sim(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, SweepError> {
+    sweep("policy_sweep", jobs(), policy_specs(scale, BackendKind::Sim))
+}
+
+/// `repro policy`: every [`ContentionPolicy`] on contended workloads, on
+/// both backends — where does each static policy win, and is `Adaptive`
+/// ever far from the per-point best? The simulator rows come first, then
+/// the wall-clock STM rows of the OLTP points.
+pub fn policy_sweep(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, SweepError> {
+    let (mut rows, stm) = sim_then_stm("policy_sweep", |kind| policy_specs(scale, kind))?;
+    rows.extend(stm);
+    Ok(rows)
+}
+
+/// One (workload, backend) point of a policy sweep and who won it.
+#[derive(Debug)]
+pub struct PolicyPoint<'a> {
+    /// The point's rows, one per policy, in sweep order.
+    pub rows: Vec<&'a PolicySweepRow>,
+    /// The best score over every policy (0 when nothing scored).
+    pub best: f64,
+    /// The highest-scoring static (non-`Adaptive`) row.
+    pub best_static: Option<&'a PolicySweepRow>,
+    /// The `Adaptive` row.
+    pub adaptive: Option<&'a PolicySweepRow>,
+}
+
+impl PolicyPoint<'_> {
+    /// `score` as a fraction of the point's best (0 when nothing scored).
+    pub fn vs_best(&self, score: f64) -> f64 {
+        if self.best > 0.0 {
+            score / self.best
+        } else {
+            0.0
+        }
     }
+
+    /// `Adaptive`'s score as a fraction of the point's best.
+    pub fn adaptive_vs_best(&self) -> Option<f64> {
+        self.adaptive.map(|r| self.vs_best(r.score))
+    }
+}
+
+/// Groups policy-sweep rows per (workload, backend) point, in the order the
+/// points first appear.
+pub fn policy_points(rows: &[PolicySweepRow]) -> Vec<PolicyPoint<'_>> {
+    let mut groups: Vec<Vec<&PolicySweepRow>> = Vec::new();
+    for r in rows {
+        match groups
+            .iter_mut()
+            .find(|g| g[0].workload == r.workload && g[0].backend == r.backend)
+        {
+            Some(group) => group.push(r),
+            None => groups.push(vec![r]),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|rows| PolicyPoint {
+            best: rows.iter().map(|r| r.score).fold(0.0_f64, f64::max),
+            best_static: rows
+                .iter()
+                .copied()
+                .filter(|r| r.policy != ContentionPolicy::Adaptive)
+                .max_by(|a, b| a.score.total_cmp(&b.score)),
+            adaptive: rows
+                .iter()
+                .copied()
+                .find(|r| r.policy == ContentionPolicy::Adaptive),
+            rows,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1594,6 +1567,20 @@ mod tests {
                 assert_eq!(a.aborts, b.aborts);
             }
         }
+    }
+
+    #[test]
+    fn policy_sweep_reports_serial_escalations_on_zipf99_sim_rows() {
+        // At quick scale the hot-key point escalates under requester_aborts
+        // (20 times) and size_matters (twice).
+        let rows = policy_sweep_sim(&ExperimentScale::quick()).expect("sweep");
+        let zipf99: Vec<(&str, u64)> = rows
+            .iter()
+            .filter(|r| r.workload == "oltp_zipf99_read50")
+            .map(|r| (r.policy.name(), r.serial_escalations))
+            .collect();
+        assert_eq!(zipf99.len(), ContentionPolicy::ALL.len());
+        assert!(zipf99.iter().any(|&(_, n)| n > 0), "no zipf99 sim row escalated: {zipf99:?}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Aligned-text rendering of experiment results (what `repro` prints).
 
 use crate::experiments::{
-    Fig4Row, LogFilterRow, MultiCmpRow, NestingRow, OltpRow, PolicyRow, PolicySweepRow, SmtRow,
-    SnoopRow, StickyRow, StmRow, SweepRow, Table2Row, Table3Row, VictimRow, VirtRow,
+    policy_points, Fig4Row, LogFilterRow, MultiCmpRow, NestingRow, OltpRow, PolicySweepRow,
+    SmtRow, SnoopRow, StickyRow, StmRow, SweepRow, Table2Row, Table3Row, VictimRow, VirtRow,
 };
 use ltse_workloads::BackendKind;
 
@@ -112,32 +112,26 @@ pub fn render_oltp(rows: &[OltpRow]) -> String {
 
 /// Renders the adaptive contention-management policy sweep: every policy on
 /// every contended point, grouped per (workload, backend) with the winner
-/// starred and Adaptive's gap to the per-point best. Sim scores are
+/// starred and each policy's gap to the per-point best. Sim scores are
 /// committed work per simulated megacycle (deterministic); stm scores are
 /// committed transactions per wall-clock second (noisy, run to run).
 pub fn render_policy_sweep(rows: &[PolicySweepRow]) -> String {
+    let backends = if rows.iter().any(|r| r.backend == BackendKind::Stm) {
+        "both backends"
+    } else {
+        "simulator"
+    };
     let mut out = String::new();
-    out.push_str("Policy sweep: contention managers on contended workloads, both backends\n");
+    out.push_str(&format!(
+        "Policy sweep: contention managers on contended workloads, {backends}\n"
+    ));
     out.push_str(&format!(
         "{:<20} {:>7} {:<17} {:>12} {:>9} {:>9} {:>7} {:>5} {:>9}\n",
         "Point", "Backend", "Policy", "Score", "Committed", "Aborts", "SerEsc", "Done", "vs.best"
     ));
-    // Preserve row order but group per (workload, backend) point.
-    let mut points: Vec<(&str, BackendKind)> = Vec::new();
-    for r in rows {
-        if !points.contains(&(r.workload, r.backend)) {
-            points.push((r.workload, r.backend));
-        }
-    }
-    for (workload, backend) in points {
-        let group: Vec<&PolicySweepRow> = rows
-            .iter()
-            .filter(|r| r.workload == workload && r.backend == backend)
-            .collect();
-        let best = group.iter().map(|r| r.score).fold(0.0_f64, f64::max);
-        for r in &group {
-            let is_best = r.score == best && best > 0.0;
-            let rel = if best > 0.0 { r.score / best } else { 0.0 };
+    for point in policy_points(rows) {
+        for r in &point.rows {
+            let is_best = r.score == point.best && point.best > 0.0;
             out.push_str(&format!(
                 "{:<20} {:>7} {:<17} {:>12.3} {:>9} {:>9} {:>7} {:>5} {:>8.1}%{}\n",
                 r.workload,
@@ -148,7 +142,7 @@ pub fn render_policy_sweep(rows: &[PolicySweepRow]) -> String {
                 r.aborts,
                 r.serial_escalations,
                 if r.completed { "yes" } else { "NO" },
-                rel * 100.0,
+                point.vs_best(r.score) * 100.0,
                 if is_best { " *" } else { "" },
             ));
         }
@@ -401,29 +395,6 @@ pub fn render_multi_cmp(rows: &[MultiCmpRow]) -> String {
             r.cycles.as_u64(),
             r.interchip_messages,
             r.messages
-        ));
-    }
-    out
-}
-
-/// Renders the contention-manager comparison.
-pub fn render_policies(rows: &[PolicyRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Contention managers on NACKs (future-work hook of §2)\n");
-    out.push_str(&format!(
-        "{:<12} {:<16} {:>12} {:>8} {:>10} {:>12} {:>10}\n",
-        "Benchmark", "Policy", "Cycles", "Aborts", "Stalls", "WastedCyc", "Finished"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:<16} {:>12} {:>8} {:>10} {:>12} {:>10}\n",
-            r.benchmark.name(),
-            format!("{:?}", r.policy),
-            r.cycles.as_u64(),
-            r.aborts,
-            r.stalls,
-            r.wasted_cycles,
-            if r.completed { "yes" } else { "LIVELOCK" }
         ));
     }
     out

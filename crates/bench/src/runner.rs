@@ -1,12 +1,15 @@
 //! Experiment-side front end over [`ltse_sim::parallel`].
 //!
-//! Every experiment function builds a list of labelled
-//! [`RunSpec`](ltse_sim::parallel::RunSpec)s and hands it to [`sweep`] (runs
-//! that return `Result`) or [`sweep_ok`] (runs that handle simulator errors
-//! themselves). The pool executes them on [`jobs`] workers, results come
-//! back in submission order — so rendered tables are byte-identical
-//! regardless of worker count — and any run that panics or errors surfaces
-//! as one entry of a [`SweepError`] instead of killing the sweep.
+//! Every experiment builds a list of labelled
+//! [`RunSpec`](ltse_sim::parallel::RunSpec)s and hands it to [`sweep`], the
+//! one way an experiment runs its runs. The caller says how many workers to
+//! use: [`jobs`] (the pool) for simulator runs, and 1 for wall-clock STM
+//! runs, which must not share the host with sibling runs. Results come back
+//! in submission order — so rendered tables are byte-identical regardless
+//! of worker count — and any run that panics or returns `Err` surfaces as
+//! one entry of a [`SweepError`] instead of killing the sweep. A run whose
+//! errors are data (a policy that livelocks into the cycle watchdog) returns
+//! `Ok`.
 //!
 //! Each sweep also records an [`ExpTiming`] (wall clock, runs/sec, mean
 //! per-run time) into a process-wide registry the `repro` binary drains via
@@ -25,14 +28,14 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 /// The timing registry, appended to by every sweep and drained by `repro`.
 static TIMINGS: Mutex<Vec<ExpTiming>> = Mutex::new(Vec::new());
 
-/// Sets the worker count every subsequent sweep uses (`None` returns to the
-/// `LTSE_JOBS`/`available_parallelism` default). The `repro --jobs N` flag
-/// lands here.
+/// Sets the pool's worker count, which every subsequent simulator sweep
+/// uses (`None` returns to the `LTSE_JOBS`/`available_parallelism`
+/// default). The `repro --jobs N` flag lands here.
 pub fn set_jobs(jobs: Option<usize>) {
     JOBS.store(jobs.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// The worker count sweeps currently resolve to.
+/// The pool's worker count: what simulator sweeps pass to [`sweep`].
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
         0 => effective_jobs(None),
@@ -137,11 +140,12 @@ fn record_timing<T>(experiment: &'static str, out: &PoolOutput<T>, failed: usize
     TIMINGS.lock().expect("timing registry lock").push(timing);
 }
 
-/// Runs a sweep whose jobs return `Result<R, E>`: both panics and `Err`s
-/// count as failures. Returns the `R`s in submission order, or a
-/// [`SweepError`] naming every failed run.
+/// Runs `specs` on `jobs` workers. Both panics and `Err`s count as
+/// failures. Returns the `R`s in submission order, or a [`SweepError`]
+/// naming every failed run.
 pub fn sweep<R, E>(
     experiment: &'static str,
+    jobs: usize,
     specs: Vec<RunSpec<Result<R, E>>>,
 ) -> Result<Vec<R>, SweepError>
 where
@@ -149,7 +153,7 @@ where
     E: std::fmt::Display + Send,
 {
     let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
-    let out = run_pool(specs, jobs());
+    let out = run_pool(specs, jobs);
     let mut rows = Vec::with_capacity(out.results.len());
     let mut failures = Vec::new();
     let runs = out.results.len();
@@ -183,38 +187,6 @@ where
     Ok(rows)
 }
 
-/// Runs a sweep whose jobs handle simulator errors internally (e.g. the
-/// log-overflow configurations that legitimately hit the cycle limit): only
-/// a panic counts as a failure.
-pub fn sweep_ok<R: Send>(
-    experiment: &'static str,
-    specs: Vec<RunSpec<R>>,
-) -> Result<Vec<R>, SweepError> {
-    let labels: Vec<String> = specs.iter().map(|s| s.label.clone()).collect();
-    let out = run_pool(specs, jobs());
-    let runs = out.results.len();
-    let failures: Vec<FailedRun> = out
-        .results
-        .iter()
-        .zip(&labels)
-        .filter_map(|(result, label)| {
-            result.as_ref().err().map(|panic| FailedRun {
-                label: label.clone(),
-                reason: format!("panicked: {}", panic.message),
-            })
-        })
-        .collect();
-    record_timing(experiment, &out, failures.len());
-    if !failures.is_empty() {
-        return Err(SweepError {
-            experiment,
-            runs,
-            failures,
-        });
-    }
-    Ok(out.results.into_iter().map(|r| r.unwrap()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +201,7 @@ mod tests {
         let specs = (0..8u64)
             .map(|i| RunSpec::new(format!("ok/{i}"), move || Ok::<u64, String>(i * 10)))
             .collect();
-        let rows = sweep("test_order", specs).expect("all ok");
+        let rows = sweep("test_order", 3, specs).expect("all ok");
         assert_eq!(rows, (0..8).map(|i| i * 10).collect::<Vec<_>>());
         let timings = take_timings();
         let t = timings.iter().find(|t| t.experiment == "test_order").unwrap();
@@ -245,7 +217,7 @@ mod tests {
             RunSpec::new("soft-fail", || Err("cycle limit".to_string())),
         ];
         specs.push(RunSpec::new("hard-fail", || panic!("boom")));
-        let err = sweep("test_failures", specs).unwrap_err();
+        let err = sweep("test_failures", 2, specs).unwrap_err();
         assert_eq!(err.runs, 3);
         assert_eq!(err.failures.len(), 2);
         assert_eq!(err.failures[0].label, "soft-fail");
@@ -258,13 +230,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_ok_only_fails_on_panics() {
+    fn errors_a_job_returns_as_data_are_rows() {
         let _guard = REGISTRY_GUARD.lock().unwrap();
-        let specs: Vec<RunSpec<Result<u64, String>>> = vec![
-            RunSpec::new("a", || Ok(1)),
-            RunSpec::new("b", || Err("handled internally".to_string())),
+        // A run whose error is a result (a livelock into the cycle
+        // watchdog) returns it inside `Ok`; only panics fail the sweep.
+        let specs: Vec<RunSpec<Result<Result<u64, String>, String>>> = vec![
+            RunSpec::new("a", || Ok(Ok(1))),
+            RunSpec::new("b", || Ok(Err("handled internally".to_string()))),
         ];
-        let rows = sweep_ok("test_sweep_ok", specs).expect("errors are data here");
+        let rows = sweep("test_errors_as_data", 1, specs).expect("errors are data here");
         assert_eq!(rows, vec![Ok(1), Err("handled internally".to_string())]);
         take_timings();
     }

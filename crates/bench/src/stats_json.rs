@@ -98,7 +98,7 @@ fn cases() -> Vec<ObsCase> {
             configure: |b| b.coherence(CoherenceKind::SnoopingMesi),
         },
         ObsCase {
-            experiment: "policies",
+            experiment: "policy",
             benchmark: Benchmark::Mp3d,
             signature: SignatureKind::paper_bs_2kb(),
             configure: |b| b.contention(ContentionPolicy::SizeMatters),

@@ -1,6 +1,7 @@
-//! Command-line contract of the `repro` binary: flags it does not know, and
-//! values it cannot use, are usage errors (exit 2) rather than silently
-//! ignored. Every case runs the cheap `table1` subcommand.
+//! Command-line contract of the `repro` binary: flags and subcommands it
+//! does not know, and values it cannot use, are usage errors (exit 2) rather
+//! than silently ignored. Every other case runs the cheap `table1`
+//! subcommand.
 
 use std::process::{Command, Output};
 
@@ -14,7 +15,7 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn usage_errors_exit_2_and_name_the_problem() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--no-cache", "table1"], "--no-cache"),
         (&["--cache-dir", "/tmp/x", "table1"], "--cache-dir"),
         (&["--cache-dir=/tmp/x", "table1"], "--cache-dir"),
@@ -23,6 +24,7 @@ fn usage_errors_exit_2_and_name_the_problem() {
         (&["--jobs", "0", "table1"], "positive integer"),
         (&["--jobs=0", "table1"], "positive integer"),
         (&["table1", "table2"], "table2"),
+        (&["policies"], "policies"),
     ];
     for (args, named) in cases {
         let out = repro(args);

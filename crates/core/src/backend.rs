@@ -35,6 +35,9 @@ pub struct BackendReport {
     pub commits: u64,
     /// Transactional aborts.
     pub aborts: u64,
+    /// Transactions that escalated to the serial fallback after too many
+    /// consecutive aborts.
+    pub serial_escalations: u64,
     /// Work units completed (the paper's Table 2 throughput metric).
     pub work_units: u64,
     /// Threads that ran to completion.
@@ -96,6 +99,7 @@ impl TmBackend for System {
             sim_cycles: Some(r.cycles.as_u64()),
             commits: r.tm.commits,
             aborts: r.tm.aborts,
+            serial_escalations: r.tm.serial_escalations,
             work_units: r.tm.work_units,
             threads_completed: r.threads_completed,
         })

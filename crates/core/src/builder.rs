@@ -43,7 +43,6 @@ pub struct SystemBuilder {
     pub(crate) warmup_units: u64,
     pub(crate) check_serializability: bool,
     pub(crate) observe: bool,
-    pub(crate) obs_span_capacity: usize,
 }
 
 impl SystemBuilder {
@@ -59,7 +58,6 @@ impl SystemBuilder {
             warmup_units: 0,
             check_serializability: false,
             observe: false,
-            obs_span_capacity: 4096,
         }
     }
 
@@ -76,7 +74,6 @@ impl SystemBuilder {
             warmup_units: 0,
             check_serializability: false,
             observe: false,
-            obs_span_capacity: 4096,
         }
     }
 
@@ -189,15 +186,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets how many transaction spans the observability layer retains
-    /// (default 4096; older spans are dropped with drop accounting).
-    /// Implies nothing about [`Self::observe`] — that knob still gates the
-    /// whole layer.
-    pub fn observe_span_capacity(mut self, capacity: usize) -> Self {
-        self.obs_span_capacity = capacity;
-        self
-    }
-
     /// Attaches a differential serializability oracle to the run: every
     /// committed transaction is replayed, in commit order, against a
     /// sequential reference memory, checking read values, final state, and
@@ -283,10 +271,8 @@ mod tests {
             .escalate_after(Some(4))
             .adaptive_pin(Some(ContentionPolicy::Karma))
             .observe(true)
-            .observe_span_capacity(128)
             .preemption(Cycle(100), true);
         assert!(b.observe);
-        assert_eq!(b.obs_span_capacity, 128);
         assert_eq!(b.tm.signature, SignatureKind::paper_bs_64());
         assert!(b.check_serializability);
         assert!(b.tm.fault_skip_one_undo);

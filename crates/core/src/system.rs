@@ -24,6 +24,10 @@ use crate::report::RunReport;
 /// the meantime).
 const SUMMARY_STALL_ABORT_LIMIT: u32 = 64;
 
+/// Transaction spans the observability layer retains; older spans are
+/// dropped with drop accounting.
+const OBS_SPAN_CAPACITY: usize = 4096;
+
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -169,7 +173,7 @@ impl System {
             events_dispatched: 0,
             undo_scratch: Vec::new(),
             trace: (b.trace_capacity > 0).then(|| TraceBuffer::new(b.trace_capacity)),
-            obs: b.observe.then(|| Box::new(ObsCore::new(b.obs_span_capacity))),
+            obs: b.observe.then(|| Box::new(ObsCore::new(OBS_SPAN_CAPACITY))),
             warmup_remaining: b.warmup_units,
             measure_from: Cycle::ZERO,
             oracle: b.check_serializability.then(SerializabilityOracle::new),
@@ -187,11 +191,6 @@ impl System {
     /// [`SystemBuilder::trace`] enabled tracing).
     pub fn trace_dump(&self) -> String {
         self.trace.as_ref().map(TraceBuffer::dump).unwrap_or_default()
-    }
-
-    /// The retained event trace, if tracing is enabled.
-    pub fn trace_buffer(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
     }
 
     /// Snapshot of the observability layer's attribution data, if

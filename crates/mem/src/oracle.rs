@@ -375,11 +375,6 @@ impl SerializabilityOracle {
     pub fn checked_reads(&self) -> u64 {
         self.checked_reads
     }
-
-    /// Every key any access touched, for external sweeps.
-    pub fn touched_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.touched.iter().copied()
-    }
 }
 
 #[cfg(test)]

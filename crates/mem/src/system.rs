@@ -181,26 +181,6 @@ impl MemConfig {
         }
     }
 
-    /// The §7 "Multiple CMPs" system, scaled to fit the 32-context design:
-    /// 4 chips × 8 cores (the paper sketches 4 × 16), point-to-point
-    /// inter-chip links, intra-chip coherence as in §5, inter-chip requests
-    /// paying the crossing latency.
-    pub fn paper_multi_cmp() -> Self {
-        MemConfig {
-            n_chips: 4,
-            ..Self::paper_cmp()
-        }
-    }
-
-    /// The §7 snooping variant of the paper CMP: same cores and caches,
-    /// broadcast coherence instead of the directory.
-    pub fn paper_snooping_cmp() -> Self {
-        MemConfig {
-            coherence: CoherenceKind::SnoopingMesi,
-            ..Self::paper_cmp()
-        }
-    }
-
     /// A scaled-out CMP for the 64–256-core sweeps: `n_cores` cores with
     /// one L2 bank per core, paper Table 1 cache geometry per core/bank
     /// (so aggregate L2 capacity grows with core count), and the smallest
@@ -1236,11 +1216,6 @@ impl MemorySystem {
         if let Some(line) = self.l2_banks[bank as usize].get_mut(&block) {
             line.dir.check_all = true;
         }
-    }
-
-    /// Total L1-resident blocks across all cores (diagnostics).
-    pub fn l1_resident_blocks(&self) -> usize {
-        self.l1s.iter().map(|c| c.len()).sum()
     }
 }
 

@@ -69,8 +69,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-
 mod bits;
 mod counting;
 mod kind;

@@ -139,12 +139,6 @@ impl ShadowedRwSignature {
         self.exact_write.len()
     }
 
-    /// Whether `a` is exactly in the write set (used by the log-write
-    /// decision accounting).
-    pub fn exactly_in_write_set(&self, a: u64) -> bool {
-        self.exact_write.maybe_contains(a)
-    }
-
     /// Whether `a` may be in the write set per the hardware signature.
     pub fn in_write_set(&self, a: u64) -> bool {
         self.sig.in_write_set(a)
@@ -208,14 +202,6 @@ pub struct ShadowedSave {
     sig: (SavedSignature, SavedSignature),
     exact_read: SavedSignature,
     exact_write: SavedSignature,
-}
-
-impl ShadowedSave {
-    /// Bytes of log-frame space the *hardware-visible* part occupies (the
-    /// signature-save area); shadows are simulation bookkeeping and excluded.
-    pub fn hw_size_bytes(&self) -> usize {
-        self.sig.0.size_bytes() + self.sig.1.size_bytes()
-    }
 }
 
 #[cfg(test)]

@@ -200,11 +200,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of calendar buckets (the window width in cycles).
-    pub fn n_buckets(&self) -> usize {
-        self.heads.len()
-    }
-
     /// Grabs an arena slot for `e` (reusing the freelist when possible) and
     /// returns its index. The node's `next` is left as [`NIL`].
     #[inline]

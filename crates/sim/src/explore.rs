@@ -33,15 +33,15 @@
 //! schedule in the wave executes: phase 1 expands the exhaustive frontier
 //! breadth-first (each wave's children are derived from the previous wave's
 //! recordings), phases 2 and 3 are pre-seeded, so a wave is an
-//! embarrassingly-parallel batch. [`explore`] runs waves on the calling
-//! thread; [`explore_jobs`] hands each wave to one
+//! embarrassingly-parallel batch. [`explore_jobs`] hands each wave to one
 //! [`crate::parallel::par_map_indexed`] call, whose scoped workers claim
-//! schedules by index. Outcomes merge back **in wave order**, and
-//! single-schedule waves (the shrinker's candidates) run inline on the
-//! calling thread. Because wave composition, failure selection (first
-//! failing schedule in wave order), and the explored-set fingerprint are all
-//! independent of who executed what, the two entry points return identical
-//! reports at any job count.
+//! schedules by index; [`explore`] is the same engine at one job, where
+//! every wave runs inline on the calling thread. Outcomes merge back **in
+//! wave order**, and single-schedule waves (the shrinker's candidates) run
+//! inline on the calling thread. Because wave composition, failure
+//! selection (first failing schedule in wave order), and the explored-set
+//! fingerprint are all independent of who executed what, every job count
+//! returns an identical report.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -357,11 +357,10 @@ struct WaveOutcome {
     widths: Vec<u8>,
 }
 
-/// Runs one spec to completion and records what the chooser saw. Both
-/// runners execute exactly this, so seq/parallel outcomes are identical.
-fn run_spec<F>(run: &mut F, spec: &ChooserSpec) -> WaveOutcome
+/// Runs one spec to completion and records what the chooser saw.
+fn run_spec<F>(run: &F, spec: &ChooserSpec) -> WaveOutcome
 where
-    F: FnMut(&mut ScheduleChooser) -> Result<(), String>,
+    F: Fn(&mut ScheduleChooser) -> Result<(), String>,
 {
     let mut chooser = spec.build();
     let result = run(&mut chooser);
@@ -372,39 +371,23 @@ where
     }
 }
 
-/// Executes pre-enumerated waves of schedules. The engine only ever observes
-/// outcomes *in wave order*, so any runner that preserves it (sequentially
-/// or by index-merged fan-out) yields identical exploration.
-trait WaveRunner {
-    fn run_wave(&mut self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome>;
-}
-
-/// Runs every schedule on the calling thread, in order.
-struct SeqRunner<F>(F);
-
-impl<F> WaveRunner for SeqRunner<F>
-where
-    F: FnMut(&mut ScheduleChooser) -> Result<(), String>,
-{
-    fn run_wave(&mut self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
-        specs.iter().map(|spec| run_spec(&mut self.0, spec)).collect()
-    }
-}
-
-/// Runs each wave as one [`par_map_indexed`] call on `jobs` threads, which
-/// merges outcomes back into wave order. Single-spec waves (shrink
-/// candidates) run inline on the calling thread, at sequential cost.
-struct ParRunner<F> {
+/// Executes pre-enumerated waves of schedules, each wave as one
+/// [`par_map_indexed`] call on `jobs` threads, which merges outcomes back
+/// into wave order. The engine only ever observes outcomes *in wave order*,
+/// so every job count yields identical exploration. With one job, and for
+/// single-spec waves (shrink candidates), everything runs inline on the
+/// calling thread, at sequential cost.
+struct Waves<F> {
     run: F,
     jobs: usize,
 }
 
-impl<F> WaveRunner for ParRunner<F>
+impl<F> Waves<F>
 where
     F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
-    fn run_wave(&mut self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
-        par_map_indexed(specs.len(), self.jobs, |i| run_spec(&mut &self.run, &specs[i]))
+    fn run_wave(&self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
+        par_map_indexed(specs.len(), self.jobs, |i| run_spec(&self.run, &specs[i]))
     }
 }
 
@@ -414,7 +397,10 @@ where
 /// set never depends on the job count.
 const TAIL_WAVE: usize = 32;
 
-fn explore_engine<R: WaveRunner>(cfg: &ExploreConfig, runner: &mut R) -> ExploreReport {
+fn explore_engine<F>(cfg: &ExploreConfig, waves: &Waves<F>) -> ExploreReport
+where
+    F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
+{
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
     let mut runs = 0usize;
     let mut failure: Option<(String, Vec<u8>)> = None;
@@ -448,7 +434,7 @@ fn explore_engine<R: WaveRunner>(cfg: &ExploreConfig, runner: &mut R) -> Explore
         frontier.truncate(cfg.max_schedules - runs);
         let specs: Vec<ChooserSpec> =
             frontier.iter().map(|p| ChooserSpec::Replay(p.clone())).collect();
-        let outcomes = runner.run_wave(specs);
+        let outcomes = waves.run_wave(specs);
         absorb(&outcomes, &mut runs, &mut seen, &mut failure);
         let mut next = Vec::new();
         if failure.is_none() {
@@ -476,7 +462,7 @@ fn explore_engine<R: WaveRunner>(cfg: &ExploreConfig, runner: &mut R) -> Explore
         let specs: Vec<ChooserSpec> = (i..i + n)
             .map(|j| ChooserSpec::Random(mix64(cfg.seed ^ (j as u64).wrapping_mul(2) + 1)))
             .collect();
-        let outcomes = runner.run_wave(specs);
+        let outcomes = waves.run_wave(specs);
         absorb(&outcomes, &mut runs, &mut seen, &mut failure);
         i += n;
     }
@@ -493,14 +479,14 @@ fn explore_engine<R: WaveRunner>(cfg: &ExploreConfig, runner: &mut R) -> Explore
                 ChooserSpec::Delay(seed, cfg.delay_budget)
             })
             .collect();
-        let outcomes = runner.run_wave(specs);
+        let outcomes = waves.run_wave(specs);
         absorb(&outcomes, &mut runs, &mut seen, &mut failure);
         i += n;
     }
 
     let failure = failure.map(|(message, taken)| {
         let original_steps = taken.len();
-        let (schedule, shrink_runs) = shrink(runner, taken, cfg.shrink_budget);
+        let (schedule, shrink_runs) = shrink(waves, taken, cfg.shrink_budget);
         Failure {
             message,
             schedule,
@@ -527,35 +513,36 @@ fn explore_engine<R: WaveRunner>(cfg: &ExploreConfig, runner: &mut R) -> Explore
     }
 }
 
-/// Explores schedules of `run` under `cfg`. `run` must be deterministic: for
-/// a fixed chooser behaviour it must perform the identical simulation (the
-/// harness builds a fresh system inside `run` each call).
+/// Explores schedules of `run` under `cfg` on the calling thread:
+/// [`explore_jobs`] with one job. `run` must be deterministic: for a fixed
+/// chooser behaviour it must perform the identical simulation (the harness
+/// builds a fresh system inside `run` each call).
 ///
 /// `run` drives its simulation through the provided [`ScheduleChooser`]
 /// (typically by passing it to [`crate::EventQueue::pop_explored`]) and
 /// returns `Err(message)` if any correctness check failed.
 pub fn explore<F>(cfg: &ExploreConfig, run: F) -> ExploreReport
 where
-    F: FnMut(&mut ScheduleChooser) -> Result<(), String>,
+    F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
-    explore_engine(cfg, &mut SeqRunner(run))
+    explore_jobs(cfg, 1, run)
 }
 
 /// [`explore`] fanned across `jobs` threads.
 ///
-/// `run` must additionally be `Fn + Sync` so workers can execute schedules
-/// concurrently; each invocation still gets its own [`ScheduleChooser`] and
-/// must build its own fresh system. Each wave is one
+/// Workers execute schedules concurrently, so `run` must be `Sync`; each
+/// invocation still gets its own [`ScheduleChooser`] and must build its own
+/// fresh system. Each wave is one
 /// [`crate::parallel::par_map_indexed`] call. The report — schedules run,
-/// distinct set, fingerprint, and (minimized) failure — is identical to the
-/// sequential [`explore`] and to any other job count; only wall-clock time
-/// changes. Shrinking runs sequentially (each candidate depends on the last
-/// verdict), inline on the calling thread.
+/// distinct set, fingerprint, and (minimized) failure — is identical at
+/// every job count; only wall-clock time changes. Shrinking runs
+/// sequentially (each candidate depends on the last verdict), inline on the
+/// calling thread.
 pub fn explore_jobs<F>(cfg: &ExploreConfig, jobs: usize, run: F) -> ExploreReport
 where
     F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
-    explore_engine(cfg, &mut ParRunner { run, jobs })
+    explore_engine(cfg, &Waves { run, jobs })
 }
 
 /// Greedy schedule minimization: re-runs candidate simplifications of the
@@ -563,11 +550,14 @@ where
 /// ("still failing"), not just the original message — a shorter schedule
 /// tripping a different check is still a minimal repro. Inherently
 /// sequential: each candidate depends on the previous verdict.
-fn shrink<R: WaveRunner>(runner: &mut R, taken: Vec<u8>, budget: usize) -> (Schedule, usize) {
+fn shrink<F>(waves: &Waves<F>, taken: Vec<u8>, budget: usize) -> (Schedule, usize)
+where
+    F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
+{
     let mut used = 0usize;
-    let mut fails = |cand: &[u8], used: &mut usize| -> bool {
+    let fails = |cand: &[u8], used: &mut usize| -> bool {
         *used += 1;
-        runner
+        waves
             .run_wave(vec![ChooserSpec::Replay(cand.to_vec())])
             .pop()
             .expect("one spec, one outcome")

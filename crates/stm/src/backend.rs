@@ -29,6 +29,7 @@ impl TmBackend for StmSystem {
             sim_cycles: None,
             commits: r.commits,
             aborts: r.aborts,
+            serial_escalations: r.serial_fallbacks,
             work_units: r.work_units,
             threads_completed: r.threads_completed,
         })

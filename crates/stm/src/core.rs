@@ -358,11 +358,6 @@ impl<'a> Tx<'a> {
         self.rv
     }
 
-    /// Number of buffered writes (not deduplicated).
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Transactional load of `word`.
     pub fn read(&mut self, word: u64) -> Result<u64, Conflict> {
         // Read-own-writes: the buffer is the newest state for this tx.

@@ -217,20 +217,6 @@ pub struct StmReport {
     pub threads_completed: usize,
 }
 
-impl StmReport {
-    /// Work units per wall-clock millisecond — the STM-side throughput
-    /// number `BENCH_stm.json` compares against the simulator's
-    /// units-per-kilocycle.
-    pub fn units_per_ms(&self) -> f64 {
-        let ms = self.wall.as_secs_f64() * 1e3;
-        if ms <= 0.0 {
-            0.0
-        } else {
-            self.work_units as f64 / ms
-        }
-    }
-}
-
 /// Configures and builds an [`StmSystem`] — the STM counterpart of the
 /// simulator's `SystemBuilder`.
 ///

@@ -2,7 +2,7 @@
 //! paper's Figure 1).
 
 use ltse_mem::{Asid, BlockAddr, PageId, WordAddr, WORDS_PER_BLOCK};
-use ltse_sig::{ConflictVerdict, ShadowedRwSignature, SigOp, SignatureKind};
+use ltse_sig::{ConflictVerdict, ShadowedRwSignature, SigOp};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
@@ -204,12 +204,6 @@ impl ThreadTmState {
     /// The undo log.
     pub fn log(&self) -> &TxLog {
         &self.log
-    }
-
-    /// Per-thread RNG (backoff jitter); exposed for the system's
-    /// perturbation draws.
-    pub fn rng_mut(&mut self) -> &mut Xoshiro256StarStar {
-        &mut self.rng
     }
 
     // ---- transaction lifecycle ------------------------------------------
@@ -521,11 +515,6 @@ impl ThreadTmState {
         }
     }
 
-    /// The signature kind this thread was configured with.
-    pub fn signature_kind(&self) -> SignatureKind {
-        self.sig.kind()
-    }
-
     /// Invariant probe for the correctness tooling: after an outermost
     /// commit or a full abort this thread must hold no residual
     /// transactional state — undo log fully unwound with the log pointer
@@ -578,6 +567,7 @@ impl ThreadTmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltse_sig::SignatureKind;
 
     fn cfg() -> TmConfig {
         TmConfig::default_with(SignatureKind::paper_bs_2kb())

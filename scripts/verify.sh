@@ -60,6 +60,15 @@ LTSE_STM_CASES=60 cargo test -q --release --test integration_stm
 t_stm1=$(date +%s%N)
 echo "ok: stm differential smoke in $(( (t_stm1 - t_stm0) / 1000000 )) ms"
 
+echo "== benchmark smoke: build benchmark/ and run every workload at 1/20 size =="
+# The benchmark crate imports the experiment runner, Figure 4 / Table 3 and
+# the explore engine, so a change to them that breaks it fails here. The
+# smoke exits non-zero when any workload fails its check; it writes only
+# build output under the gitignored benchmark/target.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/target/release/ltse-benchmark --smoke 2>&1 | tail -1
+echo "ok: benchmark built and its smoke passed"
+
 echo "== bench smoke: hotpath + pipeline + obs + stm + scale + oltp + policy suites in quick mode =="
 # Asserts all seven suites run and emit valid JSON with the expected shape,
 # and that the committed BENCH_*.json files share the same header; no
@@ -281,8 +290,8 @@ if grep -q " NO " "$oltp1"; then
 fi
 echo "ok: policy sweep ran 5 policies x 5 (point, backend) combinations"
 
-# The sim rows are deterministic and the only stdout that runs karma and
-# adaptive end to end, so they must not depend on the worker count.
+# The sim rows are deterministic (they are also the policy block of
+# `repro all`), so they must not depend on the worker count.
 "$repro" --quick --jobs 1 policy 2>/dev/null | grep " sim " >"$oltp1"
 "$repro" --quick --jobs 4 policy 2>/dev/null | grep " sim " >"$oltp2"
 sim_rows=$(wc -l <"$oltp1")

@@ -52,7 +52,7 @@ fn check_one(chooser: &mut ScheduleChooser, mut build: impl FnMut() -> System) -
 
 fn explore_system(
     cfg: &ExploreConfig,
-    build: impl FnMut() -> System + Copy,
+    build: impl FnMut() -> System + Copy + Sync,
 ) -> ExploreReport {
     explore(cfg, |chooser| check_one(chooser, build))
 }
