@@ -4,8 +4,9 @@
 //! cases here time a whole pipeline stage — a full exploration — and the
 //! parallel path is measured **against its sequential baseline in the same
 //! run**: `explore/jobs_1` vs `explore/jobs_N` explore a contended-counter
-//! system sequentially vs with each wave fanned out over `N` threads, with
-//! the reports asserted identical before any timing is reported.
+//! system sequentially vs fanned out over `N` threads (phase 1's waves and
+//! the tail's chunk streams), with the reports asserted identical before
+//! any timing is reported.
 //!
 //! Writes `BENCH_pipeline.json` through [`ltse_bench::harness`].
 
@@ -59,7 +60,7 @@ fn main() {
     let quick = harness::quick();
     let mut bench = Bench::new("pipeline");
 
-    // ---- schedule exploration: sequential vs parallel waves -------------
+    // ---- schedule exploration: sequential vs parallel -------------------
     let budget = if quick { 96 } else { 512 };
     let cfg = ExploreConfig {
         seed: 0xA11CE,

@@ -57,8 +57,10 @@
 //! wall clock), and `oltp` runs every skew/mix point on both engines with
 //! a final-KV-state cross-check. Because the STM numbers are wall-clock
 //! from real OS threads, those tables are *not* byte-deterministic, and the
-//! STM runs go one at a time on a single worker; only the `table2`, `oltp`,
-//! and `all` subcommands are meaningful there. `--stats-json` on the STM
+//! STM runs go one at a time on a single worker. Only `table2`, `oltp`,
+//! `policy` (the same both-backend table as without the flag) and `all` run
+//! there; any other known subcommand is simulator-only (exit 2).
+//! `--stats-json` on the STM
 //! branch writes the STM telemetry document: per-cause abort counters
 //! (locked/stale/serial-fallback) mapped onto the obs layer with a
 //! `reconciled` block. The default (`--backend sim`, or no flag) leaves
@@ -152,6 +154,34 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Every subcommand, in `all`'s order, with `oltp` (not part of `all`) and
+/// `all` itself last.
+const SUBCOMMANDS: [&str; 17] = [
+    "table1",
+    "table2",
+    "figure4",
+    "table3",
+    "victimization",
+    "table4",
+    "sweep",
+    "sticky",
+    "logfilter",
+    "virt",
+    "snooping",
+    "policy",
+    "multicmp",
+    "nesting",
+    "smt",
+    "oltp",
+    "all",
+];
+
+fn unknown_subcommand(name: &str) -> ! {
+    eprintln!("unknown subcommand: {name}");
+    eprintln!("known: {}", SUBCOMMANDS.join(" "));
+    std::process::exit(2);
+}
+
 /// Parses the flags and the one subcommand (default `all`). Anything else —
 /// an unknown flag, a missing value, a second subcommand — exits 2.
 fn parse_args(args: &[String]) -> Cli {
@@ -238,18 +268,23 @@ fn main() {
         ExperimentScale::full()
     };
 
-    // The STM backend has two tables, each a sim-vs-stm differential
-    // comparison: the Table-2 workloads and the OLTP points. The STM runs
-    // go on one worker (real wall clock), and the branch exits here so the
+    // The STM backend has three tables, each with both engines side by
+    // side: the Table-2 workloads and the OLTP points as sim-vs-stm
+    // differential comparisons, and the policy sweep. The STM runs go on one
+    // worker (real wall clock), and the branch exits here so the
     // simulator-only stats-json below never engages.
     if backend == ltse_workloads::BackendKind::Stm {
         let mut ok = match cmd {
             "table2" | "all" => emit(stm_compare(&scale), |r| render::render_stm(r)),
             "oltp" => emit(oltp_compare(&scale), |r| render::render_oltp(r)),
-            other => {
-                eprintln!("subcommand `{other}` is simulator-only; --backend stm supports: table2 oltp all");
+            "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
+            other if SUBCOMMANDS.contains(&other) => {
+                eprintln!(
+                    "subcommand `{other}` is simulator-only; --backend stm supports: table2 oltp policy all"
+                );
                 std::process::exit(2);
             }
+            other => unknown_subcommand(other),
         };
         if let Some(path) = &stats_json {
             match ltse_bench::stats_json::stats_json_stm(&scale) {
@@ -306,11 +341,7 @@ fn main() {
                 emit(policy_sweep_sim(&scale), |r| render::render_policy_sweep(r))
             }
             "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
-            other => {
-                eprintln!("unknown subcommand: {other}");
-                eprintln!("known: table1 table2 figure4 table3 victimization table4 sweep sticky logfilter virt snooping multicmp nesting smt oltp policy all");
-                std::process::exit(2);
-            }
+            other => unknown_subcommand(other),
         };
         report_timings();
         ok
@@ -318,23 +349,7 @@ fn main() {
 
     let mut all_ok = true;
     if cmd == "all" {
-        for name in [
-            "table1",
-            "table2",
-            "figure4",
-            "table3",
-            "victimization",
-            "table4",
-            "sweep",
-            "sticky",
-            "logfilter",
-            "virt",
-            "snooping",
-            "policy",
-            "multicmp",
-            "nesting",
-            "smt",
-        ] {
+        for name in SUBCOMMANDS.iter().take_while(|&&name| name != "oltp") {
             all_ok &= run_one(name);
             println!();
         }

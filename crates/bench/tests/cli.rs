@@ -1,7 +1,7 @@
 //! Command-line contract of the `repro` binary: flags and subcommands it
 //! does not know, and values it cannot use, are usage errors (exit 2) rather
 //! than silently ignored. Every other case runs the cheap `table1`
-//! subcommand.
+//! subcommand, or the quick policy sweep on the STM backend.
 
 use std::process::{Command, Output};
 
@@ -25,6 +25,30 @@ fn usage_errors_exit_2_and_name_the_problem() {
         (&["--jobs=0", "table1"], "positive integer"),
         (&["table1", "table2"], "table2"),
         (&["policies"], "policies"),
+    ];
+    for (args, named) in cases {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} must name {named}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs after a usage error");
+    }
+}
+
+#[test]
+fn the_stm_backend_runs_policy_and_tells_unknown_from_simulator_only() {
+    let out = repro(&["--quick", "--backend", "stm", "policy"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.lines().any(|l| l.split_whitespace().nth(1) == Some("stm")),
+        "policy on the STM backend prints STM rows: {text}"
+    );
+
+    let cases: [(&[&str], &str); 2] = [
+        (&["--backend", "stm", "bogus"], "unknown subcommand"),
+        (&["--backend", "stm", "figure4"], "simulator-only"),
     ];
     for (args, named) in cases {
         let out = repro(args);

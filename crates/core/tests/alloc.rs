@@ -1,8 +1,8 @@
 //! A checked, explored simulator run allocates nothing in steady state:
 //! every allocation made inside `System::run_explored` is per-run set-up or
 //! a buffer growing to its working size (exact read/write sets, undo
-//! bodies, oracle frames, the explorer's candidate list, cache and memory
-//! maps), so the count does not grow with the number of transactions.
+//! bodies, oracle frames and reference map, cache and memory maps), so the
+//! count does not grow with the number of transactions.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -149,8 +149,8 @@ impl fmt::Display for Asid {
 /// Only for keys the simulator generates itself. No flag or config supplies
 /// an address, so nobody outside the process can pick colliding keys; a
 /// collision could only slow the caller's own simulation. The maps using it
-/// are only probed, never iterated for output, so its order reaches no
-/// report.
+/// are only probed, or have their keys sorted before any output (the
+/// serializability oracle's final sweep), so its order reaches no report.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct AddrHasher(u64);
 

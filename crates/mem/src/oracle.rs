@@ -7,10 +7,15 @@
 //! core's signatures (forwarded GETS/GETM, invalidations, directory-rebuild
 //! broadcasts, eviction decisions), the protocol calls a [`ConflictOracle`]
 //! that the TM layer implements.
+//!
+//! The module also holds the ground truth both backends are checked
+//! against: [`SerializabilityOracle`] replays committed transactions in
+//! commit order against one hash map from key to value (a missing key reads
+//! 0), and sorts the touched keys once for the end-of-run sweep.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
-use crate::addr::BlockAddr;
+use crate::addr::{AddrBuildHasher, BlockAddr};
 
 /// Whether a memory access reads or writes (maps to the paper's GETS/GETM
 /// coherence requests and to `SigOp` in `ltse-sig`).
@@ -107,9 +112,11 @@ enum DataOp {
 const MAX_ERRORS: usize = 32;
 
 /// A differential serializability checker: replays *committed* transactions,
-/// in commit order, against a plain sequential [`BTreeMap`] memory, and
-/// asserts that every committed read observed exactly the value the serial
-/// replay produces and that the final memory states agree.
+/// in commit order, against a plain sequential memory (one hash map from key
+/// to value), and asserts that every committed read observed exactly the
+/// value the serial replay produces and that the final memory states agree.
+/// The final sweep sorts the keys once, so its errors come in ascending key
+/// order.
 ///
 /// This is the ground truth LogTM-SE's machinery (signatures, NACKs, undo
 /// logs, sticky states, summary signatures) is supposed to implement: eager
@@ -137,10 +144,9 @@ const MAX_ERRORS: usize = 32;
 /// reached their working size.
 #[derive(Debug, Default)]
 pub struct SerializabilityOracle {
-    /// The sequential reference memory (missing key = 0).
-    reference: BTreeMap<u64, u64>,
-    /// Every key any access or init ever touched (for the final sweep).
-    touched: BTreeSet<u64>,
+    /// The sequential reference memory, holding every key any access or
+    /// init ever touched (for the final sweep); a missing key reads 0.
+    reference: HashMap<u64, u64, AddrBuildHasher>,
     /// Per-thread stack of open transaction frames, indexed by thread id;
     /// `.0` is `true` for an open-nested frame.
     frames: Vec<Vec<(bool, Vec<DataOp>)>>,
@@ -165,12 +171,7 @@ impl SerializabilityOracle {
 
     /// Seeds an initial value (memory initialized before the run starts).
     pub fn init_word(&mut self, key: u64, value: u64) {
-        self.touched.insert(key);
-        if value == 0 {
-            self.reference.remove(&key);
-        } else {
-            self.reference.insert(key, value);
-        }
+        self.reference.insert(key, value);
     }
 
     /// Replays `ops` against the reference, checking reads.
@@ -179,8 +180,7 @@ impl SerializabilityOracle {
             match *op {
                 DataOp::Read { key, seen } => {
                     self.checked_reads += 1;
-                    self.touched.insert(key);
-                    let want = self.reference.get(&key).copied().unwrap_or(0);
+                    let want = *self.reference.entry(key).or_insert(0);
                     if want != seen {
                         self.push_error(format!(
                             "thread {thread}: committed read of {key:#x} observed {seen} \
@@ -189,7 +189,6 @@ impl SerializabilityOracle {
                     }
                 }
                 DataOp::Write { key, value } => {
-                    self.touched.insert(key);
                     self.reference.insert(key, value);
                 }
             }
@@ -337,9 +336,10 @@ impl SerializabilityOracle {
                 "thread {thread}: transaction still live at end of run"
             ));
         }
-        let keys: Vec<u64> = self.touched.iter().copied().collect();
+        let mut keys: Vec<u64> = self.reference.keys().copied().collect();
+        keys.sort_unstable();
         for key in keys {
-            let want = self.reference.get(&key).copied().unwrap_or(0);
+            let want = self.reference[&key];
             let got = actual(key);
             if want != got {
                 self.push_error(format!(

@@ -6,6 +6,12 @@
 //! allocating once the buffer has reached its working size. Ascending order
 //! is also the order `iter` and `save` report, which keeps whole-run
 //! determinism (and the saved bytes) independent of insertion order.
+//!
+//! A fixed 256-bit membership filter sits in front of the search: one bit
+//! per hashed member, so most misses (the common answer to an eviction's
+//! "is this block transactional?") cost one word test instead of a binary
+//! search. The filter is a pure function of the set, so exactness, `==` and
+//! the saved bytes do not change with it.
 
 use crate::SavedSignature;
 
@@ -29,6 +35,18 @@ use crate::SavedSignature;
 pub struct PerfectSignature {
     /// Strictly ascending: sorted with no duplicates.
     set: Vec<u64>,
+    /// Bit `filter_bit(a)` is set for every member `a`, and no other bit
+    /// is: a clear bit proves absence.
+    filter: [u64; 4],
+}
+
+/// The membership-filter word and bit of `a`: the top 8 bits of a
+/// Fibonacci hash, so runs of consecutive block addresses spread over all
+/// 256 bits.
+#[inline]
+fn filter_bit(a: u64) -> (usize, u64) {
+    let h = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+    ((h >> 6) as usize, 1u64 << (h & 63))
 }
 
 impl PerfectSignature {
@@ -57,17 +75,22 @@ impl PerfectSignature {
     pub fn insert(&mut self, a: u64) {
         if let Err(at) = self.set.binary_search(&a) {
             self.set.insert(at, a);
+            let (w, bit) = filter_bit(a);
+            self.filter[w] |= bit;
         }
     }
 
     /// `CONFLICT(A)`: whether `a` is in the set, exactly.
+    #[inline]
     pub fn maybe_contains(&self, a: u64) -> bool {
-        self.set.binary_search(&a).is_ok()
+        let (w, bit) = filter_bit(a);
+        self.filter[w] & bit != 0 && self.set.binary_search(&a).is_ok()
     }
 
     /// `CLEAR`: empties the set, keeping its buffer.
     pub fn clear(&mut self) {
         self.set.clear();
+        self.filter = [0; 4];
     }
 
     /// Set union with `other`: merges the two ascending lists in place,
@@ -87,6 +110,9 @@ impl PerfectSignature {
         }
         // Each side was duplicate-free, so any repeat is an adjacent pair.
         self.set.dedup();
+        for (w, o) in self.filter.iter_mut().zip(other.filter) {
+            *w |= o;
+        }
     }
 
     /// Captures the exact element list, ascending, as software-visible data.
@@ -108,6 +134,11 @@ impl PerfectSignature {
                 self.set.extend_from_slice(es);
                 self.set.sort_unstable();
                 self.set.dedup();
+                self.filter = [0; 4];
+                for &a in &self.set {
+                    let (w, bit) = filter_bit(a);
+                    self.filter[w] |= bit;
+                }
             }
             SavedSignature::Bits(_) => panic!("saved state shape mismatch"),
         }

@@ -282,3 +282,98 @@ fn perfect_signature_matches_btreeset_reference() {
         }
     });
 }
+
+/// `PerfectSignature`'s 256-bit membership filter never changes an answer.
+/// Random sequences of `insert`, `clear`, `union_with`, `restore` (from an
+/// unsorted list with duplicates) and `rehash_page` run against a
+/// `BTreeSet` model; after every step every address of a probe range
+/// answers exactly, and a set rebuilt from the model in shuffled order (or
+/// restored from a reversed list with every element twice) compares equal
+/// and saves the same bytes. One case in four bursts past 1,000 members,
+/// which sets (nearly) every filter bit, so misses must still fall through
+/// to the binary search and come back `false`.
+#[test]
+fn perfect_signature_filter_never_changes_an_answer() {
+    cases(48, 0xF1_17E2, |rng| {
+        let span = 1u64 << rng.gen_range(8, 13);
+        let burst = rng.gen_index(4) == 0;
+        let mut sig = PerfectSignature::new();
+        let mut model = BTreeSet::new();
+        for step in 0..rng.gen_range(4, 40) {
+            match rng.gen_index(9) {
+                _ if burst && step == 1 => {
+                    // Every third address over a span past 3,000: well
+                    // over 1,000 members, interleaved with non-members.
+                    let span = span.max(4096);
+                    let mut xs: Vec<u64> = (0..span).filter(|a| a % 3 == 0).collect();
+                    rng.shuffle(&mut xs);
+                    for &a in &xs {
+                        sig.insert(a);
+                    }
+                    model.extend(xs);
+                    assert!(sig.len() > 1000);
+                }
+                0..=3 => {
+                    let a = rng.gen_range(0, span);
+                    sig.insert(a);
+                    model.insert(a);
+                }
+                4 => {
+                    sig.clear();
+                    model.clear();
+                }
+                5 | 6 => {
+                    let addrs = vec_of(rng, 0, 60, |r| r.gen_range(0, span));
+                    let mut other = PerfectSignature::new();
+                    for &a in &addrs {
+                        other.insert(a);
+                    }
+                    sig.union_with(&other);
+                    model.extend(addrs);
+                }
+                7 => {
+                    let mut list = vec_of(rng, 0, 60, |r| r.gen_range(0, span));
+                    let dups = vec_of(rng, 0, 10, |r| r.gen_range(0, span));
+                    list.extend(dups.iter().chain(&dups));
+                    rng.shuffle(&mut list);
+                    sig.restore(&SavedSignature::Exact(list.clone()));
+                    model = list.into_iter().collect();
+                }
+                _ => {
+                    let pages = span / 64;
+                    let old = rng.gen_range(0, pages) * 64;
+                    let new = rng.gen_range(0, pages) * 64;
+                    sig.rehash_page(old, new, 64);
+                    for i in 0..64 {
+                        if model.contains(&(old + i)) {
+                            model.insert(new + i);
+                        }
+                    }
+                }
+            }
+            let hi = model.last().map_or(span, |&m| m.max(span)) + 64;
+            for a in 0..hi {
+                assert_eq!(sig.maybe_contains(a), model.contains(&a), "probe {a}");
+            }
+            for _ in 0..32 {
+                let far = rng.next_u64();
+                assert_eq!(sig.maybe_contains(far), model.contains(&far), "probe {far:#x}");
+            }
+            assert_eq!(sig.len(), model.len());
+
+            let mut shuffled: Vec<u64> = model.iter().copied().collect();
+            rng.shuffle(&mut shuffled);
+            let mut rebuilt = PerfectSignature::new();
+            for &a in &shuffled {
+                rebuilt.insert(a);
+            }
+            assert_eq!(rebuilt, sig, "same set, different insertion order");
+            assert_eq!(rebuilt.save(), sig.save());
+            let twice: Vec<u64> = model.iter().rev().chain(model.iter()).copied().collect();
+            let mut restored = PerfectSignature::new();
+            restored.insert(u64::MAX); // stale contents restore must drop
+            restored.restore(&SavedSignature::Exact(twice));
+            assert_eq!(restored, sig, "restored from a reversed list with duplicates");
+        }
+    });
+}

@@ -1,4 +1,7 @@
-//! Deterministic event queue.
+//! Deterministic event queue: a calendar of one-cycle buckets in front of a
+//! binary heap ([`EventQueue`]), whose explored pop lets an
+//! [`EventChooser`] pick which of several near-simultaneous events fires
+//! next, selecting it in place.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,6 +95,14 @@ struct Node<E> {
 /// plain heap produced, including [`EventQueue::pop_explored`] semantics —
 /// the differential tests below pin this down.
 ///
+/// The window only ever advances to the time of a global-minimum event, and
+/// every pop fires at that time, so no pending event is ever behind the
+/// window: bucketed events lie inside it, heap events at or past its end.
+/// Every event in a bucket therefore precedes every event in the heap, and a
+/// bucket's list is in seq order by construction (a push carries the largest
+/// seq so far, and a time's heap entries migrate before any push at that
+/// time can reach its bucket).
+///
 /// Storage is a node **arena with a freelist**: each bucket is a 4-byte head
 /// index into one shared slab of intrusive singly linked nodes, so pushing
 /// and popping never allocates after warm-up and the bucket header array
@@ -105,10 +116,11 @@ struct Node<E> {
 /// 4096 buckets, so that is 4 to 64 words; a second-level summary over the
 /// words measured no faster, even at 4096 buckets.
 ///
-/// [`EventQueue::pop_explored`] gathers its candidates in one buffer the
-/// queue owns: each call takes it, fills it, re-pushes the unchosen entries
-/// out of it and puts it back empty, so exploration allocates nothing per
-/// pop either.
+/// [`EventQueue::pop_explored`] selects in place: it counts the eligible
+/// events by walking the buckets in `(time, seq)` order and unlinks only the
+/// chosen one, so the unchosen candidates never move. Only a horizon that
+/// reaches past the bucket window pops heap candidates, into a local buffer,
+/// and pushes the unchosen ones back.
 ///
 /// # Example
 ///
@@ -125,10 +137,9 @@ struct Node<E> {
 /// assert_eq!(q.pop(), Some((Cycle(2), Ev::Tock)));
 /// ```
 pub struct EventQueue<E> {
-    /// Ring of one-cycle buckets; slot `t & mask` holds the head of a
-    /// seq-sorted intrusive list of entries for time `t` while `t` lies
-    /// inside the window (plain pushes append — their seq is the largest so
-    /// far; exploration re-pushes walk to their slot).
+    /// Ring of one-cycle buckets; slot `t & mask` holds the head of the
+    /// seq-ordered intrusive list of entries for time `t` while `t` lies
+    /// inside the window.
     heads: Vec<u32>,
     /// Per-bucket list tails, for O(1) appends. Only meaningful while the
     /// bucket is non-empty.
@@ -145,14 +156,10 @@ pub struct EventQueue<E> {
     /// Total entries across all buckets.
     bucket_len: usize,
     /// Start of the bucket window. Only ever advances, and only to the
-    /// timestamp of a global-minimum event (so no pending event is left
-    /// behind it except strays re-routed to the heap).
+    /// timestamp of a global-minimum event, so it always equals `now`.
     window_start: Cycle,
-    /// Fallback for events beyond the window (and for rare stray pushes at
-    /// times the window has already passed, which exploration can create).
+    /// Events at or beyond the end of the window.
     heap: BinaryHeap<Entry<E>>,
-    /// [`EventQueue::pop_explored`]'s candidate list, empty between calls.
-    candidates: Vec<Entry<E>>,
     next_seq: u64,
     now: Cycle,
 }
@@ -194,7 +201,6 @@ impl<E> EventQueue<E> {
             bucket_len: 0,
             window_start: Cycle::ZERO,
             heap: BinaryHeap::new(),
-            candidates: Vec::new(),
             next_seq: 0,
             now: Cycle::ZERO,
         }
@@ -239,11 +245,17 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_entry(Entry {
+        let e = Entry {
             time: at,
             seq,
             payload,
-        });
+        };
+        // `now` equals the window start, so `at` is never behind the window.
+        if at.0 - self.window_start.0 < self.heads.len() as u64 {
+            self.bucket_insert(e);
+        } else {
+            self.heap.push(e);
+        }
     }
 
     /// Schedules `payload` to fire `delay` cycles after the current time.
@@ -252,78 +264,48 @@ impl<E> EventQueue<E> {
         self.push(self.now + delay, payload);
     }
 
-    /// Routes an entry (with an already-assigned seq) to a bucket or the
-    /// heap by its timestamp.
-    fn push_entry(&mut self, e: Entry<E>) {
-        if e.time >= self.window_start
-            && e.time.0 - self.window_start.0 < self.heads.len() as u64
-        {
-            self.bucket_insert(e);
-        } else {
-            self.heap.push(e);
-        }
-    }
-
-    /// Inserts into the bucket ring, keeping the slot's seq order. The fast
-    /// path is a plain append: ordinary pushes always carry the largest seq.
+    /// Appends to the bucket ring. Appends always carry the largest seq of
+    /// their bucket (see the type-level docs), so the list stays in seq
+    /// order.
     fn bucket_insert(&mut self, e: Entry<E>) {
         let idx = (e.time.0 & self.mask) as usize;
-        let time = e.time;
-        let seq = e.seq;
+        let (time, seq) = (e.time, e.seq);
         let node = self.alloc_node(e);
         let tail = self.tails[idx];
         if tail == NIL {
             self.heads[idx] = node;
-            self.tails[idx] = node;
             self.occ[idx / 64] |= 1u64 << (idx % 64);
-        } else if self.nodes[tail as usize].seq < seq {
-            // Fast path: ordinary pushes carry the largest seq so far.
-            debug_assert_eq!(self.nodes[tail as usize].time, time);
-            self.nodes[tail as usize].next = node;
-            self.tails[idx] = node;
         } else {
-            // Exploration re-push: walk the (short) list to the seq slot.
-            debug_assert_eq!(self.nodes[self.heads[idx] as usize].time, time);
-            let mut prev = NIL;
-            let mut cur = self.heads[idx];
-            while cur != NIL && self.nodes[cur as usize].seq < seq {
-                prev = cur;
-                cur = self.nodes[cur as usize].next;
-            }
-            self.nodes[node as usize].next = cur;
-            if prev == NIL {
-                self.heads[idx] = node;
-            } else {
-                self.nodes[prev as usize].next = node;
-            }
-            if cur == NIL {
-                self.tails[idx] = node;
-            }
+            debug_assert_eq!(self.nodes[tail as usize].time, time);
+            debug_assert!(self.nodes[tail as usize].seq < seq, "append out of seq order");
+            self.nodes[tail as usize].next = node;
         }
+        self.tails[idx] = node;
         self.bucket_len += 1;
     }
 
-    /// Removes the front entry of the bucket for time `t`.
-    fn pop_bucket(&mut self, t: Cycle) -> Entry<E> {
+    /// Unlinks `node`, whose predecessor in the list of the bucket for time
+    /// `t` is `prev` ([`NIL`] at the head), and returns its payload.
+    fn unlink(&mut self, t: Cycle, prev: u32, node: u32) -> E {
         let idx = (t.0 & self.mask) as usize;
-        let head = self.heads[idx];
-        debug_assert!(head != NIL, "pop from empty bucket");
-        let node = &mut self.nodes[head as usize];
-        let e = Entry {
-            time: node.time,
-            seq: node.seq,
-            payload: node.payload.take().expect("pending node has a payload"),
-        };
-        let next = node.next;
-        node.next = self.free;
-        self.free = head;
-        self.heads[idx] = next;
+        let slot = &mut self.nodes[node as usize];
+        let payload = slot.payload.take().expect("pending node has a payload");
+        let next = slot.next;
+        slot.next = self.free;
+        self.free = node;
+        if prev == NIL {
+            self.heads[idx] = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
         if next == NIL {
-            self.tails[idx] = NIL;
-            self.occ[idx / 64] &= !(1u64 << (idx % 64));
+            self.tails[idx] = prev;
+            if prev == NIL {
+                self.occ[idx / 64] &= !(1u64 << (idx % 64));
+            }
         }
         self.bucket_len -= 1;
-        e
+        payload
     }
 
     /// First occupied bucket bit in `[lo, hi)`, if any.
@@ -353,32 +335,36 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The earliest bucketed event as a `(time, seq)` key, scanning the
-    /// occupancy bitmap from the window start (with wraparound).
-    fn next_bucket_key(&self) -> Option<(Cycle, u64)> {
+    /// The time of the first occupied bucket in `[from, to]`, a span inside
+    /// the window, scanning the occupancy bitmap with wraparound.
+    fn first_bucket_in(&self, from: Cycle, to: Cycle) -> Option<Cycle> {
+        debug_assert!(from >= self.window_start && to.0 - self.window_start.0 <= self.mask);
         if self.bucket_len == 0 {
             return None;
         }
-        let s = (self.window_start.0 & self.mask) as usize;
-        let p = self
-            .first_occupied_in(s, self.heads.len())
-            .or_else(|| self.first_occupied_in(0, s))
-            .expect("bucket_len > 0 but occupancy bitmap empty");
-        let dist = (p.wrapping_sub(s) as u64) & self.mask;
-        let t = Cycle(self.window_start.0 + dist);
-        let front = &self.nodes[self.heads[p] as usize];
-        debug_assert_eq!(front.time, t);
-        Some((t, front.seq))
+        let f = (from.0 & self.mask) as usize;
+        let l = (to.0 & self.mask) as usize;
+        let p = if f <= l {
+            self.first_occupied_in(f, l + 1)
+        } else {
+            self.first_occupied_in(f, self.heads.len())
+                .or_else(|| self.first_occupied_in(0, l + 1))
+        }?;
+        Some(Cycle(from.0 + (p.wrapping_sub(f) as u64 & self.mask)))
+    }
+
+    /// The last cycle the bucket window covers.
+    fn window_end(&self) -> Cycle {
+        Cycle(self.window_start.0.saturating_add(self.mask))
     }
 
     /// Slides the window start forward to `t` (the time of a global-minimum
     /// event) and migrates newly covered heap entries into buckets. The heap
     /// drains in `(time, seq)` order, so per-bucket seq order is preserved.
     fn advance_window(&mut self, t: Cycle) {
-        if t > self.window_start {
-            self.window_start = t;
-        }
-        let horizon = self.window_start.0.saturating_add(self.heads.len() as u64);
+        debug_assert!(t >= self.window_start, "window moved backwards");
+        self.window_start = t;
+        let horizon = t.0.saturating_add(self.heads.len() as u64);
         while let Some(top) = self.heap.peek() {
             if top.time.0 >= horizon {
                 break;
@@ -388,49 +374,50 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes the globally smallest `(time, seq)` entry without touching
-    /// `now` — shared by [`EventQueue::pop`] and
-    /// [`EventQueue::pop_explored`].
-    fn pop_min_entry(&mut self) -> Option<Entry<E>> {
-        let b = self.next_bucket_key();
-        let h = self.heap.peek().map(|e| (e.time, e.seq));
-        match (b, h) {
-            (None, None) => None,
-            (Some((t, _)), None) => {
-                self.advance_window(t);
-                Some(self.pop_bucket(t))
-            }
-            (None, Some((t, _))) => {
-                if t >= self.window_start {
-                    self.advance_window(t);
-                    Some(self.pop_bucket(t))
-                } else {
-                    // Stray behind the window (exploration re-push): the
-                    // heap alone holds it.
-                    Some(self.heap.pop().expect("peeked entry"))
-                }
-            }
-            (Some(bk), Some(hk)) => {
-                if bk < hk {
-                    self.advance_window(bk.0);
-                    Some(self.pop_bucket(bk.0))
-                } else if hk.0 >= self.window_start {
-                    self.advance_window(hk.0);
-                    Some(self.pop_bucket(hk.0))
-                } else {
-                    Some(self.heap.pop().expect("peeked entry"))
-                }
-            }
-        }
+    /// Slides the window to the earliest pending event and returns its time
+    /// (`None` when the queue is empty). Bucketed events all precede the
+    /// heap's, so the heap only matters when the buckets are empty; the
+    /// event itself then heads its bucket.
+    fn advance_to_min(&mut self) -> Option<Cycle> {
+        let t = match self.first_bucket_in(self.window_start, self.window_end()) {
+            Some(t) => t,
+            None => self.heap.peek()?.time,
+        };
+        self.advance_window(t);
+        Some(t)
     }
 
     /// Removes and returns the earliest event, advancing the queue's notion
     /// of "now" to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let entry = self.pop_min_entry()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        let t = self.advance_to_min()?;
+        let head = self.heads[(t.0 & self.mask) as usize];
+        let payload = self.unlink(t, NIL, head);
+        self.now = t;
+        Some((t, payload))
+    }
+
+    /// The `k`-th bucketed event (0-based) in `(time, seq)` order among
+    /// those at or before `cutoff`, as its bucket time, predecessor and
+    /// node; or, when there are not that many, how many there are.
+    fn nth_bucketed(&self, cutoff: Cycle, k: usize) -> Result<(Cycle, u32, u32), usize> {
+        let last = cutoff.min(self.window_end());
+        let mut from = self.window_start;
+        let mut passed = 0;
+        while from <= last {
+            let Some(t) = self.first_bucket_in(from, last) else { break };
+            let (mut prev, mut cur) = (NIL, self.heads[(t.0 & self.mask) as usize]);
+            while cur != NIL {
+                if passed == k {
+                    return Ok((t, prev, cur));
+                }
+                passed += 1;
+                prev = cur;
+                cur = self.nodes[cur as usize].next;
+            }
+            from = Cycle(t.0 + 1);
+        }
+        Err(passed)
     }
 
     /// Like [`EventQueue::pop`], but lets `chooser` reorder events that are
@@ -454,42 +441,47 @@ impl<E> EventQueue<E> {
         if window <= 1 {
             return self.pop();
         }
-        let first = self.pop_min_entry()?;
-        let fire_at = first.time;
+        let fire_at = self.advance_to_min()?;
         let cutoff = fire_at + horizon;
-        let mut eligible = std::mem::take(&mut self.candidates);
-        eligible.push(first);
-        while eligible.len() < window {
-            match self.peek_time() {
-                Some(t) if t <= cutoff => {
-                    eligible.push(self.pop_min_entry().expect("peeked entry"));
+        let in_buckets = match self.nth_bucketed(cutoff, window - 1) {
+            Ok(_) => window,
+            Err(n) => n,
+        };
+        // A horizon reaching past the bucket window continues into the
+        // heap, whose entries all follow the bucketed ones.
+        let mut from_heap = Vec::new();
+        while in_buckets + from_heap.len() < window {
+            match self.heap.peek() {
+                Some(e) if e.time <= cutoff => {
+                    from_heap.push(self.heap.pop().expect("peeked entry"));
                 }
                 _ => break,
             }
         }
-        let pick = if eligible.len() > 1 {
-            chooser.choose(eligible.len()).min(eligible.len() - 1)
+        let eligible = in_buckets + from_heap.len();
+        let pick = if eligible > 1 {
+            chooser.choose(eligible).min(eligible - 1)
         } else {
             0
         };
-        let chosen = eligible.swap_remove(pick);
-        for entry in eligible.drain(..) {
-            self.push_entry(entry);
-        }
-        self.candidates = eligible;
+        let payload = if pick < in_buckets {
+            let (t, prev, node) = self
+                .nth_bucketed(cutoff, pick)
+                .expect("the pick is a bucketed candidate");
+            self.unlink(t, prev, node)
+        } else {
+            from_heap.swap_remove(pick - in_buckets).payload
+        };
+        self.heap.extend(from_heap);
         self.now = fire_at;
-        Some((fire_at, chosen.payload))
+        Some((fire_at, payload))
     }
 
     /// Returns the timestamp of the earliest pending event without removing
     /// it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let b = self.next_bucket_key().map(|(t, _)| t);
-        let h = self.heap.peek().map(|e| e.time);
-        match (b, h) {
-            (None, t) | (t, None) => t,
-            (Some(a), Some(c)) => Some(a.min(c)),
-        }
+        self.first_bucket_in(self.window_start, self.window_end())
+            .or_else(|| self.heap.peek().map(|e| e.time))
     }
 
     /// Current simulation time: the timestamp of the most recently popped
@@ -748,19 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn pop_explored_stray_behind_window_still_pops_in_order() {
-        // Exploration can advance the window past unchosen candidates'
-        // timestamps; those strays are re-routed to the heap and must still
-        // pop in (time, seq) order against bucketed events.
+    fn pop_explored_chooses_from_the_heap_past_the_bucket_window() {
+        // A horizon longer than the bucket window makes heap events eligible
+        // too: the chosen one leaves the heap, the unchosen ones go back to
+        // it, and the bucketed candidate stays where it was.
         let mut q = EventQueue::new();
         q.push(Cycle(5), 'a');
         q.push(Cycle(300), 'b'); // heap at push time
         q.push(Cycle(301), 'c');
         // Window big enough to gather all three; horizon covers them too.
         let mut chooser = Fixed(vec![2], 0);
-        // 'c' fires at cycle 5; 'a' (t=5) and 'b' (t=300) stay pending, but
-        // the window has advanced to 301 — 'a' is now a stray.
+        // 'c' fires at cycle 5; 'a' (t=5) and 'b' (t=300) stay pending.
         assert_eq!(q.pop_explored(&mut chooser, Cycle(1000), 4), Some((Cycle(5), 'c')));
+        q.assert_window_invariant();
         assert_eq!(q.pop(), Some((Cycle(5), 'a')));
         assert_eq!(q.pop(), Some((Cycle(300), 'b')));
         // New pushes still work and order correctly afterwards.
@@ -768,6 +760,26 @@ mod tests {
         q.push(Cycle(600), 'e');
         assert_eq!(q.pop(), Some((Cycle(300), 'd')));
         assert_eq!(q.pop(), Some((Cycle(600), 'e')));
+    }
+
+    #[test]
+    fn pop_explored_unlinks_mid_list_and_tail_candidates() {
+        // Three events share cycle 4's bucket. Taking the middle one, then
+        // the tail, must leave the list (and its tail pointer) intact for
+        // later appends.
+        let mut q = EventQueue::new();
+        for p in ['a', 'b', 'c'] {
+            q.push(Cycle(4), p);
+        }
+        let mut chooser = Fixed(vec![1, 1], 0);
+        assert_eq!(q.pop_explored(&mut chooser, Cycle(0), 4), Some((Cycle(4), 'b')));
+        q.assert_window_invariant();
+        assert_eq!(q.pop_explored(&mut chooser, Cycle(0), 4), Some((Cycle(4), 'c')));
+        q.assert_window_invariant();
+        q.push(Cycle(4), 'd');
+        assert_eq!(q.pop(), Some((Cycle(4), 'a')));
+        assert_eq!(q.pop(), Some((Cycle(4), 'd')));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -809,6 +821,56 @@ mod tests {
     #[should_panic(expected = ">= 64")]
     fn with_buckets_rejects_tiny_counts() {
         let _ = EventQueue::<()>::with_buckets(32);
+    }
+
+    impl<E> EventQueue<E> {
+        /// Checks the layout invariants: every bucketed event lies inside
+        /// the window, in the bucket for its time and in seq order, the
+        /// tails, occupancy bits and count agree with the lists, every heap
+        /// event lies at or past the window's end, and the window start is
+        /// `now`.
+        fn assert_window_invariant(&self) {
+            let n = self.heads.len() as u64;
+            let ws = self.window_start.0;
+            assert_eq!(self.window_start, self.now, "the window start is now");
+            let mut count = 0;
+            for (idx, &head) in self.heads.iter().enumerate() {
+                let occupied = self.occ[idx / 64] & (1u64 << (idx % 64)) != 0;
+                assert_eq!(occupied, head != NIL, "occupancy bit of bucket {idx}");
+                let (mut prev, mut cur) = (NIL, head);
+                while cur != NIL {
+                    let node = &self.nodes[cur as usize];
+                    assert!(node.payload.is_some(), "a listed node is pending");
+                    assert!(
+                        node.time.0 >= ws && node.time.0 - ws < n,
+                        "bucketed event at {} outside the window [{ws}, {})",
+                        node.time,
+                        ws + n
+                    );
+                    assert_eq!(node.time.0 & self.mask, idx as u64);
+                    if prev != NIL {
+                        let p = &self.nodes[prev as usize];
+                        assert_eq!(p.time, node.time);
+                        assert!(p.seq < node.seq, "bucket {idx} out of seq order");
+                    }
+                    count += 1;
+                    prev = cur;
+                    cur = node.next;
+                }
+                if head != NIL {
+                    assert_eq!(self.tails[idx], prev, "tail of bucket {idx}");
+                }
+            }
+            assert_eq!(count, self.bucket_len);
+            for e in self.heap.iter() {
+                assert!(
+                    e.time.0 >= ws + n,
+                    "heap event at {} inside or behind the window [{ws}, {})",
+                    e.time,
+                    ws + n
+                );
+            }
+        }
     }
 
     /// Reference implementation: the plain `BinaryHeap` queue this calendar
@@ -920,25 +982,27 @@ mod tests {
     }
 
     /// Differential property: `pop_explored` with a shared random chooser
-    /// behaves identically on both implementations, including the stray
-    /// re-push paths.
+    /// behaves identically on both implementations, at windows 1–8 and at
+    /// horizons both inside the 256-bucket window (the bucket walk) and past
+    /// it (the heap continuation). No event ever falls behind the window.
     #[test]
     fn differential_random_pop_explored_matches_reference() {
-        crate::check::cases(40, 0xE0E0_57AC, |rng| {
+        crate::check::cases(60, 0xE0E0_57AC, |rng| {
             let mut cal: EventQueue<u32> = EventQueue::new();
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
             // Both sides must see the same choice sequence.
             let picks: Vec<usize> =
-                (0..200).map(|_| rng.gen_range(0, 6) as usize).collect();
+                (0..200).map(|_| rng.gen_range(0, 10) as usize).collect();
             let mut c1 = Fixed(picks.clone(), 0);
             let mut c2 = Fixed(picks, 0);
-            for _ in 0..300 {
+            for _ in 0..400 {
                 let action = rng.gen_range(0, 4);
                 if action < 2 || cal.is_empty() {
-                    let delta = match rng.gen_range(0, 3) {
+                    let delta = match rng.gen_range(0, 4) {
                         0 => rng.gen_range(0, 8),
                         1 => 240 + rng.gen_range(0, 40),
+                        2 => 400 + rng.gen_range(0, 300),
                         _ => rng.gen_range(0, 2_000),
                     };
                     let at = Cycle(cal.now().0 + delta);
@@ -949,17 +1013,85 @@ mod tests {
                     let expect = refq.pop();
                     assert_eq!(cal.pop(), expect);
                 } else {
-                    let horizon = Cycle(rng.gen_range(0, 400));
-                    let window = 1 + rng.gen_range(0, 4) as usize;
+                    let horizon = Cycle(rng.gen_range(0, 600));
+                    let window = 1 + rng.gen_range(0, 8) as usize;
                     let expect = refq.pop_explored(&mut c2, horizon, window);
                     assert_eq!(cal.pop_explored(&mut c1, horizon, window), expect);
                     assert_eq!(c1.1, c2.1, "choosers must be consulted identically");
                 }
                 assert_eq!(cal.len(), refq.heap.len());
+                assert_eq!(cal.peek_time(), refq.heap.peek().map(|e| e.time));
+                cal.assert_window_invariant();
             }
             while !cal.is_empty() {
                 let expect = refq.pop();
                 assert_eq!(cal.pop(), expect);
+            }
+        });
+    }
+
+    /// Dense same-cycle bursts: many events per bucket, so explored picks
+    /// unlink from the head, the middle and the tail of long lists, and
+    /// every window size from 1 to 8 walks across several buckets.
+    #[test]
+    fn differential_pop_explored_on_crowded_buckets_matches_reference() {
+        crate::check::cases(40, 0xC20_4DED, |rng| {
+            let mut cal: EventQueue<u32> = EventQueue::new();
+            let mut refq: RefQueue<u32> = RefQueue::new();
+            let mut next_payload = 0u32;
+            let picks: Vec<usize> = (0..400).map(|_| rng.gen_range(0, 8) as usize).collect();
+            let mut c1 = Fixed(picks.clone(), 0);
+            let mut c2 = Fixed(picks, 0);
+            for _ in 0..400 {
+                if rng.gen_range(0, 2) == 0 || cal.is_empty() {
+                    let at = Cycle(cal.now().0 + rng.gen_range(0, 3));
+                    for _ in 0..rng.gen_range(1, 5) {
+                        cal.push(at, next_payload);
+                        refq.push(at, next_payload);
+                        next_payload += 1;
+                    }
+                } else {
+                    let horizon = Cycle(rng.gen_range(0, 4));
+                    let window = 1 + rng.gen_range(0, 8) as usize;
+                    let expect = refq.pop_explored(&mut c2, horizon, window);
+                    assert_eq!(cal.pop_explored(&mut c1, horizon, window), expect);
+                }
+                cal.assert_window_invariant();
+            }
+            while !cal.is_empty() {
+                assert_eq!(cal.pop(), refq.pop());
+            }
+        });
+    }
+
+    /// No event is ever behind the window, whatever mix of `pop` and
+    /// `pop_explored` drives the queue, at every bucket count.
+    #[test]
+    fn no_event_is_ever_behind_the_window() {
+        crate::check::cases(24, 0xB3_41ED, |rng| {
+            for buckets in [64, 256, 1024] {
+                let mut q: EventQueue<u32> = EventQueue::with_buckets(buckets);
+                let mut chooser = Fixed((0..300).map(|_| rng.gen_range(0, 8) as usize).collect(), 0);
+                for i in 0..300u32 {
+                    match rng.gen_range(0, 5) {
+                        0 | 1 => {
+                            let delta = match rng.gen_range(0, 3) {
+                                0 => rng.gen_range(0, 4),
+                                1 => rng.gen_range(0, buckets as u64 + 64),
+                                _ => rng.gen_range(0, 4 * buckets as u64),
+                            };
+                            q.push(Cycle(q.now().0 + delta), i);
+                        }
+                        2 => {
+                            q.pop();
+                        }
+                        _ => {
+                            let horizon = Cycle(rng.gen_range(0, 2 * buckets as u64));
+                            q.pop_explored(&mut chooser, horizon, 1 + rng.gen_range(0, 8) as usize);
+                        }
+                    }
+                    q.assert_window_invariant();
+                }
             }
         });
     }

@@ -29,25 +29,37 @@
 //!
 //! # Parallel exploration
 //!
-//! Enumeration proceeds in **waves** whose composition is fixed before any
-//! schedule in the wave executes: phase 1 expands the exhaustive frontier
-//! breadth-first (each wave's children are derived from the previous wave's
-//! recordings), phases 2 and 3 are pre-seeded, so a wave is an
-//! embarrassingly-parallel batch. [`explore_jobs`] hands each wave to one
+//! Phase 1 proceeds in **waves** whose composition is fixed before any
+//! schedule in the wave executes: it expands the exhaustive frontier
+//! breadth-first, each wave's children derived from the previous wave's
+//! recordings, and hands each wave to one
 //! [`crate::parallel::par_map_indexed`] call, whose scoped workers claim
-//! schedules by index; [`explore`] is the same engine at one job, where
-//! every wave runs inline on the calling thread. Outcomes merge back **in
-//! wave order**, and single-schedule waves (the shrinker's candidates) run
-//! inline on the calling thread. Because wave composition, failure
-//! selection (first failing schedule in wave order), and the explored-set
-//! fingerprint are all independent of who executed what, every job count
-//! returns an identical report.
+//! schedules by index. Outcomes merge back **in wave order**.
+//!
+//! Phases 2 and 3 are pre-seeded, so they run as one **stream**: the random
+//! tails, then the delay-bounded ones, cut into fixed chunks of
+//! `TAIL_WAVE` schedules (a chunk never spans the two phases). Workers claim
+//! schedules in order with no barrier between chunks, and once a schedule
+//! fails, no schedule of a later chunk starts. Outcomes are absorbed in
+//! order up to the end of the first failing chunk, exactly what a
+//! chunk-at-a-time loop would have run; a stream covers `STREAM_CHUNKS`
+//! chunks, so the outcomes held at once stay bounded.
+//!
+//! [`explore`] is the same engine at one job, where everything runs on the
+//! calling thread, and the shrinker's single-schedule waves always run
+//! there. Because wave and chunk composition, failure selection (first
+//! failing schedule in order), and the explored-set fingerprint are all
+//! independent of who executed what, every job count returns an identical
+//! report.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::event::EventChooser;
-use crate::parallel::par_map_indexed;
+use crate::parallel::{on_workers, par_map_indexed};
 use crate::rng::{mix64, Xoshiro256StarStar};
 
 /// A recorded (or prescribed) sequence of scheduling choices.
@@ -185,6 +197,11 @@ impl ScheduleChooser {
     /// Number of decision points seen so far.
     pub fn decisions(&self) -> usize {
         self.taken.len()
+    }
+
+    /// The recorded choices, without the widths.
+    fn into_taken(self) -> Vec<u8> {
+        self.taken
     }
 }
 
@@ -371,12 +388,67 @@ where
     }
 }
 
-/// Executes pre-enumerated waves of schedules, each wave as one
-/// [`par_map_indexed`] call on `jobs` threads, which merges outcomes back
-/// into wave order. The engine only ever observes outcomes *in wave order*,
-/// so every job count yields identical exploration. With one job, and for
-/// single-spec waves (shrink candidates), everything runs inline on the
-/// calling thread, at sequential cost.
+/// What one tail schedule recorded: its verdict and its choices.
+type TailOutcome = (Result<(), String>, Vec<u8>);
+
+/// Phases 2 and 3 laid end to end: the random tails, then the
+/// delay-bounded ones, each phase cut into [`TAIL_WAVE`] chunks from its own
+/// start, so the chunks are the ones a chunk-at-a-time loop over each phase
+/// would run.
+struct TailPlan {
+    seed: u64,
+    delay_budget: usize,
+    /// Schedules of phase 2; phase 3's follow them.
+    random: usize,
+    /// The exclusive end index of each chunk, ascending.
+    ends: Vec<usize>,
+}
+
+impl TailPlan {
+    /// The tail of `cfg` within `budget` schedules.
+    fn new(cfg: &ExploreConfig, budget: usize) -> Self {
+        let random = cfg.random_schedules.min(budget);
+        let delay = cfg.delay_schedules.min(budget - random);
+        let chunk_ends = |from: usize, n: usize| {
+            (1..=n.div_ceil(TAIL_WAVE)).map(move |k| from + (k * TAIL_WAVE).min(n))
+        };
+        TailPlan {
+            seed: cfg.seed,
+            delay_budget: cfg.delay_budget,
+            random,
+            ends: chunk_ends(0, random).chain(chunk_ends(random, delay)).collect(),
+        }
+    }
+
+    /// The chooser of tail schedule `i`.
+    fn spec(&self, i: usize) -> ChooserSpec {
+        if i < self.random {
+            ChooserSpec::Random(mix64(self.seed ^ ((i as u64).wrapping_mul(2) + 1)))
+        } else {
+            let j = (i - self.random) as u64;
+            ChooserSpec::Delay(mix64(self.seed ^ 0xD31A_B0DE ^ (j << 32)), self.delay_budget)
+        }
+    }
+
+    /// The chunk holding tail schedule `i`.
+    fn chunk_of(&self, i: usize) -> usize {
+        self.ends.partition_point(|&end| end <= i)
+    }
+
+    /// The first schedule of chunk `c`.
+    fn start(&self, c: usize) -> usize {
+        if c == 0 {
+            0
+        } else {
+            self.ends[c - 1]
+        }
+    }
+}
+
+/// Runs explored schedules on `jobs` threads. The engine only ever observes
+/// outcomes *in order*, so every job count yields identical exploration.
+/// With one job, and for single-spec waves (shrink candidates), everything
+/// runs inline on the calling thread, at sequential cost.
 struct Waves<F> {
     run: F,
     jobs: usize,
@@ -386,8 +458,59 @@ impl<F> Waves<F>
 where
     F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
 {
+    /// Runs one pre-enumerated wave as one [`par_map_indexed`] call, which
+    /// merges outcomes back into wave order.
     fn run_wave(&self, specs: Vec<ChooserSpec>) -> Vec<WaveOutcome> {
         par_map_indexed(specs.len(), self.jobs, |i| run_spec(&self.run, &specs[i]))
+    }
+
+    /// Runs the tail chunks `chunks` as one stream: the workers claim
+    /// schedules in order, and once a schedule fails or panics, no schedule
+    /// of a later chunk starts. Returns the outcomes, in order, of every
+    /// chunk up to and including the first failing one (each of those
+    /// schedules ran), after resuming the first panic among them.
+    fn run_stream(&self, plan: &TailPlan, chunks: Range<usize>) -> Vec<TailOutcome> {
+        let (lo, hi) = (plan.start(chunks.start), plan.ends[chunks.end - 1]);
+        // The first chunk that failed so far. Both atomics only steer which
+        // schedules start; outcomes reach the caller through the joins, so
+        // `Relaxed` suffices.
+        let failed = AtomicUsize::new(usize::MAX);
+        let next = AtomicUsize::new(lo);
+        let parts = on_workers(self.jobs.min(hi - lo), || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let c = plan.chunk_of(i);
+                // Claims ascend, so every later claim is barred too.
+                if i >= hi || c > failed.load(Ordering::Relaxed) {
+                    return done;
+                }
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    let mut chooser = plan.spec(i).build();
+                    let result = (self.run)(&mut chooser);
+                    (result, chooser.into_taken())
+                }));
+                if !matches!(out, Ok((Ok(()), _))) {
+                    failed.fetch_min(c, Ordering::Relaxed);
+                }
+                done.push((i, out));
+            }
+        });
+        let last = failed.into_inner().min(chunks.end - 1);
+        let mut slots: Vec<Option<std::thread::Result<TailOutcome>>> =
+            (lo..plan.ends[last]).map(|_| None).collect();
+        for (i, out) in parts.into_iter().flatten() {
+            if let Some(slot) = slots.get_mut(i - lo) {
+                *slot = Some(out);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| match slot.expect("every schedule up to the first failing chunk ran") {
+                Ok(out) => out,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
     }
 }
 
@@ -397,6 +520,12 @@ where
 /// set never depends on the job count.
 const TAIL_WAVE: usize = 32;
 
+/// Chunks per tail stream. Streams join between them, which bounds the
+/// outcomes held at once to 512 schedules' recordings (one stream over a
+/// 6,000-schedule budget would hold about 4,500); inside a stream the
+/// workers stay busy across every chunk boundary.
+const STREAM_CHUNKS: usize = 16;
+
 fn explore_engine<F>(cfg: &ExploreConfig, waves: &Waves<F>) -> ExploreReport
 where
     F: Fn(&mut ScheduleChooser) -> Result<(), String> + Sync,
@@ -405,22 +534,21 @@ where
     let mut runs = 0usize;
     let mut failure: Option<(String, Vec<u8>)> = None;
 
-    // Absorbs one wave's outcomes: record every schedule (a failing wave
+    // Absorbs one outcome: record every schedule (a failing chunk or wave
     // still contributes its full recording to `seen`) and latch the first
-    // failure in wave order.
-    let absorb = |outcomes: &[WaveOutcome],
-                      runs: &mut usize,
-                      seen: &mut BTreeSet<Vec<u8>>,
-                      failure: &mut Option<(String, Vec<u8>)>| {
-        *runs += outcomes.len();
-        for out in outcomes {
-            seen.insert(out.taken.clone());
-            if failure.is_none() {
-                if let Err(msg) = &out.result {
-                    *failure = Some((msg.clone(), out.taken.clone()));
-                }
+    // failure in order.
+    let absorb = |result: &Result<(), String>,
+                  taken: Vec<u8>,
+                  runs: &mut usize,
+                  seen: &mut BTreeSet<Vec<u8>>,
+                  failure: &mut Option<(String, Vec<u8>)>| {
+        *runs += 1;
+        if failure.is_none() {
+            if let Err(msg) = result {
+                *failure = Some((msg.clone(), taken.clone()));
             }
         }
+        seen.insert(taken);
     };
 
     // Phase 1: exhaustive enumeration over the leading decision points,
@@ -435,7 +563,9 @@ where
         let specs: Vec<ChooserSpec> =
             frontier.iter().map(|p| ChooserSpec::Replay(p.clone())).collect();
         let outcomes = waves.run_wave(specs);
-        absorb(&outcomes, &mut runs, &mut seen, &mut failure);
+        for out in &outcomes {
+            absorb(&out.result, out.taken.clone(), &mut runs, &mut seen, &mut failure);
+        }
         let mut next = Vec::new();
         if failure.is_none() {
             for (prefix, out) in frontier.iter().zip(&outcomes) {
@@ -453,35 +583,18 @@ where
         frontier = next;
     }
 
-    // Phase 2: seeded random tails, in fixed-size chunks.
-    let mut i = 0usize;
-    while i < cfg.random_schedules && failure.is_none() && runs < cfg.max_schedules {
-        let n = (cfg.random_schedules - i)
-            .min(cfg.max_schedules - runs)
-            .min(TAIL_WAVE);
-        let specs: Vec<ChooserSpec> = (i..i + n)
-            .map(|j| ChooserSpec::Random(mix64(cfg.seed ^ (j as u64).wrapping_mul(2) + 1)))
-            .collect();
-        let outcomes = waves.run_wave(specs);
-        absorb(&outcomes, &mut runs, &mut seen, &mut failure);
-        i += n;
-    }
-
-    // Phase 3: delay-bounded tails, same chunking.
-    let mut i = 0usize;
-    while i < cfg.delay_schedules && failure.is_none() && runs < cfg.max_schedules {
-        let n = (cfg.delay_schedules - i)
-            .min(cfg.max_schedules - runs)
-            .min(TAIL_WAVE);
-        let specs: Vec<ChooserSpec> = (i..i + n)
-            .map(|j| {
-                let seed = mix64(cfg.seed ^ 0xD31A_B0DE ^ ((j as u64) << 32));
-                ChooserSpec::Delay(seed, cfg.delay_budget)
-            })
-            .collect();
-        let outcomes = waves.run_wave(specs);
-        absorb(&outcomes, &mut runs, &mut seen, &mut failure);
-        i += n;
+    // Phases 2 and 3: seeded random, then delay-bounded tails, streamed in
+    // fixed-size chunks.
+    if failure.is_none() {
+        let plan = TailPlan::new(cfg, cfg.max_schedules - runs);
+        let mut chunk = 0;
+        while chunk < plan.ends.len() && failure.is_none() {
+            let end = (chunk + STREAM_CHUNKS).min(plan.ends.len());
+            for (result, taken) in waves.run_stream(&plan, chunk..end) {
+                absorb(&result, taken, &mut runs, &mut seen, &mut failure);
+            }
+            chunk = end;
+        }
     }
 
     let failure = failure.map(|(message, taken)| {
@@ -532,10 +645,12 @@ where
 ///
 /// Workers execute schedules concurrently, so `run` must be `Sync`; each
 /// invocation still gets its own [`ScheduleChooser`] and must build its own
-/// fresh system. Each wave is one
-/// [`crate::parallel::par_map_indexed`] call. The report — schedules run,
-/// distinct set, fingerprint, and (minimized) failure — is identical at
-/// every job count; only wall-clock time changes. Shrinking runs
+/// fresh system. Each phase-1 wave is one
+/// [`crate::parallel::par_map_indexed`] call, and the random and
+/// delay-bounded tails run as streams of fixed chunks (see the module
+/// docs). The report — schedules run, distinct set, fingerprint, and
+/// (minimized) failure — is identical at every job count; only wall-clock
+/// time changes. Shrinking runs
 /// sequentially (each candidate depends on the last verdict), inline on the
 /// calling thread.
 pub fn explore_jobs<F>(cfg: &ExploreConfig, jobs: usize, run: F) -> ExploreReport
@@ -712,6 +827,107 @@ mod tests {
             assert_eq!(par.fingerprint, seq.fingerprint, "jobs={jobs}");
             assert_eq!(par.schedules_run, seq.schedules_run, "jobs={jobs}");
         }
+    }
+
+    /// A model with no event queue: six decision points of width 8. A run
+    /// fails, naming its schedule, when at least two choices are non-zero
+    /// and a hash of the recording is a multiple of 40 (so never in phase 1
+    /// at depth 0, whose one schedule is all zeros). A failing run whose
+    /// recording is listed in `slow` first sleeps the listed milliseconds.
+    fn hashed_failures(
+        slow: &'static [(&'static [u8], u64)],
+    ) -> impl Fn(&mut ScheduleChooser) -> Result<(), String> + Sync {
+        move |c: &mut ScheduleChooser| {
+            for _ in 0..6 {
+                c.choose(8);
+            }
+            let t = c.taken();
+            let nonzero = t.iter().filter(|&&x| x != 0).count();
+            let h = mix64(t.iter().fold(0u64, |h, &x| h * 8 + u64::from(x)));
+            if nonzero >= 2 && h.is_multiple_of(40) {
+                if let Some(&(_, ms)) = slow.iter().find(|(s, _)| *s == t) {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                }
+                Err(format!("bad schedule {}", Schedule { choices: t.to_vec() }))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    /// Phase 1 is the one all-zero schedule; the tail is 96 random then 32
+    /// delay-bounded schedules.
+    const TAIL_ONLY: ExploreConfig = ExploreConfig {
+        seed: 0,
+        exhaustive_depth: 0,
+        random_schedules: 96,
+        delay_schedules: 32,
+        delay_budget: 3,
+        max_schedules: 1000,
+        shrink_budget: 40,
+    };
+
+    /// Runs `cfg` at 1, 2, 4 and 7 jobs and checks each report against the
+    /// literals, which a chunk-at-a-time loop over each phase produced:
+    /// `(schedules_run, distinct, fingerprint, schedule, message,
+    /// original_steps)`.
+    fn assert_tail_report(
+        cfg: &ExploreConfig,
+        slow: &'static [(&'static [u8], u64)],
+        want: (usize, usize, u64, &str, &str, usize),
+    ) {
+        for jobs in [1, 2, 4, 7] {
+            let r = explore_jobs(cfg, jobs, hashed_failures(slow));
+            let f = r.failure.as_ref().expect("the model fails");
+            let got = (
+                r.schedules_run,
+                r.distinct_schedules,
+                r.fingerprint,
+                f.schedule.to_string(),
+                f.message.as_str(),
+                f.original_steps,
+            );
+            let want = (want.0, want.1, want.2, want.3.to_string(), want.4, want.5);
+            assert_eq!(got, want, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn a_mid_chunk_phase_2_failure_ends_the_tail_after_its_chunk() {
+        // Random schedule 38 (offset 6 of chunk 32..64) is the first to
+        // fail: the empty schedule plus two full chunks ran.
+        let cfg = ExploreConfig { seed: 0x2700, ..TAIL_ONLY };
+        let want = (65, 65, 0xce63_0097_cac6_caf6, "6.2.3.0.0.7", "bad schedule 6.2.3.0.0.7", 6);
+        assert_tail_report(&cfg, &[], want);
+    }
+
+    #[test]
+    fn a_mid_chunk_phase_3_failure_ends_the_tail_after_its_chunk() {
+        // All 24 random schedules pass; delay-bounded schedule 41 (offset 9
+        // of that phase's chunk 32..64) fails: 1 + 24 + 64 ran.
+        let cfg = ExploreConfig {
+            seed: 0x3000,
+            random_schedules: 24,
+            delay_schedules: 96,
+            ..TAIL_ONLY
+        };
+        let want = (89, 87, 0x2d0b_4e8c_180c_6e84, "6.4.6", "bad schedule 6.4.6.0.0.0", 6);
+        assert_tail_report(&cfg, &[], want);
+    }
+
+    #[test]
+    fn the_earlier_of_two_failing_chunks_wins() {
+        // Random schedules 58 (chunk 32..64) and 76 (chunk 64..96) both
+        // fail, and the report must be the earlier chunk's in either order
+        // of landing. At two or more jobs: when only 58 sleeps, the other
+        // workers run ahead and 76 usually lands first; when 76 sleeps
+        // longer, 58 usually lands first while 76 is still running.
+        let cfg = ExploreConfig { seed: 0x2e00, ..TAIL_ONLY };
+        let want = (65, 65, 0x57ef_e7c5_7a9b_07e2, "4.4.4.3.5.3", "bad schedule 4.4.4.3.5.3", 6);
+        const EARLIER: &[u8] = &[4, 4, 4, 3, 5, 3];
+        const LATER: &[u8] = &[2, 6, 5, 1, 5, 1];
+        assert_tail_report(&cfg, &[(EARLIER, 20)], want);
+        assert_tail_report(&cfg, &[(EARLIER, 20), (LATER, 60)], want);
     }
 
     #[test]

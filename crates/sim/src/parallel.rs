@@ -4,7 +4,8 @@
 //! full-system simulations — exactly the embarrassingly-parallel shape the
 //! paper's GEMS evaluation had. The sweeps fan out through [`run_pool`], and
 //! the schedule explorer fans out each of its waves through the same
-//! [`par_map_indexed`]:
+//! [`par_map_indexed`] (its tail streams use the scoped-worker spawn under
+//! it, with their own claim loop):
 //!
 //! * **Deterministic**: results come back in submission order regardless of
 //!   worker count or scheduling, so a sweep's output is byte-identical
@@ -173,7 +174,7 @@ where
     // The counter only hands out indices; results reach the caller through
     // the scope's joins, so `Relaxed` claims suffice.
     let next = AtomicUsize::new(0);
-    let claim = || {
+    let parts = on_workers(jobs.min(n), || {
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -182,16 +183,6 @@ where
             }
             done.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
         }
-    };
-    let parts: Vec<_> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..jobs.min(n)).map(|_| scope.spawn(claim)).collect();
-        let mut parts = vec![claim()];
-        parts.extend(
-            helpers
-                .into_iter()
-                .map(|h| h.join().expect("items run under catch_unwind")),
-        );
-        parts
     });
 
     let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
@@ -205,6 +196,27 @@ where
             Err(payload) => resume_unwind(payload),
         })
         .collect()
+}
+
+/// Runs `work` on the calling thread and on `jobs - 1` scoped helpers (only
+/// on the calling thread when `jobs <= 1`) and returns what each call
+/// returned, the calling thread's first. `work` must not panic: callers
+/// catch inside it.
+pub(crate) fn on_workers<T, W>(jobs: usize, work: W) -> Vec<T>
+where
+    T: Send,
+    W: Fn() -> T + Sync,
+{
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs).map(|_| scope.spawn(&work)).collect();
+        let mut parts = vec![work()];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("work runs under catch_unwind")),
+        );
+        parts
+    })
 }
 
 /// Executes `specs` on `jobs` workers and returns their results in

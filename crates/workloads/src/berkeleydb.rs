@@ -120,7 +120,7 @@ impl SectionSource for BerkeleyDb {
                 let start = Self::hot_start(rng);
                 let writes = clamped_geo(rng, 7.0, 20);
                 let reads = clamped_geo(rng, 6.0, 20);
-                let mut body = Vec::new();
+                let mut body = Vec::with_capacity((writes + reads) as usize + 1);
                 for i in 0..writes {
                     body.push(BodyOp::Update(Self::hot_block(start, i)));
                 }
@@ -144,7 +144,7 @@ impl SectionSource for BerkeleyDb {
                 let page = rng.gen_index(layout::DB_BLOCKS as usize) as u64;
                 let reads = clamped_geo(rng, 9.0, 30);
                 let writes = clamped_geo(rng, 3.0, 8);
-                let mut body = Vec::new();
+                let mut body = Vec::with_capacity((reads + writes) as usize + 1);
                 for i in 0..reads {
                     let b = (page + i * 7) % layout::DB_BLOCKS;
                     body.push(BodyOp::Read(block(layout::DB_BASE, b)));
@@ -171,7 +171,7 @@ impl SectionSource for BerkeleyDb {
                 let start = Self::hot_start(rng);
                 let writes = clamped_geo(rng, 7.0, 20);
                 let reads = clamped_geo(rng, 4.0, 16);
-                let mut body = Vec::new();
+                let mut body = Vec::with_capacity((writes + reads) as usize);
                 for i in 0..writes {
                     body.push(BodyOp::Update(Self::hot_block(start, i)));
                 }
