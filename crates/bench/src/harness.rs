@@ -72,6 +72,13 @@ pub fn detected_cpus() -> usize {
     avail.max(cpuinfo).max(1)
 }
 
+/// Seconds one call of `f` takes.
+fn time<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
 /// One timed case, as recorded in the document's `cases`.
 struct Case {
     group: String,
@@ -141,32 +148,80 @@ impl Bench {
         fields: Vec<(&'static str, Json)>,
         mut f: impl FnMut() -> T,
     ) {
-        let full = format!("{}/{name}", self.group);
-        if !self.filters.is_empty() && !self.filters.iter().any(|p| full.contains(p.as_str())) {
+        if !self.selected(name) {
             return;
         }
         black_box(f());
-        let mut best = f64::INFINITY;
-        let mut total = 0.0;
-        for _ in 0..self.iters {
-            let t0 = Instant::now();
-            black_box(f());
-            let dt = t0.elapsed().as_secs_f64();
-            total += dt;
-            best = best.min(dt);
+        let times: Vec<f64> = (0..self.iters).map(|_| time(&mut f)).collect();
+        self.record(name, fields, &times);
+    }
+
+    /// Time two cases of the current group as interleaved pairs, one pair
+    /// per iteration, alternating which case runs first, and record both
+    /// cases plus `speedups.<ratio>`: the **median of the per-pair ratios**
+    /// `base / opt` (higher = `opt` is faster). Both runs of a pair see the
+    /// same host state, so host drift slower than one pair cancels out of
+    /// each ratio, and the median discards the pairs a burst of host load
+    /// split. Returns the ratio; `None` (recorded as `null`) when a filter
+    /// skips either case.
+    pub fn paired<A, B>(
+        &mut self,
+        ratio: &str,
+        (base, mut base_f): (&str, impl FnMut() -> A),
+        (opt, mut opt_f): (&str, impl FnMut() -> B),
+    ) -> Option<f64> {
+        if !self.selected(base) || !self.selected(opt) {
+            self.ratio(ratio, None);
+            return None;
         }
-        let (mean_ms, best_ms) = (total / self.iters as f64 * 1e3, best * 1e3);
-        eprintln!(
-            "{full:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({} iters)",
-            self.iters
-        );
+        black_box(base_f());
+        black_box(opt_f());
+        let (mut base_times, mut opt_times) = (Vec::new(), Vec::new());
+        for i in 0..self.iters {
+            if i % 2 == 0 {
+                base_times.push(time(&mut base_f));
+                opt_times.push(time(&mut opt_f));
+            } else {
+                opt_times.push(time(&mut opt_f));
+                base_times.push(time(&mut base_f));
+            }
+        }
+        self.record(base, Vec::new(), &base_times);
+        self.record(opt, Vec::new(), &opt_times);
+        let mut ratios: Vec<f64> = base_times
+            .iter()
+            .zip(&opt_times)
+            .map(|(b, o)| b / o)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let n = ratios.len();
+        let median = (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0;
+        self.ratio(ratio, Some(median));
+        Some(median)
+    }
+
+    /// Whether the command-line filters let the case `name` of the current
+    /// group run.
+    fn selected(&self, name: &str) -> bool {
+        let full = format!("{}/{name}", self.group);
+        self.filters.is_empty() || self.filters.iter().any(|p| full.contains(p.as_str()))
+    }
+
+    /// Record a case of the current group from its per-iteration times in
+    /// seconds, and print its line.
+    fn record(&mut self, name: &str, fields: Vec<(&'static str, Json)>, times: &[f64]) {
+        let n = times.len();
+        let mean_ms = times.iter().sum::<f64>() / n as f64 * 1e3;
+        let best_ms = times.iter().copied().fold(f64::INFINITY, f64::min) * 1e3;
+        let full = format!("{}/{name}", self.group);
+        eprintln!("{full:<44} mean {mean_ms:>9.3} ms   best {best_ms:>9.3} ms   ({n} iters)");
         self.cases.push(Case {
             group: self.group.clone(),
             name: name.to_string(),
             fields,
             mean_ms,
             best_ms,
-            iters: self.iters,
+            iters: n,
         });
     }
 
@@ -302,6 +357,39 @@ mod tests {
         let speedups = get(&doc, "speedups");
         assert_eq!(get(speedups, "missing"), &Json::Null);
         assert_eq!(get(speedups, "given").render(), "1.235\n");
+    }
+
+    #[test]
+    fn paired_records_both_cases_and_a_median_ratio() {
+        let mut bench = Bench::with_filters("pairs", Vec::new());
+        bench.group("g", 5);
+        let spin = |n: u64| (0..n).fold(0u64, |a, i| black_box(a ^ i));
+        let ratio = bench.paired(
+            "slow_vs_fast",
+            ("slow", || spin(200_000)),
+            ("fast", || spin(1)),
+        );
+        assert!(ratio.is_some_and(|r| r > 1.0), "{ratio:?}");
+        assert!(bench.best_ms("g", "slow").is_some() && bench.best_ms("g", "fast").is_some());
+        let doc = bench.document();
+        let Json::Arr(cases) = get(&doc, "cases") else {
+            panic!("cases is an array")
+        };
+        assert_eq!(cases.len(), 2);
+        assert_eq!(get(&cases[0], "iters"), &Json::Int(5));
+        assert!(matches!(
+            get(get(&doc, "speedups"), "slow_vs_fast"),
+            Json::Num(..)
+        ));
+
+        // A filter that skips either side records neither case and a null
+        // ratio.
+        let mut bench = Bench::with_filters("pairs", vec!["g/fast".to_string()]);
+        bench.group("g", 3);
+        assert_eq!(bench.paired("r", ("slow", || 0), ("fast", || 0)), None);
+        let doc = bench.document();
+        assert_eq!(keys(&doc), ["bench", "quick", "cpus", "speedups"]);
+        assert_eq!(get(get(&doc, "speedups"), "r"), &Json::Null);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Resume { thread: u32, seq: u64 },
     PreemptTick,
@@ -1050,6 +1050,9 @@ impl System {
     /// transactions must conservatively abort, like cache-resident HTMs on
     /// overflow.
     fn drain_overflow_events(&mut self) {
+        if !self.mem.has_overflow_events() {
+            return;
+        }
         for ev in self.mem.take_overflow_events() {
             for ctx in 0..self.tm.n_ctxs() {
                 if self.tm.core_of(ctx) != ev.core {

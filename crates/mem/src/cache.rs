@@ -44,6 +44,18 @@ struct Line<V> {
     lru: u64,
 }
 
+/// A resident line's place in a [`SetAssocCache`]: what
+/// [`SetAssocCache::find`] returns and [`SetAssocCache::touch`] takes, so an
+/// access that reads a line and later updates it looks it up once. An
+/// `insert` or `remove` on the array may move the ways of a set; `touch`
+/// panics if the handle's way no longer holds its block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way {
+    set: u32,
+    way: u32,
+    block: BlockAddr,
+}
+
 /// A set-associative array mapping block addresses to per-line state, with
 /// true-LRU replacement. Used for the L1 tag/state arrays, the L2 banks, and
 /// the TM crate's log filter (which the paper notes is "much like a TLB").
@@ -109,11 +121,45 @@ impl<V> SetAssocCache<V> {
         set.iter().position(|l| l.block == block)
     }
 
+    /// Looks up a block without touching LRU state, returning its line's
+    /// [`Way`] and value.
+    #[inline]
+    pub fn find(&self, block: BlockAddr) -> Option<(Way, &V)> {
+        let idx = self.set_index(block);
+        let set = &self.sets[idx];
+        let way = Self::find_way(set, self.hints[idx], block)?;
+        let handle = Way {
+            set: idx as u32,
+            way: way as u32,
+            block,
+        };
+        Some((handle, &set[way].value))
+    }
+
+    /// Promotes the line at `way` to most-recently-used, exactly as
+    /// [`SetAssocCache::get_mut`] on its block would, and returns its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line no longer holds the block `way` was found for (an
+    /// `insert` or `remove` moved it).
+    #[inline]
+    pub fn touch(&mut self, way: Way) -> &mut V {
+        let tick = self.bump();
+        let idx = way.set as usize;
+        self.hints[idx] = way.way;
+        match self.sets[idx].get_mut(way.way as usize) {
+            Some(line) if line.block == way.block => {
+                line.lru = tick;
+                &mut line.value
+            }
+            _ => panic!("stale way handle: block {:?} moved", way.block),
+        }
+    }
+
     /// Looks up a block without touching LRU state.
     pub fn peek(&self, block: &BlockAddr) -> Option<&V> {
-        let idx = self.set_index(*block);
-        let set = &self.sets[idx];
-        Self::find_way(set, self.hints[idx], *block).map(|w| &set[w].value)
+        self.find(*block).map(|(_, v)| v)
     }
 
     /// Looks up a block, promoting it to most-recently-used.
@@ -337,6 +383,42 @@ mod tests {
         c.remove(&addr(2));
         assert!(c.is_empty());
         assert_eq!(c.peek(&addr(0)), None, "empty set with nonzero hint");
+    }
+
+    #[test]
+    fn touch_promotes_like_get_mut() {
+        let mut c = SetAssocCache::new(CacheConfig::new(1, 2));
+        c.insert(addr(1), 'a');
+        c.insert(addr(2), 'b');
+        let (way, &v) = c.find(addr(1)).expect("resident");
+        assert_eq!(v, 'a');
+        *c.touch(way) = 'z'; // 2 is now LRU
+        assert_eq!(c.insert(addr(3), 'c'), Some((addr(2), 'b')));
+        assert_eq!(c.peek(&addr(1)), Some(&'z'));
+        assert!(c.find(addr(2)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "stale way handle")]
+    fn touch_after_remove_moved_its_way_panics() {
+        let mut c = SetAssocCache::new(CacheConfig::new(1, 3));
+        for i in 1..=3u64 {
+            c.insert(addr(i), i);
+        }
+        let (way, _) = c.find(addr(3)).expect("resident");
+        c.remove(&addr(1)); // swap_remove moves 3 into 1's way
+        c.touch(way);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale way handle")]
+    fn touch_after_insert_evicted_its_line_panics() {
+        let mut c = SetAssocCache::new(CacheConfig::new(1, 2));
+        c.insert(addr(1), ());
+        c.insert(addr(2), ());
+        let (way, _) = c.find(addr(1)).expect("resident");
+        c.insert(addr(3), ()); // evicts 1, the LRU line; 2 takes its way
+        c.touch(way);
     }
 
     #[test]

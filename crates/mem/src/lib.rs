@@ -59,7 +59,7 @@ mod store;
 mod system;
 
 pub use addr::{Asid, BlockAddr, PageId, WordAddr, BLOCKS_PER_PAGE, BLOCK_BYTES, WORDS_PER_BLOCK};
-pub use cache::{CacheConfig, SetAssocCache};
+pub use cache::{CacheConfig, SetAssocCache, Way};
 pub use dir::{CoreId, DirEntry, ForwardTargets, SharerIter, SharerSet, MAX_CORES};
 pub use latency::LatencyConfig;
 pub use network::Grid;

@@ -50,11 +50,13 @@ impl MemStore {
     }
 
     /// Reads one word (zero if never written).
+    #[inline]
     pub fn read(&self, addr: WordAddr) -> u64 {
         self.words.get(&addr.0).copied().unwrap_or(0)
     }
 
     /// Writes one word in place.
+    #[inline]
     pub fn write(&mut self, addr: WordAddr, value: u64) {
         if value == 0 {
             self.words.remove(&addr.0);

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use ltse_sim::Cycle;
 
 use crate::addr::{AddrBuildHasher, BlockAddr, WordAddr};
-use crate::cache::{CacheConfig, SetAssocCache};
+use crate::cache::{CacheConfig, SetAssocCache, Way};
 use crate::dir::DirEntry;
 use crate::latency::LatencyConfig;
 use crate::network::Grid;
@@ -347,18 +347,27 @@ impl MemorySystem {
 
     /// Reads a word from the flat data store (no timing; timing comes from
     /// [`MemorySystem::access`] on the containing block).
+    #[inline]
     pub fn read_word(&self, addr: WordAddr) -> u64 {
         self.store.read(addr)
     }
 
     /// Writes a word in place (eager version management's "new value").
+    #[inline]
     pub fn write_word(&mut self, addr: WordAddr, value: u64) {
         self.store.write(addr, value);
     }
 
     /// Atomic read-modify-write on a word, returning `(old, new)`.
+    #[inline]
     pub fn update_word(&mut self, addr: WordAddr, f: impl FnOnce(u64) -> u64) -> (u64, u64) {
         self.store.update(addr, f)
+    }
+
+    /// Whether overflow events are waiting to be drained.
+    #[inline]
+    pub fn has_overflow_events(&self) -> bool {
+        !self.overflow_events.is_empty()
     }
 
     /// Drains overflow events produced while sticky states are disabled.
@@ -489,57 +498,39 @@ impl MemorySystem {
         let lat = self.config.latency;
 
         // ---- L1 lookup -------------------------------------------------
-        let l1_state = self.l1s[core as usize].peek(&block).copied();
-        let l1_would_hit = matches!(
-            (kind, l1_state),
-            (AccessKind::Load, Some(_))
-                | (AccessKind::Store, Some(L1State::Modified | L1State::Exclusive))
-        );
-        // An L1 hit issues no coherence request, but LogTM-SE checks
-        // signatures on *every* reference, not just misses: a same-core SMT
-        // sibling's transaction must still isolate the line. Without this
-        // check the hit path would bypass conflict detection entirely
-        // whenever two contexts share an L1.
-        if l1_would_hit {
-            if let Some(nacker) = oracle.check_core(core, kind, block, requester) {
-                self.stats.nacks.inc();
-                return AccessOutcome::Nacked {
-                    latency: lat.l1_hit,
-                    nacker,
-                };
+        // A load hits in any state, a store in M or E; a store to S is an
+        // upgrade miss, and anything absent is a miss.
+        let hit = self.l1s[core as usize].find(block).and_then(|(way, &state)| {
+            let hits = kind == AccessKind::Load
+                || matches!(state, L1State::Modified | L1State::Exclusive);
+            hits.then_some(way)
+        });
+        if let Some(way) = hit {
+            // An L1 hit issues no coherence request, but LogTM-SE checks
+            // signatures on *every* reference, not just misses: a same-core
+            // SMT sibling's transaction must still isolate the line. Without
+            // this check the hit path would bypass conflict detection
+            // whenever two contexts share an L1. A one-context core has no
+            // sibling, and the oracle never reports the requester itself.
+            if self.config.smt_per_core > 1 {
+                if let Some(nacker) = oracle.check_core(core, kind, block, requester) {
+                    self.stats.nacks.inc();
+                    return AccessOutcome::Nacked {
+                        latency: lat.l1_hit,
+                        nacker,
+                    };
+                }
             }
-        }
-        match (kind, l1_state) {
-            (AccessKind::Load, Some(_)) => {
-                self.l1s[core as usize].get(&block); // LRU touch
-                self.stats.l1_hits.inc();
-                return AccessOutcome::Done(AccessDone {
-                    latency: lat.l1_hit,
-                    l1_hit: true,
-                    source: DataSource::L1,
-                });
+            let state = self.l1s[core as usize].touch(way);
+            if kind == AccessKind::Store {
+                *state = L1State::Modified; // silent E→M upgrade
             }
-            (AccessKind::Store, Some(L1State::Modified)) => {
-                self.l1s[core as usize].get(&block);
-                self.stats.l1_hits.inc();
-                return AccessOutcome::Done(AccessDone {
-                    latency: lat.l1_hit,
-                    l1_hit: true,
-                    source: DataSource::L1,
-                });
-            }
-            (AccessKind::Store, Some(L1State::Exclusive)) => {
-                // Silent E→M upgrade.
-                *self.l1s[core as usize].get_mut(&block).unwrap() = L1State::Modified;
-                self.stats.l1_hits.inc();
-                return AccessOutcome::Done(AccessDone {
-                    latency: lat.l1_hit,
-                    l1_hit: true,
-                    source: DataSource::L1,
-                });
-            }
-            // Store to S is an upgrade miss; anything absent is a miss.
-            _ => {}
+            self.stats.l1_hits.inc();
+            return AccessOutcome::Done(AccessDone {
+                latency: lat.l1_hit,
+                l1_hit: true,
+                source: DataSource::L1,
+            });
         }
 
         self.stats.l1_misses.inc();
@@ -553,20 +544,22 @@ impl MemorySystem {
         let base = req_path + lat.directory;
 
         // ---- Lost directory: broadcast signature checks -----------------
-        if self.lost.contains(&block) {
+        if !self.lost.is_empty() && self.lost.contains(&block) {
             return self.access_lost_block(requester, core, kind, block, bank, base, oracle);
         }
 
         // ---- Normal directory path --------------------------------------
-        let entry = self.l2_banks[bank as usize].peek(&block).map(|l| l.dir.clone());
+        let entry = self.l2_banks[bank as usize]
+            .find(block)
+            .map(|(way, line)| (way, line.dir.clone()));
         match entry {
             None => self.access_l2_miss(requester, core, kind, block, bank, base, oracle),
-            Some(dir) => match kind {
+            Some((way, dir)) => match kind {
                 AccessKind::Load => {
-                    self.access_gets(requester, core, block, bank, base, dir, oracle)
+                    self.access_gets(requester, core, block, bank, base, (way, dir), oracle)
                 }
                 AccessKind::Store => {
-                    self.access_getm(requester, core, block, bank, base, dir, oracle)
+                    self.access_getm(requester, core, block, bank, base, (way, dir), oracle)
                 }
             },
         }
@@ -811,7 +804,7 @@ impl MemorySystem {
         })
     }
 
-    /// GETS with a live directory entry.
+    /// GETS with a live directory entry, found at `dir_way` of its bank.
     #[allow(clippy::too_many_arguments)] // mirrors the request message fields
     fn access_gets(
         &mut self,
@@ -820,7 +813,7 @@ impl MemorySystem {
         block: BlockAddr,
         bank: u16,
         base: Cycle,
-        dir: DirEntry,
+        (dir_way, dir): (Way, DirEntry),
         oracle: &dyn ConflictOracle,
     ) -> AccessOutcome {
         let lat = self.config.latency;
@@ -844,14 +837,14 @@ impl MemorySystem {
                 {
                     return self.nack_via(core, bank, owner, base, nacker);
                 }
-                let owner_has_it = self.l1s[owner as usize].contains(&block);
+                let owner_copy = self.l1s[owner as usize].find(block).map(|(way, _)| way);
                 let mut new_dir = dir;
                 new_dir.owner = None;
                 new_dir.add_sharer(core);
                 new_dir.check_all = false;
-                let (latency, source) = if owner_has_it {
+                let (latency, source) = if let Some(way) = owner_copy {
                     // Downgrade M/E → S with an implicit writeback.
-                    *self.l1s[owner as usize].get_mut(&block).unwrap() = L1State::Shared;
+                    *self.l1s[owner as usize].touch(way) = L1State::Shared;
                     new_dir.add_sharer(owner);
                     (
                         base + self.fwd_path(core, bank, owner) ,
@@ -867,7 +860,7 @@ impl MemorySystem {
                         DataSource::L2,
                     )
                 };
-                self.set_dir(block, new_dir);
+                self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, L1State::Shared, oracle);
                 AccessOutcome::Done(AccessDone {
                     latency,
@@ -880,7 +873,7 @@ impl MemorySystem {
                 let mut new_dir = dir;
                 new_dir.sticky = false;
                 new_dir.check_all = false;
-                self.set_dir(block, new_dir);
+                self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, L1State::Exclusive, oracle);
                 self.stats.l2_hits.inc();
                 let latency = base
@@ -906,7 +899,7 @@ impl MemorySystem {
                 } else {
                     L1State::Shared
                 };
-                self.set_dir(block, new_dir);
+                self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, grant, oracle);
                 self.stats.l2_hits.inc();
                 let latency = base
@@ -921,7 +914,7 @@ impl MemorySystem {
         }
     }
 
-    /// GETM with a live directory entry.
+    /// GETM with a live directory entry, found at `dir_way` of its bank.
     #[allow(clippy::too_many_arguments)] // mirrors the request message fields
     fn access_getm(
         &mut self,
@@ -930,7 +923,7 @@ impl MemorySystem {
         block: BlockAddr,
         bank: u16,
         base: Cycle,
-        dir: DirEntry,
+        (dir_way, dir): (Way, DirEntry),
         oracle: &dyn ConflictOracle,
     ) -> AccessOutcome {
         let lat = self.config.latency;
@@ -964,14 +957,14 @@ impl MemorySystem {
                 }
             }
         }
-        let was_upgrade = self.l1s[core as usize].contains(&block);
+        let upgrade = self.l1s[core as usize].find(block).map(|(way, _)| way);
+        let was_upgrade = upgrade.is_some();
         let mut new_dir = DirEntry::owned_by(core);
         new_dir.check_all = false;
-        self.set_dir(block, new_dir);
-        if was_upgrade {
-            *self.l1s[core as usize].get_mut(&block).unwrap() = L1State::Modified;
-        } else {
-            self.l1_install(core, block, L1State::Modified, oracle);
+        self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
+        match upgrade {
+            Some(way) => *self.l1s[core as usize].touch(way) = L1State::Modified,
+            None => self.l1_install(core, block, L1State::Modified, oracle),
         }
 
         let worst_target = targets
@@ -1049,17 +1042,6 @@ impl MemorySystem {
         (0..self.config.n_cores)
             .filter(|&c| c != except_core)
             .find_map(|c| oracle.check_core(c, kind, block, requester))
-    }
-
-    fn set_dir(&mut self, block: BlockAddr, dir: DirEntry) {
-        let bank = self.bank_of(block);
-        if let Some(line) = self.l2_banks[bank as usize].get_mut(&block) {
-            line.dir = dir;
-        } else {
-            // Entry must exist when called from the hit paths; for rebuilds
-            // l2_install is used instead.
-            unreachable!("set_dir on a non-resident block");
-        }
     }
 
     /// Installs a block in an L1, handling the eviction side effects
@@ -1424,6 +1406,29 @@ mod tests {
         let w = m.access(c00, AccessKind::Store, BlockAddr(3), &o);
         assert!(matches!(w, AccessOutcome::Nacked { .. }));
         assert_eq!(m.l1_state_str(0, BlockAddr(3)), "E", "upgrade suppressed");
+    }
+
+    #[test]
+    fn l1_hit_on_a_one_context_core_skips_the_oracle() {
+        // The oracle never reports the requester's own context, so a core
+        // with one context has nobody to NACK an L1 hit; on the 2-SMT test
+        // config the same hits are screened (see the sibling test above).
+        for (smt, screened) in [(1, false), (2, true)] {
+            let mut m = MemorySystem::new(MemConfig {
+                smt_per_core: smt,
+                ..MemConfig::small_for_tests()
+            });
+            let o = FakeOracle::default();
+            assert!(m.access(0, AccessKind::Load, BlockAddr(3), &o).is_done()); // miss → E
+            let (checks, hits) = (*o.checks.borrow(), m.stats().l1_hits.get());
+            assert!(m.access(0, AccessKind::Load, BlockAddr(3), &o).is_done());
+            assert!(m.access(0, AccessKind::Store, BlockAddr(3), &o).is_done()); // E → M
+            assert!(m.access(0, AccessKind::Store, BlockAddr(3), &o).is_done());
+            assert_eq!(m.stats().l1_hits.get(), hits + 3);
+            assert_eq!(m.l1_state_str(0, BlockAddr(3)), "M");
+            let expect = if screened { checks + 3 } else { checks };
+            assert_eq!(*o.checks.borrow(), expect, "oracle calls at {smt} SMT");
+        }
     }
 
     #[test]

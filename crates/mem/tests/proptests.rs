@@ -7,8 +7,8 @@ use ltse_sim::check::{cases, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 
 use ltse_mem::{
-    AccessKind, AccessOutcome, BlockAddr, CoherenceKind, ConflictOracle, MemConfig, MemorySystem,
-    NullOracle,
+    AccessKind, AccessOutcome, BlockAddr, CacheConfig, CoherenceKind, ConflictOracle, MemConfig,
+    MemorySystem, NullOracle, SetAssocCache, Way,
 };
 
 #[derive(Debug, Clone)]
@@ -152,6 +152,124 @@ fn word_values_match_a_flat_model() {
         }
         for (addr, val) in &model {
             assert_eq!(m.read_word(WordAddr(*addr)), *val);
+        }
+    });
+}
+
+/// A true-LRU set-associative model: per set, `(block, value, last use)`.
+struct LruModel {
+    sets: Vec<Vec<(u64, u64, u64)>>,
+    ways: usize,
+    clock: u64,
+}
+
+impl LruModel {
+    fn set(&mut self, block: u64) -> &mut Vec<(u64, u64, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(block % n) as usize]
+    }
+
+    fn get(&self, block: u64) -> Option<u64> {
+        let n = self.sets.len() as u64;
+        self.sets[(block % n) as usize]
+            .iter()
+            .find(|l| l.0 == block)
+            .map(|l| l.1)
+    }
+
+    /// Promotes `block` and overwrites its value.
+    fn touch(&mut self, block: u64, value: u64) {
+        self.clock += 1;
+        let clock = self.clock;
+        let line = self
+            .set(block)
+            .iter_mut()
+            .find(|l| l.0 == block)
+            .expect("resident");
+        *line = (block, value, clock);
+    }
+
+    fn insert(&mut self, block: u64, value: u64) -> Option<(u64, u64)> {
+        if self.get(block).is_some() {
+            self.touch(block, value);
+            return None;
+        }
+        self.clock += 1;
+        let (clock, ways) = (self.clock, self.ways);
+        let set = self.set(block);
+        let victim = (set.len() == ways).then(|| {
+            let lru = (0..set.len()).min_by_key(|&i| set[i].2).expect("full set");
+            let (b, v, _) = set.remove(lru);
+            (b, v)
+        });
+        set.push((block, value, clock));
+        victim
+    }
+
+    fn remove(&mut self, block: u64) -> Option<u64> {
+        let set = self.set(block);
+        let i = set.iter().position(|l| l.0 == block)?;
+        Some(set.remove(i).1)
+    }
+}
+
+#[test]
+fn way_handles_agree_with_a_true_lru_model() {
+    // Random insert/find/touch/remove sequences on 1–2 sets of 2–3 ways.
+    // A handle may be held across other lookups and touches, which move no
+    // way; an insert of a new block or a remove drops it, since either may
+    // move the ways of a set.
+    cases(200, 0x3A7_4A5D, |rng| {
+        let sets = rng.gen_range(1, 3) as usize;
+        let ways = rng.gen_range(2, 4) as usize;
+        let mut cache: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(sets, ways));
+        let mut model = LruModel {
+            sets: vec![Vec::new(); sets],
+            ways,
+            clock: 0,
+        };
+        let mut held: Option<(Way, u64)> = None;
+        for step in 0..120u64 {
+            let block = rng.gen_range(0, 8);
+            match rng.gen_range(0, 5) {
+                0 | 1 => {
+                    let moves = model.get(block).is_none();
+                    let evicted = cache.insert(BlockAddr(block), step);
+                    let expect = model.insert(block, step);
+                    assert_eq!(
+                        evicted.map(|(b, v)| (b.0, v)),
+                        expect,
+                        "victim at step {step}"
+                    );
+                    if moves {
+                        held = None;
+                    }
+                }
+                2 => {
+                    let found = cache.find(BlockAddr(block)).map(|(w, &v)| (w, v));
+                    assert_eq!(found.map(|f| f.1), model.get(block), "find at step {step}");
+                    if let Some((way, _)) = found {
+                        held = Some((way, block));
+                    }
+                }
+                3 => {
+                    if let Some((way, b)) = held {
+                        *cache.touch(way) = step;
+                        model.touch(b, step);
+                    }
+                }
+                _ => {
+                    assert_eq!(cache.remove(&BlockAddr(block)), model.remove(block));
+                    held = None;
+                }
+            }
+            for b in 0..8 {
+                assert_eq!(
+                    cache.peek(&BlockAddr(b)).copied(),
+                    model.get(b),
+                    "block {b}"
+                );
+            }
         }
     });
 }

@@ -66,15 +66,14 @@ pub const DEFAULT_BUCKETS: usize = 256;
 const NIL: u32 = u32::MAX;
 
 /// An arena slot: one pending event threaded into its bucket's singly
-/// linked list (or parked on the freelist, `payload == None`).
+/// linked list, or a slot parked on the freelist. A node carries no time
+/// or seq: its bucket names its time, and its place in the list its seq.
 struct Node<E> {
-    time: Cycle,
-    seq: u64,
     /// Next node in this bucket's seq-ordered list, or next free slot.
     next: u32,
-    /// `Some` while pending; taken on pop, leaving the slot to the
-    /// freelist without moving the node.
-    payload: Option<E>,
+    /// The event. Popping copies it out and leaves the stale copy in the
+    /// slot until the slot is reused.
+    payload: E,
 }
 
 /// A priority queue of timestamped events with deterministic ordering.
@@ -109,12 +108,17 @@ struct Node<E> {
 /// stays small enough to sit in cache even at the 4096-bucket windows
 /// 256-context systems use (a `VecDeque` per bucket cost 32 bytes of header
 /// per slot plus a separate heap block each — the dominant per-event cost at
-/// scale before this layout).
+/// scale before this layout). A node is only its `next` link and its `Copy`
+/// payload, so a push writes the payload straight into its slot and a pop
+/// copies it out; a node's bucket gives its time and its list position its
+/// seq, so neither is stored.
 ///
-/// One occupancy bit per bucket finds the next event: the scan walks the
-/// occupancy words from the window start. The simulator's windows are 256 to
-/// 4096 buckets, so that is 4 to 64 words; a second-level summary over the
-/// words measured no faster, even at 4096 buckets.
+/// A pop first looks at the bucket for `now`, since the window starts at
+/// `now` and most events fire at the time of the one before them; only
+/// when that bucket is empty does it scan the occupancy bitmap, one bit per
+/// bucket, from the window start. The simulator's windows are 256 to 4096
+/// buckets, so that is 4 to 64 words; a second-level summary over the words
+/// measured no faster, even at 4096 buckets.
 ///
 /// [`EventQueue::pop_explored`] selects in place: it counts the eligible
 /// events by walking the buckets in `(time, seq)` order and unlinks only the
@@ -127,7 +131,7 @@ struct Node<E> {
 /// ```
 /// use ltse_sim::{Cycle, EventQueue};
 ///
-/// #[derive(Debug, PartialEq)]
+/// #[derive(Debug, Clone, Copy, PartialEq)]
 /// enum Ev { Tick, Tock }
 ///
 /// let mut q = EventQueue::new();
@@ -164,13 +168,13 @@ pub struct EventQueue<E> {
     now: Cycle,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue positioned at cycle 0 with
     /// [`DEFAULT_BUCKETS`] calendar buckets.
     pub fn new() -> Self {
@@ -206,16 +210,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grabs an arena slot for `e` (reusing the freelist when possible) and
-    /// returns its index. The node's `next` is left as [`NIL`].
-    #[inline]
-    fn alloc_node(&mut self, e: Entry<E>) -> u32 {
-        let node = Node {
-            time: e.time,
-            seq: e.seq,
-            next: NIL,
-            payload: Some(e.payload),
-        };
+    /// Grabs an arena slot for `payload` (reusing the freelist when
+    /// possible) and returns its index. The node's `next` is left as
+    /// [`NIL`].
+    #[inline(always)]
+    fn alloc_node(&mut self, payload: E) -> u32 {
+        let node = Node { next: NIL, payload };
         if self.free != NIL {
             let idx = self.free;
             let slot = &mut self.nodes[idx as usize];
@@ -236,7 +236,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the current simulation time (events may
     /// not be scheduled in the past).
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, at: Cycle, payload: E) {
         assert!(
             at >= self.now,
@@ -245,16 +245,15 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let e = Entry {
-            time: at,
-            seq,
-            payload,
-        };
         // `now` equals the window start, so `at` is never behind the window.
         if at.0 - self.window_start.0 < self.heads.len() as u64 {
-            self.bucket_insert(e);
+            self.bucket_insert(at, payload);
         } else {
-            self.heap.push(e);
+            self.heap.push(Entry {
+                time: at,
+                seq,
+                payload,
+            });
         }
     }
 
@@ -264,33 +263,30 @@ impl<E> EventQueue<E> {
         self.push(self.now + delay, payload);
     }
 
-    /// Appends to the bucket ring. Appends always carry the largest seq of
-    /// their bucket (see the type-level docs), so the list stays in seq
-    /// order.
-    fn bucket_insert(&mut self, e: Entry<E>) {
-        let idx = (e.time.0 & self.mask) as usize;
-        let (time, seq) = (e.time, e.seq);
-        let node = self.alloc_node(e);
+    /// Appends an event for `time` to the bucket ring. Appends always
+    /// carry the largest seq of their bucket (see the type-level docs), so
+    /// the list stays in seq order.
+    #[inline(always)]
+    fn bucket_insert(&mut self, time: Cycle, payload: E) {
+        let idx = (time.0 & self.mask) as usize;
+        let node = self.alloc_node(payload);
         let tail = self.tails[idx];
         if tail == NIL {
             self.heads[idx] = node;
             self.occ[idx / 64] |= 1u64 << (idx % 64);
         } else {
-            debug_assert_eq!(self.nodes[tail as usize].time, time);
-            debug_assert!(self.nodes[tail as usize].seq < seq, "append out of seq order");
             self.nodes[tail as usize].next = node;
         }
         self.tails[idx] = node;
         self.bucket_len += 1;
     }
 
-    /// Unlinks `node`, whose predecessor in the list of the bucket for time
-    /// `t` is `prev` ([`NIL`] at the head), and returns its payload.
-    fn unlink(&mut self, t: Cycle, prev: u32, node: u32) -> E {
-        let idx = (t.0 & self.mask) as usize;
+    /// Unlinks `node`, whose predecessor in the list of bucket `idx` is
+    /// `prev` ([`NIL`] at the head), and returns its payload.
+    #[inline(always)]
+    fn unlink(&mut self, idx: usize, prev: u32, node: u32) -> E {
         let slot = &mut self.nodes[node as usize];
-        let payload = slot.payload.take().expect("pending node has a payload");
-        let next = slot.next;
+        let (payload, next) = (slot.payload, slot.next);
         slot.next = self.free;
         self.free = node;
         if prev == NIL {
@@ -370,7 +366,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             let e = self.heap.pop().expect("peeked entry");
-            self.bucket_insert(e);
+            self.bucket_insert(e.time, e.payload);
         }
     }
 
@@ -378,6 +374,7 @@ impl<E> EventQueue<E> {
     /// (`None` when the queue is empty). Bucketed events all precede the
     /// heap's, so the heap only matters when the buckets are empty; the
     /// event itself then heads its bucket.
+    #[inline(always)]
     fn advance_to_min(&mut self) -> Option<Cycle> {
         let t = match self.first_bucket_in(self.window_start, self.window_end()) {
             Some(t) => t,
@@ -389,10 +386,21 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the queue's notion
     /// of "now" to its timestamp. Returns `None` when the queue is empty.
+    ///
+    /// The window starts at `now`, so a non-empty bucket for `now` holds
+    /// the earliest events and its head fires without a scan or a window
+    /// move.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let t = self.advance_to_min()?;
-        let head = self.heads[(t.0 & self.mask) as usize];
-        let payload = self.unlink(t, NIL, head);
+        let mut t = self.now;
+        let mut idx = (t.0 & self.mask) as usize;
+        let mut head = self.heads[idx];
+        if head == NIL {
+            t = self.advance_to_min()?;
+            idx = (t.0 & self.mask) as usize;
+            head = self.heads[idx];
+        }
+        let payload = self.unlink(idx, NIL, head);
         self.now = t;
         Some((t, payload))
     }
@@ -468,7 +476,7 @@ impl<E> EventQueue<E> {
             let (t, prev, node) = self
                 .nth_bucketed(cutoff, pick)
                 .expect("the pick is a bucketed candidate");
-            self.unlink(t, prev, node)
+            self.unlink((t.0 & self.mask) as usize, prev, node)
         } else {
             from_heap.swap_remove(pick - in_buckets).payload
         };
@@ -514,7 +522,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
+impl<E: Copy> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
@@ -823,45 +831,49 @@ mod tests {
         let _ = EventQueue::<()>::with_buckets(32);
     }
 
-    impl<E> EventQueue<E> {
-        /// Checks the layout invariants: every bucketed event lies inside
-        /// the window, in the bucket for its time and in seq order, the
+    impl<E: Copy> EventQueue<E> {
+        /// Checks the layout invariants: every listed node lies in a bucket
+        /// inside the window (a node's time is its bucket's cycle) and off
+        /// the freelist, every arena slot is either listed or free, the
         /// tails, occupancy bits and count agree with the lists, every heap
         /// event lies at or past the window's end, and the window start is
-        /// `now`.
+        /// `now`. Seq order within a bucket is pinned by the `RefQueue`
+        /// differential tests below.
         fn assert_window_invariant(&self) {
             let n = self.heads.len() as u64;
             let ws = self.window_start.0;
             assert_eq!(self.window_start, self.now, "the window start is now");
+            let mut free = vec![false; self.nodes.len()];
+            let mut cur = self.free;
+            while cur != NIL {
+                assert!(!free[cur as usize], "freelist cycles through {cur}");
+                free[cur as usize] = true;
+                cur = self.nodes[cur as usize].next;
+            }
             let mut count = 0;
             for (idx, &head) in self.heads.iter().enumerate() {
                 let occupied = self.occ[idx / 64] & (1u64 << (idx % 64)) != 0;
                 assert_eq!(occupied, head != NIL, "occupancy bit of bucket {idx}");
+                let time = ws + ((idx as u64).wrapping_sub(ws) & self.mask);
+                assert!(time - ws < n, "bucket {idx} maps outside the window");
                 let (mut prev, mut cur) = (NIL, head);
                 while cur != NIL {
-                    let node = &self.nodes[cur as usize];
-                    assert!(node.payload.is_some(), "a listed node is pending");
-                    assert!(
-                        node.time.0 >= ws && node.time.0 - ws < n,
-                        "bucketed event at {} outside the window [{ws}, {})",
-                        node.time,
-                        ws + n
-                    );
-                    assert_eq!(node.time.0 & self.mask, idx as u64);
-                    if prev != NIL {
-                        let p = &self.nodes[prev as usize];
-                        assert_eq!(p.time, node.time);
-                        assert!(p.seq < node.seq, "bucket {idx} out of seq order");
-                    }
+                    assert!(!free[cur as usize], "listed node {cur} is on the freelist");
                     count += 1;
                     prev = cur;
-                    cur = node.next;
+                    cur = self.nodes[cur as usize].next;
                 }
                 if head != NIL {
-                    assert_eq!(self.tails[idx], prev, "tail of bucket {idx}");
+                    assert_eq!(self.tails[idx], prev, "tail of bucket {idx} (time {time})");
                 }
             }
             assert_eq!(count, self.bucket_len);
+            let free_slots = free.iter().filter(|&&f| f).count();
+            assert_eq!(
+                count + free_slots,
+                self.nodes.len(),
+                "every slot is listed or free"
+            );
             for e in self.heap.iter() {
                 assert!(
                     e.time.0 >= ws + n,
@@ -1061,6 +1073,60 @@ mod tests {
             while !cal.is_empty() {
                 assert_eq!(cal.pop(), refq.pop());
             }
+        });
+    }
+
+    /// Free slots keep a stale copy of the payload last popped from them.
+    /// Under heavy slot reuse (the pending set stays small while tens of
+    /// thousands of events pass through) every unique payload must still
+    /// pop exactly once, from `pop` and from explored pops alike.
+    #[test]
+    fn unique_payloads_pop_exactly_once_under_slot_reuse() {
+        crate::check::cases(16, 0xF2EE_115E, |rng| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut chooser = Fixed(
+                (0..4_000).map(|_| rng.gen_range(0, 4) as usize).collect(),
+                0,
+            );
+            const TOTAL: u64 = 20_000;
+            let mut popped = vec![false; TOTAL as usize];
+            let mut next = 0u64;
+            let mut take = |got: Option<(Cycle, u64)>| {
+                let (_, p) = got.expect("a pending event");
+                assert!(
+                    !std::mem::replace(&mut popped[p as usize], true),
+                    "payload {p} popped twice"
+                );
+            };
+            while next < TOTAL {
+                for _ in 0..rng.gen_range(1, 4) {
+                    let delta = match rng.gen_range(0, 8) {
+                        0 => 300 + rng.gen_range(0, 300), // the heap fallback
+                        _ => rng.gen_range(0, 3),
+                    };
+                    if next < TOTAL {
+                        q.push(Cycle(q.now().0 + delta), next);
+                        next += 1;
+                    }
+                }
+                while q.len() > 8 {
+                    if rng.gen_bool(0.5) {
+                        take(q.pop());
+                    } else {
+                        take(q.pop_explored(&mut chooser, Cycle(4), 4));
+                    }
+                }
+            }
+            while !q.is_empty() {
+                take(q.pop());
+            }
+            assert!(
+                q.nodes.len() < 64,
+                "slots are reused: {} allocated",
+                q.nodes.len()
+            );
+            q.assert_window_invariant();
+            assert!(popped.iter().all(|&p| p), "every payload popped");
         });
     }
 

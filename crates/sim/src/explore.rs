@@ -736,7 +736,7 @@ mod tests {
     /// completes before the next worker starts, so FIFO passes; interleaving
     /// two loads before a store loses an update.
     fn racy_counter(n: usize, chooser: &mut ScheduleChooser) -> Result<(), String> {
-        #[derive(Debug)]
+        #[derive(Debug, Clone, Copy)]
         enum Ev {
             Load(usize),
             Store(usize),

@@ -93,6 +93,7 @@ impl Xoshiro256StarStar {
     }
 
     /// Returns the next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -110,6 +111,7 @@ impl Xoshiro256StarStar {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn gen_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "gen_range requires lo < hi (got {lo}..{hi})");
         let span = hi - lo;
@@ -138,6 +140,7 @@ impl Xoshiro256StarStar {
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         // 53-bit mantissa comparison keeps this exact for p in [0,1].

@@ -129,6 +129,7 @@ impl ThreadTmState {
     }
 
     /// Whether the thread is inside a transaction.
+    #[inline]
     pub fn in_tx(&self) -> bool {
         !self.log.is_empty()
     }
@@ -164,6 +165,7 @@ impl ThreadTmState {
     }
 
     /// Whether the thread is inside an escape action.
+    #[inline]
     pub fn in_escape(&self) -> bool {
         self.escape_depth > 0
     }
@@ -234,6 +236,7 @@ impl ThreadTmState {
 
     /// Records a committed memory access in the signatures. No-op inside
     /// escape actions or outside transactions.
+    #[inline]
     pub fn record_access(&mut self, op: SigOp, block: BlockAddr) {
         self.spared_stalls = 0; // a completed access is progress
         if self.in_tx() && !self.in_escape() {
@@ -469,6 +472,7 @@ impl ThreadTmState {
     /// CONFLICT(op, block) against this thread's signatures, classifying
     /// the answer for false-positive accounting. Returns the hardware
     /// decision.
+    #[inline]
     pub fn check_conflict(&self, op: SigOp, block: BlockAddr) -> bool {
         if !self.in_tx() {
             return false;
@@ -494,6 +498,7 @@ impl ThreadTmState {
     /// CONFLICT(op, block) against the installed summary signature (checked
     /// on *every* memory reference, §4.1). Returns whether a trap is
     /// required.
+    #[inline]
     pub fn check_summary(&self, op: SigOp, block: BlockAddr) -> bool {
         let Some(summary) = &self.summary else {
             return false;

@@ -185,6 +185,7 @@ impl TmUnit {
     }
 
     /// The configuration.
+    #[inline]
     pub fn config(&self) -> &TmConfig {
         &self.config
     }
@@ -195,11 +196,13 @@ impl TmUnit {
     }
 
     /// Immutable access to the thread installed on `ctx`.
+    #[inline]
     pub fn thread(&self, ctx: CtxId) -> Option<&ThreadTmState> {
         self.slots[ctx as usize].as_ref()
     }
 
     /// Mutable access to the thread installed on `ctx`.
+    #[inline]
     pub fn thread_mut(&mut self, ctx: CtxId) -> Option<&mut ThreadTmState> {
         self.slots[ctx as usize].as_mut()
     }
@@ -233,6 +236,7 @@ impl TmUnit {
     }
 
     /// Whether `ctx` is inside a transaction.
+    #[inline]
     pub fn in_tx(&self, ctx: CtxId) -> bool {
         self.thread(ctx).is_some_and(|t| t.in_tx())
     }
@@ -248,6 +252,7 @@ impl TmUnit {
     }
 
     /// The core hosting `ctx`.
+    #[inline]
     pub fn core_of(&self, ctx: CtxId) -> ltse_mem::CoreId {
         (ctx / self.smt_per_core as u32) as ltse_mem::CoreId
     }
@@ -264,6 +269,7 @@ impl TmUnit {
     }
 
     /// Records a completed access in `ctx`'s signatures.
+    #[inline]
     pub fn record_access(&mut self, ctx: CtxId, kind: AccessKind, block: BlockAddr) {
         self.slot_mut(ctx).record_access(sig_op(kind), block);
     }
@@ -338,6 +344,7 @@ impl TmUnit {
     /// TM-layer checks before a memory access is issued: the summary
     /// signature (every reference, §4.1) and same-core sibling signatures
     /// (SMT conflicts never reach the coherence protocol, §2).
+    #[inline]
     pub fn pre_access(&self, ctx: CtxId, kind: AccessKind, block: BlockAddr) -> PreAccessCheck {
         let Some(me) = self.thread(ctx) else {
             return PreAccessCheck::Clear;

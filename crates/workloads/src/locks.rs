@@ -83,6 +83,7 @@ impl LockDriver {
     /// Advances the acquire state machine. `last_value` is the result of
     /// the previously issued op (the loaded word or the CAS's old value);
     /// pass anything on the first call.
+    #[inline(always)]
     pub fn step(&mut self, last_value: u64, rng: &mut Xoshiro256StarStar) -> LockOutcome {
         match self.phase {
             Phase::SpinRead => {
@@ -202,6 +203,7 @@ impl TicketLockDriver {
     }
 
     /// Advances the acquire machine; same contract as [`LockDriver::step`].
+    #[inline(always)]
     pub fn step(&mut self, last_value: u64, rng: &mut Xoshiro256StarStar) -> LockOutcome {
         match self.phase {
             TicketPhase::TakeTicket => {
@@ -316,6 +318,7 @@ impl BarrierDriver {
 
     /// Advances the barrier machine; same contract as [`LockDriver::step`].
     /// `LockOutcome::Acquired` here means "passed the barrier".
+    #[inline(always)]
     pub fn step(&mut self, last_value: u64, rng: &mut Xoshiro256StarStar) -> LockOutcome {
         match self.phase {
             BarrierPhase::Arrive => {

@@ -93,7 +93,9 @@ impl SectionSource for Mp3d {
             // Collision: several molecules and neighbouring cells at once —
             // the Table 2 tails (reads ≤18, writes ≤10).
             let extra = uniform_incl(rng, 3, 8);
-            let mut body = vec![BodyOp::Read(molecule(mol)), BodyOp::Update(cell(target_cell))];
+            let mut body = Vec::with_capacity(2 + 2 * extra as usize + 2 * (extra / 2 + 1) as usize);
+            body.push(BodyOp::Read(molecule(mol)));
+            body.push(BodyOp::Update(cell(target_cell)));
             for i in 0..extra {
                 body.push(BodyOp::Read(molecule(mol + i * 7 + 1)));
                 body.push(BodyOp::Read(cell(target_cell + i + 1)));
@@ -105,14 +107,14 @@ impl SectionSource for Mp3d {
             body
         } else {
             // Plain move: 2 reads, ~1.7 writes on average.
-            let mut body = vec![
-                BodyOp::Read(molecule(mol)),
-                BodyOp::Update(cell(target_cell)),
-            ];
-            if rng.gen_bool(0.4) {
+            let (read_next, write_back) = (rng.gen_bool(0.4), rng.gen_bool(0.6));
+            let mut body = Vec::with_capacity(2 + read_next as usize + write_back as usize);
+            body.push(BodyOp::Read(molecule(mol)));
+            body.push(BodyOp::Update(cell(target_cell)));
+            if read_next {
                 body.push(BodyOp::Read(cell(target_cell + 1)));
             }
-            if rng.gen_bool(0.6) {
+            if write_back {
                 body.push(BodyOp::Write(molecule(mol)));
             }
             body

@@ -84,10 +84,9 @@ impl SectionSource for Radiosity {
                 % self.n_threads;
             let scan = uniform_incl(rng, 6, 23);
             let moved = uniform_incl(rng, 8, 43);
-            let mut body = vec![
-                BodyOp::Update(queue_head(victim)),
-                BodyOp::Update(queue_head(self.thread_id)),
-            ];
+            let mut body = Vec::with_capacity(2 + (scan + moved) as usize);
+            body.push(BodyOp::Update(queue_head(victim)));
+            body.push(BodyOp::Update(queue_head(self.thread_id)));
             // Steals take descriptors from the tail half of the victim's
             // region; the victim's pops work the head half, so the only
             // common block is the queue header itself (as in the real
@@ -108,14 +107,14 @@ impl SectionSource for Radiosity {
         } else {
             // The common case: pop a task from our own queue — tiny
             // footprint (reads avg ≈2, writes ≈1.5).
-            let mut body = vec![
-                BodyOp::Update(queue_head(self.thread_id)),
-                BodyOp::Read(task_block(self.thread_id, (self.cursor * 31) % 32)),
-            ];
-            if rng.gen_bool(0.5) {
+            let (read_next, write_back) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+            let mut body = Vec::with_capacity(2 + read_next as usize + write_back as usize);
+            body.push(BodyOp::Update(queue_head(self.thread_id)));
+            body.push(BodyOp::Read(task_block(self.thread_id, (self.cursor * 31) % 32)));
+            if read_next {
                 body.push(BodyOp::Read(task_block(self.thread_id, (self.cursor * 31 + 1) % 32)));
             }
-            if rng.gen_bool(0.5) {
+            if write_back {
                 body.push(BodyOp::Write(task_block(self.thread_id, (self.cursor * 31) % 32)));
             }
             Section {

@@ -103,8 +103,11 @@ impl SectionSource for Raytrace {
             let walk = clamped_geo(rng, 5.0, 12);
             // Unlink from the head first (one owned-line RMW), then walk
             // the rest of the list read-only.
-            let mut body = vec![BodyOp::Update(block(layout::FREELIST_BASE, head))];
-            if rng.gen_bool(0.5) {
+            let unlink_next = rng.gen_bool(0.5);
+            let mut body =
+                Vec::with_capacity(1 + unlink_next as usize + walk.saturating_sub(1) as usize);
+            body.push(BodyOp::Update(block(layout::FREELIST_BASE, head)));
+            if unlink_next {
                 body.push(BodyOp::Update(block(
                     layout::FREELIST_BASE,
                     (head + 1) % layout::FREELIST_BLOCKS,
