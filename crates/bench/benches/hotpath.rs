@@ -41,7 +41,7 @@ fn main() {
     bench.group("sig", iters);
     for (name, kind) in [
         ("conflict_sweep_bitselect", SignatureKind::paper_bs_2kb()),
-        ("conflict_sweep_bloom", SignatureKind::Bloom { bits: 2048, k: 4 }),
+        ("conflict_sweep_dbs", SignatureKind::paper_dbs_2kb()),
     ] {
         // Launder the kind so LLVM cannot constant-fold the variant — in the
         // simulator the kind is runtime configuration.

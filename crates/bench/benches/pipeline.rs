@@ -83,7 +83,7 @@ fn main() {
     }
     // Correctness gate before timing anything: the parallel explorer must
     // produce the identical report.
-    let seq = explore(&cfg, |c| check_one(c));
+    let seq = explore(&cfg, check_one);
     let par = explore_jobs(&cfg, jobs, check_one);
     assert_eq!(
         report_key(&seq),

@@ -30,9 +30,7 @@ fn bench_params(benchmark: Benchmark, quick: bool) -> RunParams {
         seed: 0xC0FFEE,
         small_machine: false,
         sticky: true,
-        log_filter_entries: 16,
         coherence: CoherenceKind::DirectoryMesi,
-        warmup_units: 0,
     }
 }
 

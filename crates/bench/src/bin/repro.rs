@@ -275,9 +275,9 @@ fn main() {
     // simulator-only stats-json below never engages.
     if backend == ltse_workloads::BackendKind::Stm {
         let mut ok = match cmd {
-            "table2" | "all" => emit(stm_compare(&scale), |r| render::render_stm(r)),
-            "oltp" => emit(oltp_compare(&scale), |r| render::render_oltp(r)),
-            "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
+            "table2" | "all" => emit(stm_compare(&scale), render::render_stm),
+            "oltp" => emit(oltp_compare(&scale), render::render_oltp),
+            "policy" => emit(policy_sweep(&scale), render::render_policy_sweep),
             other if SUBCOMMANDS.contains(&other) => {
                 eprintln!(
                     "subcommand `{other}` is simulator-only; --backend stm supports: table2 oltp policy all"
@@ -312,35 +312,31 @@ fn main() {
                 print!("{}", table1_text());
                 true
             }
-            "table2" if csv => emit(table2(&scale), |r| render::csv_table2(r)),
-            "table2" => emit(table2(&scale), |r| render::render_table2(r)),
-            "figure4" if csv => emit(figure4(&scale), |r| render::csv_figure4(r)),
-            "figure4" => emit(figure4(&scale), |r| render::render_figure4(r)),
-            "table3" if csv => emit(table3(&scale), |r| render::csv_table3(r)),
-            "table3" => emit(table3(&scale), |r| render::render_table3(r)),
-            "victimization" => {
-                emit(victimization(&scale), |r| render::render_victimization(r))
-            }
+            "table2" if csv => emit(table2(&scale), render::csv_table2),
+            "table2" => emit(table2(&scale), render::render_table2),
+            "figure4" if csv => emit(figure4(&scale), render::csv_figure4),
+            "figure4" => emit(figure4(&scale), render::render_figure4),
+            "table3" if csv => emit(table3(&scale), render::csv_table3),
+            "table3" => emit(table3(&scale), render::render_table3),
+            "victimization" => emit(victimization(&scale), render::render_victimization),
             "table4" => {
                 print!("{}", logtm_se::substrates::tm::virt_compare::render_table4());
                 true
             }
-            "sweep" => emit(signature_sweep(&scale), |r| render::render_sweep(r)),
-            "sticky" => emit(sticky_ablation(&scale), |r| render::render_sticky(r)),
-            "logfilter" => {
-                emit(log_filter_ablation(&scale), |r| render::render_log_filter(r))
-            }
-            "virt" => emit(virtualization_overhead(&scale), |r| render::render_virt(r)),
-            "snooping" => emit(snooping_comparison(&scale), |r| render::render_snooping(r)),
-            "multicmp" => emit(multi_cmp_comparison(&scale), |r| render::render_multi_cmp(r)),
-            "nesting" => emit(nesting_ablation(&scale), |r| render::render_nesting(r)),
-            "smt" => emit(smt_comparison(&scale), |r| render::render_smt(r)),
-            "oltp" => emit(oltp_experiment(&scale), |r| render::render_oltp(r)),
+            "sweep" => emit(signature_sweep(&scale), render::render_sweep),
+            "sticky" => emit(sticky_ablation(&scale), render::render_sticky),
+            "logfilter" => emit(log_filter_ablation(&scale), render::render_log_filter),
+            "virt" => emit(virtualization_overhead(&scale), render::render_virt),
+            "snooping" => emit(snooping_comparison(&scale), render::render_snooping),
+            "multicmp" => emit(multi_cmp_comparison(&scale), render::render_multi_cmp),
+            "nesting" => emit(nesting_ablation(&scale), render::render_nesting),
+            "smt" => emit(smt_comparison(&scale), render::render_smt),
+            "oltp" => emit(oltp_experiment(&scale), render::render_oltp),
             // Inside `all`, only the deterministic simulator rows.
             "policy" if cmd == "all" => {
-                emit(policy_sweep_sim(&scale), |r| render::render_policy_sweep(r))
+                emit(policy_sweep_sim(&scale), render::render_policy_sweep)
             }
-            "policy" => emit(policy_sweep(&scale), |r| render::render_policy_sweep(r)),
+            "policy" => emit(policy_sweep(&scale), render::render_policy_sweep),
             other => unknown_subcommand(other),
         };
         report_timings();

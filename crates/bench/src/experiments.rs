@@ -77,9 +77,7 @@ fn params(
         seed,
         small_machine: false,
         sticky: true,
-        log_filter_entries: 16,
         coherence: CoherenceKind::DirectoryMesi,
-        warmup_units: 0,
     }
 }
 

@@ -799,10 +799,9 @@ impl System {
                     }
                     _ => unreachable!("non-memory op in exec_mem_op"),
                 };
-                if self.oracle.is_some() {
+                if let Some(o) = self.oracle.as_mut() {
                     let key = oracle_key(asid, vaddr);
                     let in_escape = self.tm.thread(ctx).is_some_and(|t| t.in_escape());
-                    let o = self.oracle.as_mut().expect("checked above");
                     match op {
                         // Escape-action loads may see the enclosing
                         // transaction's uncommitted stores; skip them.
@@ -972,10 +971,10 @@ impl System {
             let asid = self.threads[tid as usize].asid;
             os_cost = self.os.on_outer_abort(&mut self.tm, asid, tid);
         }
-        if self.oracle.is_some() {
-            self.oracle.as_mut().expect("checked above").abort_all(tid);
+        if let Some(o) = self.oracle.as_mut() {
+            o.abort_all(tid);
             for v in self.tm.post_tx_violations(ctx) {
-                self.oracle.as_mut().expect("checked above").note(v);
+                o.note(v);
             }
         }
         let slot = &mut self.threads[tid as usize];

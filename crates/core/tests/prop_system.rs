@@ -90,7 +90,7 @@ fn every_committed_increment_lands_exactly_once() {
         SignatureKind::paper_bs_2kb(),
         SignatureKind::paper_bs_64(),
         SignatureKind::paper_dbs_2kb(),
-        SignatureKind::Bloom { bits: 256, k: 2 },
+        SignatureKind::DoubleBitSelect { bits: 256 },
     ];
     cases(24, 0x5E21A1, |rng| {
         let plan = random_plans(rng);

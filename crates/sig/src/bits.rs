@@ -1,10 +1,10 @@
 //! Word-packed signature bit storage.
 //!
-//! [`SigBits`] is the filter backing shared by every hashed signature
-//! implementation (BS/CBS/DBS/Bloom/permuted-DBS) and by the enum-dispatched
-//! [`crate::SigRepr`] used on the per-access conflict-check hot path. All
-//! operations are plain word ops — no hashing, no allocation — so a
-//! membership test compiles down to a shift, a mask, and one load.
+//! [`SigBits`] is the filter backing shared by the hashed signature kinds
+//! (BS/CBS/DBS) of the enum-dispatched [`crate::SigRepr`] used on the
+//! per-access conflict-check hot path. All operations are plain word ops —
+//! no hashing, no allocation — so a membership test compiles down to a
+//! shift, a mask, and one load.
 
 /// A fixed-size bit array packed into `u64` words.
 ///
@@ -15,16 +15,12 @@
 /// b.insert(7);
 /// assert!(b.test(7));
 /// assert!(!b.test(8));
-///
-/// let mut c = SigBits::new(128);
-/// c.insert(7);
-/// assert!(b.intersects(&c));
+/// assert!(!b.is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SigBits {
     words: Vec<u64>,
     bits: usize,
-    set_count: usize,
 }
 
 impl SigBits {
@@ -38,7 +34,6 @@ impl SigBits {
         SigBits {
             words: vec![0; bits.div_ceil(64)],
             bits,
-            set_count: 0,
         }
     }
 
@@ -46,12 +41,7 @@ impl SigBits {
     #[inline]
     pub fn insert(&mut self, idx: usize) {
         debug_assert!(idx < self.bits);
-        let w = idx / 64;
-        let b = 1u64 << (idx % 64);
-        if self.words[w] & b == 0 {
-            self.words[w] |= b;
-            self.set_count += 1;
-        }
+        self.words[idx / 64] |= 1u64 << (idx % 64);
     }
 
     /// Tests bit `idx`.
@@ -64,7 +54,6 @@ impl SigBits {
     /// Zeroes every bit.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-        self.set_count = 0;
     }
 
     /// Total number of bits.
@@ -72,43 +61,9 @@ impl SigBits {
         self.bits
     }
 
-    /// Number of set bits.
-    pub fn set_count(&self) -> usize {
-        self.set_count
-    }
-
-    /// Whether no bit is set.
+    /// Whether no bit is set: a scan of the words.
     pub fn is_empty(&self) -> bool {
-        self.set_count == 0
-    }
-
-    /// ORs `other` into `self` (set union), word by word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two arrays have different sizes.
-    pub fn union_with(&mut self, other: &SigBits) {
-        assert_eq!(
-            self.bits, other.bits,
-            "cannot union signatures of different sizes"
-        );
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-        self.recount();
-    }
-
-    /// Whether any bit is set in both arrays (word-wise AND scan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two arrays have different sizes.
-    pub fn intersects(&self, other: &SigBits) -> bool {
-        assert_eq!(
-            self.bits, other.bits,
-            "cannot intersect signatures of different sizes"
-        );
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// The raw packed words (software-visible signature state).
@@ -128,11 +83,6 @@ impl SigBits {
             "saved signature has wrong word count"
         );
         self.words.copy_from_slice(words);
-        self.recount();
-    }
-
-    fn recount(&mut self) {
-        self.set_count = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 }
 
@@ -150,50 +100,10 @@ mod tests {
         assert!(b.test(0));
         assert!(b.test(99));
         assert!(!b.test(50));
-        assert_eq!(b.set_count(), 2);
+        assert_eq!(b.words(), &[1, 1 << 35]);
         b.clear();
         assert!(b.is_empty());
         assert!(!b.test(0));
-    }
-
-    #[test]
-    fn union() {
-        let mut a = SigBits::new(64);
-        let mut b = SigBits::new(64);
-        a.insert(1);
-        b.insert(2);
-        a.union_with(&b);
-        assert!(a.test(1) && a.test(2));
-        assert_eq!(a.set_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sizes")]
-    fn union_size_mismatch_panics() {
-        let mut a = SigBits::new(64);
-        let b = SigBits::new(128);
-        a.union_with(&b);
-    }
-
-    #[test]
-    fn intersects_finds_common_bits() {
-        let mut a = SigBits::new(256);
-        let mut b = SigBits::new(256);
-        a.insert(3);
-        a.insert(200);
-        b.insert(4);
-        assert!(!a.intersects(&b));
-        b.insert(200);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-    }
-
-    #[test]
-    #[should_panic(expected = "different sizes")]
-    fn intersects_size_mismatch_panics() {
-        let a = SigBits::new(64);
-        let b = SigBits::new(128);
-        a.intersects(&b);
     }
 
     #[test]
@@ -205,6 +115,17 @@ mod tests {
         let mut b = SigBits::new(128);
         b.load_words(&words);
         assert_eq!(a, b);
-        assert_eq!(b.set_count(), 2);
+        assert!(b.test(7) && b.test(127));
+    }
+
+    #[test]
+    fn is_empty_follows_load_words() {
+        let mut b = SigBits::new(128);
+        b.load_words(&[0, 1 << 63]);
+        assert!(!b.is_empty(), "a bit in the last word");
+        b.load_words(&[4, 0]);
+        assert!(!b.is_empty(), "a bit in the first word");
+        b.load_words(&[0, 0]);
+        assert!(b.is_empty(), "all-zero words");
     }
 }

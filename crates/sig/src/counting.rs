@@ -117,11 +117,6 @@ impl CountingSignature {
         self.counts.iter().any(|&c| c > 0)
     }
 
-    /// Number of bits with nonzero counts.
-    pub fn set_bits(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Builds the summary signature to install on hardware contexts: a fresh
     /// signature of `kind` whose filter bits are exactly the nonzero-count
     /// bits.
@@ -192,15 +187,6 @@ mod tests {
         let kind = SignatureKind::BitSelect { bits: 64 };
         let c = CountingSignature::new(64);
         assert!(c.materialize(&kind).is_clear());
-    }
-
-    #[test]
-    fn set_bits_counts_unique_bits() {
-        let kind = SignatureKind::BitSelect { bits: 64 };
-        let mut c = CountingSignature::new(64);
-        c.add(&saved_with_bits(&kind, &[1, 2]));
-        c.add(&saved_with_bits(&kind, &[2]));
-        assert_eq!(c.set_bits(), 2);
     }
 
     #[test]

@@ -40,18 +40,6 @@ pub enum SignatureKind {
         /// Total filter bits (power of two).
         bits: usize,
     },
-    /// Generic k-hash Bloom filter (extension).
-    Bloom {
-        /// Total filter bits (power of two).
-        bits: usize,
-        /// Number of hash functions (≥1).
-        k: u32,
-    },
-    /// Bulk's permute-then-decode double-bit-select (extension).
-    PermutedDbs {
-        /// Total filter bits (power of two).
-        bits: usize,
-    },
 }
 
 impl SignatureKind {
@@ -97,8 +85,6 @@ impl SignatureKind {
             SignatureKind::BitSelect { bits } => format!("BS_{bits}"),
             SignatureKind::CoarseBitSelect { bits, .. } => format!("CBS_{bits}"),
             SignatureKind::DoubleBitSelect { bits } => format!("DBS_{bits}"),
-            SignatureKind::Bloom { bits, k } => format!("BLOOM_{bits}x{k}"),
-            SignatureKind::PermutedDbs { bits } => format!("PDBS_{bits}"),
         }
     }
 }
@@ -122,8 +108,6 @@ mod tests {
             SignatureKind::paper_cbs_2kb(),
             SignatureKind::paper_dbs_2kb(),
             SignatureKind::paper_bs_64(),
-            SignatureKind::Bloom { bits: 512, k: 3 },
-            SignatureKind::PermutedDbs { bits: 512 },
         ] {
             let mut s = SigRepr::new(&kind);
             assert!(s.is_clear());
@@ -153,7 +137,7 @@ mod tests {
 
     #[test]
     fn display_matches_label() {
-        let k = SignatureKind::Bloom { bits: 256, k: 2 };
+        let k = SignatureKind::DoubleBitSelect { bits: 256 };
         assert_eq!(k.to_string(), k.label());
     }
 }

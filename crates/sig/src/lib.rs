@@ -15,8 +15,8 @@
 //! paper studies in Table 3.
 //!
 //! [`SigRepr`] is the one signature type: an enum with one variant per
-//! kind, built from a [`SignatureKind`] by [`SigRepr::new`]. The kinds
-//! (paper Figure 3, plus extensions):
+//! kind, built from a [`SignatureKind`] by [`SigRepr::new`]. The kinds are
+//! the four the paper evaluates (Figure 3, Figure 4, Table 3):
 //!
 //! * `Perfect` — exact sets; the paper's idealized "P" configuration.
 //! * `BitSelect` — "BS": decode the `n` least-significant bits of the block
@@ -25,10 +25,6 @@
 //!   granularity, targeting large transactions.
 //! * `DoubleBitSelect` — "DBS": decode two address fields into two
 //!   signature halves; conflict only when *both* bits are set.
-//! * `PermutedDbs` — "PDBS": Bulk's permute-then-decode DBS (extension).
-//! * `Bloom` — a k-hash H3-style Bloom filter (extension; not in the
-//!   paper's evaluation but anticipated by its "more creative signatures"
-//!   remark).
 //!
 //! Supporting types:
 //!

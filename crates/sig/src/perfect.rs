@@ -93,28 +93,6 @@ impl PerfectSignature {
         self.filter = [0; 4];
     }
 
-    /// Set union with `other`: merges the two ascending lists in place,
-    /// from the back, so no element is overwritten before it is read.
-    pub fn union_with(&mut self, other: &PerfectSignature) {
-        let (mut i, mut j) = (self.set.len(), other.set.len());
-        self.set.resize(i + j, 0);
-        while j > 0 {
-            let k = i + j - 1;
-            if i > 0 && self.set[i - 1] > other.set[j - 1] {
-                self.set[k] = self.set[i - 1];
-                i -= 1;
-            } else {
-                self.set[k] = other.set[j - 1];
-                j -= 1;
-            }
-        }
-        // Each side was duplicate-free, so any repeat is an adjacent pair.
-        self.set.dedup();
-        for (w, o) in self.filter.iter_mut().zip(other.filter) {
-            *w |= o;
-        }
-    }
-
     /// Captures the exact element list, ascending, as software-visible data.
     pub fn save(&self) -> SavedSignature {
         SavedSignature::Exact(self.set.clone())
@@ -142,12 +120,6 @@ impl PerfectSignature {
             }
             SavedSignature::Bits(_) => panic!("saved state shape mismatch"),
         }
-    }
-
-    /// A perfect signature never saturates; this is a proxy that grows with
-    /// set size so dashboards can still plot it.
-    pub fn saturation(&self) -> f64 {
-        1.0 - 1.0 / (1.0 + self.set.len() as f64)
     }
 
     /// Exact page remap (paper §4.2): for every block of the old page in
@@ -197,34 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn union_is_set_union() {
-        let mut a = PerfectSignature::new();
-        let mut b = PerfectSignature::new();
-        a.insert(1);
-        b.insert(2);
-        b.insert(1);
-        a.union_with(&b);
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     fn clear_empties() {
         let mut s = PerfectSignature::new();
         s.insert(9);
         s.clear();
         assert!(s.is_empty());
         assert!(!s.maybe_contains(9));
-    }
-
-    #[test]
-    fn saturation_grows_but_below_one() {
-        let mut s = PerfectSignature::new();
-        let s0 = s.saturation();
-        s.insert(1);
-        let s1 = s.saturation();
-        s.insert(2);
-        let s2 = s.saturation();
-        assert!(s0 < s1 && s1 < s2 && s2 < 1.0);
     }
 
     #[test]

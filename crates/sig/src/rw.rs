@@ -48,7 +48,6 @@ impl std::fmt::Display for SigOp {
 pub struct ReadWriteSignature {
     read: SigRepr,
     write: SigRepr,
-    kind: SignatureKind,
 }
 
 impl ReadWriteSignature {
@@ -57,24 +56,14 @@ impl ReadWriteSignature {
         ReadWriteSignature {
             read: SigRepr::new(kind),
             write: SigRepr::new(kind),
-            kind: *kind,
         }
     }
 
     /// Assembles a pair from pre-built signatures (used by the OS model to
     /// materialize summary signatures from counting structures). `read` and
-    /// `write` must have been built for `kind`.
-    pub fn from_parts(kind: &SignatureKind, read: SigRepr, write: SigRepr) -> Self {
-        ReadWriteSignature {
-            read,
-            write,
-            kind: *kind,
-        }
-    }
-
-    /// The configured signature kind.
-    pub fn kind(&self) -> SignatureKind {
-        self.kind
+    /// `write` must be of one kind and geometry.
+    pub fn from_parts(read: SigRepr, write: SigRepr) -> Self {
+        ReadWriteSignature { read, write }
     }
 
     /// `INSERT(op, a)`: records a local access.
@@ -98,19 +87,6 @@ impl ReadWriteSignature {
                 self.read.test_probe(&p) || self.write.test_probe(&p)
             }
         }
-    }
-
-    /// Whether `a` may be in the write-set (needed for logging decisions and
-    /// sticky-state bookkeeping).
-    #[inline]
-    pub fn in_write_set(&self, a: u64) -> bool {
-        self.write.test_block(a)
-    }
-
-    /// Whether `a` may be in the read-set.
-    #[inline]
-    pub fn in_read_set(&self, a: u64) -> bool {
-        self.read.test_block(a)
     }
 
     /// Whether `a` may be in either set (used to decide if an evicted block
@@ -148,18 +124,6 @@ impl ReadWriteSignature {
         self.write.restore_saved(&saved.1);
     }
 
-    /// Unions another pair into this one (summary-signature construction) —
-    /// a word-level OR, no per-address probing.
-    pub fn union_with(&mut self, other: &ReadWriteSignature) {
-        self.read.union_repr(&other.read);
-        self.write.union_repr(&other.write);
-    }
-
-    /// Mean saturation across the two filters.
-    pub fn saturation(&self) -> f64 {
-        (self.read.fill() + self.write.fill()) / 2.0
-    }
-
     /// Conservative page-remap of both sets (paper §4.2).
     pub fn rehash_page(&mut self, old_page_base_block: u64, new_page_base_block: u64, blocks: u64) {
         self.read
@@ -173,12 +137,6 @@ impl ReadWriteSignature {
 mod tests {
     use super::*;
 
-    fn kinds() -> Vec<SignatureKind> {
-        let mut v = SignatureKind::figure4_set();
-        v.push(SignatureKind::Bloom { bits: 1024, k: 4 });
-        v
-    }
-
     #[test]
     fn read_read_never_conflicts_exactly() {
         // With a perfect signature, read-read sharing must not conflict.
@@ -189,7 +147,7 @@ mod tests {
 
     #[test]
     fn write_conflicts_with_everything() {
-        for kind in kinds() {
+        for kind in SignatureKind::figure4_set() {
             let mut rw = ReadWriteSignature::new(&kind);
             rw.insert(SigOp::Write, 7);
             assert!(rw.conflicts_with(SigOp::Read, 7), "{kind}");
@@ -199,7 +157,7 @@ mod tests {
 
     #[test]
     fn incoming_write_conflicts_with_read_set() {
-        for kind in kinds() {
+        for kind in SignatureKind::figure4_set() {
             let mut rw = ReadWriteSignature::new(&kind);
             rw.insert(SigOp::Read, 9);
             assert!(rw.conflicts_with(SigOp::Write, 9), "{kind}");
@@ -208,7 +166,7 @@ mod tests {
 
     #[test]
     fn commit_clear_releases_isolation() {
-        for kind in kinds() {
+        for kind in SignatureKind::figure4_set() {
             let mut rw = ReadWriteSignature::new(&kind);
             rw.insert(SigOp::Write, 3);
             rw.clear();
@@ -219,7 +177,7 @@ mod tests {
 
     #[test]
     fn save_restore_roundtrip() {
-        for kind in kinds() {
+        for kind in SignatureKind::figure4_set() {
             let mut rw = ReadWriteSignature::new(&kind);
             rw.insert(SigOp::Read, 11);
             rw.insert(SigOp::Write, 22);
@@ -229,18 +187,6 @@ mod tests {
             assert!(fresh.conflicts_with(SigOp::Write, 11), "{kind}");
             assert!(fresh.conflicts_with(SigOp::Read, 22), "{kind}");
         }
-    }
-
-    #[test]
-    fn union_with_merges_pairs() {
-        let kind = SignatureKind::paper_dbs_2kb();
-        let mut a = ReadWriteSignature::new(&kind);
-        let mut b = ReadWriteSignature::new(&kind);
-        a.insert(SigOp::Read, 1);
-        b.insert(SigOp::Write, 2);
-        a.union_with(&b);
-        assert!(a.in_read_set(1));
-        assert!(a.in_write_set(2));
     }
 
     #[test]

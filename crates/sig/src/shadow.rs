@@ -21,13 +21,6 @@ pub enum ConflictVerdict {
     FalsePositive,
 }
 
-impl ConflictVerdict {
-    /// Whether the hardware would signal a conflict (NACK) for this verdict.
-    pub fn is_conflict(self) -> bool {
-        !matches!(self, ConflictVerdict::None)
-    }
-}
-
 /// A [`ReadWriteSignature`] shadowed by exact per-set state.
 ///
 /// All mutating operations keep the shadow in lockstep with the signature.
@@ -89,11 +82,6 @@ impl ShadowedRwSignature {
         self.exact_write.iter().collect()
     }
 
-    /// The configured signature kind.
-    pub fn kind(&self) -> SignatureKind {
-        self.sig.kind()
-    }
-
     /// Records a local access in both the signature and the shadow.
     pub fn insert(&mut self, op: SigOp, a: u64) {
         self.sig.insert(op, a);
@@ -137,11 +125,6 @@ impl ShadowedRwSignature {
     /// Exact write-set size in blocks (paper Table 2 "Write Avg/Max" input).
     pub fn exact_write_set_size(&self) -> usize {
         self.exact_write.len()
-    }
-
-    /// Whether `a` may be in the write set per the hardware signature.
-    pub fn in_write_set(&self, a: u64) -> bool {
-        self.sig.in_write_set(a)
     }
 
     /// Whether `a` may be in either hardware set.
@@ -256,12 +239,5 @@ mod tests {
         rw.clear();
         assert!(rw.is_empty());
         assert_eq!(rw.classify(SigOp::Read, 1), ConflictVerdict::None);
-    }
-
-    #[test]
-    fn verdict_is_conflict() {
-        assert!(!ConflictVerdict::None.is_conflict());
-        assert!(ConflictVerdict::True.is_conflict());
-        assert!(ConflictVerdict::FalsePositive.is_conflict());
     }
 }

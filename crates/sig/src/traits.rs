@@ -13,25 +13,3 @@ pub enum SavedSignature {
     /// Exact element list (perfect signatures only).
     Exact(Vec<u64>),
 }
-
-impl SavedSignature {
-    /// Size of the saved representation in bytes, used to account for log
-    /// frame header space.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            SavedSignature::Bits(ws) => ws.len() * 8,
-            SavedSignature::Exact(es) => es.len() * 8,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn saved_signature_sizes() {
-        assert_eq!(SavedSignature::Bits(vec![0; 32]).size_bytes(), 256);
-        assert_eq!(SavedSignature::Exact(vec![1, 2, 3]).size_bytes(), 24);
-    }
-}

@@ -25,7 +25,7 @@ fn small_stm(n_stripes: usize) -> Stm {
 /// all distinct.
 #[test]
 fn clock_is_monotone_and_writer_versions_are_unique() {
-    cases(60, 0x57A7_1C, |rng| {
+    cases(60, 0x0057_A71C, |rng| {
         let stm = small_stm(*pick(rng, &[8, 1 << 10]));
         let threads = rng.gen_range(2, 5);
         let commits_per_thread = rng.gen_range(1, 20);
@@ -79,7 +79,7 @@ fn clock_is_monotone_and_writer_versions_are_unique() {
 /// random (possibly colliding) addresses must sum exactly.
 #[test]
 fn stripe_aliasing_never_loses_writes() {
-    cases(40, 0x57A7_2A, |rng| {
+    cases(40, 0x0057_A72A, |rng| {
         let threads = rng.gen_range(2, 5) as u32;
         let mut sys = StmBuilder::new()
             .seed(rng.gen_range(0, u64::MAX))
@@ -112,7 +112,7 @@ fn stripe_aliasing_never_loses_writes() {
 /// with no interference, the same commit succeeds.
 #[test]
 fn read_set_validation_rejects_stale_snapshots() {
-    cases(200, 0x57A7_3B, |rng| {
+    cases(200, 0x0057_A73B, |rng| {
         let stm = small_stm(*pick(rng, &[8, 64, 1 << 12]));
         let word = rng.gen_range(0, 1 << 24);
         let interfere = rng.gen_range(0, 2) == 1;
@@ -147,7 +147,7 @@ fn read_set_validation_rejects_stale_snapshots() {
 /// transaction's buffer never leaks into shared memory.
 #[test]
 fn write_buffer_forwards_and_aborts_leave_no_trace() {
-    cases(200, 0x57A7_4C, |rng| {
+    cases(200, 0x0057_A74C, |rng| {
         let stm = small_stm(64);
         let word = rng.gen_range(0, 1 << 16);
         let before = rng.gen_range(0, 100);
@@ -171,7 +171,7 @@ fn write_buffer_forwards_and_aborts_leave_no_trace() {
 /// exact and the oracle stays clean.
 #[test]
 fn serial_fallback_alone_is_still_serializable() {
-    cases(30, 0x57A7_5D, |rng| {
+    cases(30, 0x0057_A75D, |rng| {
         let threads = rng.gen_range(2, 5) as u32;
         let iters = rng.gen_range(2, 8) as usize;
         let addr = WordAddr(rng.gen_range(0, 64));
@@ -195,7 +195,7 @@ fn serial_fallback_alone_is_still_serializable() {
 /// write set, and earlier commits remain readable.
 #[test]
 fn table_exhaustion_is_clean_not_torn() {
-    cases(100, 0x57A7_6E, |rng| {
+    cases(100, 0x0057_A76E, |rng| {
         let stm = Stm::new(StmConfig {
             mem_slots: 8,
             n_stripes: 64,

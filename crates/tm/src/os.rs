@@ -427,7 +427,7 @@ impl OsModel {
             ),
         };
         Some(ShadowedRwSignature::from_raw(
-            ReadWriteSignature::from_parts(&kind, read_hw, write_hw),
+            ReadWriteSignature::from_parts(read_hw, write_hw),
             exact_read,
             exact_write,
         ))

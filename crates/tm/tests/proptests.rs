@@ -248,11 +248,11 @@ mod explored {
     }
 
     #[test]
-    fn counters_serialize_with_a_tiny_aliasing_bloom() {
-        // 64 bits, one hash: nearly everything aliases, so false-positive
-        // NACKs are rampant — stalls and aborts may differ wildly per
-        // schedule, but atomicity must not.
-        counters_serialize(SignatureKind::Bloom { bits: 64, k: 1 }, 4, 3, 80);
+    fn counters_serialize_with_a_tiny_aliasing_dbs() {
+        // 16 bits, two 8-bit halves: nearly everything aliases, so
+        // false-positive NACKs are rampant — stalls and aborts may differ
+        // wildly per schedule, but atomicity must not.
+        counters_serialize(SignatureKind::DoubleBitSelect { bits: 16 }, 4, 3, 80);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! The STM interprets [`RunParams`] narrowly: it honours `benchmark`,
 //! `mode`, `threads`, `units_per_thread`, and `seed`. The remaining fields
 //! describe *simulated hardware* — signature geometry, stickiness, cache
-//! size, coherence protocol, warm-up accounting — which a software TM on
-//! real silicon has no analogue for; they are accepted and ignored so one
-//! `RunParams` can drive an apples-to-apples sim-vs-stm pair.
+//! size, coherence protocol — which a software TM on real silicon has no
+//! analogue for; they are accepted and ignored so one `RunParams` can drive
+//! an apples-to-apples sim-vs-stm pair.
 
 use logtm_se::TmBackend;
 use ltse_stm::StmBuilder;
@@ -62,24 +62,7 @@ impl std::str::FromStr for BackendKind {
 /// serializability recording (differential tests on; benches off).
 pub fn build_backend(kind: BackendKind, params: &RunParams, check: bool) -> Box<dyn TmBackend> {
     let mut backend: Box<dyn TmBackend> = match kind {
-        BackendKind::Sim => {
-            let builder = if params.small_machine {
-                logtm_se::SystemBuilder::small_for_tests()
-            } else {
-                logtm_se::SystemBuilder::paper_default()
-            };
-            Box::new(
-                builder
-                    .signature(params.signature)
-                    .sticky(params.sticky)
-                    .coherence(params.coherence)
-                    .log_filter_entries(params.log_filter_entries)
-                    .warmup_units(params.warmup_units)
-                    .seed(params.seed)
-                    .check_serializability(check)
-                    .build(),
-            )
-        }
+        BackendKind::Sim => Box::new(params.system_builder().check_serializability(check).build()),
         BackendKind::Stm => Box::new(
             StmBuilder::new()
                 .seed(params.seed)
@@ -123,9 +106,7 @@ mod tests {
             seed: 9,
             small_machine: true,
             sticky: true,
-            log_filter_entries: 16,
             coherence: CoherenceKind::DirectoryMesi,
-            warmup_units: 0,
         }
     }
 

@@ -10,7 +10,7 @@
 use logtm_se::{Op, ProgCtx, ThreadProgram, WordAddr};
 use ltse_sim::rng::Xoshiro256StarStar;
 
-use crate::locks::{BarrierDriver, LockDriver, LockOutcome, TicketLockDriver};
+use crate::locks::{BarrierDriver, LockDriver, LockOutcome};
 
 /// Which synchronization the workload uses (the paper's Lock baseline vs.
 /// LogTM-SE transactions).
@@ -20,9 +20,6 @@ pub enum SyncMode {
     Tm,
     /// Critical sections are guarded by simulated TATAS spinlocks.
     Lock,
-    /// Critical sections are guarded by FIFO ticket locks (a fairness
-    /// variant of the lock baseline).
-    TicketLock,
 }
 
 impl std::fmt::Display for SyncMode {
@@ -30,7 +27,6 @@ impl std::fmt::Display for SyncMode {
         f.write_str(match self {
             SyncMode::Tm => "tm",
             SyncMode::Lock => "lock",
-            SyncMode::TicketLock => "ticket",
         })
     }
 }
@@ -113,7 +109,6 @@ pub struct CsProgram<S> {
     section: Option<Section>,
     body_ix: usize,
     lock: LockDriver,
-    ticket: TicketLockDriver,
     barrier: Option<BarrierDriver>,
 }
 
@@ -129,7 +124,6 @@ impl<S: SectionSource> CsProgram<S> {
             section: None,
             body_ix: 0,
             lock: LockDriver::new(WordAddr(0)),
-            ticket: TicketLockDriver::new(WordAddr(0)),
             barrier: None,
         }
     }
@@ -153,7 +147,7 @@ impl<S: SectionSource> CsProgram<S> {
                         self.phase = Phase::EscapeWork;
                         return Some(Op::EscapeBegin);
                     }
-                    SyncMode::Lock | SyncMode::TicketLock => {
+                    SyncMode::Lock => {
                         self.body_ix += 1;
                         Op::Work(c)
                     }
@@ -186,11 +180,6 @@ impl<S: SectionSource> ThreadProgram for CsProgram<S> {
                             self.lock.start(lock);
                             Phase::Acquire
                         }
-                        SyncMode::TicketLock => {
-                            let lock = self.section.as_ref().expect("section").lock;
-                            self.ticket.start(lock);
-                            Phase::Acquire
-                        }
                     };
                     if think > 0 {
                         return Op::Work(think);
@@ -200,18 +189,12 @@ impl<S: SectionSource> ThreadProgram for CsProgram<S> {
                     self.phase = Phase::Body;
                     return Op::TxBegin;
                 }
-                Phase::Acquire => {
-                    let outcome = match self.mode {
-                        SyncMode::TicketLock => self.ticket.step(t.last_value, t.rng),
-                        _ => self.lock.step(t.last_value, t.rng),
-                    };
-                    match outcome {
-                        LockOutcome::Issue(op) => return op,
-                        LockOutcome::Acquired => {
-                            self.phase = Phase::Body;
-                        }
+                Phase::Acquire => match self.lock.step(t.last_value, t.rng) {
+                    LockOutcome::Issue(op) => return op,
+                    LockOutcome::Acquired => {
+                        self.phase = Phase::Body;
                     }
-                }
+                },
                 Phase::Body => match self.body_op() {
                     Some(op) => return op,
                     None => {
@@ -243,7 +226,6 @@ impl<S: SectionSource> ThreadProgram for CsProgram<S> {
                     return match self.mode {
                         SyncMode::Tm => Op::TxCommit,
                         SyncMode::Lock => self.lock.release(),
-                        SyncMode::TicketLock => self.ticket.release(),
                     };
                 }
                 Phase::Barrier => {
@@ -425,27 +407,6 @@ mod tests {
         )));
         let r = sys.run().unwrap();
         assert_eq!(r.tm.escapes, 0);
-    }
-
-    #[test]
-    fn ticket_mode_runs_sections_fifo_correct() {
-        let mut sys = SystemBuilder::small_for_tests().seed(6).build();
-        for t in 0..6u64 {
-            sys.add_thread(Box::new(CsProgram::new(
-                Fixed {
-                    n: 8,
-                    section: counter_section(WordAddr(0), WordAddr(64)),
-                },
-                SyncMode::TicketLock,
-                (t + 1) << 40,
-            )));
-        }
-        let r = sys.run().unwrap();
-        assert_eq!(r.tm.work_units, 48);
-        assert_eq!(r.tm.commits, 0);
-        // Both ticket words end consistent: next == serving == acquires.
-        assert_eq!(sys.read_word(WordAddr(64)), 48, "next-ticket counter");
-        assert_eq!(sys.read_word(WordAddr(65)), 48, "now-serving counter");
     }
 
     #[test]

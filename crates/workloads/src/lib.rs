@@ -39,9 +39,7 @@
 //!     seed: 1,
 //!     small_machine: true,
 //!     sticky: true,
-//!     log_filter_entries: 16,
 //!     coherence: CoherenceKind::DirectoryMesi,
-//!     warmup_units: 0,
 //! })
 //! .expect("runs to completion");
 //! assert_eq!(report.tm.work_units, 32);
@@ -66,7 +64,7 @@ mod spec;
 
 pub use backend::{build_backend, run_on_backend, BackendKind};
 pub use driver::{BodyOp, CsProgram, Section, SectionSource, SyncMode};
-pub use locks::{BarrierDriver, LockDriver, LockOutcome, TicketLockDriver};
+pub use locks::{BarrierDriver, LockDriver, LockOutcome};
 pub use micro::{HotColdArray, RepeatedWriter, SharedCounter};
 pub use oltp::{run_oltp, run_oltp_with, OltpConfig, OltpOutcome, PolicyTune, Zipfian, MAX_TX_OPS};
 pub use spec::{run_benchmark, Benchmark, RunParams};

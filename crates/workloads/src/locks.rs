@@ -141,116 +141,6 @@ impl LockDriver {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TicketPhase {
-    TakeTicket,
-    SpinServing,
-    CheckServing,
-}
-
-/// A ticket (FIFO) spinlock driver: `fetch-add` the ticket counter, then
-/// spin on the now-serving word. Fair by construction — heavily contended
-/// TATAS locks can starve unlucky threads; tickets cannot.
-///
-/// Layout: the lock occupies two words of one block — `addr` holds the
-/// next-ticket counter, `addr + 1` the now-serving counter.
-///
-/// ```
-/// use logtm_se::{Op, WordAddr};
-/// use ltse_workloads::{TicketLockDriver, LockOutcome};
-/// use ltse_sim::rng::Xoshiro256StarStar;
-///
-/// let mut rng = Xoshiro256StarStar::new(1);
-/// let mut lock = TicketLockDriver::new(WordAddr(64));
-/// // Take a ticket:
-/// let LockOutcome::Issue(Op::FetchAdd(a, 1)) = lock.step(0, &mut rng) else { panic!() };
-/// assert_eq!(a, WordAddr(64));
-/// // FetchAdd returned old=0 → our ticket is 0; read now-serving:
-/// let LockOutcome::Issue(Op::Read(s)) = lock.step(0, &mut rng) else { panic!() };
-/// assert_eq!(s, WordAddr(65));
-/// // Now-serving reads 0 == our ticket → acquired:
-/// assert_eq!(lock.step(0, &mut rng), LockOutcome::Acquired);
-/// // Release bumps now-serving:
-/// assert_eq!(lock.release(), Op::Write(WordAddr(65), 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TicketLockDriver {
-    next: WordAddr,
-    serving: WordAddr,
-    phase: TicketPhase,
-    my_ticket: u64,
-    acquires: u64,
-    spins: u64,
-}
-
-impl TicketLockDriver {
-    /// Creates a driver for the two-word ticket lock at `addr`.
-    pub fn new(addr: WordAddr) -> Self {
-        TicketLockDriver {
-            next: addr,
-            serving: WordAddr(addr.as_u64() + 1),
-            phase: TicketPhase::TakeTicket,
-            my_ticket: 0,
-            acquires: 0,
-            spins: 0,
-        }
-    }
-
-    /// Re-arms the driver for a fresh acquire of (possibly) another lock.
-    pub fn start(&mut self, addr: WordAddr) {
-        self.next = addr;
-        self.serving = WordAddr(addr.as_u64() + 1);
-        self.phase = TicketPhase::TakeTicket;
-    }
-
-    /// Advances the acquire machine; same contract as [`LockDriver::step`].
-    #[inline(always)]
-    pub fn step(&mut self, last_value: u64, rng: &mut Xoshiro256StarStar) -> LockOutcome {
-        match self.phase {
-            TicketPhase::TakeTicket => {
-                self.phase = TicketPhase::SpinServing;
-                LockOutcome::Issue(Op::FetchAdd(self.next, 1))
-            }
-            TicketPhase::SpinServing => {
-                self.my_ticket = last_value; // the fetch-add's old value
-                self.phase = TicketPhase::CheckServing;
-                LockOutcome::Issue(Op::Read(self.serving))
-            }
-            TicketPhase::CheckServing => {
-                if last_value == self.my_ticket {
-                    self.acquires += 1;
-                    self.phase = TicketPhase::TakeTicket;
-                    LockOutcome::Acquired
-                } else {
-                    self.spins += 1;
-                    // Proportional backoff: the further our ticket, the
-                    // longer we can safely wait before re-reading.
-                    let ahead = self.my_ticket.saturating_sub(last_value).max(1);
-                    self.phase = TicketPhase::CheckServing;
-                    let wait = rng.gen_range(1, ahead * 30 + 2);
-                    // Re-read after the wait; modelled as one Work then the
-                    // Read on the next step.
-                    LockOutcome::Issue(if wait > 4 {
-                        Op::Work(wait)
-                    } else {
-                        Op::Read(self.serving)
-                    })
-                }
-            }
-        }
-    }
-
-    /// The release store: bump now-serving to hand off FIFO.
-    pub fn release(&self) -> Op {
-        Op::Write(self.serving, self.my_ticket + 1)
-    }
-
-    /// `(successful acquires, spin iterations)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.acquires, self.spins)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BarrierPhase {
     Arrive,
     CheckArrival,
@@ -438,33 +328,6 @@ mod tests {
     fn release_writes_zero() {
         let l = LockDriver::new(WordAddr(9));
         assert_eq!(l.release(), Op::Write(WordAddr(9), 0));
-    }
-
-    #[test]
-    fn ticket_fast_path() {
-        let mut r = rng();
-        let mut l = TicketLockDriver::new(WordAddr(8));
-        assert!(matches!(l.step(0, &mut r), LockOutcome::Issue(Op::FetchAdd(_, 1))));
-        assert!(matches!(l.step(3, &mut r), LockOutcome::Issue(Op::Read(_))));
-        // Now serving 3 == my ticket 3 → acquired.
-        assert_eq!(l.step(3, &mut r), LockOutcome::Acquired);
-        assert_eq!(l.release(), Op::Write(WordAddr(9), 4));
-    }
-
-    #[test]
-    fn ticket_spins_until_served() {
-        let mut r = rng();
-        let mut l = TicketLockDriver::new(WordAddr(8));
-        l.step(0, &mut r); // fetch-add issued
-        l.step(5, &mut r); // my ticket = 5; read serving issued
-        // Serving 2: keep waiting (work or re-read) until serving == 5.
-        for _ in 0..20 {
-            match l.step(2, &mut r) {
-                LockOutcome::Issue(Op::Work(_)) | LockOutcome::Issue(Op::Read(_)) => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(l.step(5, &mut r), LockOutcome::Acquired);
     }
 
     #[test]

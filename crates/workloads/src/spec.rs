@@ -135,13 +135,8 @@ pub struct RunParams {
     pub small_machine: bool,
     /// LogTM sticky states enabled (ablation A2 sets false).
     pub sticky: bool,
-    /// Log-filter entries (ablation A3 varies; 16 is the default).
-    pub log_filter_entries: usize,
     /// Coherence substrate (§5 directory by default; §7 snooping).
     pub coherence: CoherenceKind,
-    /// Units of work to complete before statistics start (steady-state
-    /// measurement; 0 measures from cold start).
-    pub warmup_units: u64,
 }
 
 impl RunParams {
@@ -156,10 +151,23 @@ impl RunParams {
             seed: 0,
             small_machine: false,
             sticky: true,
-            log_filter_entries: 16,
             coherence: CoherenceKind::DirectoryMesi,
-            warmup_units: 0,
         }
+    }
+
+    /// The simulated machine these parameters describe, before any thread
+    /// is added; every other builder setting keeps its default.
+    pub(crate) fn system_builder(&self) -> SystemBuilder {
+        let builder = if self.small_machine {
+            SystemBuilder::small_for_tests()
+        } else {
+            SystemBuilder::paper_default()
+        };
+        builder
+            .signature(self.signature)
+            .sticky(self.sticky)
+            .coherence(self.coherence)
+            .seed(self.seed)
     }
 }
 
@@ -169,19 +177,7 @@ impl RunParams {
 ///
 /// Propagates [`RunError`] from the system (watchdogs, misconfiguration).
 pub fn run_benchmark(params: &RunParams) -> Result<RunReport, RunError> {
-    let builder = if params.small_machine {
-        SystemBuilder::small_for_tests()
-    } else {
-        SystemBuilder::paper_default()
-    };
-    let mut system = builder
-        .signature(params.signature)
-        .sticky(params.sticky)
-        .coherence(params.coherence)
-        .log_filter_entries(params.log_filter_entries)
-        .warmup_units(params.warmup_units)
-        .seed(params.seed)
-        .build();
+    let mut system = params.system_builder().build();
     for program in params
         .benchmark
         .programs(params.mode, params.threads, params.units_per_thread)
@@ -208,17 +204,13 @@ mod tests {
                     seed: 9,
                     small_machine: false,
                     sticky: true,
-                    log_filter_entries: 16,
                     coherence: CoherenceKind::DirectoryMesi,
-                    warmup_units: 0,
                 })
                 .unwrap_or_else(|e| panic!("{benchmark} {mode}: {e}"));
                 assert_eq!(r.tm.work_units, 12, "{benchmark} {mode}");
                 match mode {
                     SyncMode::Tm => assert!(r.tm.commits > 0, "{benchmark}"),
-                    SyncMode::Lock | SyncMode::TicketLock => {
-                        assert_eq!(r.tm.commits, 0, "{benchmark}")
-                    }
+                    SyncMode::Lock => assert_eq!(r.tm.commits, 0, "{benchmark}"),
                 }
             }
         }

@@ -56,7 +56,6 @@ fn main() {
             bits: 2048,
             blocks_per_macroblock: 16,
         },
-        SignatureKind::Bloom { bits: 2048, k: 4 },
     ];
     let mut perfect_cycles = None;
     for kind in kinds {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + tests (which must compile without a
-# single warning), then a determinism smoke of the parallel experiment
-# runner (quick-scale repro on 1 vs. 4 workers must produce byte-identical
-# stdout).
+# single warning), a warning-free clippy pass over every target, then a
+# determinism smoke of the parallel experiment runner (quick-scale repro on
+# 1 vs. 4 workers must produce byte-identical stdout).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,12 @@ no_warnings cargo build --release
 
 echo "== tier 1: cargo test -q =="
 no_warnings cargo test -q
+
+echo "== lint: cargo clippy --all-targets =="
+# Clippy's default lints over every workspace target; one warning fails the
+# run, so lint debt cannot pile up unseen. The separate benchmark/ workspace
+# is not linted.
+no_warnings cargo clippy --all-targets -q
 
 echo "== exploration smoke: bounded schedule search with the oracle =="
 # A capped budget keeps this under ~30 s while still covering every

@@ -27,9 +27,7 @@ fn params(benchmark: Benchmark, mode: SyncMode, seed: u64) -> RunParams {
         seed,
         small_machine: false,
         sticky: true,
-        log_filter_entries: 16,
         coherence: CoherenceKind::DirectoryMesi,
-        warmup_units: 0,
     }
 }
 

@@ -71,7 +71,7 @@ impl ThreadProgram for Transfer {
 
 fn all_kinds() -> Vec<SignatureKind> {
     let mut v = SignatureKind::figure4_set();
-    v.push(SignatureKind::Bloom { bits: 512, k: 3 });
+    v.push(SignatureKind::DoubleBitSelect { bits: 512 });
     v.push(SignatureKind::BitSelect { bits: 16 }); // brutally small
     v
 }
@@ -342,9 +342,7 @@ fn snooping_cmp_reproduces_section7_claims() {
             seed: 51,
             small_machine: false,
             sticky: true,
-            log_filter_entries: 16,
             coherence,
-            warmup_units: 0,
         })
         .unwrap()
     };

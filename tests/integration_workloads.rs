@@ -15,9 +15,7 @@ fn params(benchmark: Benchmark, mode: SyncMode, kind: SignatureKind, seed: u64) 
         seed,
         small_machine: false,
         sticky: true,
-        log_filter_entries: 16,
         coherence: CoherenceKind::DirectoryMesi,
-        warmup_units: 0,
     }
 }
 
@@ -162,70 +160,4 @@ fn escape_actions_appear_in_berkeleydb_only() {
             assert_eq!(r.tm.escapes, 0, "{benchmark}");
         }
     }
-}
-
-#[test]
-fn ticket_locks_complete_the_suite_and_are_fairer() {
-    use logtm_se::{SystemBuilder, WordAddr};
-    use ltse_workloads::{CsProgram, SharedCounter, SyncMode};
-
-    // Every benchmark also runs under the ticket-lock baseline.
-    for benchmark in Benchmark::all() {
-        let mut p = params(benchmark, SyncMode::TicketLock, SignatureKind::Perfect, 38);
-        p.threads = 8;
-        p.units_per_thread = 3;
-        let r = run_benchmark(&p).unwrap_or_else(|e| panic!("{benchmark}: {e}"));
-        assert_eq!(r.tm.work_units, 24, "{benchmark}");
-        assert_eq!(r.tm.commits, 0, "{benchmark}");
-    }
-
-    // Fairness: under a saturated lock, per-thread completion *times* are
-    // what FIFO equalizes. Measure how long the last thread lags the first
-    // on a shared counter — tickets hand off in arrival order, so the
-    // spread stays a small fraction of the run; TATAS lets lucky threads
-    // finish far earlier.
-    let spread = |mode: SyncMode| -> f64 {
-        struct Finish {
-            inner: CsProgram<SharedCounter>,
-            done_at: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
-            finished: bool,
-        }
-        impl logtm_se::ThreadProgram for Finish {
-            fn next_op(&mut self, t: &mut logtm_se::ProgCtx) -> logtm_se::Op {
-                let op = self.inner.next_op(t);
-                if matches!(op, logtm_se::Op::Done) && !self.finished {
-                    self.finished = true;
-                    self.done_at.lock().unwrap().push(t.now.as_u64());
-                }
-                op
-            }
-            fn on_tx_abort(&mut self, t: &mut logtm_se::ProgCtx) {
-                self.inner.on_tx_abort(t);
-            }
-        }
-        let done_at = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut system = SystemBuilder::paper_default().seed(39).build();
-        for t in 0..8u64 {
-            system.add_thread(Box::new(Finish {
-                inner: CsProgram::new(
-                    SharedCounter::new(WordAddr(0), WordAddr(1 << 12), 40, 10),
-                    mode,
-                    (t + 1) << 40,
-                ),
-                done_at: done_at.clone(),
-                finished: false,
-            }));
-        }
-        let r = system.run().unwrap();
-        let times = done_at.lock().unwrap();
-        let first = *times.iter().min().unwrap() as f64;
-        let last = *times.iter().max().unwrap() as f64;
-        (last - first) / r.cycles.as_u64() as f64
-    };
-    let tatas_spread = spread(SyncMode::Lock);
-    let ticket_spread = spread(SyncMode::TicketLock);
-    assert!(
-        ticket_spread < tatas_spread,
-        "FIFO tickets should equalize finish times (ticket {ticket_spread:.3} vs tatas {tatas_spread:.3})"
-    );
 }
