@@ -10,14 +10,13 @@
 
 use logtm_se::{ContentionPolicy, CoherenceKind, Cycle, SignatureKind, SystemBuilder};
 use ltse_sim::config::seed_sequence;
-use ltse_sim::parallel::RunSpec;
 use ltse_sim::stats::SampleSet;
 use ltse_workloads::{
     run_benchmark, run_oltp, run_oltp_with, run_on_backend, BackendKind, Benchmark, OltpConfig,
     PolicyTune, RunParams, SyncMode,
 };
 
-use crate::runner::{jobs, sweep, FailedRun, SweepError};
+use crate::runner::{jobs, sweep, FailedRun, RunSpec, SweepError};
 
 /// How big each experiment runs: the trade-off between statistical quality
 /// and wall-clock time.

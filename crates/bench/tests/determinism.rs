@@ -10,9 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ltse_bench::experiments::ExperimentScale;
-use ltse_bench::runner::{self, sweep};
+use ltse_bench::runner::{self, sweep, RunSpec};
 use ltse_bench::{figure4, policy_sweep_sim, render, table3};
-use ltse_sim::parallel::RunSpec;
 
 /// `runner::set_jobs` is process-global, so tests that change it must not
 /// interleave.

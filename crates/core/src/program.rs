@@ -13,12 +13,19 @@ use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
 /// One operation a thread asks the system to perform.
+///
+/// The four memory ops (`Read`, `Write`, `Cas`, `FetchAdd`) access one
+/// word, and what each does to it is defined here, once, for every backend
+/// and for the serializability oracle: [`Op::loads`] says whether the op
+/// loads the word (its loaded value is the op's result, delivered in
+/// [`ProgCtx::last_value`]), and [`Op::stored`] what it then stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Load a word; its value arrives in [`ProgCtx::last_value`].
     Read(WordAddr),
-    /// Store a word (transactional when inside a transaction: the old value
-    /// is logged first, eager version management).
+    /// Store a word without loading it, so `last_value` is left unchanged
+    /// (transactional when inside a transaction: the old value is logged
+    /// first, eager version management).
     Write(WordAddr, u64),
     /// Atomic compare-and-swap; `last_value` receives the *old* value (the
     /// CAS succeeded iff `last_value == expected`). Used by the lock
@@ -53,15 +60,38 @@ pub enum Op {
     Done,
 }
 
+impl Op {
+    /// Whether the op loads its word: every memory op but `Write` does.
+    #[inline]
+    pub fn loads(self) -> bool {
+        matches!(self, Op::Read(_) | Op::Cas { .. } | Op::FetchAdd(..))
+    }
+
+    /// The value the op stores, given the value it `loaded` (`None` for a
+    /// `Write`, which loads nothing); `None` if it stores nothing — a
+    /// `Read`, a `Cas` whose expected value did not match, or a non-memory
+    /// op.
+    #[inline]
+    pub fn stored(self, loaded: Option<u64>) -> Option<u64> {
+        match self {
+            Op::Write(_, value) => Some(value),
+            Op::Cas { expected, new, .. } => (loaded? == expected).then_some(new),
+            Op::FetchAdd(_, delta) => Some(loaded?.wrapping_add(delta)),
+            _ => None,
+        }
+    }
+}
+
 /// Per-thread context handed to [`ThreadProgram::next_op`].
 #[derive(Debug)]
 pub struct ProgCtx<'a> {
     /// This thread's id.
     pub thread_id: u32,
-    /// Result of the most recent *value-producing* op (a load's value, a
-    /// CAS/fetch-add's old value). Ops without results — `Work`, `TxBegin`,
-    /// `TxCommit`, escapes, `WorkUnitDone` — leave it unchanged, so a value
-    /// read before computing survives until it is used.
+    /// The value the most recent *loading* op loaded ([`Op::loads`]: a
+    /// `Read`'s value, a CAS/fetch-add's old value). Every other op —
+    /// `Write`, `Work`, `TxBegin`, `TxCommit`, escapes, `WorkUnitDone` —
+    /// leaves it unchanged, so a value read before computing or storing
+    /// survives until it is used.
     pub last_value: u64,
     /// Current simulated time.
     pub now: Cycle,
@@ -80,7 +110,7 @@ pub struct ProgCtx<'a> {
 ///
 /// Programs must be [`Send`]: a whole configured [`crate::System`] (threads
 /// included) crosses OS-thread boundaries when experiment sweeps fan out
-/// over the parallel runner (`ltse_sim::parallel`).
+/// over worker threads (`ltse_bench::runner`).
 pub trait ThreadProgram: Send {
     /// Produce the next operation.
     fn next_op(&mut self, t: &mut ProgCtx) -> Op;
@@ -249,6 +279,24 @@ mod tests {
             rng: &mut rng,
         };
         p.next_op(&mut ctx)
+    }
+
+    #[test]
+    fn op_defines_what_each_memory_op_loads_and_stores() {
+        let a = WordAddr(3);
+        let cas = Op::Cas {
+            addr: a,
+            expected: 5,
+            new: 9,
+        };
+        assert!(Op::Read(a).loads() && cas.loads() && Op::FetchAdd(a, 1).loads());
+        assert!(!Op::Write(a, 4).loads() && !Op::Work(1).loads());
+        assert_eq!(Op::Read(a).stored(Some(7)), None);
+        assert_eq!(Op::Write(a, 4).stored(None), Some(4));
+        assert_eq!(cas.stored(Some(5)), Some(9), "hit");
+        assert_eq!(cas.stored(Some(6)), None, "miss");
+        assert_eq!(Op::FetchAdd(a, 2).stored(Some(u64::MAX)), Some(1), "wraps");
+        assert_eq!(Op::TxBegin.stored(None), None);
     }
 
     #[test]

@@ -779,57 +779,20 @@ impl System {
                     }
                 }
 
-                // Apply the op's data semantics.
-                let value = match op {
-                    Op::Read(_) => self.mem.read_word(paddr),
-                    Op::Write(_, v) => {
-                        self.mem.write_word(paddr, v);
-                        0
-                    }
-                    Op::Cas { expected, new, .. } => {
-                        let old = self.mem.read_word(paddr);
-                        if old == expected {
-                            self.mem.write_word(paddr, new);
-                        }
-                        old
-                    }
-                    Op::FetchAdd(_, delta) => {
-                        let (old, _) = self.mem.update_word(paddr, |v| v.wrapping_add(delta));
-                        old
-                    }
-                    _ => unreachable!("non-memory op in exec_mem_op"),
-                };
+                // Apply the op's data semantics, in place.
+                let loaded = op.loads().then(|| self.mem.read_word(paddr));
+                let stored = op.stored(loaded);
+                if let Some(v) = stored {
+                    self.mem.write_word(paddr, v);
+                }
                 if let Some(o) = self.oracle.as_mut() {
-                    let key = oracle_key(asid, vaddr);
                     let in_escape = self.tm.thread(ctx).is_some_and(|t| t.in_escape());
-                    match op {
-                        // Escape-action loads may see the enclosing
-                        // transaction's uncommitted stores; skip them.
-                        Op::Read(_) if !in_escape => o.read(tid, key, value),
-                        Op::Read(_) => {}
-                        Op::Write(_, v) if in_escape => o.escape_write(tid, key, v),
-                        Op::Write(_, v) => o.write(tid, key, v),
-                        Op::Cas { expected, new, .. } => {
-                            let store = (value == expected).then_some(new);
-                            match (in_escape, store) {
-                                (true, Some(v)) => o.escape_write(tid, key, v),
-                                (true, None) => {}
-                                (false, _) => o.rmw(tid, key, value, store),
-                            }
-                        }
-                        Op::FetchAdd(_, delta) => {
-                            let newv = value.wrapping_add(delta);
-                            if in_escape {
-                                o.escape_write(tid, key, newv);
-                            } else {
-                                o.rmw(tid, key, value, Some(newv));
-                            }
-                        }
-                        _ => unreachable!("non-memory op in exec_mem_op"),
-                    }
+                    o.access(tid, oracle_key(asid, vaddr), loaded, stored, in_escape);
                 }
                 let slot = &mut self.threads[tid as usize];
-                slot.last_value = value;
+                if let Some(v) = loaded {
+                    slot.last_value = v;
+                }
                 slot.summary_stalls = 0;
                 // Tiny per-op perturbation keeps multi-seed runs
                 // statistically independent (§6.1).

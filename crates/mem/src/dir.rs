@@ -171,6 +171,11 @@ impl fmt::Display for SharerSet {
 /// [`DirEntry::sticky`] flag records that this happened, for statistics and
 /// for the sticky-ablation experiment.
 ///
+/// A block whose directory state was lost to an L2 eviction has no entry
+/// at all: the memory system marks it lost, and every request for it
+/// broadcasts signature checks to all L1s until one succeeds and rebuilds
+/// the entry (paper §5).
+///
 /// Sharer enumeration and forward-target computation are allocation-free
 /// iterators over the bitmask — these run on every snooped coherence request,
 /// so no `Vec` is built on the hot path.
@@ -194,11 +199,6 @@ pub struct DirEntry {
     /// Whether this entry survived an L1 eviction of transactional data and
     /// therefore names at least one core that no longer caches the block.
     pub sticky: bool,
-    /// Set after an L1 NACKed a rebuilt-directory request; all subsequent
-    /// requests must keep checking L1 signatures until one succeeds (paper
-    /// §5: "the L2 directory goes to a new state that requires L1 signature
-    /// checks for all subsequent requests").
-    pub check_all: bool,
 }
 
 impl DirEntry {
@@ -362,11 +362,10 @@ impl fmt::Display for DirEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dir{{owner:{:?}, sharers:{}{}{}}}",
+            "dir{{owner:{:?}, sharers:{}{}}}",
             self.owner,
             self.sharers,
             if self.sticky { ", sticky" } else { "" },
-            if self.check_all { ", check-all" } else { "" },
         )
     }
 }
@@ -433,9 +432,7 @@ mod tests {
     fn display_mentions_flags() {
         let mut e = DirEntry::new();
         e.sticky = true;
-        e.check_all = true;
-        let s = e.to_string();
-        assert!(s.contains("sticky") && s.contains("check-all"));
+        assert!(e.to_string().contains("sticky"));
     }
 
     // --------------------------------------------------------------------

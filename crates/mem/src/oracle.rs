@@ -98,13 +98,39 @@ impl ConflictOracle for NullOracle {
     }
 }
 
-/// One data operation recorded inside a transaction frame, in program order.
+/// One data operation of a transaction, in program order: a load the
+/// serial replay checks, or a store it applies. Both backends record their
+/// histories in this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DataOp {
-    /// A load that observed `seen`.
-    Read { key: u64, seen: u64 },
-    /// A store of `value`.
-    Write { key: u64, value: u64 },
+pub enum DataOp {
+    /// A load of `key` that observed `seen`.
+    Read {
+        /// The word's oracle key.
+        key: u64,
+        /// The value the load observed.
+        seen: u64,
+    },
+    /// A store of `value` to `key`.
+    Write {
+        /// The word's oracle key.
+        key: u64,
+        /// The value stored.
+        value: u64,
+    },
+}
+
+impl DataOp {
+    /// The ops one access of `key` records: its load if it `loaded`, then
+    /// its store if it `stored`.
+    pub fn of_access(
+        key: u64,
+        loaded: Option<u64>,
+        stored: Option<u64>,
+    ) -> impl Iterator<Item = DataOp> {
+        let read = loaded.map(|seen| DataOp::Read { key, seen });
+        let write = stored.map(|value| DataOp::Write { key, value });
+        read.into_iter().chain(write)
+    }
 }
 
 /// Cap on recorded mismatch messages: a genuinely broken run can mismatch on
@@ -175,9 +201,9 @@ impl SerializabilityOracle {
     }
 
     /// Replays `ops` against the reference, checking reads.
-    fn apply(&mut self, thread: u32, ops: &[DataOp]) {
+    fn apply(&mut self, thread: u32, ops: impl IntoIterator<Item = DataOp>) {
         for op in ops {
-            match *op {
+            match op {
                 DataOp::Read { key, seen } => {
                     self.checked_reads += 1;
                     let want = *self.reference.entry(key).or_insert(0);
@@ -192,15 +218,6 @@ impl SerializabilityOracle {
                     self.reference.insert(key, value);
                 }
             }
-        }
-    }
-
-    fn record(&mut self, thread: u32, op: DataOp) {
-        match self.innermost(thread) {
-            Some(frame) => frame.push(op),
-            // Outside any transaction: a single-op transaction serialized
-            // right now (see type-level docs).
-            None => self.apply(thread, &[op]),
         }
     }
 
@@ -247,7 +264,7 @@ impl SerializabilityOracle {
             Some((_, parent)) if !open => parent.extend_from_slice(&ops),
             _ => {
                 self.committed_txs += 1;
-                self.apply(thread, &ops);
+                self.apply(thread, ops.iter().copied());
             }
         }
         self.recycle(ops);
@@ -278,42 +295,44 @@ impl SerializabilityOracle {
             .is_some_and(|s| !s.is_empty())
     }
 
-    /// A committed load of `key` observed `seen`.
-    pub fn read(&mut self, thread: u32, key: u64, seen: u64) {
-        self.record(thread, DataOp::Read { key, seen });
-    }
-
-    /// A store of `value` to `key`.
-    pub fn write(&mut self, thread: u32, key: u64, value: u64) {
-        self.record(thread, DataOp::Write { key, value });
-    }
-
-    /// An atomic read-modify-write: observed `seen`, then stored `new` (pass
-    /// `None` for a failed compare-and-swap, which writes nothing).
-    pub fn rmw(&mut self, thread: u32, key: u64, seen: u64, new: Option<u64>) {
-        // Recorded as read-then-write in one frame; outside a transaction the
-        // pair must serialize atomically, so apply it as one unit.
-        let mut ops = [DataOp::Read { key, seen }, DataOp::Read { key, seen }];
-        let mut n = 1;
-        if let Some(value) = new {
-            ops[1] = DataOp::Write { key, value };
-            n = 2;
+    /// Records one memory access of `thread` to `key`: the value it loaded
+    /// (`None` if it loads nothing), the value it stored (`None` if it
+    /// stored nothing), and whether it ran inside an escape action. Outside
+    /// any transaction the access applies at once, as a single-op
+    /// transaction; inside one it joins the innermost frame, load first.
+    ///
+    /// An escape-action access bypasses the frame stack. Its store takes
+    /// effect immediately (escape stores are never logged, so an enclosing
+    /// abort cannot undo them); its load is not checked at all — under eager
+    /// version management it may legitimately observe the enclosing
+    /// transaction's uncommitted stores, which the serial replay cannot
+    /// predict.
+    pub fn access(
+        &mut self,
+        thread: u32,
+        key: u64,
+        loaded: Option<u64>,
+        stored: Option<u64>,
+        escape: bool,
+    ) {
+        let (loaded, frame) = if escape {
+            (None, None)
+        } else {
+            (loaded, self.innermost(thread))
+        };
+        let ops = DataOp::of_access(key, loaded, stored);
+        match frame {
+            Some(frame) => frame.extend(ops),
+            None => self.apply(thread, ops),
         }
-        match self.innermost(thread) {
-            Some(frame) => frame.extend_from_slice(&ops[..n]),
-            None => self.apply(thread, &ops[..n]),
-        }
     }
 
-    /// A store performed inside an *escape action* while the thread has live
-    /// frames: it takes effect immediately (escape stores are never logged,
-    /// so an enclosing abort cannot undo them) rather than joining the
-    /// innermost frame. Escape *reads* are deliberately not checked at all —
-    /// under eager version management they may legitimately observe the
-    /// enclosing transaction's uncommitted stores, which the serial replay
-    /// cannot predict.
-    pub fn escape_write(&mut self, thread: u32, key: u64, value: u64) {
-        self.apply(thread, &[DataOp::Write { key, value }]);
+    /// Replays one committed transaction's `ops` against the reference now:
+    /// for a history recorded elsewhere, the order of these calls is the
+    /// commit order.
+    pub fn replay(&mut self, thread: u32, ops: &[DataOp]) {
+        self.committed_txs += 1;
+        self.apply(thread, ops.iter().copied());
     }
 
     /// Records an externally detected invariant violation (post-abort probe
@@ -381,6 +400,14 @@ impl SerializabilityOracle {
 mod tests {
     use super::*;
 
+    fn read(o: &mut SerializabilityOracle, thread: u32, key: u64, seen: u64) {
+        o.access(thread, key, Some(seen), None, false);
+    }
+
+    fn write(o: &mut SerializabilityOracle, thread: u32, key: u64, value: u64) {
+        o.access(thread, key, None, Some(value), false);
+    }
+
     #[test]
     fn null_oracle_never_conflicts() {
         let o = NullOracle;
@@ -401,9 +428,9 @@ mod tests {
         let mut mem = 0u64;
         for t in 0..3u32 {
             o.begin(t, false);
-            o.read(t, 0x10, mem);
+            read(&mut o, t, 0x10, mem);
             mem += 1;
-            o.write(t, 0x10, mem);
+            write(&mut o, t, 0x10, mem);
             o.commit(t);
         }
         assert_eq!(o.committed_txs(), 3);
@@ -418,11 +445,11 @@ mod tests {
         // Two transactions both read 0, both write 1 (the classic lost
         // update a working TM must prevent).
         o.begin(0, false);
-        o.read(0, 0x10, 0);
-        o.write(0, 0x10, 1);
+        read(&mut o, 0, 0x10, 0);
+        write(&mut o, 0, 0x10, 1);
         o.begin(1, false);
-        o.read(1, 0x10, 0); // recorded before t0 commits: fine so far
-        o.write(1, 0x10, 1);
+        read(&mut o, 1, 0x10, 0); // recorded before t0 commits: fine so far
+        write(&mut o, 1, 0x10, 1);
         o.commit(0);
         o.commit(1); // replay expects t1's read to see 1, it saw 0
         assert!(o.has_errors());
@@ -433,7 +460,7 @@ mod tests {
     fn final_state_divergence_is_detected() {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
-        o.write(0, 0x20, 7);
+        write(&mut o, 0, 0x20, 7);
         o.commit(0);
         o.check_final(|_| 99); // actual memory disagrees
         assert!(o.errors().iter().any(|e| e.contains("final state diverges")));
@@ -444,12 +471,12 @@ mod tests {
         let mut o = SerializabilityOracle::new();
         o.init_word(0x30, 5);
         o.begin(0, false);
-        o.read(0, 0x30, 5);
-        o.write(0, 0x30, 100);
+        read(&mut o, 0, 0x30, 5);
+        write(&mut o, 0, 0x30, 100);
         o.abort_all(0);
         assert!(!o.in_tx(0));
         // A later reader must see the pre-transaction value.
-        o.read(1, 0x30, 5);
+        read(&mut o, 1, 0x30, 5);
         o.check_final(|_| 5);
         assert!(o.errors().is_empty(), "{:?}", o.errors());
         assert_eq!(o.committed_txs(), 0);
@@ -459,13 +486,13 @@ mod tests {
     fn closed_nesting_merges_into_parent() {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
-        o.write(0, 0x40, 1);
+        write(&mut o, 0, 0x40, 1);
         o.begin(0, false); // closed child
-        o.write(0, 0x41, 2);
+        write(&mut o, 0, 0x41, 2);
         o.commit(0); // merges, nothing published yet
         assert_eq!(o.committed_txs(), 0);
         // A concurrent non-transactional read still sees old memory.
-        o.read(1, 0x41, 0);
+        read(&mut o, 1, 0x41, 0);
         o.commit(0); // outermost: both writes publish, in program order
         assert_eq!(o.committed_txs(), 1);
         o.check_final(|k| match k {
@@ -480,9 +507,9 @@ mod tests {
     fn partial_abort_discards_only_the_inner_frame() {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
-        o.write(0, 0x50, 1);
+        write(&mut o, 0, 0x50, 1);
         o.begin(0, false);
-        o.write(0, 0x51, 9); // inner write, then partial abort
+        write(&mut o, 0, 0x51, 9); // inner write, then partial abort
         o.abort_innermost(0);
         assert!(o.in_tx(0));
         o.commit(0);
@@ -495,10 +522,10 @@ mod tests {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
         o.begin(0, true); // open child
-        o.write(0, 0x60, 42);
+        write(&mut o, 0, 0x60, 42);
         o.commit(0); // publishes now
         assert_eq!(o.committed_txs(), 1);
-        o.read(1, 0x60, 42); // visible to others before the parent commits
+        read(&mut o, 1, 0x60, 42); // visible to others before the parent commits
         o.abort_all(0); // parent aborts; open child's publish survives
         o.check_final(|k| if k == 0x60 { 42 } else { 0 });
         assert!(o.errors().is_empty(), "{:?}", o.errors());
@@ -507,13 +534,13 @@ mod tests {
     #[test]
     fn rmw_checks_the_observed_value() {
         let mut o = SerializabilityOracle::new();
-        o.rmw(0, 0x70, 0, Some(1)); // fetch-add outside any tx
-        o.rmw(1, 0x70, 1, Some(2));
-        o.rmw(2, 0x70, 7, Some(8)); // stale observation: must be flagged
+        o.access(0, 0x70, Some(0), Some(1), false); // fetch-add outside any tx
+        o.access(1, 0x70, Some(1), Some(2), false);
+        o.access(2, 0x70, Some(7), Some(8), false); // stale observation: must be flagged
         assert_eq!(o.errors().len(), 1, "{:?}", o.errors());
         // Failed CAS writes nothing.
         let mut o2 = SerializabilityOracle::new();
-        o2.rmw(0, 0x70, 0, None);
+        o2.access(0, 0x70, Some(0), None, false);
         o2.check_final(|_| 0);
         assert!(o2.errors().is_empty());
     }
@@ -522,8 +549,10 @@ mod tests {
     fn escape_write_bypasses_the_frame_stack() {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
-        o.escape_write(0, 0x85, 7); // visible immediately, survives the abort
-        o.read(1, 0x85, 7);
+        o.access(0, 0x85, None, Some(7), true); // visible immediately, survives the abort
+        read(&mut o, 1, 0x85, 7);
+        // An escape RMW applies only its store; its load is not checked.
+        o.access(0, 0x85, Some(99), Some(7), true);
         o.abort_all(0);
         o.check_final(|k| if k == 0x85 { 7 } else { 0 });
         assert!(o.errors().is_empty(), "{:?}", o.errors());
@@ -533,7 +562,7 @@ mod tests {
     fn live_frame_at_end_of_run_is_reported() {
         let mut o = SerializabilityOracle::new();
         o.begin(0, false);
-        o.write(0, 0x80, 1);
+        write(&mut o, 0, 0x80, 1);
         o.check_final(|_| 0);
         assert!(o.errors().iter().any(|e| e.contains("still live")), "{:?}", o.errors());
     }
@@ -552,18 +581,18 @@ mod tests {
         // replay the aborted write (it would fail the read and the final
         // sweep).
         o.begin(0, false);
-        o.write(0, 0x90, 5);
+        write(&mut o, 0, 0x90, 5);
         o.abort_all(0);
         o.begin(0, false);
-        o.read(0, 0x90, 0);
+        read(&mut o, 0, 0x90, 0);
         o.commit(0);
         // A merged closed child's buffer goes to thread 2's begin.
         o.begin(1, false);
         o.begin(1, false);
-        o.write(1, 0x91, 6);
+        write(&mut o, 1, 0x91, 6);
         o.commit(1);
         o.begin(2, false);
-        o.read(2, 0x91, 0);
+        read(&mut o, 2, 0x91, 0);
         o.commit(2);
         o.commit(1);
         assert_eq!(o.committed_txs(), 3);
@@ -591,7 +620,7 @@ mod tests {
     fn error_cap_bounds_memory() {
         let mut o = SerializabilityOracle::new();
         for i in 0..1000 {
-            o.read(0, 0x90, i + 1); // always wrong (reference holds 0)
+            read(&mut o, 0, 0x90, i + 1); // always wrong (reference holds 0)
         }
         assert_eq!(o.errors().len(), MAX_ERRORS);
     }

@@ -65,16 +65,6 @@ impl MemStore {
         }
     }
 
-    /// Atomically applies `f` to a word and returns `(old, new)` — the
-    /// building block for the simulated CAS/fetch-and-add the lock baseline
-    /// uses.
-    pub fn update(&mut self, addr: WordAddr, f: impl FnOnce(u64) -> u64) -> (u64, u64) {
-        let old = self.read(addr);
-        let new = f(old);
-        self.write(addr, new);
-        (old, new)
-    }
-
     /// Number of nonzero words (diagnostics only).
     pub fn nonzero_words(&self) -> usize {
         self.words.len()
@@ -139,14 +129,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(seq, sorted, "iter_sorted must ascend");
         assert_eq!(seq.len(), a.nonzero_words());
-    }
-
-    #[test]
-    fn update_returns_old_and_new() {
-        let mut m = MemStore::new();
-        m.write(WordAddr(9), 10);
-        let (old, new) = m.update(WordAddr(9), |v| v + 5);
-        assert_eq!((old, new), (10, 15));
-        assert_eq!(m.read(WordAddr(9)), 15);
     }
 }

@@ -358,12 +358,6 @@ impl MemorySystem {
         self.store.write(addr, value);
     }
 
-    /// Atomic read-modify-write on a word, returning `(old, new)`.
-    #[inline]
-    pub fn update_word(&mut self, addr: WordAddr, f: impl FnOnce(u64) -> u64) -> (u64, u64) {
-        self.store.update(addr, f)
-    }
-
     /// Whether overflow events are waiting to be drained.
     #[inline]
     pub fn has_overflow_events(&self) -> bool {
@@ -817,16 +811,6 @@ impl MemorySystem {
         oracle: &dyn ConflictOracle,
     ) -> AccessOutcome {
         let lat = self.config.latency;
-
-        // Directory rebuilt after an earlier NACK: keep checking everyone
-        // until a request succeeds.
-        if dir.check_all {
-            if let Some(nacker) = self.check_cores_except(core, AccessKind::Load, block, requester, oracle)
-            {
-                return self.nack(core, bank, base, nacker);
-            }
-        }
-
         match dir.owner {
             Some(owner) if owner != core => {
                 // Forward to the exclusive owner for a write-signature check.
@@ -841,7 +825,6 @@ impl MemorySystem {
                 let mut new_dir = dir;
                 new_dir.owner = None;
                 new_dir.add_sharer(core);
-                new_dir.check_all = false;
                 let (latency, source) = if let Some(way) = owner_copy {
                     // Downgrade M/E → S with an implicit writeback.
                     *self.l1s[owner as usize].touch(way) = L1State::Shared;
@@ -872,7 +855,6 @@ impl MemorySystem {
                 // We own it but evicted it (possibly sticky): refill from L2.
                 let mut new_dir = dir;
                 new_dir.sticky = false;
-                new_dir.check_all = false;
                 self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, L1State::Exclusive, oracle);
                 self.stats.l2_hits.inc();
@@ -888,7 +870,6 @@ impl MemorySystem {
             _ => {
                 // Shared or uncached: data from L2.
                 let mut new_dir = dir;
-                new_dir.check_all = false;
                 if new_dir.is_uncached() {
                     new_dir.owner = Some(core); // sole copy ⇒ E
                 } else {
@@ -928,14 +909,6 @@ impl MemorySystem {
     ) -> AccessOutcome {
         let lat = self.config.latency;
 
-        if dir.check_all {
-            if let Some(nacker) =
-                self.check_cores_except(core, AccessKind::Store, block, requester, oracle)
-            {
-                return self.nack(core, bank, base, nacker);
-            }
-        }
-
         // Every core the directory names (owner + sharers, possibly sticky)
         // gets a signature check before any invalidation happens.
         let targets = dir.forward_targets(core);
@@ -959,9 +932,7 @@ impl MemorySystem {
         }
         let upgrade = self.l1s[core as usize].find(block).map(|(way, _)| way);
         let was_upgrade = upgrade.is_some();
-        let mut new_dir = DirEntry::owned_by(core);
-        new_dir.check_all = false;
-        self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
+        self.l2_banks[bank as usize].touch(dir_way).dir = DirEntry::owned_by(core);
         match upgrade {
             Some(way) => *self.l1s[core as usize].touch(way) = L1State::Modified,
             None => self.l1_install(core, block, L1State::Modified, oracle),
@@ -1010,11 +981,6 @@ impl MemorySystem {
             + self.net(self.core_node(target), self.core_node(core))
             + to_target
             + back
-    }
-
-    fn nack(&mut self, core: CoreId, bank: u16, base: Cycle, nacker: CtxId) -> AccessOutcome {
-        let nack_core = self.config.core_of(nacker);
-        self.nack_via(core, bank, nack_core, base, nacker)
     }
 
     fn nack_via(
@@ -1188,16 +1154,6 @@ impl MemorySystem {
         }
         let bank = self.bank_of(block);
         self.l2_banks[bank as usize].remove(&block);
-    }
-
-    /// Marks the directory entry for `block` as requiring signature checks
-    /// on all subsequent requests (used after a rebuilt-directory request is
-    /// NACKed, paper §5). No-op if the block is not L2-resident.
-    pub fn set_check_all(&mut self, block: BlockAddr) {
-        let bank = self.bank_of(block);
-        if let Some(line) = self.l2_banks[bank as usize].get_mut(&block) {
-            line.dir.check_all = true;
-        }
     }
 }
 
@@ -1615,8 +1571,6 @@ mod tests {
         let mut m = sys();
         m.write_word(WordAddr(100), 77);
         assert_eq!(m.read_word(WordAddr(100)), 77);
-        let (old, new) = m.update_word(WordAddr(100), |v| v + 1);
-        assert_eq!((old, new), (77, 78));
     }
 
     #[test]
@@ -1636,20 +1590,6 @@ mod tests {
         let l2 = m.access(c1, AccessKind::Load, BlockAddr(40), &o);
         assert!(l2.latency() >= Cycle(7), "directory + at least one hop");
         assert!(l2.latency() < Cycle(500));
-    }
-
-    #[test]
-    fn check_all_after_rebuild_nack() {
-        let mut m = sys();
-        let o = NullOracle;
-        let c0 = m.config().ctx(0, 0);
-        m.access(c0, AccessKind::Load, BlockAddr(2), &o);
-        m.set_check_all(BlockAddr(2));
-        assert!(m.dir_entry(BlockAddr(2)).unwrap().check_all);
-        // A successful access clears it.
-        let c1 = m.config().ctx(1, 0);
-        m.access(c1, AccessKind::Load, BlockAddr(2), &o);
-        assert!(!m.dir_entry(BlockAddr(2)).unwrap().check_all);
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl CountingSignature {
         }
     }
 
-    /// Whether any bit has a nonzero count.
-    pub fn any_set(&self) -> bool {
-        self.counts.iter().any(|&c| c > 0)
-    }
-
     /// Builds the summary signature to install on hardware contexts: a fresh
     /// signature of `kind` whose filter bits are exactly the nonzero-count
     /// bits.
@@ -164,7 +159,7 @@ mod tests {
         assert!(m.test_block(3), "bit 3 still owed to s2");
         assert!(m.test_block(70));
         c.remove(&s2);
-        assert!(!c.any_set());
+        assert!(c.materialize(&kind).is_clear());
     }
 
     #[test]
@@ -198,6 +193,6 @@ mod tests {
         let m = c.materialize(&kind);
         assert!(m.test_block(0xabcd));
         c.remove(&s);
-        assert!(!c.any_set());
+        assert!(c.materialize(&kind).is_clear());
     }
 }

@@ -14,9 +14,10 @@
 //!   intervals matching the paper's multi-seed perturbation methodology
 //!   (§6.1 of the paper, citing Alameldeen & Wood, HPCA 2003).
 //! * [`parallel`] — a scoped, index-ordered parallel map
-//!   ([`parallel::par_map_indexed`]) and the sweep runner built on it, which
-//!   fans independent simulations out over OS threads with deterministic
-//!   (submission-order) results and per-run panic isolation.
+//!   ([`parallel::par_map_indexed`]) with deterministic (index-order)
+//!   results, over which the schedule explorer and the experiment runner
+//!   (`ltse_bench::runner`, per-run panic isolation) fan independent
+//!   simulations out over OS threads.
 //! * [`check`] — a dependency-free deterministic randomized-testing
 //!   harness used by the workspace's property tests.
 //! * [`obs`] — the structured observability layer: metric registry,

@@ -394,8 +394,8 @@ mod tests {
 
     #[test]
     fn summary_merge_matches_sequential_recording() {
-        // The parallel runner keeps one Summary per worker and merges them
-        // at join; the merged aggregate must equal recording the same
+        // A caller that keeps one Summary per worker merges them at join;
+        // the merged aggregate must equal recording the same
         // stream into a single Summary, regardless of how the stream was
         // split across workers.
         let stream: Vec<u64> = (0..97).map(|i| (i * 7919) % 1000).collect();

@@ -20,14 +20,19 @@
 //!   the family the contention policy picks, and retry. After
 //!   [`StmConfig::max_retries`] consecutive aborts the retry runs under the
 //!   serial token and cannot fail.
+//! * What a memory op loads, stores and returns is [`Op`]'s own definition
+//!   ([`Op::loads`], [`Op::stored`]), the one the simulator applies too;
+//!   one access path runs it inside the live transaction or as a mini
+//!   transaction, and records it as [`DataOp`]s, the oracle's own form.
 //! * Ops outside any transaction run as single-op TL2 transactions, giving
 //!   them a commit timestamp so the replay can order them — the execution-
 //!   order serialization the oracle assumes for bare accesses.
 //! * Escape actions: reads bypass the STM entirely (forwarding from the
 //!   enclosing write buffer, like eager hardware where transactional stores
 //!   are in place); writes and RMWs run as their own mini transactions and
-//!   are recorded separately so they survive an enclosing abort, matching
-//!   `SerializabilityOracle::escape_write` semantics.
+//!   are recorded separately, store only, so they survive an enclosing
+//!   abort, matching the oracle's escape semantics
+//!   (`SerializabilityOracle::access`).
 //!
 //! # Replay ordering
 //!
@@ -48,7 +53,7 @@
 use std::time::{Duration, Instant};
 
 use logtm_se::{ContentionPolicy, Cycle, Op, ProgCtx, ThreadProgram, WordAddr};
-use ltse_mem::SerializabilityOracle;
+use ltse_mem::{DataOp, SerializabilityOracle};
 use ltse_sim::config::seed_sequence;
 use ltse_sim::obs::ObsReport;
 use ltse_sim::rng::Xoshiro256StarStar;
@@ -115,15 +120,6 @@ impl std::fmt::Display for StmError {
 
 impl std::error::Error for StmError {}
 
-/// One replayable operation of a committed record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecOp {
-    /// A committed load that observed `seen`.
-    Read { word: u64, seen: u64 },
-    /// A committed store.
-    Write { word: u64, value: u64 },
-}
-
 /// One committed transaction (outermost, mini, or escape) as recorded for
 /// replay.
 #[derive(Debug, Clone)]
@@ -137,7 +133,7 @@ struct TxRecord {
     /// Per-thread record sequence number (sort tie-break).
     seq: u64,
     /// The record's data operations, in program order.
-    ops: Vec<RecOp>,
+    ops: Vec<DataOp>,
 }
 
 /// Per-thread execution counters, merged into [`StmReport`].
@@ -502,14 +498,7 @@ impl StmSystem {
         self.logs
             .sort_by_key(|r| (r.version, !r.writer, r.thread, r.seq));
         for rec in &self.logs {
-            oracle.begin(rec.thread, false);
-            for op in &rec.ops {
-                match *op {
-                    RecOp::Read { word, seen } => oracle.read(rec.thread, word, seen),
-                    RecOp::Write { word, value } => oracle.write(rec.thread, word, value),
-                }
-            }
-            oracle.commit(rec.thread);
+            oracle.replay(rec.thread, &rec.ops);
         }
         oracle.check_final(|word| self.stm.read_word_raw(word));
         oracle.take_errors()
@@ -617,6 +606,18 @@ impl RetryState {
     }
 }
 
+/// Performs the memory op `op` on `word` inside `tx`: its load, if it loads,
+/// then the store it derives from the loaded value. Returns both.
+#[inline(always)]
+fn perform(tx: &mut Tx, op: Op, word: u64) -> Result<(Option<u64>, Option<u64>), Conflict> {
+    let loaded = op.loads().then(|| tx.read(word)).transpose()?;
+    let stored = op.stored(loaded);
+    if let Some(v) = stored {
+        tx.write(word, v);
+    }
+    Ok((loaded, stored))
+}
+
 /// Busy-work for `Op::Work`, yielding periodically so spin-wait loops
 /// (TATAS locks, barriers) cannot monopolize a core.
 fn spin_work(cycles: u64) {
@@ -660,7 +661,7 @@ struct Worker<'a> {
     stats: WorkerStats,
     log: Vec<TxRecord>,
     /// Data ops of the live transaction, discarded on abort.
-    rec: Vec<RecOp>,
+    rec: Vec<DataOp>,
 }
 
 impl<'a> Worker<'a> {
@@ -693,18 +694,24 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn push_record(&mut self, version: u64, writer: bool, ops: &[RecOp]) {
+    /// Logs a committed record of `ops` at `info`'s serialization version
+    /// (checked runs only; a record with no ops is not logged).
+    fn push_record(&mut self, info: CommitInfo, ops: impl IntoIterator<Item = DataOp>) {
         if !self.check {
+            return;
+        }
+        let ops: Vec<DataOp> = ops.into_iter().collect();
+        if ops.is_empty() {
             return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.log.push(TxRecord {
-            version,
-            writer,
+            version: info.version,
+            writer: info.writer,
             thread: self.tid,
             seq,
-            ops: ops.to_vec(),
+            ops,
         });
     }
 
@@ -840,7 +847,7 @@ impl<'a> Worker<'a> {
                                     self.stats.serial_commits += 1;
                                 }
                                 let ops = std::mem::take(&mut self.rec);
-                                self.push_record(info.version, info.writer, &ops);
+                                self.push_record(info, ops.iter().copied());
                                 self.rec = ops;
                             }
                             Err(Conflict::TableFull) => {
@@ -859,178 +866,69 @@ impl<'a> Worker<'a> {
                 }
                 Op::WorkUnitDone => self.stats.work_units += 1,
                 Op::Work(c) => spin_work(c),
-                Op::Read(a) => self.do_read(a, program.as_mut())?,
-                Op::Write(a, v) => self.do_write(a, v)?,
-                Op::Cas {
-                    addr,
-                    expected,
-                    new,
-                } => self.do_cas(addr, expected, new, program.as_mut())?,
-                Op::FetchAdd(a, d) => self.do_fetch_add(a, d, program.as_mut())?,
+                // One arm per memory op: each inlined copy of `access` then
+                // knows its op, so `Op::loads` and `Op::stored` fold away.
+                Op::Read(a) => self.access(op, a.as_u64(), program.as_mut())?,
+                Op::Write(a, _) => self.access(op, a.as_u64(), program.as_mut())?,
+                Op::Cas { addr: a, .. } => self.access(op, a.as_u64(), program.as_mut())?,
+                Op::FetchAdd(a, _) => self.access(op, a.as_u64(), program.as_mut())?,
             }
         }
     }
 
-    fn do_read(&mut self, a: WordAddr, program: &mut dyn ThreadProgram) -> Result<(), StmError> {
-        let word = a.as_u64();
-        if self.escape > 0 {
-            // Escape read: unchecked, sees the enclosing tx's buffered
-            // stores (eager-hardware illusion) or raw memory.
+    /// Runs the memory op `op` on `word`. What it loads and stores is the
+    /// op's own definition ([`perform`]); only where it runs depends on the
+    /// context. Inside a transaction it joins the live transaction. Bare,
+    /// and inside an escape action, it runs as a mini transaction of its
+    /// own, so an escape store survives an enclosing abort; an escape access
+    /// records only its store, as the oracle checks no escape load.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        op: Op,
+        word: u64,
+        program: &mut dyn ThreadProgram,
+    ) -> Result<(), StmError> {
+        let escape = self.escape > 0;
+        let loaded = if !escape && self.depth > 0 {
+            let (loaded, stored) = match perform(&mut self.tx, op, word) {
+                Ok(effect) => effect,
+                Err(Conflict::TableFull) => return Err(StmError::TableFull { thread: self.tid }),
+                Err(c) => {
+                    self.abort(program, c);
+                    return Ok(());
+                }
+            };
+            self.stats.tx_reads += u64::from(loaded.is_some());
+            self.stats.tx_writes += u64::from(stored.is_some());
+            if self.check {
+                self.rec.extend(DataOp::of_access(word, loaded, stored));
+            }
+            loaded
+        } else if escape && matches!(op, Op::Read(_)) {
+            // Escape load: no mini transaction; it sees the enclosing
+            // transaction's buffered store (the eager-hardware illusion)
+            // or raw memory.
             let buffered = if self.depth > 0 {
                 self.tx.peek_buffered(word)
             } else {
                 None
             };
-            self.last_value = buffered.unwrap_or_else(|| self.stm.read_word_raw(word));
-        } else if self.depth > 0 {
-            match self.tx.read(word) {
-                Ok(v) => {
-                    self.last_value = v;
-                    self.stats.tx_reads += 1;
-                    if self.check {
-                        self.rec.push(RecOp::Read { word, seen: v });
-                    }
-                }
-                Err(Conflict::TableFull) => {
-                    return Err(StmError::TableFull { thread: self.tid })
-                }
-                Err(c) => self.abort(program, c),
-            }
+            Some(buffered.unwrap_or_else(|| self.stm.read_word_raw(word)))
         } else {
-            // Bare load: a read-only mini transaction (commit cannot fail),
-            // serialized at its rv. Yield after — bare loads are how lock
-            // and barrier spin-waits poll, and on one core the writer we
-            // are waiting for needs the CPU.
-            let (v, info) = self.mini(|tx| tx.read(word))?;
-            self.last_value = v;
-            self.push_record(info.version, false, &[RecOp::Read { word, seen: v }]);
-            std::thread::yield_now();
-        }
-        Ok(())
-    }
-
-    fn do_write(&mut self, a: WordAddr, v: u64) -> Result<(), StmError> {
-        let word = a.as_u64();
-        if self.escape == 0 && self.depth > 0 {
-            self.tx.write(word, v);
-            self.stats.tx_writes += 1;
-            if self.check {
-                self.rec.push(RecOp::Write { word, value: v });
-            }
-        } else {
-            // Bare or escape store: its own mini transaction. Recorded as an
-            // independent writer record, so (for the escape case) it stays
-            // in the history even if the enclosing transaction aborts —
-            // escape stores are never rolled back.
-            let ((), info) = self.mini(|tx| {
-                tx.write(word, v);
-                Ok(())
-            })?;
-            self.push_record(info.version, true, &[RecOp::Write { word, value: v }]);
-        }
-        Ok(())
-    }
-
-    fn do_cas(
-        &mut self,
-        a: WordAddr,
-        expected: u64,
-        new: u64,
-        program: &mut dyn ThreadProgram,
-    ) -> Result<(), StmError> {
-        let word = a.as_u64();
-        if self.escape == 0 && self.depth > 0 {
-            match self.tx.read(word) {
-                Ok(v) => {
-                    self.stats.tx_reads += 1;
-                    if self.check {
-                        self.rec.push(RecOp::Read { word, seen: v });
-                    }
-                    if v == expected {
-                        self.tx.write(word, new);
-                        self.stats.tx_writes += 1;
-                        if self.check {
-                            self.rec.push(RecOp::Write { word, value: new });
-                        }
-                    }
-                    self.last_value = v;
-                }
-                Err(Conflict::TableFull) => {
-                    return Err(StmError::TableFull { thread: self.tid })
-                }
-                Err(c) => self.abort(program, c),
-            }
-        } else {
-            let (seen, info) = self.mini(|tx| {
-                let v = tx.read(word)?;
-                if v == expected {
-                    tx.write(word, new);
-                }
-                Ok(v)
-            })?;
-            let swapped = seen == expected;
-            let read = RecOp::Read { word, seen };
-            let write = RecOp::Write { word, value: new };
-            // A bare CAS records its read, an escape CAS does not; only a
-            // successful one records its write.
-            match (self.escape > 0, swapped) {
-                (false, true) => self.push_record(info.version, true, &[read, write]),
-                (false, false) => self.push_record(info.version, false, &[read]),
-                (true, true) => self.push_record(info.version, true, &[write]),
-                (true, false) => {}
-            }
-            self.last_value = seen;
-            if !swapped {
-                // A failed bare CAS is a lock-acquisition spin iteration.
+            let ((loaded, stored), info) = self.mini(|tx| perform(tx, op, word))?;
+            let seen = loaded.filter(|_| !escape);
+            self.push_record(info, DataOp::of_access(word, seen, stored));
+            if stored.is_none() {
+                // A bare load or a failed CAS is a spin-wait poll (locks,
+                // barriers): on one core the writer we wait for needs the
+                // CPU.
                 std::thread::yield_now();
             }
-        }
-        Ok(())
-    }
-
-    fn do_fetch_add(
-        &mut self,
-        a: WordAddr,
-        d: u64,
-        program: &mut dyn ThreadProgram,
-    ) -> Result<(), StmError> {
-        let word = a.as_u64();
-        if self.escape == 0 && self.depth > 0 {
-            match self.tx.read(word) {
-                Ok(v) => {
-                    let new = v.wrapping_add(d);
-                    self.tx.write(word, new);
-                    self.stats.tx_reads += 1;
-                    self.stats.tx_writes += 1;
-                    if self.check {
-                        self.rec.push(RecOp::Read { word, seen: v });
-                        self.rec.push(RecOp::Write { word, value: new });
-                    }
-                    self.last_value = v;
-                }
-                Err(Conflict::TableFull) => {
-                    return Err(StmError::TableFull { thread: self.tid })
-                }
-                Err(c) => self.abort(program, c),
-            }
-        } else {
-            let (seen, info) = self.mini(|tx| {
-                let v = tx.read(word)?;
-                tx.write(word, v.wrapping_add(d));
-                Ok(v)
-            })?;
-            let read = RecOp::Read { word, seen };
-            let write = RecOp::Write {
-                word,
-                value: seen.wrapping_add(d),
-            };
-            // An escape RMW records only its write; a bare one its read too.
-            if self.escape > 0 {
-                self.push_record(info.version, true, &[write]);
-            } else {
-                self.push_record(info.version, true, &[read, write]);
-            }
-            self.last_value = seen;
+            loaded
+        };
+        if let Some(v) = loaded {
+            self.last_value = v;
         }
         Ok(())
     }

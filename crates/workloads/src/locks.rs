@@ -55,8 +55,6 @@ enum Phase {
 pub struct LockDriver {
     addr: WordAddr,
     phase: Phase,
-    acquires: u64,
-    spins: u64,
     /// Consecutive lost CAS races; drives exponential backoff so a
     /// thundering herd cannot convoy forever.
     losses: u32,
@@ -68,8 +66,6 @@ impl LockDriver {
         LockDriver {
             addr,
             phase: Phase::SpinRead,
-            acquires: 0,
-            spins: 0,
             losses: 0,
         }
     }
@@ -101,21 +97,18 @@ impl LockDriver {
                 } else {
                     // Still held: keep read-spinning (with a tiny pause so
                     // the spin loop costs cycles like a real one).
-                    self.spins += 1;
                     self.phase = Phase::TryCas;
                     LockOutcome::Issue(Op::Read(self.addr))
                 }
             }
             Phase::CheckCas => {
                 if last_value == 0 {
-                    self.acquires += 1;
                     self.losses = 0;
                     self.phase = Phase::SpinRead; // armed for the next use
                     LockOutcome::Acquired
                 } else {
                     // Lost the race; exponential randomized backoff, then
                     // spin again.
-                    self.spins += 1;
                     self.losses += 1;
                     self.phase = Phase::Backoff;
                     let window = 40u64 << self.losses.min(5);
@@ -132,11 +125,6 @@ impl LockDriver {
     /// The release store.
     pub fn release(&self) -> Op {
         Op::Write(self.addr, 0)
-    }
-
-    /// `(successful acquires, spin iterations)` for contention diagnostics.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.acquires, self.spins)
     }
 }
 
@@ -183,7 +171,6 @@ pub struct BarrierDriver {
     my_sense: u64,
     phase: BarrierPhase,
     last_arriver_step: u8,
-    crossings: u64,
 }
 
 impl BarrierDriver {
@@ -202,7 +189,6 @@ impl BarrierDriver {
             my_sense: 1,
             phase: BarrierPhase::Arrive,
             last_arriver_step: 0,
-            crossings: 0,
         }
     }
 
@@ -265,14 +251,8 @@ impl BarrierDriver {
     }
 
     fn pass(&mut self) {
-        self.crossings += 1;
         self.my_sense = 1 - self.my_sense; // sense reversal
         self.phase = BarrierPhase::Arrive;
-    }
-
-    /// How many times this thread has crossed the barrier.
-    pub fn crossings(&self) -> u64 {
-        self.crossings
     }
 }
 
@@ -288,13 +268,18 @@ mod tests {
     fn fast_path_three_steps() {
         let mut r = rng();
         let mut l = LockDriver::new(WordAddr(5));
-        assert!(matches!(l.step(0, &mut r), LockOutcome::Issue(Op::Read(_))));
-        assert!(matches!(
+        let read = LockOutcome::Issue(Op::Read(WordAddr(5)));
+        assert_eq!(l.step(0, &mut r), read);
+        assert_eq!(
             l.step(0, &mut r),
-            LockOutcome::Issue(Op::Cas { expected: 0, new: 1, .. })
-        ));
+            LockOutcome::Issue(Op::Cas {
+                addr: WordAddr(5),
+                expected: 0,
+                new: 1
+            })
+        );
         assert_eq!(l.step(0, &mut r), LockOutcome::Acquired);
-        assert_eq!(l.stats().0, 1);
+        assert_eq!(l.step(0, &mut r), read, "re-armed for the next acquire");
     }
 
     #[test]
@@ -302,11 +287,10 @@ mod tests {
         let mut r = rng();
         let mut l = LockDriver::new(WordAddr(5));
         l.step(0, &mut r); // issue read
-        // Lock reads as held (1) repeatedly → keeps issuing reads.
+        // Lock reads as held (1) repeatedly → keeps reading the lock word.
         for _ in 0..10 {
-            assert!(matches!(l.step(1, &mut r), LockOutcome::Issue(Op::Read(_))));
+            assert_eq!(l.step(1, &mut r), LockOutcome::Issue(Op::Read(WordAddr(5))));
         }
-        assert!(l.stats().1 >= 10);
         // Finally free → CAS.
         assert!(matches!(l.step(0, &mut r), LockOutcome::Issue(Op::Cas { .. })));
     }
@@ -336,10 +320,20 @@ mod tests {
         let mut b = BarrierDriver::new(WordAddr(0), 3);
         b.step(0, &mut r); // fetch-add issued
         // Old count 2 → we are the 3rd of 3: reset, flip, pass.
-        assert!(matches!(b.step(2, &mut r), LockOutcome::Issue(Op::Write(_, 0))));
-        assert!(matches!(b.step(0, &mut r), LockOutcome::Issue(Op::Write(_, 1))));
+        assert_eq!(
+            b.step(2, &mut r),
+            LockOutcome::Issue(Op::Write(WordAddr(0), 0))
+        );
+        assert_eq!(
+            b.step(0, &mut r),
+            LockOutcome::Issue(Op::Write(WordAddr(1), 1))
+        );
         assert_eq!(b.step(0, &mut r), LockOutcome::Acquired);
-        assert_eq!(b.crossings(), 1);
+        // Passed: the next step arrives at the next crossing.
+        assert_eq!(
+            b.step(0, &mut r),
+            LockOutcome::Issue(Op::FetchAdd(WordAddr(0), 1))
+        );
     }
 
     #[test]
@@ -373,7 +367,6 @@ mod tests {
             }
             assert_eq!(b.step(0, &mut r), LockOutcome::Acquired);
         }
-        assert_eq!(b.crossings(), 3);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + tests (which must compile without a
-# single warning), a warning-free clippy pass over every target, then a
-# determinism smoke of the parallel experiment runner (quick-scale repro on
-# 1 vs. 4 workers must produce byte-identical stdout).
+# single warning), a warning-free clippy pass over every target (and over
+# the benchmark/ workspace, with its smoke), then a determinism smoke of
+# the parallel experiment runner (quick-scale repro on 1 vs. 4 workers must
+# produce byte-identical stdout).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +31,7 @@ no_warnings cargo test -q
 echo "== lint: cargo clippy --all-targets =="
 # Clippy's default lints over every workspace target; one warning fails the
 # run, so lint debt cannot pile up unseen. The separate benchmark/ workspace
-# is not linted.
+# is linted with its smoke below.
 no_warnings cargo clippy --all-targets -q
 
 echo "== exploration smoke: bounded schedule search with the oracle =="
@@ -68,10 +69,12 @@ echo "ok: stm differential smoke in $(( (t_stm1 - t_stm0) / 1000000 )) ms"
 
 echo "== benchmark smoke: build benchmark/ and run every workload at 1/20 size =="
 # The benchmark crate imports the experiment runner, Figure 4 / Table 3 and
-# the explore engine, so a change to them that breaks it fails here. The
-# smoke exits non-zero when any workload fails its check; it writes only
-# build output under the gitignored benchmark/target.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# the explore engine, so a change to them that breaks it fails here, as does
+# a compiler or clippy warning in it. The smoke exits non-zero when any
+# workload fails its check; it writes only build output under the
+# gitignored benchmark/target.
+no_warnings cargo build --release --offline --manifest-path benchmark/Cargo.toml
+no_warnings cargo clippy --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/target/release/ltse-benchmark --smoke 2>&1 | tail -1
 echo "ok: benchmark built and its smoke passed"
 

@@ -17,7 +17,9 @@
 //!   --test integration_stm stm_replays_one_seed` to re-execute exactly
 //!   that program.
 
-use logtm_se::{ScriptOp, TmBackend, TxScript, WordAddr};
+use std::sync::{Arc, Mutex};
+
+use logtm_se::{FnProgram, Op, ScriptOp, SystemBuilder, TmBackend, TxScript, WordAddr};
 use ltse_sim::check::{cases, pick, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_stm::{StmBuilder, StmReport, StmSystem};
@@ -205,10 +207,86 @@ fn stm_and_sim_agree_on_counter_totals() {
             backend.run_backend().expect("run");
             backend.read_word(addr)
         };
-        let mut sim = logtm_se::SystemBuilder::small_for_tests().seed(7).build();
+        let mut sim = SystemBuilder::small_for_tests().seed(7).build();
         let mut stm: StmSystem = StmBuilder::new().seed(7).build();
         let total = threads as u64 * iters as u64;
         assert_eq!(drive(&mut sim), total, "sim total");
         assert_eq!(drive(&mut stm), total, "stm total");
     });
+}
+
+/// Op semantics agree across backends: one program per mode — inside a
+/// transaction, bare, and in an escape action inside a transaction —
+/// issues every memory op on preset words and records `last_value` at
+/// every step. The simulator and the STM must produce the same trace and
+/// the same final words, and both histories must replay clean.
+#[test]
+fn memory_ops_mean_the_same_on_both_backends() {
+    let [a, b, c, d, e] = [0u64, 1, 2, 3, 4].map(|i| WordAddr(i * 64));
+    let ops = [
+        Op::Read(a),
+        Op::Write(b, 99),
+        Op::Cas {
+            addr: c,
+            expected: 33,
+            new: 7,
+        },
+        Op::Cas {
+            addr: d,
+            expected: 0,
+            new: 8,
+        },
+        Op::FetchAdd(e, 5),
+    ];
+    let modes: [(&str, &[Op], &[Op]); 3] = [
+        ("transaction", &[Op::TxBegin], &[Op::TxCommit]),
+        ("bare", &[], &[]),
+        (
+            "escape",
+            &[Op::TxBegin, Op::EscapeBegin],
+            &[Op::EscapeEnd, Op::TxCommit],
+        ),
+    ];
+    for (mode, prologue, epilogue) in modes {
+        let script: Vec<Op> = prologue
+            .iter()
+            .chain(&ops)
+            .chain(epilogue)
+            .chain(&[Op::Done])
+            .copied()
+            .collect();
+        let run = |backend: &mut dyn TmBackend| {
+            for (w, v) in [(a, 11), (b, 22), (c, 33), (d, 44), (e, 55)] {
+                backend.poke_word(w, v);
+            }
+            let trace = Arc::new(Mutex::new(Vec::new()));
+            let (seen, script) = (Arc::clone(&trace), script.clone());
+            let mut step = 0;
+            backend.add_thread(Box::new(FnProgram::new(move |t, aborted| {
+                assert!(!aborted, "a lone thread cannot conflict");
+                seen.lock().unwrap().push(t.last_value);
+                step += 1;
+                script[step - 1]
+            })));
+            backend.run_backend().expect("run completes");
+            let finals = [a, b, c, d, e].map(|w| backend.read_word(w));
+            let trace = trace.lock().unwrap().clone();
+            (trace, finals, backend.finish_checks())
+        };
+        let sim = run(&mut SystemBuilder::small_for_tests()
+            .check_serializability(true)
+            .build());
+        let stm = run(&mut StmBuilder::new().check_serializability(true).build());
+        assert_eq!(sim.0, stm.0, "{mode}: last_value traces differ");
+        assert_eq!(sim.1, stm.1, "{mode}: final words differ");
+        assert!(sim.2.is_empty(), "{mode}: sim history: {:?}", sim.2);
+        assert!(stm.2.is_empty(), "{mode}: stm history: {:?}", stm.2);
+        // Read loads 11, Write leaves it, a CAS hit loads 33 and a miss 44,
+        // the fetch-add loads 55.
+        let mut want = vec![0; prologue.len()];
+        want.extend([0, 11, 11, 33, 44]);
+        want.extend(vec![55; epilogue.len() + 1]);
+        assert_eq!(stm.0, want, "{mode}: last_value trace");
+        assert_eq!(stm.1, [11, 99, 7, 44, 60], "{mode}: final words");
+    }
 }
