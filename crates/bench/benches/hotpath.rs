@@ -6,7 +6,11 @@
 //! * `event_queue/*` times a plain `BinaryHeap` event queue against the
 //!   bucketed calendar `EventQueue` **in the same run**, so the emitted
 //!   speedup is comparable across machines and PRs.
-//! * `end_to_end/contended_counter` times a small transactional run.
+//! * `end_to_end/contended_counter` times a small transactional run, and
+//!   `end_to_end/berkeleydb_{lock,tm}` one BerkeleyDB run each at Figure
+//!   4's scale (32 threads on the paper's 16-core × 2-SMT CMP), recording
+//!   its event count: the lock run spins on L1 hits of a core shared with
+//!   an SMT sibling, the TM run stalls and retries NACKed misses.
 //!
 //! Writes `BENCH_hotpath.json` through [`ltse_bench::harness`].
 
@@ -14,12 +18,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 
-use logtm_se::{SignatureKind, SystemBuilder, WordAddr};
+use logtm_se::{CoherenceKind, SignatureKind, SystemBuilder, WordAddr};
 use ltse_bench::harness::{self, Bench};
 use ltse_sig::{ReadWriteSignature, SigOp};
 use ltse_sim::rng::mix64;
 use ltse_sim::{Cycle, EventQueue};
-use ltse_workloads::{CsProgram, SharedCounter, SyncMode};
+use ltse_workloads::{run_benchmark, Benchmark, CsProgram, RunParams, SharedCounter, SyncMode};
 
 fn main() {
     let quick = harness::quick();
@@ -130,6 +134,26 @@ fn main() {
         }
         sys.run().expect("run")
     });
+    for (name, mode) in [
+        ("berkeleydb_lock", SyncMode::Lock),
+        ("berkeleydb_tm", SyncMode::Tm),
+    ] {
+        let params = RunParams {
+            benchmark: Benchmark::BerkeleyDb,
+            mode,
+            signature: SignatureKind::paper_bs_2kb(),
+            threads: 32,
+            units_per_thread: if quick { 1 } else { 6 },
+            seed: 7,
+            small_machine: false,
+            sticky: true,
+            coherence: CoherenceKind::DirectoryMesi,
+        };
+        let events = run_benchmark(&params).expect("run").events_dispatched;
+        bench.case_with(name, vec![("events", events.into())], || {
+            run_benchmark(&params).expect("run")
+        });
+    }
 
     bench.speedup(
         "event_queue_churn",

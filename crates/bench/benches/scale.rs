@@ -13,8 +13,12 @@
 //! The headline metric is **ns per dispatched event**: wall time grows with
 //! core count because bigger systems dispatch more events, so per-event
 //! cost is the number that exposes super-linear hot paths (O(cores) scans,
-//! allocation storms). The `speedups` map reports the 64-core baseline
-//! divided by each larger config — ≈1.0 means flat per-event cost.
+//! allocation storms). The `speedups` map reports the 64-core per-event
+//! cost divided by each larger config's — ≈1.0 means flat per-event cost.
+//! The three sweep sizes run in interleaved rounds (`Bench::rounds`), so
+//! each ratio is the median over rounds of the 64-core time over the
+//! larger one's, times the larger run's fixed event count over the
+//! 64-core run's.
 //!
 //! Writes `BENCH_scale.json` through [`ltse_bench::harness`].
 
@@ -75,20 +79,36 @@ fn run_row(n_cores: u16, checked: bool, r: &RunReport) -> Json {
 }
 
 fn main() {
-    let iters = harness::iters(if harness::quick() { 2 } else { 5 });
+    let iters = harness::iters(if harness::quick() { 21 } else { 11 });
     let mut bench = Bench::new("scale");
     let mut runs = Vec::new();
     let mut events = Vec::new();
 
     // ---- the 64/128/256-core sweep --------------------------------------
+    // The event count is a pure function of (config, seed), so one recorded
+    // run fixes it for every timed repetition.
     bench.group("sweep", iters);
     for n_cores in SWEEP_CORES {
         let r = run_once(n_cores, false);
         assert!(r.tm.commits > 0, "{n_cores}-core run committed nothing");
         runs.push(run_row(n_cores, false, &r));
-        events.push(r.events_dispatched);
-        bench.case(&format!("cores_{n_cores}"), || run_once(n_cores, false));
+        events.push(r.events_dispatched as f64);
     }
+    let sweep = |n_cores| {
+        move || {
+            run_once(n_cores, false);
+        }
+    };
+    let times = bench.rounds(&mut [
+        ("cores_64", &mut sweep(64)),
+        ("cores_128", &mut sweep(128)),
+        ("cores_256", &mut sweep(256)),
+    ]);
+    let per_event_vs = |i: usize| {
+        let t = times.as_ref()?;
+        Some(harness::median_ratio(&t[0], &t[i]) * events[i] / events[0])
+    };
+    let (vs_128, vs_256) = (per_event_vs(1), per_event_vs(2));
 
     // ---- 256 contexts under the serializability oracle ------------------
     // `run_once(_, true)` panics on any violation, so a finished timing run
@@ -97,17 +117,6 @@ fn main() {
     bench.group("checked", iters);
     bench.case("cores_256_serializability", || run_once(256, true));
 
-    // ---- per-event scaling ----------------------------------------------
-    // best_ms over events from the recorded (deterministic) run: the event
-    // count is a pure function of (config, seed), so pairing it with the
-    // best timing of the same config is sound.
-    let ns_per_event = |i: usize| {
-        let best = bench.best_ms("sweep", &format!("cores_{}", SWEEP_CORES[i]))?;
-        (events[i] > 0).then(|| best * 1e6 / events[i] as f64)
-    };
-    let base = ns_per_event(0);
-    let vs_128 = base.zip(ns_per_event(1)).map(|(b, o)| b / o);
-    let vs_256 = base.zip(ns_per_event(2)).map(|(b, o)| b / o);
     bench.ratio("per_event_64_vs_128", vs_128);
     bench.ratio("per_event_64_vs_256", vs_256);
     bench.field("units_per_thread", units_per_thread());

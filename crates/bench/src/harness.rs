@@ -79,6 +79,24 @@ fn time<T>(f: &mut impl FnMut() -> T) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
+/// The median over pairs of `base[i] / opt[i]`: how many times faster
+/// `opt` ran than `base`, from per-round times such as [`Bench::rounds`]
+/// returns.
+///
+/// # Panics
+///
+/// Panics if the slices are empty or differ in length.
+pub fn median_ratio(base: &[f64], opt: &[f64]) -> f64 {
+    assert!(
+        !base.is_empty() && base.len() == opt.len(),
+        "need equal, non-empty time lists"
+    );
+    let mut ratios: Vec<f64> = base.iter().zip(opt).map(|(b, o)| b / o).collect();
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0
+}
+
 /// One timed case, as recorded in the document's `cases`.
 struct Case {
     group: String,
@@ -170,34 +188,44 @@ impl Bench {
         (base, mut base_f): (&str, impl FnMut() -> A),
         (opt, mut opt_f): (&str, impl FnMut() -> B),
     ) -> Option<f64> {
-        if !self.selected(base) || !self.selected(opt) {
-            self.ratio(ratio, None);
+        let times = self.rounds(&mut [
+            (base, &mut || {
+                black_box(base_f());
+            }),
+            (opt, &mut || {
+                black_box(opt_f());
+            }),
+        ]);
+        let median = times.map(|t| median_ratio(&t[0], &t[1]));
+        self.ratio(ratio, median);
+        median
+    }
+
+    /// Time several cases of the current group in rounds, one round per
+    /// iteration: a round runs every case once, and which case goes first
+    /// rotates from round to round (with two cases, they alternate). Records
+    /// every case and returns each case's per-round times in seconds, so
+    /// that entry `i` of two cases forms a pair for [`median_ratio`];
+    /// `None`, recording nothing, when a filter skips any case.
+    pub fn rounds(&mut self, cases: &mut [(&str, &mut dyn FnMut())]) -> Option<Vec<Vec<f64>>> {
+        if !cases.iter().all(|(name, _)| self.selected(name)) {
             return None;
         }
-        black_box(base_f());
-        black_box(opt_f());
-        let (mut base_times, mut opt_times) = (Vec::new(), Vec::new());
-        for i in 0..self.iters {
-            if i % 2 == 0 {
-                base_times.push(time(&mut base_f));
-                opt_times.push(time(&mut opt_f));
-            } else {
-                opt_times.push(time(&mut opt_f));
-                base_times.push(time(&mut base_f));
+        for (_, f) in cases.iter_mut() {
+            f();
+        }
+        let k = cases.len();
+        let mut times = vec![Vec::with_capacity(self.iters); k];
+        for round in 0..self.iters {
+            for j in 0..k {
+                let i = (round + j) % k;
+                times[i].push(time(&mut cases[i].1));
             }
         }
-        self.record(base, Vec::new(), &base_times);
-        self.record(opt, Vec::new(), &opt_times);
-        let mut ratios: Vec<f64> = base_times
-            .iter()
-            .zip(&opt_times)
-            .map(|(b, o)| b / o)
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let n = ratios.len();
-        let median = (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0;
-        self.ratio(ratio, Some(median));
-        Some(median)
+        for ((name, _), t) in cases.iter().zip(&times) {
+            self.record(name, Vec::new(), t);
+        }
+        Some(times)
     }
 
     /// Whether the command-line filters let the case `name` of the current

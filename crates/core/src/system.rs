@@ -695,7 +695,9 @@ impl System {
             PreAccessCheck::Clear => {}
         }
 
-        let outcome = self.mem.access(ctx, kind, block, &self.tm);
+        // `pre_access` has just checked the same-core siblings, so an L1 hit
+        // need not ask the oracle again.
+        let outcome = self.mem.access_siblings_checked(ctx, kind, block, &self.tm);
         self.drain_overflow_events();
 
         match outcome {
@@ -1455,6 +1457,52 @@ mod tests {
         let r = s.run().unwrap();
         assert!(r.cycles >= Cycle(1000));
         assert_eq!(r.mem.l1_hits.get() + r.mem.l1_misses.get(), 0);
+    }
+
+    #[test]
+    fn header_store_l1_hit_is_nacked_by_an_aliasing_smt_sibling() {
+        // Thread 0 (core 0, slot 0) commits one transaction, so its log
+        // header block sits in core 0's L1, then begins another: the header
+        // store hits there and bypasses the pre-access check. Meanwhile
+        // thread 1 (core 0, slot 1) holds a transaction that wrote `data`;
+        // on 64-bit bit-select signatures block 64 aliases the header block
+        // (2^40), so only the L1 hit's own sibling check can NACK the store.
+        let run = |data: WordAddr| {
+            let mut s = SystemBuilder::paper_default()
+                .signature(SignatureKind::BitSelect { bits: 64 })
+                .seed(3)
+                .build();
+            let script0 = [
+                Op::TxBegin,
+                Op::TxCommit,
+                Op::Work(3_000),
+                Op::TxBegin,
+                Op::TxCommit,
+            ];
+            let script1 = [
+                Op::Work(1_000),
+                Op::TxBegin,
+                Op::Write(data, 1),
+                Op::Work(20_000),
+                Op::TxCommit,
+            ];
+            for script in [script0, script1] {
+                let mut next = script.into_iter();
+                s.add_thread(Box::new(FnProgram::new(move |_t, aborted| {
+                    assert!(!aborted, "no transaction here aborts");
+                    next.next().unwrap_or(Op::Done)
+                })));
+            }
+            let r = s.run().unwrap();
+            (r.mem.nacks.get(), r.tm.false_conflicts_signalled.get())
+        };
+        let header = TmUnit::log_base_for_thread(0).block();
+        assert_eq!(header.as_u64() % 64, 64 % 64, "block 64 aliases the header");
+        let (nacks, false_conflicts) = run(BlockAddr(65).first_word());
+        assert_eq!(
+            run(BlockAddr(64).first_word()),
+            (nacks + 1, false_conflicts + 1)
+        );
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct Way {
 }
 
 /// A set-associative array mapping block addresses to per-line state, with
-/// true-LRU replacement. Used for the L1 tag/state arrays, the L2 banks, and
-/// the TM crate's log filter (which the paper notes is "much like a TLB").
+/// true-LRU replacement. Used for the L1 tag/state arrays and the L2 banks
+/// (the TM crate's log filter is an array of its own).
 ///
 /// ```
 /// use ltse_mem::{BlockAddr, CacheConfig, SetAssocCache};

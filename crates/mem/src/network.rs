@@ -20,11 +20,14 @@ use ltse_sim::Cycle;
 /// assert_eq!(g.hops(0, 15), 6);      // (0,0) → (3,3)
 /// assert_eq!(g.latency(0, 15), Cycle(18));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
     width: usize,
     height: usize,
     link: Cycle,
+    /// Node `n`'s `(x, y)` = `(n % width, n / width)`, computed once so a
+    /// hop count on the per-access path divides nothing.
+    coords: Box<[(u16, u16)]>,
 }
 
 impl Grid {
@@ -32,13 +35,21 @@ impl Grid {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or larger than 65,536.
     pub fn new(width: usize, height: usize, link: Cycle) -> Self {
         assert!(width > 0 && height > 0, "grid must be nonempty");
+        assert!(
+            width <= 1 << 16 && height <= 1 << 16,
+            "grid dimensions must fit 16-bit coordinates"
+        );
+        let coords = (0..width * height)
+            .map(|node| ((node % width) as u16, (node / width) as u16))
+            .collect();
         Grid {
             width,
             height,
             link,
+            coords,
         }
     }
 
@@ -51,12 +62,11 @@ impl Grid {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if either node id is out of range.
+    /// Panics if either node id is out of range.
     pub fn hops(&self, a: usize, b: usize) -> u64 {
-        debug_assert!(a < self.nodes() && b < self.nodes());
-        let (ax, ay) = (a % self.width, a / self.width);
-        let (bx, by) = (b % self.width, b / self.width);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        let (ax, ay) = self.coords[a];
+        let (bx, by) = self.coords[b];
+        (ax.abs_diff(bx) as u64) + (ay.abs_diff(by) as u64)
     }
 
     /// Latency of one message from node `a` to node `b`.
@@ -69,8 +79,8 @@ impl Grid {
     /// farthest node is always a corner, so this is O(1) — it used to scan
     /// every node, which showed up hot on 256-core directory-loss paths.
     pub fn broadcast_latency(&self, from: usize) -> Cycle {
-        debug_assert!(from < self.nodes());
-        let (fx, fy) = (from % self.width, from / self.width);
+        let (fx, fy) = self.coords[from];
+        let (fx, fy) = (fx as usize, fy as usize);
         let hops = fx.max(self.width - 1 - fx) + fy.max(self.height - 1 - fy);
         Cycle(hops as u64 * self.link.as_u64())
     }
@@ -92,6 +102,31 @@ mod tests {
         assert_eq!(g.hops(0, 12), 3); // down the left column
         assert_eq!(g.hops(5, 10), 2); // (1,1) → (2,2)
         assert_eq!(g.hops(7, 7), 0);
+    }
+
+    #[test]
+    fn hops_match_the_division_formula() {
+        for (w, h) in [
+            (1, 1),
+            (2, 2),
+            (4, 4),
+            (8, 8),
+            (12, 12),
+            (16, 16),
+            (5, 3),
+            (1, 7),
+            (7, 1),
+        ] {
+            let g = Grid::new(w, h, Cycle(3));
+            for a in 0..g.nodes() {
+                for b in 0..g.nodes() {
+                    let (ax, ay) = (a % w, a / w);
+                    let (bx, by) = (b % w, b / w);
+                    let formula = (ax.abs_diff(bx) + ay.abs_diff(by)) as u64;
+                    assert_eq!(g.hops(a, b), formula, "{w}x{h}: {a} -> {b}");
+                }
+            }
+        }
     }
 
     #[test]

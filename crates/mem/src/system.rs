@@ -290,6 +290,13 @@ impl Default for MemConfig {
 pub struct MemorySystem {
     config: MemConfig,
     grid: Grid,
+    /// `ctx_core[ctx]` is `config.core_of(ctx)`, built once so that an
+    /// access divides nothing to find its L1.
+    ctx_core: Box<[CoreId]>,
+    /// `n_cores / n_chips` and `n_banks / n_chips`, read only when the
+    /// machine has more than one chip.
+    cores_per_chip: u16,
+    banks_per_chip: u16,
     l1s: Vec<SetAssocCache<L1State>>,
     l2_banks: Vec<SetAssocCache<L2Line>>,
     /// Blocks whose directory state was lost to an L2 eviction while
@@ -315,6 +322,11 @@ impl MemorySystem {
         MemorySystem {
             config,
             grid,
+            ctx_core: (0..config.n_ctxs())
+                .map(|ctx| config.core_of(ctx))
+                .collect(),
+            cores_per_chip: config.n_cores / config.n_chips as u16,
+            banks_per_chip: config.n_banks / config.n_chips as u16,
             l1s: (0..config.n_cores)
                 .map(|_| SetAssocCache::new(config.l1))
                 .collect(),
@@ -406,16 +418,18 @@ impl MemorySystem {
         (block.0 % self.config.n_banks as u64) as u16
     }
 
-    /// Grid node hosting a core. Cores and banks are laid out round-robin
-    /// over the mesh.
+    /// Grid node hosting a core: core *i* sits on node *i*, next to bank
+    /// *i* (`validate` makes the mesh at least as large as the core and
+    /// bank counts).
     #[inline]
     fn core_node(&self, core: CoreId) -> usize {
-        core as usize % self.grid.nodes()
+        core as usize
     }
 
+    /// Grid node hosting an L2 bank (see [`MemorySystem::core_node`]).
     #[inline]
     fn bank_node(&self, bank: u16) -> usize {
-        bank as usize % self.grid.nodes()
+        bank as usize
     }
 
     fn net(&self, a: usize, b: usize) -> Cycle {
@@ -425,20 +439,20 @@ impl MemorySystem {
     /// The chip hosting a core (cores are partitioned contiguously).
     #[inline]
     fn chip_of_core(&self, core: CoreId) -> u8 {
-        (core / (self.config.n_cores / self.config.n_chips as u16)) as u8
+        (core / self.cores_per_chip) as u8
     }
 
     /// The chip hosting an L2 bank.
     #[inline]
     fn chip_of_bank(&self, bank: u16) -> u8 {
-        (bank / (self.config.n_banks / self.config.n_chips as u16)) as u8
+        (bank / self.banks_per_chip) as u8
     }
 
     /// Inter-chip crossing penalty between a core and a bank, with message
     /// accounting (paper §7 "Multiple CMPs": a point-to-point network
     /// connects the chips).
     fn interchip_core_bank(&mut self, core: CoreId, bank: u16) -> Cycle {
-        if self.chip_of_core(core) != self.chip_of_bank(bank) {
+        if self.config.n_chips > 1 && self.chip_of_core(core) != self.chip_of_bank(bank) {
             self.stats.interchip_messages.inc();
             self.config.interchip_link
         } else {
@@ -448,7 +462,7 @@ impl MemorySystem {
 
     /// Inter-chip crossing penalty between two cores.
     fn interchip_core_core(&mut self, a: CoreId, b: CoreId) -> Cycle {
-        if self.chip_of_core(a) != self.chip_of_core(b) {
+        if self.config.n_chips > 1 && self.chip_of_core(a) != self.chip_of_core(b) {
             self.stats.interchip_messages.inc();
             self.config.interchip_link
         } else {
@@ -456,15 +470,14 @@ impl MemorySystem {
         }
     }
 
-    /// Worst-case crossing penalty for a broadcast originating at `core`
-    /// (zero on a single chip; one crossing otherwise — fan-out crossings
-    /// happen in parallel but each costs a message).
-    fn interchip_broadcast(&mut self, core: CoreId) -> Cycle {
+    /// Worst-case crossing penalty for a broadcast (zero on a single chip;
+    /// one crossing otherwise — fan-out crossings happen in parallel but
+    /// each costs a message).
+    fn interchip_broadcast(&mut self) -> Cycle {
         if self.config.n_chips > 1 {
             self.stats
                 .interchip_messages
                 .add(self.config.n_chips as u64 - 1);
-            let _ = core;
             self.config.interchip_link
         } else {
             Cycle::ZERO
@@ -475,7 +488,8 @@ impl MemorySystem {
     ///
     /// Resolves the full coherence transaction atomically (see crate docs)
     /// and returns either completion (with total latency) or a NACK (no
-    /// state changed). Signature checks are delegated to `oracle`.
+    /// state changed). Signature checks are delegated to `oracle`,
+    /// including, on an L1 hit, the requester's same-core SMT siblings.
     ///
     /// # Panics
     ///
@@ -487,8 +501,43 @@ impl MemorySystem {
         block: BlockAddr,
         oracle: &dyn ConflictOracle,
     ) -> AccessOutcome {
-        assert!(requester < self.config.n_ctxs(), "ctx out of range");
-        let core = self.config.core_of(requester);
+        self.access_from(requester, kind, block, oracle, true)
+    }
+
+    /// [`MemorySystem::access`] for a requester whose same-core SMT
+    /// siblings the caller has just checked for `kind` on `block`, with the
+    /// answer `oracle.check_core` on the requester's core would give, and
+    /// found clear (the TM layer's pre-access check does this before every
+    /// data access). An L1 hit then skips that repeated check; every other
+    /// step is [`MemorySystem::access`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requester` is out of range for the configuration.
+    pub fn access_siblings_checked(
+        &mut self,
+        requester: CtxId,
+        kind: AccessKind,
+        block: BlockAddr,
+        oracle: &dyn ConflictOracle,
+    ) -> AccessOutcome {
+        self.access_from(requester, kind, block, oracle, false)
+    }
+
+    /// The body of both access entry points; `check_siblings` says whether
+    /// an L1 hit still asks the oracle about the requester's own core.
+    #[inline(always)]
+    fn access_from(
+        &mut self,
+        requester: CtxId,
+        kind: AccessKind,
+        block: BlockAddr,
+        oracle: &dyn ConflictOracle,
+        check_siblings: bool,
+    ) -> AccessOutcome {
+        let Some(&core) = self.ctx_core.get(requester as usize) else {
+            panic!("ctx out of range");
+        };
         let lat = self.config.latency;
 
         // ---- L1 lookup -------------------------------------------------
@@ -506,7 +555,7 @@ impl MemorySystem {
             // this check the hit path would bypass conflict detection
             // whenever two contexts share an L1. A one-context core has no
             // sibling, and the oracle never reports the requester itself.
-            if self.config.smt_per_core > 1 {
+            if check_siblings && self.config.smt_per_core > 1 {
                 if let Some(nacker) = oracle.check_core(core, kind, block, requester) {
                     self.stats.nacks.inc();
                     return AccessOutcome::Nacked {
@@ -547,7 +596,7 @@ impl MemorySystem {
             .find(block)
             .map(|(way, line)| (way, line.dir.clone()));
         match entry {
-            None => self.access_l2_miss(requester, core, kind, block, bank, base, oracle),
+            None => self.access_l2_miss(core, kind, block, bank, base, oracle),
             Some((way, dir)) => match kind {
                 AccessKind::Load => {
                     self.access_gets(requester, core, block, bank, base, (way, dir), oracle)
@@ -563,7 +612,6 @@ impl MemorySystem {
     /// the wired-OR owner/shared/nack responses, and resolve. Conflict
     /// detection needs no sticky states: every broadcast reaches every
     /// signature.
-    #[allow(clippy::too_many_arguments)] // mirrors the request message fields
     fn access_snooping(
         &mut self,
         requester: CtxId,
@@ -575,7 +623,7 @@ impl MemorySystem {
         let lat = self.config.latency;
         self.stats.messages.add(self.config.n_cores as u64); // bus fan-out
         let me = self.core_node(core);
-        let crossing = self.interchip_broadcast(core);
+        let crossing = self.interchip_broadcast();
         let bcast = self.grid.broadcast_latency(me) + crossing;
         let base = lat.l1_hit + bcast + lat.remote_probe;
 
@@ -703,14 +751,14 @@ impl MemorySystem {
     ) -> AccessOutcome {
         let lat = self.config.latency;
         self.stats.lost_dir_broadcasts.inc();
-        let crossing = self.interchip_broadcast(core);
+        let crossing = self.interchip_broadcast();
         let bcast = self.grid.broadcast_latency(self.bank_node(bank)) + crossing;
         self.stats.messages.add(self.config.n_cores as u64); // fan-out
         // Check every other core's signatures (the requester's own core is
         // covered by the TM layer's same-core checks).
         if let Some(nacker) = self.check_cores_except(core, kind, block, requester, oracle) {
             self.stats.nacks.inc();
-            let nack_core = self.config.core_of(nacker);
+            let nack_core = self.ctx_core[nacker as usize];
             let latency = base
                 + bcast
                 + lat.remote_probe
@@ -769,10 +817,8 @@ impl MemorySystem {
     }
 
     /// Plain L2 miss (no directory entry, nothing lost): fetch from DRAM.
-    #[allow(clippy::too_many_arguments)] // mirrors the request message fields
     fn access_l2_miss(
         &mut self,
-        _requester: CtxId,
         core: CoreId,
         kind: AccessKind,
         block: BlockAddr,
@@ -1384,6 +1430,144 @@ mod tests {
             assert_eq!(m.l1_state_str(0, BlockAddr(3)), "M");
             let expect = if screened { checks + 3 } else { checks };
             assert_eq!(*o.checks.borrow(), expect, "oracle calls at {smt} SMT");
+        }
+    }
+
+    #[test]
+    fn siblings_checked_access_skips_only_the_l1_hit_check() {
+        let mut m = sys();
+        let c00 = m.config().ctx(0, 0);
+        let sibling = m.config().ctx(0, 1);
+        let mut o = FakeOracle::default();
+        assert!(m
+            .access_siblings_checked(c00, AccessKind::Load, BlockAddr(3), &o)
+            .is_done());
+        o.read_conflicts.push((0, 3, sibling));
+        o.write_conflicts.push((1, 7, m.config().ctx(1, 0)));
+        let checks = *o.checks.borrow();
+        let r = m.access_siblings_checked(c00, AccessKind::Load, BlockAddr(3), &o);
+        assert!(matches!(r, AccessOutcome::Done(d) if d.l1_hit), "{r:?}");
+        assert_eq!(
+            *o.checks.borrow(),
+            checks,
+            "an L1 hit asks the oracle nothing"
+        );
+        // A miss still checks the cores the directory names.
+        m.access(m.config().ctx(1, 0), AccessKind::Load, BlockAddr(7), &o);
+        let w = m.access_siblings_checked(c00, AccessKind::Store, BlockAddr(7), &o);
+        assert!(matches!(w, AccessOutcome::Nacked { .. }), "{w:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "ctx out of range")]
+    fn access_rejects_a_context_past_the_last_core() {
+        let mut m = sys();
+        let past = m.config().n_ctxs();
+        m.access(past, AccessKind::Load, BlockAddr(0), &NullOracle);
+    }
+
+    #[test]
+    fn topology_maps_equal_the_arithmetic_they_replace() {
+        let mut configs = vec![MemConfig::paper_cmp(), MemConfig::small_for_tests()];
+        for n in [4, 12, 64, 100, 128, 256] {
+            for smt in [1, 2] {
+                configs.push(MemConfig::scaled_cmp(n, smt));
+            }
+        }
+        for n_chips in [2, 4] {
+            configs.push(MemConfig {
+                n_chips,
+                ..MemConfig::paper_cmp()
+            });
+            configs.push(MemConfig {
+                n_chips,
+                ..MemConfig::scaled_cmp(64, 2)
+            });
+        }
+        configs.push(MemConfig {
+            n_chips: 2,
+            ..MemConfig::small_for_tests()
+        });
+        for cfg in configs {
+            let mut m = MemorySystem::new(cfg);
+            let name = format!(
+                "{} cores x {} smt, {} chips",
+                cfg.n_cores, cfg.smt_per_core, cfg.n_chips
+            );
+            assert_eq!(m.ctx_core.len(), cfg.n_ctxs() as usize, "{name}");
+            for ctx in 0..cfg.n_ctxs() {
+                assert_eq!(
+                    m.ctx_core[ctx as usize],
+                    cfg.core_of(ctx),
+                    "{name}: ctx {ctx}"
+                );
+            }
+            let (w, nodes) = (cfg.grid_width, cfg.grid_width * cfg.grid_height);
+            for core in 0..cfg.n_cores {
+                assert_eq!(
+                    m.core_node(core),
+                    core as usize % nodes,
+                    "{name}: core {core}"
+                );
+            }
+            for bank in 0..cfg.n_banks {
+                assert_eq!(
+                    m.bank_node(bank),
+                    bank as usize % nodes,
+                    "{name}: bank {bank}"
+                );
+            }
+            for a in 0..nodes {
+                for b in 0..nodes {
+                    let hops = ((a % w).abs_diff(b % w) + (a / w).abs_diff(b / w)) as u64;
+                    let expect = Cycle(hops * cfg.latency.link.as_u64());
+                    assert_eq!(m.net(a, b), expect, "{name}: node {a} -> {b}");
+                }
+            }
+            let chip_of_core = |c: u16| (c / (cfg.n_cores / cfg.n_chips as u16)) as u8;
+            let chip_of_bank = |b: u16| (b / (cfg.n_banks / cfg.n_chips as u16)) as u8;
+            let crossing = |differ: bool| {
+                if differ {
+                    cfg.interchip_link
+                } else {
+                    Cycle::ZERO
+                }
+            };
+            let mut crossings = 0;
+            for core in 0..cfg.n_cores {
+                assert_eq!(
+                    m.chip_of_core(core),
+                    chip_of_core(core),
+                    "{name}: core {core}"
+                );
+                for bank in 0..cfg.n_banks {
+                    let differ = chip_of_core(core) != chip_of_bank(bank);
+                    assert_eq!(
+                        m.interchip_core_bank(core, bank),
+                        crossing(differ),
+                        "{name}"
+                    );
+                    crossings += differ as u64;
+                }
+                for other in 0..cfg.n_cores {
+                    let differ = chip_of_core(core) != chip_of_core(other);
+                    assert_eq!(
+                        m.interchip_core_core(core, other),
+                        crossing(differ),
+                        "{name}"
+                    );
+                    crossings += differ as u64;
+                }
+            }
+            for bank in 0..cfg.n_banks {
+                assert_eq!(
+                    m.chip_of_bank(bank),
+                    chip_of_bank(bank),
+                    "{name}: bank {bank}"
+                );
+            }
+            assert_eq!(m.stats().interchip_messages.get(), crossings, "{name}");
+            assert_eq!(crossings == 0, cfg.n_chips == 1, "{name}");
         }
     }
 

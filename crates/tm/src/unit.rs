@@ -66,6 +66,9 @@ pub struct CommitOutcome {
 pub struct TmUnit {
     config: TmConfig,
     smt_per_core: u8,
+    /// `ctx_core[ctx]` is `ctx / smt_per_core`, built once so that the
+    /// pre-access check divides nothing to find a context's siblings.
+    ctx_core: Box<[ltse_mem::CoreId]>,
     slots: Vec<Option<ThreadTmState>>,
     /// Stats of threads that were destroyed/descheduled-forever, so nothing
     /// is lost from aggregates.
@@ -126,6 +129,9 @@ impl TmUnit {
         TmUnit {
             config,
             smt_per_core,
+            ctx_core: (0..n_ctxs)
+                .map(|ctx| (ctx / smt_per_core as u32) as ltse_mem::CoreId)
+                .collect(),
             slots: (0..n_ctxs).map(|_| None).collect(),
             retired_stats: TmStats::new(),
             serial_holder: None,
@@ -252,9 +258,13 @@ impl TmUnit {
     }
 
     /// The core hosting `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is out of range.
     #[inline]
     pub fn core_of(&self, ctx: CtxId) -> ltse_mem::CoreId {
-        (ctx / self.smt_per_core as u32) as ltse_mem::CoreId
+        self.ctx_core[ctx as usize]
     }
 
     // ---- lifecycle pass-throughs (see [`ThreadTmState`]) -----------------
