@@ -78,8 +78,8 @@ fn main() {
     let churn_ops = if quick { 20_000 } else { 1_000_000 };
     let deltas: Vec<u64> = (0..1024)
         .map(|i| match mix64(i) % 10 {
-            0..=5 => mix64(i ^ 7) % 8,        // cache-hit scale
-            6..=8 => mix64(i ^ 9) % 200,      // network/memory scale
+            0..=5 => mix64(i ^ 7) % 8,          // cache-hit scale
+            6..=8 => mix64(i ^ 9) % 200,        // network/memory scale
             _ => 1_000 + mix64(i ^ 11) % 4_000, // retry/backoff scale
         })
         .collect();

@@ -24,8 +24,8 @@
 //! Writes `BENCH_policy.json` through [`ltse_bench::harness`].
 
 use ltse_bench::experiments::{
-    policy_oltp_config, policy_points, policy_sweep, policy_tune, ExperimentScale,
-    PolicySweepRow, POLICY_ESCALATE_AFTER, POLICY_OLTP_POINTS,
+    policy_oltp_config, policy_points, policy_sweep, policy_tune, ExperimentScale, PolicySweepRow,
+    POLICY_ESCALATE_AFTER, POLICY_OLTP_POINTS,
 };
 use ltse_bench::harness::{self, Bench};
 use ltse_bench::json::Json;

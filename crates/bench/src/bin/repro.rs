@@ -80,8 +80,8 @@
 
 use logtm_se::{MemConfig, SystemBuilder};
 use ltse_bench::experiments::ExperimentScale;
-use ltse_bench::runner::{self, SweepError};
 use ltse_bench::render;
+use ltse_bench::runner::{self, SweepError};
 use ltse_bench::*;
 
 fn table1_text() -> String {
@@ -220,9 +220,7 @@ fn parse_args(args: &[String]) -> Cli {
                 .unwrap_or_else(|| usage_error(&format!("--{name} requires {what}")))
         };
         match name {
-            "quick" | "csv" if inline.is_some() => {
-                usage_error(&format!("--{name} takes no value"))
-            }
+            "quick" | "csv" if inline.is_some() => usage_error(&format!("--{name} takes no value")),
             "quick" => cli.quick = true,
             "csv" => cli.csv = true,
             "jobs" => {
@@ -320,7 +318,10 @@ fn main() {
             "table3" => emit(table3(&scale), render::render_table3),
             "victimization" => emit(victimization(&scale), render::render_victimization),
             "table4" => {
-                print!("{}", logtm_se::substrates::tm::virt_compare::render_table4());
+                print!(
+                    "{}",
+                    logtm_se::substrates::tm::virt_compare::render_table4()
+                );
                 true
             }
             "sweep" => emit(signature_sweep(&scale), render::render_sweep),
@@ -333,9 +334,7 @@ fn main() {
             "smt" => emit(smt_comparison(&scale), render::render_smt),
             "oltp" => emit(oltp_experiment(&scale), render::render_oltp),
             // Inside `all`, only the deterministic simulator rows.
-            "policy" if cmd == "all" => {
-                emit(policy_sweep_sim(&scale), render::render_policy_sweep)
-            }
+            "policy" if cmd == "all" => emit(policy_sweep_sim(&scale), render::render_policy_sweep),
             "policy" => emit(policy_sweep(&scale), render::render_policy_sweep),
             other => unknown_subcommand(other),
         };

@@ -8,7 +8,7 @@
 //! surfaces as a labelled entry in the returned [`SweepError`] instead of
 //! killing the sweep.
 
-use logtm_se::{ContentionPolicy, CoherenceKind, Cycle, SignatureKind, SystemBuilder};
+use logtm_se::{CoherenceKind, ContentionPolicy, Cycle, SignatureKind, SystemBuilder};
 use ltse_sim::config::seed_sequence;
 use ltse_sim::stats::SampleSet;
 use ltse_workloads::{
@@ -108,32 +108,36 @@ pub fn smt_comparison(scale: &ExperimentScale) -> Result<Vec<SmtRow>, SweepError
     let seed = seed_sequence(scale.base_seed, 1)[0];
     let mut specs = Vec::new();
     for benchmark in [Benchmark::Mp3d, Benchmark::BerkeleyDb] {
-        for (machine, n_cores, smt, grid) in
-            [("16x2 SMT", 16u16, 2u8, (4usize, 4usize)), ("32x1", 32, 1, (6, 6))]
-        {
-            specs.push(RunSpec::new(format!("smt/{benchmark}/{machine}"), move || {
-                let mut mem = logtm_se::MemConfig::paper_cmp();
-                mem.n_cores = n_cores;
-                mem.smt_per_core = smt;
-                mem.grid_width = grid.0;
-                mem.grid_height = grid.1;
-                let mut system = SystemBuilder::paper_default()
-                    .mem_config(mem)
-                    .signature(SignatureKind::paper_bs_2kb())
-                    .seed(seed)
-                    .build();
-                for program in benchmark.programs(SyncMode::Tm, 32, scale.units_per_thread) {
-                    system.add_thread(program);
-                }
-                let r = system.run()?;
-                Ok::<_, logtm_se::RunError>(SmtRow {
-                    benchmark,
-                    machine,
-                    cycles: r.cycles,
-                    sibling_stalls: r.tm.sibling_stalls,
-                    stalls: r.tm.stalls,
-                })
-            }));
+        for (machine, n_cores, smt, grid) in [
+            ("16x2 SMT", 16u16, 2u8, (4usize, 4usize)),
+            ("32x1", 32, 1, (6, 6)),
+        ] {
+            specs.push(RunSpec::new(
+                format!("smt/{benchmark}/{machine}"),
+                move || {
+                    let mut mem = logtm_se::MemConfig::paper_cmp();
+                    mem.n_cores = n_cores;
+                    mem.smt_per_core = smt;
+                    mem.grid_width = grid.0;
+                    mem.grid_height = grid.1;
+                    let mut system = SystemBuilder::paper_default()
+                        .mem_config(mem)
+                        .signature(SignatureKind::paper_bs_2kb())
+                        .seed(seed)
+                        .build();
+                    for program in benchmark.programs(SyncMode::Tm, 32, scale.units_per_thread) {
+                        system.add_thread(program);
+                    }
+                    let r = system.run()?;
+                    Ok::<_, logtm_se::RunError>(SmtRow {
+                        benchmark,
+                        machine,
+                        cycles: r.cycles,
+                        sibling_stalls: r.tm.sibling_stalls,
+                        stalls: r.tm.stalls,
+                    })
+                },
+            ));
         }
     }
     sweep("smt_comparison", jobs(), specs)
@@ -461,8 +465,11 @@ pub fn figure4(scale: &ExperimentScale) -> Result<Vec<Fig4Row>, SweepError> {
             }];
 
             for kind in SignatureKind::figure4_set() {
-                let ratios: SampleSet =
-                    it.by_ref().take(seeds.len()).map(|t| t / lock_mean).collect();
+                let ratios: SampleSet = it
+                    .by_ref()
+                    .take(seeds.len())
+                    .map(|t| t / lock_mean)
+                    .collect();
                 let (speedup, ci95) = ratios.mean_ci95().expect("one run per seed");
                 let label = match kind {
                     SignatureKind::Perfect => "P".to_string(),
@@ -520,7 +527,13 @@ pub fn table2(scale: &ExperimentScale) -> Result<Vec<Table2Row>, SweepError> {
     let specs = Benchmark::all()
         .into_iter()
         .map(|benchmark| {
-            let p = params(&scale, benchmark, SyncMode::Tm, SignatureKind::Perfect, seed);
+            let p = params(
+                &scale,
+                benchmark,
+                SyncMode::Tm,
+                SignatureKind::Perfect,
+                seed,
+            );
             RunSpec::new(format!("table2/{benchmark}"), move || {
                 let r = run_benchmark(&p)?;
                 Ok::<_, logtm_se::RunError>(Table2Row {
@@ -635,7 +648,13 @@ pub fn victimization(scale: &ExperimentScale) -> Result<Vec<VictimRow>, SweepErr
     let specs = Benchmark::all()
         .into_iter()
         .map(|benchmark| {
-            let mut p = params(&scale, benchmark, SyncMode::Tm, SignatureKind::Perfect, seed);
+            let mut p = params(
+                &scale,
+                benchmark,
+                SyncMode::Tm,
+                SignatureKind::Perfect,
+                seed,
+            );
             if benchmark == Benchmark::Raytrace {
                 p.units_per_thread = scale.units_per_thread * 4;
             }
@@ -692,10 +711,17 @@ pub fn signature_sweep(scale: &ExperimentScale) -> Result<Vec<SweepRow>, SweepEr
     let seed = seed_sequence(scale.base_seed, 1)[0];
     let mut specs = Vec::new();
     for benchmark in [Benchmark::Raytrace, Benchmark::BerkeleyDb] {
-        let p = params(&scale, benchmark, SyncMode::Lock, SignatureKind::Perfect, seed);
-        specs.push(RunSpec::new(format!("sig_sweep/{benchmark}/lock"), move || {
-            run_benchmark(&p).map(|r| (r.throughput_per_kcycle(), None, 0))
-        }));
+        let p = params(
+            &scale,
+            benchmark,
+            SyncMode::Lock,
+            SignatureKind::Perfect,
+            seed,
+        );
+        specs.push(RunSpec::new(
+            format!("sig_sweep/{benchmark}/lock"),
+            move || run_benchmark(&p).map(|r| (r.throughput_per_kcycle(), None, 0)),
+        ));
         for bits in [64usize, 128, 256, 512, 1024, 2048, 4096] {
             for signature in sweep_signatures(bits) {
                 let p = params(&scale, benchmark, SyncMode::Tm, signature, seed);
@@ -703,7 +729,11 @@ pub fn signature_sweep(scale: &ExperimentScale) -> Result<Vec<SweepRow>, SweepEr
                     format!("sig_sweep/{benchmark}/{}", signature.label()),
                     move || {
                         run_benchmark(&p).map(|r| {
-                            (r.throughput_per_kcycle(), r.tm.false_positive_pct(), r.tm.aborts)
+                            (
+                                r.throughput_per_kcycle(),
+                                r.tm.false_positive_pct(),
+                                r.tm.aborts,
+                            )
                         })
                     },
                 ));
@@ -820,19 +850,28 @@ pub fn sticky_ablation(scale: &ExperimentScale) -> Result<Vec<StickyRow>, SweepE
 
     // Mp3d: tiny footprints — sticky should cost/buy nothing.
     for sticky in [true, false] {
-        let mut p = params(&scale, Benchmark::Mp3d, SyncMode::Tm, SignatureKind::Perfect, seed);
+        let mut p = params(
+            &scale,
+            Benchmark::Mp3d,
+            SyncMode::Tm,
+            SignatureKind::Perfect,
+            seed,
+        );
         p.sticky = sticky;
-        specs.push(RunSpec::new(format!("sticky/mp3d/sticky={sticky}"), move || {
-            let r = run_benchmark(&p)?;
-            Ok(StickyRow {
-                workload: Benchmark::Mp3d.name().into(),
-                sticky,
-                cycles: r.cycles,
-                aborts: r.tm.aborts,
-                victimizations: r.mem.tx_victimizations_exact(),
-                completed: true,
-            })
-        }));
+        specs.push(RunSpec::new(
+            format!("sticky/mp3d/sticky={sticky}"),
+            move || {
+                let r = run_benchmark(&p)?;
+                Ok(StickyRow {
+                    workload: Benchmark::Mp3d.name().into(),
+                    sticky,
+                    cycles: r.cycles,
+                    aborts: r.tm.aborts,
+                    victimizations: r.mem.tx_victimizations_exact(),
+                    completed: true,
+                })
+            },
+        ));
     }
     sweep("sticky_ablation", jobs(), specs)
 }
@@ -940,8 +979,7 @@ pub fn virtualization_overhead(scale: &ExperimentScale) -> Result<Vec<VirtRow>, 
             builder = builder.preemption(q, defer);
         }
         let mut system = builder.build();
-        for program in
-            Benchmark::BerkeleyDb.programs(SyncMode::Tm, threads, scale.units_per_thread)
+        for program in Benchmark::BerkeleyDb.programs(SyncMode::Tm, threads, scale.units_per_thread)
         {
             system.add_thread(program);
         }
@@ -967,7 +1005,10 @@ pub fn virtualization_overhead(scale: &ExperimentScale) -> Result<Vec<VirtRow>, 
         for defer in [true, false] {
             specs.push(RunSpec::new(
                 format!("virtualization/q={}/defer={defer}", quantum.as_u64()),
-                move || run_with(threads, Some((quantum, defer))).map(|r| row_from(r, Some(quantum), defer)),
+                move || {
+                    run_with(threads, Some((quantum, defer)))
+                        .map(|r| row_from(r, Some(quantum), defer))
+                },
             ));
         }
     }
@@ -1025,9 +1066,8 @@ fn sim_then_stm<R: Send>(
     match (sim, stm) {
         (Ok(sim), Ok(stm)) => Ok((sim, stm)),
         (sim, stm) => {
-            let runs = |part: &Result<Vec<R>, SweepError>| {
-                part.as_ref().map_or_else(|e| e.runs, Vec::len)
-            };
+            let runs =
+                |part: &Result<Vec<R>, SweepError>| part.as_ref().map_or_else(|e| e.runs, Vec::len);
             Err(SweepError {
                 experiment,
                 runs: runs(&sim) + runs(&stm),
@@ -1049,8 +1089,11 @@ fn cross_check<R>(
     (sim, stm): (Vec<R>, Vec<R>),
     disagree: impl Fn(&R, &R) -> Option<FailedRun>,
 ) -> Result<Vec<(R, R)>, SweepError> {
-    let failures: Vec<FailedRun> =
-        sim.iter().zip(&stm).filter_map(|(a, b)| disagree(a, b)).collect();
+    let failures: Vec<FailedRun> = sim
+        .iter()
+        .zip(&stm)
+        .filter_map(|(a, b)| disagree(a, b))
+        .collect();
     if failures.is_empty() {
         Ok(sim.into_iter().zip(stm).collect())
     } else {
@@ -1229,7 +1272,10 @@ pub fn oltp_compare(scale: &ExperimentScale) -> Result<Vec<OltpRow>, SweepError>
             ),
         })
     })?;
-    Ok(pairs.into_iter().flat_map(|(sim, stm)| [sim, stm]).collect())
+    Ok(pairs
+        .into_iter()
+        .flat_map(|(sim, stm)| [sim, stm])
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -1319,36 +1365,41 @@ fn policy_specs(
     // Hitting the cycle watchdog is a result here, not a failure.
     if kind == BackendKind::Sim {
         for policy in ContentionPolicy::ALL {
-            specs.push(RunSpec::new(format!("policy/mp3d/{}", policy.name()), move || {
-                let mut system = SystemBuilder::paper_default()
-                    .signature(SignatureKind::paper_bs_2kb())
-                    .contention(policy)
-                    .escalate_after(Some(POLICY_ESCALATE_AFTER))
-                    .seed(seed)
-                    .limits(ltse_sim::config::SimLimits {
-                        max_cycles: Cycle(10_000_000),
-                        max_events: 1_000_000_000,
+            specs.push(RunSpec::new(
+                format!("policy/mp3d/{}", policy.name()),
+                move || {
+                    let mut system = SystemBuilder::paper_default()
+                        .signature(SignatureKind::paper_bs_2kb())
+                        .contention(policy)
+                        .escalate_after(Some(POLICY_ESCALATE_AFTER))
+                        .seed(seed)
+                        .limits(ltse_sim::config::SimLimits {
+                            max_cycles: Cycle(10_000_000),
+                            max_events: 1_000_000_000,
+                        })
+                        .build();
+                    for program in Benchmark::Mp3d.programs(
+                        SyncMode::Tm,
+                        scale.threads,
+                        scale.units_per_thread,
+                    ) {
+                        system.add_thread(program);
+                    }
+                    let completed = system.run().is_ok();
+                    let r = system.report();
+                    let cycles = r.cycles.as_u64().max(1);
+                    Ok(PolicySweepRow {
+                        workload: "mp3d_tm",
+                        backend: kind,
+                        policy,
+                        score: r.tm.work_units as f64 * 1e6 / cycles as f64,
+                        committed: r.tm.commits,
+                        aborts: r.tm.aborts,
+                        serial_escalations: r.tm.serial_escalations,
+                        completed,
                     })
-                    .build();
-                for program in
-                    Benchmark::Mp3d.programs(SyncMode::Tm, scale.threads, scale.units_per_thread)
-                {
-                    system.add_thread(program);
-                }
-                let completed = system.run().is_ok();
-                let r = system.report();
-                let cycles = r.cycles.as_u64().max(1);
-                Ok(PolicySweepRow {
-                    workload: "mp3d_tm",
-                    backend: kind,
-                    policy,
-                    score: r.tm.work_units as f64 * 1e6 / cycles as f64,
-                    committed: r.tm.commits,
-                    aborts: r.tm.aborts,
-                    serial_escalations: r.tm.serial_escalations,
-                    completed,
-                })
-            }));
+                },
+            ));
         }
     }
 
@@ -1384,7 +1435,11 @@ fn policy_specs(
 /// The deterministic simulator rows of [`policy_sweep`]: Mp3d plus the
 /// OLTP points under every policy, on the pool. `repro all` prints these.
 pub fn policy_sweep_sim(scale: &ExperimentScale) -> Result<Vec<PolicySweepRow>, SweepError> {
-    sweep("policy_sweep", jobs(), policy_specs(scale, BackendKind::Sim))
+    sweep(
+        "policy_sweep",
+        jobs(),
+        policy_specs(scale, BackendKind::Sim),
+    )
 }
 
 /// `repro policy`: every [`ContentionPolicy`] on contended workloads, on
@@ -1501,7 +1556,10 @@ mod tests {
         let rows = table3(&tiny()).expect("sweep");
         assert_eq!(rows.len(), 2 * table3_signatures().len());
         // Perfect signatures can never produce false positives.
-        for row in rows.iter().filter(|r| r.signature == SignatureKind::Perfect) {
+        for row in rows
+            .iter()
+            .filter(|r| r.signature == SignatureKind::Perfect)
+        {
             assert!(matches!(row.false_positive_pct, None | Some(0.0)));
         }
     }
@@ -1519,7 +1577,11 @@ mod tests {
                 row.benchmark
             );
             assert!(row.sim_cycles > 0, "{}", row.benchmark);
-            assert!(row.sim_commits > 0 && row.stm_commits > 0, "{}", row.benchmark);
+            assert!(
+                row.sim_commits > 0 && row.stm_commits > 0,
+                "{}",
+                row.benchmark
+            );
             assert!(row.stm_wall_ms >= 0.0 && row.stm_units_per_ms >= 0.0);
         }
     }
@@ -1577,7 +1639,10 @@ mod tests {
             .map(|r| (r.policy.name(), r.serial_escalations))
             .collect();
         assert_eq!(zipf99.len(), ContentionPolicy::ALL.len());
-        assert!(zipf99.iter().any(|&(_, n)| n > 0), "no zipf99 sim row escalated: {zipf99:?}");
+        assert!(
+            zipf99.iter().any(|&(_, n)| n > 0),
+            "no zipf99 sim row escalated: {zipf99:?}"
+        );
     }
 
     #[test]

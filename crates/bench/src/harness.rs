@@ -63,11 +63,7 @@ pub fn iters(default: usize) -> usize {
 pub fn detected_cpus() -> usize {
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo")
-        .map(|s| {
-            s.lines()
-                .filter(|l| l.starts_with("processor"))
-                .count()
-        })
+        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
         .unwrap_or(0);
     avail.max(cpuinfo).max(1)
 }

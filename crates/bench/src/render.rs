@@ -1,8 +1,8 @@
 //! Aligned-text rendering of experiment results (what `repro` prints).
 
 use crate::experiments::{
-    policy_points, Fig4Row, LogFilterRow, MultiCmpRow, NestingRow, OltpRow, PolicySweepRow,
-    SmtRow, SnoopRow, StickyRow, StmRow, SweepRow, Table2Row, Table3Row, VictimRow, VirtRow,
+    policy_points, Fig4Row, LogFilterRow, MultiCmpRow, NestingRow, OltpRow, PolicySweepRow, SmtRow,
+    SnoopRow, StickyRow, StmRow, SweepRow, Table2Row, Table3Row, VictimRow, VirtRow,
 };
 use ltse_workloads::BackendKind;
 
@@ -181,8 +181,16 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     out.push_str("Table 2: benchmarks and measured transaction footprints\n");
     out.push_str(&format!(
         "{:<12} {:<22} {:<28} {:>7} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}\n",
-        "Benchmark", "Input", "Unit of Work", "Units", "Txns", "ReadAvg", "ReadP95", "ReadMax",
-        "WriteAvg", "WriteMax"
+        "Benchmark",
+        "Input",
+        "Unit of Work",
+        "Units",
+        "Txns",
+        "ReadAvg",
+        "ReadP95",
+        "ReadMax",
+        "WriteAvg",
+        "WriteMax"
     ));
     for r in rows {
         out.push_str(&format!(
@@ -314,10 +322,19 @@ pub fn render_log_filter(rows: &[LogFilterRow]) -> String {
 /// Renders the virtualization-overhead ablation (A4).
 pub fn render_virt(rows: &[VirtRow]) -> String {
     let mut out = String::new();
-    out.push_str("Ablation A4: context-switch virtualization overhead (BerkeleyDB, 1.5× oversubscribed)\n");
+    out.push_str(
+        "Ablation A4: context-switch virtualization overhead (BerkeleyDB, 1.5× oversubscribed)\n",
+    );
     out.push_str(&format!(
         "{:>10} {:>7} {:>12} {:>8} {:>10} {:>14} {:>16} {:>8}\n",
-        "Quantum", "Defer", "Cycles", "Units", "Cyc/Unit", "TxDeschedules", "SummaryInstalls", "Aborts"
+        "Quantum",
+        "Defer",
+        "Cycles",
+        "Units",
+        "Cyc/Unit",
+        "TxDeschedules",
+        "SummaryInstalls",
+        "Aborts"
     ));
     for r in rows {
         out.push_str(&format!(
@@ -427,8 +444,10 @@ pub fn render_snooping(rows: &[SnoopRow]) -> String {
 
 /// CSV form of Figure 4 (one row per benchmark × bar) for plotting.
 pub fn csv_figure4(rows: &[Fig4Row]) -> String {
-    let mut out = String::from("benchmark,config,speedup,ci95
-");
+    let mut out = String::from(
+        "benchmark,config,speedup,ci95
+",
+    );
     for row in rows {
         for bar in &row.bars {
             out.push_str(&format!(
@@ -446,9 +465,10 @@ pub fn csv_figure4(rows: &[Fig4Row]) -> String {
 
 /// CSV form of Table 2.
 pub fn csv_table2(rows: &[Table2Row]) -> String {
-    let mut out =
-        String::from("benchmark,units,transactions,read_avg,read_p95,read_max,write_avg,write_max
-");
+    let mut out = String::from(
+        "benchmark,units,transactions,read_avg,read_p95,read_max,write_avg,write_max
+",
+    );
     for r in rows {
         out.push_str(&format!(
             "{},{},{},{:.2},{},{},{:.2},{}
@@ -468,8 +488,10 @@ pub fn csv_table2(rows: &[Table2Row]) -> String {
 
 /// CSV form of Table 3.
 pub fn csv_table3(rows: &[Table3Row]) -> String {
-    let mut out = String::from("benchmark,signature,transactions,aborts,stalls,false_positive_pct
-");
+    let mut out = String::from(
+        "benchmark,signature,transactions,aborts,stalls,false_positive_pct
+",
+    );
     for r in rows {
         out.push_str(&format!(
             "{},{},{},{},{},{}

@@ -249,7 +249,10 @@ mod tests {
         let rows = sweep("test_order", 3, specs).expect("all ok");
         assert_eq!(rows, (0..8).map(|i| i * 10).collect::<Vec<_>>());
         let timings = take_timings();
-        let t = timings.iter().find(|t| t.experiment == "test_order").unwrap();
+        let t = timings
+            .iter()
+            .find(|t| t.experiment == "test_order")
+            .unwrap();
         assert_eq!(t.runs, 8);
         assert_eq!(t.failed, 0);
     }

@@ -12,7 +12,7 @@
 //! are identical whatever `--jobs` says.
 
 use logtm_se::{
-    ContentionPolicy, CoherenceKind, Cycle, ObsReport, RunReport, SignatureKind, SystemBuilder,
+    CoherenceKind, ContentionPolicy, Cycle, ObsReport, RunReport, SignatureKind, SystemBuilder,
     TmBackend,
 };
 use ltse_sim::config::seed_sequence;

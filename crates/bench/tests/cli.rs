@@ -30,8 +30,14 @@ fn usage_errors_exit_2_and_name_the_problem() {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(named), "{args:?} must name {named}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: nothing runs after a usage error");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: nothing runs after a usage error"
+        );
     }
 }
 
@@ -42,7 +48,8 @@ fn the_stm_backend_runs_policy_and_tells_unknown_from_simulator_only() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.lines().any(|l| l.split_whitespace().nth(1) == Some("stm")),
+        text.lines()
+            .any(|l| l.split_whitespace().nth(1) == Some("stm")),
         "policy on the STM backend prints STM rows: {text}"
     );
 
@@ -54,17 +61,31 @@ fn the_stm_backend_runs_policy_and_tells_unknown_from_simulator_only() {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(named), "{args:?} must name {named}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: nothing runs after a usage error");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: nothing runs after a usage error"
+        );
     }
 }
 
 #[test]
 fn known_flags_in_both_forms_run() {
     let out = repro(&["--quick", "--jobs=2", "table1"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with("Table 1: system model parameters"), "{text}");
+    assert!(
+        text.starts_with("Table 1: system model parameters"),
+        "{text}"
+    );
 
     let spaced = repro(&["--quick", "--jobs", "2", "--", "table1"]);
     assert_eq!(spaced.status.code(), Some(0));

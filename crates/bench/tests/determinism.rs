@@ -74,11 +74,14 @@ fn policy_sweep_sim_rows_are_byte_identical_across_worker_counts() {
     let serial = render::render_policy_sweep(&policy_sweep_sim(&scale).expect("1-worker sweep"));
 
     runner::set_jobs(Some(4));
-    let parallel =
-        render::render_policy_sweep(&policy_sweep_sim(&scale).expect("4-worker sweep"));
+    let parallel = render::render_policy_sweep(&policy_sweep_sim(&scale).expect("4-worker sweep"));
 
     runner::set_jobs(None);
-    assert_eq!(serial.lines().count(), 2 + 15, "title, header, 3 points x 5 policies");
+    assert_eq!(
+        serial.lines().count(),
+        2 + 15,
+        "title, header, 3 points x 5 policies"
+    );
     assert_eq!(serial, parallel, "worker count leaked into the results");
 }
 

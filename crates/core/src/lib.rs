@@ -93,18 +93,16 @@ pub use report::RunReport;
 pub use system::{RunError, System};
 
 // Re-export the vocabulary types users need.
+pub use ltse_mem::SerializabilityOracle;
 pub use ltse_mem::{
     AccessKind, Asid, BlockAddr, CacheConfig, CoherenceKind, CoreId, CtxId, LatencyConfig,
     MemConfig, PageId, WordAddr, MAX_CORES,
 };
-pub use ltse_mem::SerializabilityOracle;
 pub use ltse_sig::SignatureKind;
 pub use ltse_sim::explore::{
     explore, explore_jobs, ExploreConfig, ExploreReport, Schedule, ScheduleChooser,
 };
-pub use ltse_sim::obs::{
-    AbortCause, CycleBreakdown, DetectPath, ObsReport, StallCause, TxSpan,
-};
+pub use ltse_sim::obs::{AbortCause, CycleBreakdown, DetectPath, ObsReport, StallCause, TxSpan};
 pub use ltse_sim::{config::SimLimits, Cycle, EventChooser};
 pub use ltse_tm::conflict::ContentionPolicy;
 pub use ltse_tm::{ConflictHistory, NestKind, TmConfig};

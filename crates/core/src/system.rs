@@ -3,8 +3,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use ltse_mem::{
-    AccessKind, AccessOutcome, Asid, BlockAddr, CtxId, MemorySystem, PageId,
-    SerializabilityOracle, WordAddr, WORDS_PER_BLOCK,
+    AccessKind, AccessOutcome, Asid, BlockAddr, CtxId, MemorySystem, PageId, SerializabilityOracle,
+    WordAddr, WORDS_PER_BLOCK,
 };
 use ltse_sim::config::SimLimits;
 use ltse_sim::obs::{AbortCause, DetectPath, ObsCore, ObsReport, StallCause};
@@ -56,7 +56,10 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::CycleLimit { at, unfinished } => {
-                write!(f, "cycle watchdog fired at {at} with {unfinished} threads unfinished")
+                write!(
+                    f,
+                    "cycle watchdog fired at {at} with {unfinished} threads unfinished"
+                )
             }
             RunError::EventLimit => write!(f, "event watchdog fired"),
             RunError::NoThreads => write!(f, "no threads to run"),
@@ -190,7 +193,10 @@ impl System {
     /// Renders the retained event trace (empty unless
     /// [`SystemBuilder::trace`] enabled tracing).
     pub fn trace_dump(&self) -> String {
-        self.trace.as_ref().map(TraceBuffer::dump).unwrap_or_default()
+        self.trace
+            .as_ref()
+            .map(TraceBuffer::dump)
+            .unwrap_or_default()
     }
 
     /// Snapshot of the observability layer's attribution data, if
@@ -447,7 +453,8 @@ impl System {
         let slot = &mut self.threads[tid as usize];
         slot.seq += 1;
         let seq = slot.seq;
-        self.queue.push_after(delay, Ev::Resume { thread: tid, seq });
+        self.queue
+            .push_after(delay, Ev::Resume { thread: tid, seq });
     }
 
     fn on_resume(&mut self, now: Cycle, tid: u32, seq: u64) {
@@ -486,7 +493,9 @@ impl System {
     }
 
     fn exec_op(&mut self, now: Cycle, tid: u32, op: Op) {
-        let ctx = self.threads[tid as usize].ctx.expect("running thread has a ctx");
+        let ctx = self.threads[tid as usize]
+            .ctx
+            .expect("running thread has a ctx");
         match op {
             Op::Done => {
                 self.threads[tid as usize].done = true;
@@ -563,7 +572,9 @@ impl System {
                 }
                 let header_addr = self.tm.begin_tx(ctx, kind, now);
                 // The header write is a real store into the (private) log.
-                let out = self.mem.access(ctx, AccessKind::Store, header_addr.block(), &self.tm);
+                let out = self
+                    .mem
+                    .access(ctx, AccessKind::Store, header_addr.block(), &self.tm);
                 let cfg = self.tm.config();
                 let mut cost = cfg.begin_cycles + out.latency();
                 if was_nested {
@@ -613,7 +624,9 @@ impl System {
     }
 
     fn exec_mem_op(&mut self, now: Cycle, tid: u32, op: Op, kind: AccessKind, vaddr: WordAddr) {
-        let ctx = self.threads[tid as usize].ctx.expect("running thread has a ctx");
+        let ctx = self.threads[tid as usize]
+            .ctx
+            .expect("running thread has a ctx");
         let asid = self.threads[tid as usize].asid;
         let paddr = self.translate(asid, vaddr);
         let block = paddr.block();
@@ -638,7 +651,11 @@ impl System {
                     if let Some(o) = self.obs.as_deref_mut() {
                         // The trapping thread "stalls" for the handler's
                         // duration plus its own retry.
-                        o.on_stall(tid, StallCause::SummaryConflict, cost + cfg.stall_retry_cycles);
+                        o.on_stall(
+                            tid,
+                            StallCause::SummaryConflict,
+                            cost + cfg.stall_retry_cycles,
+                        );
                     }
                     let slot = &mut self.threads[tid as usize];
                     slot.summary_stalls = 0;
@@ -719,7 +736,11 @@ impl System {
                         .tm
                         .thread(nacker)
                         .and_then(|t| t.judge_conflict(sig_op, block));
-                    let path = if in_cache { DetectPath::InCache } else { DetectPath::Sticky };
+                    let path = if in_cache {
+                        DetectPath::InCache
+                    } else {
+                        DetectPath::Sticky
+                    };
                     (path, judged)
                 } else {
                     (DetectPath::InCache, None)
@@ -757,25 +778,32 @@ impl System {
                 if kind == AccessKind::Store {
                     let mem = &self.mem;
                     let vblock = vaddr.block();
-                    if let Some(log_write) = self.tm.log_store_if_needed(ctx, vblock, || {
-                        read_block_words(mem, block)
-                    }) {
+                    if let Some(log_write) = self
+                        .tm
+                        .log_store_if_needed(ctx, vblock, || read_block_words(mem, block))
+                    {
                         // The log region is thread-private, but a hashed
                         // signature on another core can still alias its
                         // physical address and falsely NACK the log store;
                         // model that as one bounced round trip (the store
                         // retries and succeeds — no true conflict exists).
-                        let log_out =
-                            self.mem
-                                .access(ctx, AccessKind::Store, log_write.addr.block(), &self.tm);
+                        let log_out = self.mem.access(
+                            ctx,
+                            AccessKind::Store,
+                            log_write.addr.block(),
+                            &self.tm,
+                        );
                         total += log_out.latency();
                         if !log_out.is_done() {
                             if let Some(o) = self.obs.as_deref_mut() {
                                 o.bump("log_store_nack_bounces");
                             }
-                            let retry =
-                                self.mem
-                                    .access(ctx, AccessKind::Store, log_write.addr.block(), &self.tm);
+                            let retry = self.mem.access(
+                                ctx,
+                                AccessKind::Store,
+                                log_write.addr.block(),
+                                &self.tm,
+                            );
                             total += cfg.stall_retry_cycles + retry.latency();
                         }
                     }
@@ -816,14 +844,13 @@ impl System {
     /// `cause` attributes the abort in the observability layer; it does not
     /// change the abort's mechanics.
     fn do_abort(&mut self, now: Cycle, tid: u32, cause: AbortCause) {
-        let ctx = self.threads[tid as usize].ctx.expect("abort of a running thread");
+        let ctx = self.threads[tid as usize]
+            .ctx
+            .expect("abort of a running thread");
         let asid = self.threads[tid as usize].asid;
         let depth = self.tm.thread(ctx).map(|t| t.depth()).unwrap_or(0);
         if depth > 1 && self.threads[tid as usize].partial_streak < 3 {
-            let partials_before = self
-                .tm
-                .thread(ctx)
-                .map_or(0, |t| t.stats.partial_aborts);
+            let partials_before = self.tm.thread(ctx).map_or(0, |t| t.stats.partial_aborts);
             let mut undo = std::mem::take(&mut self.undo_scratch);
             let handler = self.tm.abort_innermost(ctx, &mut |base, old| {
                 undo.push((base, *old));
@@ -834,7 +861,9 @@ impl System {
             let mut traffic = Cycle::ZERO;
             for (vbase, old) in undo.drain(..) {
                 let pbase = self.translate(asid, vbase);
-                let out = self.mem.access(ctx, AccessKind::Store, pbase.block(), &self.tm);
+                let out = self
+                    .mem
+                    .access(ctx, AccessKind::Store, pbase.block(), &self.tm);
                 traffic += out.latency();
                 for (i, w) in old.iter().enumerate() {
                     self.mem.write_word(pbase.offset(i as u64), *w);
@@ -846,10 +875,7 @@ impl System {
             // `TmStats::partial_aborts` by construction (this fires whether
             // or not the program can resume mid-nest — the frame is already
             // unrolled either way).
-            let partials_after = self
-                .tm
-                .thread(ctx)
-                .map_or(0, |t| t.stats.partial_aborts);
+            let partials_after = self.tm.thread(ctx).map_or(0, |t| t.stats.partial_aborts);
             if let Some(o) = self.obs.as_deref_mut() {
                 o.on_partial_abort(
                     tid,
@@ -895,7 +921,11 @@ impl System {
             undo.push((base, *old));
         });
         self.trace(now, TraceTag::Abort, || {
-            format!("tid={tid} restored={} backoff={}", undo.len(), costs.backoff)
+            format!(
+                "tid={tid} restored={} backoff={}",
+                undo.len(),
+                costs.backoff
+            )
         });
         // Apply the restores and charge their memory traffic. The whole
         // abort happens within this event, so isolation is not observable
@@ -907,7 +937,9 @@ impl System {
             // Undo records hold virtual addresses; translate at restore
             // time so a relocated page is restored at its new home (§4.2).
             let pbase = self.translate(asid, vbase);
-            let out = self.mem.access(ctx, AccessKind::Store, pbase.block(), &self.tm);
+            let out = self
+                .mem
+                .access(ctx, AccessKind::Store, pbase.block(), &self.tm);
             traffic += out.latency();
             for (i, w) in old.iter().enumerate() {
                 self.mem.write_word(pbase.offset(i as u64), *w);
@@ -951,7 +983,10 @@ impl System {
             rng: &mut slot.rng,
         };
         slot.program.on_tx_abort(&mut prog_ctx);
-        self.schedule_resume(tid, costs.handler_cycles + traffic + costs.backoff + os_cost);
+        self.schedule_resume(
+            tid,
+            costs.handler_cycles + traffic + costs.backoff + os_cost,
+        );
     }
 
     /// Software abort of a *parked* thread's transaction (the summary-
@@ -1022,7 +1057,9 @@ impl System {
                 if self.tm.core_of(ctx) != ev.core {
                     continue;
                 }
-                let Some(t) = self.tm.thread(ctx) else { continue };
+                let Some(t) = self.tm.thread(ctx) else {
+                    continue;
+                };
                 if t.covers_hw(ev.block) {
                     let tid = t.thread_id;
                     if !self.threads[tid as usize].done {
@@ -1067,13 +1104,19 @@ impl System {
         }
 
         // Only preempt when someone is waiting for a context.
-        if self.run_queue.iter().all(|&t| self.threads[t as usize].done) {
+        if self
+            .run_queue
+            .iter()
+            .all(|&t| self.threads[t as usize].done)
+        {
             return;
         }
         let n_ctxs = self.tm.n_ctxs() as usize;
         for probe in 0..n_ctxs {
             let ctx = ((self.preempt_rr + probe) % n_ctxs) as CtxId;
-            let Some(t) = self.tm.thread(ctx) else { continue };
+            let Some(t) = self.tm.thread(ctx) else {
+                continue;
+            };
             if p.defer_in_tx && t.in_tx() {
                 continue; // preemption-deferral (paper §4.1, [29])
             }
@@ -1083,7 +1126,9 @@ impl System {
             }
             self.preempt_rr = (ctx as usize + 1) % n_ctxs;
             // Deschedule the victim...
-            self.trace(now, TraceTag::Preempt, || format!("tid={victim_tid} off ctx{ctx}"));
+            self.trace(now, TraceTag::Preempt, || {
+                format!("tid={victim_tid} off ctx{ctx}")
+            });
             if let Some(o) = self.obs.as_deref_mut() {
                 o.bump("preemptions");
             }
@@ -1112,7 +1157,8 @@ impl System {
         // Copy the data to its new physical home.
         for w in 0..WORDS_PER_PAGE {
             let v = self.mem.read_word(WordAddr(old_ppage * WORDS_PER_PAGE + w));
-            self.mem.write_word(WordAddr(new_ppage * WORDS_PER_PAGE + w), v);
+            self.mem
+                .write_word(WordAddr(new_ppage * WORDS_PER_PAGE + w), v);
         }
         // Physical pages and signature pages are both 4 KB = 64 blocks.
         let old_first_block = old_ppage * WORDS_PER_PAGE / WORDS_PER_BLOCK;
@@ -1220,7 +1266,10 @@ mod tests {
     }
 
     fn small(kind: SignatureKind, seed: u64) -> System {
-        SystemBuilder::small_for_tests().signature(kind).seed(seed).build()
+        SystemBuilder::small_for_tests()
+            .signature(kind)
+            .seed(seed)
+            .build()
     }
 
     #[test]
@@ -1296,7 +1345,10 @@ mod tests {
             let r = s.run().unwrap();
             let o = r.obs.as_ref().expect("observe(true) fills the report");
             assert_eq!(o.stall_total(), r.tm.stalls, "{kind}: stall causes");
-            assert_eq!(o.stalls_sibling, r.tm.sibling_stalls, "{kind}: sibling split");
+            assert_eq!(
+                o.stalls_sibling, r.tm.sibling_stalls,
+                "{kind}: sibling split"
+            );
             assert_eq!(o.abort_total(), r.tm.aborts, "{kind}: abort causes");
             assert_eq!(
                 o.metrics.get("partial_aborts"),
@@ -1363,7 +1415,10 @@ mod tests {
         assert_eq!(o.per_thread.len(), 4);
         // Spans are per-transaction: committed ones outnumber everything
         // else here, and each stays within the run.
-        assert_eq!(o.spans_committed + o.spans_aborted, o.spans.len() as u64 + o.spans_dropped);
+        assert_eq!(
+            o.spans_committed + o.spans_aborted,
+            o.spans.len() as u64 + o.spans_dropped
+        );
         for sp in &o.spans {
             assert!(sp.end >= sp.begin);
             assert!(sp.end <= r.cycles);
@@ -1611,7 +1666,12 @@ mod tests {
             } else {
                 s.run().unwrap()
             };
-            (r.cycles, r.tm.commits, r.tm.aborts, s.read_word(WordAddr(0)))
+            (
+                r.cycles,
+                r.tm.commits,
+                r.tm.aborts,
+                s.read_word(WordAddr(0)),
+            )
         };
         assert_eq!(run(false), run(true));
     }

@@ -68,7 +68,10 @@ impl SharerSet {
         if c < 64 {
             self.word0 |= 1u64 << c;
         } else {
-            assert!((c as usize) < MAX_CORES, "core {c} exceeds MAX_CORES={MAX_CORES}");
+            assert!(
+                (c as usize) < MAX_CORES,
+                "core {c} exceeds MAX_CORES={MAX_CORES}"
+            );
             let ext = self.ext.get_or_insert_with(|| Box::new([0; EXT_WORDS]));
             ext[(c as usize - 64) / 64] |= 1u64 << (c % 64);
         }
@@ -129,8 +132,7 @@ impl SharerSet {
 
 impl PartialEq for SharerSet {
     fn eq(&self, other: &Self) -> bool {
-        self.word0 == other.word0
-            && (0..EXT_WORDS).all(|i| self.ext_word(i) == other.ext_word(i))
+        self.word0 == other.word0 && (0..EXT_WORDS).all(|i| self.ext_word(i) == other.ext_word(i))
     }
 }
 
@@ -306,7 +308,11 @@ impl Iterator for SharerIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = self.cur.count_ones() as usize
-            + self.ext.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            + self
+                .ext
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
         (n, Some(n))
     }
 }
@@ -469,9 +475,17 @@ mod tests {
                         set.remove(c);
                         reference.remove(&c);
                     }
-                    _ => assert_eq!(set.contains(c), reference.contains(&c), "width={width} step={step}"),
+                    _ => assert_eq!(
+                        set.contains(c),
+                        reference.contains(&c),
+                        "width={width} step={step}"
+                    ),
                 }
-                assert_eq!(set.count() as usize, reference.len(), "width={width} step={step}");
+                assert_eq!(
+                    set.count() as usize,
+                    reference.len(),
+                    "width={width} step={step}"
+                );
                 assert_eq!(set.is_empty(), reference.is_empty());
             }
             // Iterator order is ascending and complete.
@@ -520,12 +534,19 @@ mod tests {
     fn sharerset_retain_except_edges() {
         for &width in &WIDTHS {
             // Build {0, 1, boundary-straddling ids, width-1}.
-            let members: Vec<CoreId> =
-                [0, 1, 63, 64, 65, width - 1].iter().copied().filter(|&c| c < width).collect();
+            let members: Vec<CoreId> = [0, 1, 63, 64, 65, width - 1]
+                .iter()
+                .copied()
+                .filter(|&c| c < width)
+                .collect();
             for &keep in &members {
                 let mut s: SharerSet = members.iter().copied().collect();
                 s.retain_except(keep);
-                assert_eq!(s.iter().collect::<Vec<_>>(), vec![keep], "width={width} keep={keep}");
+                assert_eq!(
+                    s.iter().collect::<Vec<_>>(),
+                    vec![keep],
+                    "width={width} keep={keep}"
+                );
             }
             // Retaining an absent core empties the set.
             let mut s: SharerSet = members.iter().copied().collect();
@@ -543,17 +564,26 @@ mod tests {
                 e.add_sharer(c);
             }
             e.add_sharer(width - 1); // stale self-share: must dedup vs owner
-            // Owner first, then ascending sharers minus owner and requester.
+                                     // Owner first, then ascending sharers minus owner and requester.
             let except = members.first().copied().unwrap_or(0);
             let got: Vec<CoreId> = e.forward_targets(except).collect();
             let mut want = vec![width - 1];
-            want.extend(members.iter().copied().filter(|&c| c != except && c != width - 1));
+            want.extend(
+                members
+                    .iter()
+                    .copied()
+                    .filter(|&c| c != except && c != width - 1),
+            );
             assert_eq!(got, want, "width={width}");
             let t = e.forward_targets(except);
             assert_eq!(t.len(), want.len(), "exact size, width={width}");
             assert!(!t.is_empty());
             // Two passes over the Copy iterator agree.
-            assert_eq!(t.collect::<Vec<_>>(), t.collect::<Vec<_>>(), "width={width}");
+            assert_eq!(
+                t.collect::<Vec<_>>(),
+                t.collect::<Vec<_>>(),
+                "width={width}"
+            );
         }
     }
 

@@ -151,10 +151,7 @@ mod tests {
         for (w, h) in [(4, 4), (8, 8), (12, 12), (16, 16), (5, 3), (1, 7)] {
             let g = Grid::new(w, h, Cycle(3));
             for from in 0..g.nodes() {
-                let scanned = (0..g.nodes())
-                    .map(|n| g.latency(from, n))
-                    .max()
-                    .unwrap();
+                let scanned = (0..g.nodes()).map(|n| g.latency(from, n)).max().unwrap();
                 assert_eq!(g.broadcast_latency(from), scanned, "{w}x{h} from {from}");
             }
         }

@@ -463,7 +463,10 @@ mod tests {
         write(&mut o, 0, 0x20, 7);
         o.commit(0);
         o.check_final(|_| 99); // actual memory disagrees
-        assert!(o.errors().iter().any(|e| e.contains("final state diverges")));
+        assert!(o
+            .errors()
+            .iter()
+            .any(|e| e.contains("final state diverges")));
     }
 
     #[test]
@@ -564,7 +567,11 @@ mod tests {
         o.begin(0, false);
         write(&mut o, 0, 0x80, 1);
         o.check_final(|_| 0);
-        assert!(o.errors().iter().any(|e| e.contains("still live")), "{:?}", o.errors());
+        assert!(
+            o.errors().iter().any(|e| e.contains("still live")),
+            "{:?}",
+            o.errors()
+        );
     }
 
     #[test]

@@ -68,7 +68,9 @@ impl MemStats {
 
     /// DRAM accesses that were *not* cold (capacity/conflict refetches).
     pub fn warm_dram_refetches(&self) -> u64 {
-        self.dram_accesses.get().saturating_sub(self.cold_misses.get())
+        self.dram_accesses
+            .get()
+            .saturating_sub(self.cold_misses.get())
     }
 
     /// L1 miss ratio over all L1 accesses (0 when idle).

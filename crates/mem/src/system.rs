@@ -404,7 +404,9 @@ impl MemorySystem {
     /// The directory entry for `block`, if its L2 line is resident.
     pub fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
         let bank = self.bank_of(block);
-        self.l2_banks[bank as usize].peek(&block).map(|l| l.dir.clone())
+        self.l2_banks[bank as usize]
+            .peek(&block)
+            .map(|l| l.dir.clone())
     }
 
     /// Whether the directory information for `block` was lost to an L2
@@ -543,11 +545,13 @@ impl MemorySystem {
         // ---- L1 lookup -------------------------------------------------
         // A load hits in any state, a store in M or E; a store to S is an
         // upgrade miss, and anything absent is a miss.
-        let hit = self.l1s[core as usize].find(block).and_then(|(way, &state)| {
-            let hits = kind == AccessKind::Load
-                || matches!(state, L1State::Modified | L1State::Exclusive);
-            hits.then_some(way)
-        });
+        let hit = self.l1s[core as usize]
+            .find(block)
+            .and_then(|(way, &state)| {
+                let hits = kind == AccessKind::Load
+                    || matches!(state, L1State::Modified | L1State::Exclusive);
+                hits.then_some(way)
+            });
         if let Some(way) = hit {
             // An L1 hit issues no coherence request, but LogTM-SE checks
             // signatures on *every* reference, not just misses: a same-core
@@ -637,14 +641,12 @@ impl MemorySystem {
         }
 
         // Owner signal: some other L1 holds the block M or E.
-        let owner = (0..self.config.n_cores)
-            .filter(|&c| c != core)
-            .find(|&c| {
-                matches!(
-                    self.l1s[c as usize].peek(&block),
-                    Some(L1State::Modified) | Some(L1State::Exclusive)
-                )
-            });
+        let owner = (0..self.config.n_cores).filter(|&c| c != core).find(|&c| {
+            matches!(
+                self.l1s[c as usize].peek(&block),
+                Some(L1State::Modified) | Some(L1State::Exclusive)
+            )
+        });
         let shared = (0..self.config.n_cores)
             .filter(|&c| c != core)
             .any(|c| self.l1s[c as usize].contains(&block));
@@ -754,8 +756,8 @@ impl MemorySystem {
         let crossing = self.interchip_broadcast();
         let bcast = self.grid.broadcast_latency(self.bank_node(bank)) + crossing;
         self.stats.messages.add(self.config.n_cores as u64); // fan-out
-        // Check every other core's signatures (the requester's own core is
-        // covered by the TM layer's same-core checks).
+                                                             // Check every other core's signatures (the requester's own core is
+                                                             // covered by the TM layer's same-core checks).
         if let Some(nacker) = self.check_cores_except(core, kind, block, requester, oracle) {
             self.stats.nacks.inc();
             let nack_core = self.ctx_core[nacker as usize];
@@ -862,9 +864,7 @@ impl MemorySystem {
                 // Forward to the exclusive owner for a write-signature check.
                 self.stats.forwards.inc();
                 self.stats.messages.add(2); // fwd + response
-                if let Some(nacker) =
-                    oracle.check_core(owner, AccessKind::Load, block, requester)
-                {
+                if let Some(nacker) = oracle.check_core(owner, AccessKind::Load, block, requester) {
                     return self.nack_via(core, bank, owner, base, nacker);
                 }
                 let owner_copy = self.l1s[owner as usize].find(block).map(|(way, _)| way);
@@ -876,7 +876,7 @@ impl MemorySystem {
                     *self.l1s[owner as usize].touch(way) = L1State::Shared;
                     new_dir.add_sharer(owner);
                     (
-                        base + self.fwd_path(core, bank, owner) ,
+                        base + self.fwd_path(core, bank, owner),
                         DataSource::RemoteL1,
                     )
                 } else {
@@ -884,8 +884,7 @@ impl MemorySystem {
                     // sharer so future GETMs still check its signature.
                     new_dir.add_sharer(owner);
                     (
-                        base + self.fwd_path(core, bank, owner)
-                            + lat.l2_access,
+                        base + self.fwd_path(core, bank, owner) + lat.l2_access,
                         DataSource::L2,
                     )
                 };
@@ -904,9 +903,8 @@ impl MemorySystem {
                 self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, L1State::Exclusive, oracle);
                 self.stats.l2_hits.inc();
-                let latency = base
-                    + lat.l2_access
-                    + self.net(self.bank_node(bank), self.core_node(core));
+                let latency =
+                    base + lat.l2_access + self.net(self.bank_node(bank), self.core_node(core));
                 AccessOutcome::Done(AccessDone {
                     latency,
                     l1_hit: false,
@@ -929,9 +927,8 @@ impl MemorySystem {
                 self.l2_banks[bank as usize].touch(dir_way).dir = new_dir;
                 self.l1_install(core, block, grant, oracle);
                 self.stats.l2_hits.inc();
-                let latency = base
-                    + lat.l2_access
-                    + self.net(self.bank_node(bank), self.core_node(core));
+                let latency =
+                    base + lat.l2_access + self.net(self.bank_node(bank), self.core_node(core));
                 AccessOutcome::Done(AccessDone {
                     latency,
                     l1_hit: false,
@@ -991,13 +988,15 @@ impl MemorySystem {
         let (latency, source) = if had_remote_owner_copy {
             (base + worst_target, DataSource::RemoteL1)
         } else if was_upgrade && targets.is_empty() {
-            (base + self.net(self.bank_node(bank), self.core_node(core)), DataSource::L1)
+            (
+                base + self.net(self.bank_node(bank), self.core_node(core)),
+                DataSource::L1,
+            )
         } else {
             self.stats.l2_hits.inc();
             (
-                base + worst_target.max(
-                    lat.l2_access + self.net(self.bank_node(bank), self.core_node(core)),
-                ),
+                base + worst_target
+                    .max(lat.l2_access + self.net(self.bank_node(bank), self.core_node(core))),
                 DataSource::L2,
             )
         };
@@ -1094,7 +1093,12 @@ impl MemorySystem {
             // request is broadcast anyway, §7); just write dirty data home.
             if matches!(victim_state, L1State::Modified) {
                 let bank = self.bank_of(victim);
-                self.l2_banks[bank as usize].insert(victim, L2Line { dir: DirEntry::new() });
+                self.l2_banks[bank as usize].insert(
+                    victim,
+                    L2Line {
+                        dir: DirEntry::new(),
+                    },
+                );
                 self.stats.messages.inc();
             }
             return;
@@ -1240,7 +1244,9 @@ mod tests {
         }
 
         fn block_is_transactional_hw(&self, core: u16, block: BlockAddr) -> bool {
-            self.tx_blocks.iter().any(|&(c, b)| c == core && b == block.0)
+            self.tx_blocks
+                .iter()
+                .any(|&(c, b)| c == core && b == block.0)
         }
 
         fn block_is_transactional_exact(&self, core: u16, block: BlockAddr) -> bool {
@@ -1403,7 +1409,9 @@ mod tests {
         assert_eq!(m.l1_state_str(0, BlockAddr(3)), "E");
         // The conflicting context itself may keep accessing its own data
         // (the oracle filters the requester).
-        assert!(m.access(sibling, AccessKind::Load, BlockAddr(3), &o).is_done());
+        assert!(m
+            .access(sibling, AccessKind::Load, BlockAddr(3), &o)
+            .is_done());
         // The silent E→M store upgrade is screened too.
         let w = m.access(c00, AccessKind::Store, BlockAddr(3), &o);
         assert!(matches!(w, AccessOutcome::Nacked { .. }));
@@ -1714,7 +1722,13 @@ mod tests {
         m.access(c0, AccessKind::Load, BlockAddr(4), &o);
         m.access(c0, AccessKind::Load, BlockAddr(8), &o);
         let events = m.take_overflow_events();
-        assert_eq!(events, vec![OverflowEvent { core: 0, block: BlockAddr(0) }]);
+        assert_eq!(
+            events,
+            vec![OverflowEvent {
+                core: 0,
+                block: BlockAddr(0)
+            }]
+        );
         // Directory cleaned as if non-transactional.
         let d = m.dir_entry(BlockAddr(0)).unwrap();
         assert!(!d.sticky);
@@ -1807,8 +1821,12 @@ mod tests {
         let o = NullOracle;
         let c0 = single.config().ctx(0, 0);
         // Block 0 → bank 0 → chip 0, same as core 0: no crossings.
-        let s = single.access(c0, AccessKind::Load, BlockAddr(0), &o).latency();
-        let m = multi.access(c0, AccessKind::Load, BlockAddr(0), &o).latency();
+        let s = single
+            .access(c0, AccessKind::Load, BlockAddr(0), &o)
+            .latency();
+        let m = multi
+            .access(c0, AccessKind::Load, BlockAddr(0), &o)
+            .latency();
         assert_eq!(s, m);
         assert_eq!(multi.stats().interchip_messages.get(), 0);
     }

@@ -58,7 +58,11 @@ fn mesi_invariant_holds_under_directory() {
         for a in &seq {
             let out = m.access(
                 a.ctx,
-                if a.store { AccessKind::Store } else { AccessKind::Load },
+                if a.store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
                 BlockAddr(a.block),
                 &NullOracle,
             );
@@ -78,7 +82,11 @@ fn mesi_invariant_holds_under_snooping() {
         for a in &seq {
             let out = m.access(
                 a.ctx,
-                if a.store { AccessKind::Store } else { AccessKind::Load },
+                if a.store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
                 BlockAddr(a.block),
                 &NullOracle,
             );
@@ -118,7 +126,11 @@ fn nacks_never_mutate_protocol_state() {
             assert!(out.is_done(), "owner's own access can't be NACKed");
         }
         for a in &seq {
-            let kind = if a.store { AccessKind::Store } else { AccessKind::Load };
+            let kind = if a.store {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
             let before_states: Vec<String> = (0..m.config().n_cores)
                 .map(|c| m.l1_state_str(c, BlockAddr(a.block)).to_string())
                 .collect();

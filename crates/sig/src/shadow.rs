@@ -100,9 +100,7 @@ impl ShadowedRwSignature {
     pub fn conflicts_exactly(&self, op: SigOp, a: u64) -> bool {
         match op {
             SigOp::Read => self.exact_write.maybe_contains(a),
-            SigOp::Write => {
-                self.exact_read.maybe_contains(a) || self.exact_write.maybe_contains(a)
-            }
+            SigOp::Write => self.exact_read.maybe_contains(a) || self.exact_write.maybe_contains(a),
         }
     }
 
@@ -205,7 +203,10 @@ mod tests {
         let mut rw = ShadowedRwSignature::new(&SignatureKind::paper_bs_64());
         rw.insert(SigOp::Write, 1);
         assert_eq!(rw.classify(SigOp::Write, 1), ConflictVerdict::True);
-        assert_eq!(rw.classify(SigOp::Write, 65), ConflictVerdict::FalsePositive);
+        assert_eq!(
+            rw.classify(SigOp::Write, 65),
+            ConflictVerdict::FalsePositive
+        );
         assert_eq!(rw.classify(SigOp::Write, 2), ConflictVerdict::None);
     }
 

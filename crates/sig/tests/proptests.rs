@@ -127,8 +127,9 @@ fn rw_conflict_semantics() {
 #[test]
 fn counting_signature_matches_naive_union() {
     cases(64, 0xC0047, |rng| {
-        let per_thread: Vec<Vec<u64>> =
-            vec_of(rng, 1, 5, |r| vec_of(r, 0, 30, |r2| r2.gen_range(0, 1 << 16)));
+        let per_thread: Vec<Vec<u64>> = vec_of(rng, 1, 5, |r| {
+            vec_of(r, 0, 30, |r2| r2.gen_range(0, 1 << 16))
+        });
         let kind = SignatureKind::BitSelect { bits: 512 };
         let mut counting = CountingSignature::new(512);
         let saves: Vec<_> = per_thread
@@ -325,7 +326,11 @@ fn perfect_signature_filter_never_changes_an_answer() {
             }
             for _ in 0..32 {
                 let far = rng.next_u64();
-                assert_eq!(sig.maybe_contains(far), model.contains(&far), "probe {far:#x}");
+                assert_eq!(
+                    sig.maybe_contains(far),
+                    model.contains(&far),
+                    "probe {far:#x}"
+                );
             }
             assert_eq!(sig.len(), model.len());
 
@@ -341,7 +346,10 @@ fn perfect_signature_filter_never_changes_an_answer() {
             let mut restored = PerfectSignature::new();
             restored.insert(u64::MAX); // stale contents restore must drop
             restored.restore(&SavedSignature::Exact(twice));
-            assert_eq!(restored, sig, "restored from a reversed list with duplicates");
+            assert_eq!(
+                restored, sig,
+                "restored from a reversed list with duplicates"
+            );
         }
     });
 }

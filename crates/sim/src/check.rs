@@ -32,7 +32,9 @@ pub fn cases<F: FnMut(&mut Xoshiro256StarStar)>(n: usize, base_seed: u64, mut f:
         let mut rng = Xoshiro256StarStar::new(seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng)));
         if let Err(payload) = outcome {
-            eprintln!("check::cases: case {i}/{n} failed (base_seed={base_seed:#x}, case seed={seed:#x})");
+            eprintln!(
+                "check::cases: case {i}/{n} failed (base_seed={base_seed:#x}, case seed={seed:#x})"
+            );
             std::panic::resume_unwind(payload);
         }
     }

@@ -413,7 +413,9 @@ impl<E: Copy> EventQueue<E> {
         let mut from = self.window_start;
         let mut passed = 0;
         while from <= last {
-            let Some(t) = self.first_bucket_in(from, last) else { break };
+            let Some(t) = self.first_bucket_in(from, last) else {
+                break;
+            };
             let (mut prev, mut cur) = (NIL, self.heads[(t.0 & self.mask) as usize]);
             while cur != NIL {
                 if passed == k {
@@ -641,10 +643,19 @@ mod tests {
         // Pick index 1: 'b' fires first, *at* cycle 1. 'c' is outside the
         // horizon and must not be eligible.
         let mut chooser = Fixed(vec![1], 0);
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(10), 4), Some((Cycle(1), 'b')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(10), 4),
+            Some((Cycle(1), 'b'))
+        );
         // 'a' kept its original timestamp.
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(10), 4), Some((Cycle(1), 'a')));
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(10), 4), Some((Cycle(50), 'c')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(10), 4),
+            Some((Cycle(1), 'a'))
+        );
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(10), 4),
+            Some((Cycle(50), 'c'))
+        );
         assert_eq!(q.now(), Cycle(50));
     }
 
@@ -657,7 +668,10 @@ mod tests {
         // window=2: only 'a' and 'b' are eligible; an out-of-range pick is
         // clamped to the last eligible event.
         let mut chooser = Fixed(vec![7], 0);
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(100), 2), Some((Cycle(0), 'b')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(100), 2),
+            Some((Cycle(0), 'b'))
+        );
     }
 
     #[test]
@@ -668,9 +682,15 @@ mod tests {
         let mut chooser = Fixed(vec![1], 0);
         // 'b' (scheduled for 8) fires early at 5; 'a' then fires at its own
         // time, which is still >= now.
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(10), 4), Some((Cycle(5), 'b')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(10), 4),
+            Some((Cycle(5), 'b'))
+        );
         assert_eq!(q.now(), Cycle(5));
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(10), 4), Some((Cycle(5), 'a')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(10), 4),
+            Some((Cycle(5), 'a'))
+        );
         // Scheduling after the reordering still works (no past-event panic).
         q.push_after(Cycle(1), 'c');
         assert_eq!(q.pop(), Some((Cycle(6), 'c')));
@@ -759,7 +779,10 @@ mod tests {
         // Window big enough to gather all three; horizon covers them too.
         let mut chooser = Fixed(vec![2], 0);
         // 'c' fires at cycle 5; 'a' (t=5) and 'b' (t=300) stay pending.
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(1000), 4), Some((Cycle(5), 'c')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(1000), 4),
+            Some((Cycle(5), 'c'))
+        );
         q.assert_window_invariant();
         assert_eq!(q.pop(), Some((Cycle(5), 'a')));
         assert_eq!(q.pop(), Some((Cycle(300), 'b')));
@@ -780,9 +803,15 @@ mod tests {
             q.push(Cycle(4), p);
         }
         let mut chooser = Fixed(vec![1, 1], 0);
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(0), 4), Some((Cycle(4), 'b')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(0), 4),
+            Some((Cycle(4), 'b'))
+        );
         q.assert_window_invariant();
-        assert_eq!(q.pop_explored(&mut chooser, Cycle(0), 4), Some((Cycle(4), 'c')));
+        assert_eq!(
+            q.pop_explored(&mut chooser, Cycle(0), 4),
+            Some((Cycle(4), 'c'))
+        );
         q.assert_window_invariant();
         q.push(Cycle(4), 'd');
         assert_eq!(q.pop(), Some((Cycle(4), 'a')));
@@ -1004,8 +1033,7 @@ mod tests {
             let mut refq: RefQueue<u32> = RefQueue::new();
             let mut next_payload = 0u32;
             // Both sides must see the same choice sequence.
-            let picks: Vec<usize> =
-                (0..200).map(|_| rng.gen_range(0, 10) as usize).collect();
+            let picks: Vec<usize> = (0..200).map(|_| rng.gen_range(0, 10) as usize).collect();
             let mut c1 = Fixed(picks.clone(), 0);
             let mut c2 = Fixed(picks, 0);
             for _ in 0..400 {
@@ -1137,7 +1165,8 @@ mod tests {
         crate::check::cases(24, 0xB3_41ED, |rng| {
             for buckets in [64, 256, 1024] {
                 let mut q: EventQueue<u32> = EventQueue::with_buckets(buckets);
-                let mut chooser = Fixed((0..300).map(|_| rng.gen_range(0, 8) as usize).collect(), 0);
+                let mut chooser =
+                    Fixed((0..300).map(|_| rng.gen_range(0, 8) as usize).collect(), 0);
                 for i in 0..300u32 {
                     match rng.gen_range(0, 5) {
                         0 | 1 => {

@@ -416,7 +416,9 @@ impl TailPlan {
             seed: cfg.seed,
             delay_budget: cfg.delay_budget,
             random,
-            ends: chunk_ends(0, random).chain(chunk_ends(random, delay)).collect(),
+            ends: chunk_ends(0, random)
+                .chain(chunk_ends(random, delay))
+                .collect(),
         }
     }
 
@@ -426,7 +428,10 @@ impl TailPlan {
             ChooserSpec::Random(mix64(self.seed ^ ((i as u64).wrapping_mul(2) + 1)))
         } else {
             let j = (i - self.random) as u64;
-            ChooserSpec::Delay(mix64(self.seed ^ 0xD31A_B0DE ^ (j << 32)), self.delay_budget)
+            ChooserSpec::Delay(
+                mix64(self.seed ^ 0xD31A_B0DE ^ (j << 32)),
+                self.delay_budget,
+            )
         }
     }
 
@@ -506,10 +511,12 @@ where
         }
         slots
             .into_iter()
-            .map(|slot| match slot.expect("every schedule up to the first failing chunk ran") {
-                Ok(out) => out,
-                Err(payload) => resume_unwind(payload),
-            })
+            .map(
+                |slot| match slot.expect("every schedule up to the first failing chunk ran") {
+                    Ok(out) => out,
+                    Err(payload) => resume_unwind(payload),
+                },
+            )
             .collect()
     }
 }
@@ -560,11 +567,19 @@ where
     let mut frontier: Vec<Vec<u8>> = vec![Vec::new()];
     while !frontier.is_empty() && failure.is_none() && runs < cfg.max_schedules {
         frontier.truncate(cfg.max_schedules - runs);
-        let specs: Vec<ChooserSpec> =
-            frontier.iter().map(|p| ChooserSpec::Replay(p.clone())).collect();
+        let specs: Vec<ChooserSpec> = frontier
+            .iter()
+            .map(|p| ChooserSpec::Replay(p.clone()))
+            .collect();
         let outcomes = waves.run_wave(specs);
         for out in &outcomes {
-            absorb(&out.result, out.taken.clone(), &mut runs, &mut seen, &mut failure);
+            absorb(
+                &out.result,
+                out.taken.clone(),
+                &mut runs,
+                &mut seen,
+                &mut failure,
+            );
         }
         let mut next = Vec::new();
         if failure.is_none() {
@@ -721,9 +736,12 @@ where
         i += 1;
     }
 
-    (Schedule {
-        choices: trim_trailing_zeros(best),
-    }, used)
+    (
+        Schedule {
+            choices: trim_trailing_zeros(best),
+        },
+        used,
+    )
 }
 
 #[cfg(test)]
@@ -777,7 +795,11 @@ mod tests {
         let cfg = ExploreConfig::default();
         let report = explore(&cfg, |c| racy_counter(3, c));
         let failure = report.failure.expect("the race must be found");
-        assert!(failure.message.contains("lost update"), "{}", failure.message);
+        assert!(
+            failure.message.contains("lost update"),
+            "{}",
+            failure.message
+        );
         assert!(
             failure.schedule.steps() <= 4,
             "shrunk schedule should be tiny, got `{}` ({} steps)",
@@ -786,7 +808,10 @@ mod tests {
         );
         // The minimized schedule must still reproduce the failure.
         let mut chooser = ScheduleChooser::replay(failure.schedule.choices.clone());
-        assert!(racy_counter(3, &mut chooser).is_err(), "shrunk repro replays");
+        assert!(
+            racy_counter(3, &mut chooser).is_err(),
+            "shrunk repro replays"
+        );
     }
 
     #[test]
@@ -811,7 +836,10 @@ mod tests {
         for jobs in [1, 2, 4, 7] {
             let par = explore_jobs(&cfg, jobs, |c| racy_counter(3, c));
             assert_eq!(par.schedules_run, seq.schedules_run, "jobs={jobs}");
-            assert_eq!(par.distinct_schedules, seq.distinct_schedules, "jobs={jobs}");
+            assert_eq!(
+                par.distinct_schedules, seq.distinct_schedules,
+                "jobs={jobs}"
+            );
             assert_eq!(par.fingerprint, seq.fingerprint, "jobs={jobs}");
             let (fs, fp) = (seq.failure.as_ref().unwrap(), par.failure.as_ref().unwrap());
             assert_eq!(fp.schedule, fs.schedule, "jobs={jobs}");
@@ -848,7 +876,12 @@ mod tests {
                 if let Some(&(_, ms)) = slow.iter().find(|(s, _)| *s == t) {
                     std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
-                Err(format!("bad schedule {}", Schedule { choices: t.to_vec() }))
+                Err(format!(
+                    "bad schedule {}",
+                    Schedule {
+                        choices: t.to_vec()
+                    }
+                ))
             } else {
                 Ok(())
             }
@@ -896,8 +929,18 @@ mod tests {
     fn a_mid_chunk_phase_2_failure_ends_the_tail_after_its_chunk() {
         // Random schedule 38 (offset 6 of chunk 32..64) is the first to
         // fail: the empty schedule plus two full chunks ran.
-        let cfg = ExploreConfig { seed: 0x2700, ..TAIL_ONLY };
-        let want = (65, 65, 0xce63_0097_cac6_caf6, "6.2.3.0.0.7", "bad schedule 6.2.3.0.0.7", 6);
+        let cfg = ExploreConfig {
+            seed: 0x2700,
+            ..TAIL_ONLY
+        };
+        let want = (
+            65,
+            65,
+            0xce63_0097_cac6_caf6,
+            "6.2.3.0.0.7",
+            "bad schedule 6.2.3.0.0.7",
+            6,
+        );
         assert_tail_report(&cfg, &[], want);
     }
 
@@ -911,7 +954,14 @@ mod tests {
             delay_schedules: 96,
             ..TAIL_ONLY
         };
-        let want = (89, 87, 0x2d0b_4e8c_180c_6e84, "6.4.6", "bad schedule 6.4.6.0.0.0", 6);
+        let want = (
+            89,
+            87,
+            0x2d0b_4e8c_180c_6e84,
+            "6.4.6",
+            "bad schedule 6.4.6.0.0.0",
+            6,
+        );
         assert_tail_report(&cfg, &[], want);
     }
 
@@ -922,8 +972,18 @@ mod tests {
         // of landing. At two or more jobs: when only 58 sleeps, the other
         // workers run ahead and 76 usually lands first; when 76 sleeps
         // longer, 58 usually lands first while 76 is still running.
-        let cfg = ExploreConfig { seed: 0x2e00, ..TAIL_ONLY };
-        let want = (65, 65, 0x57ef_e7c5_7a9b_07e2, "4.4.4.3.5.3", "bad schedule 4.4.4.3.5.3", 6);
+        let cfg = ExploreConfig {
+            seed: 0x2e00,
+            ..TAIL_ONLY
+        };
+        let want = (
+            65,
+            65,
+            0x57ef_e7c5_7a9b_07e2,
+            "4.4.4.3.5.3",
+            "bad schedule 4.4.4.3.5.3",
+            6,
+        );
         const EARLIER: &[u8] = &[4, 4, 4, 3, 5, 3];
         const LATER: &[u8] = &[2, 6, 5, 1, 5, 1];
         assert_tail_report(&cfg, &[(EARLIER, 20)], want);
@@ -934,8 +994,20 @@ mod tests {
     fn different_seeds_explore_different_sets() {
         // A passing model (single worker: no race) so all phases complete.
         let run = |c: &mut ScheduleChooser| racy_counter(1, c);
-        let a = explore(&ExploreConfig { seed: 1, ..ExploreConfig::default() }, run);
-        let b = explore(&ExploreConfig { seed: 2, ..ExploreConfig::default() }, run);
+        let a = explore(
+            &ExploreConfig {
+                seed: 1,
+                ..ExploreConfig::default()
+            },
+            run,
+        );
+        let b = explore(
+            &ExploreConfig {
+                seed: 2,
+                ..ExploreConfig::default()
+            },
+            run,
+        );
         assert!(a.failure.is_none() && b.failure.is_none());
         // With one worker there may be few decision points; use 3 workers on
         // a model without the bug instead for set diversity: skip if equal.

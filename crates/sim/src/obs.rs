@@ -388,7 +388,10 @@ impl ObsCore {
             Some(false) => self.judged_false += 1,
             None => self.metrics.bump("nacks_unjudged"),
         }
-        *self.nack_pairs.entry((nacker_ctx, requester_ctx)).or_insert(0) += 1;
+        *self
+            .nack_pairs
+            .entry((nacker_ctx, requester_ctx))
+            .or_insert(0) += 1;
     }
 
     /// `tid`'s outermost transaction committed at `now`.
@@ -615,7 +618,14 @@ mod tests {
     fn abort_closes_span_and_charges_wasted_and_log_walk() {
         let mut o = ObsCore::new(16);
         o.on_tx_begin(0, Cycle(10));
-        o.on_abort(0, Cycle(50), AbortCause::ConflictResolution, 1, 40, Cycle(7));
+        o.on_abort(
+            0,
+            Cycle(50),
+            AbortCause::ConflictResolution,
+            1,
+            40,
+            Cycle(7),
+        );
         let r = o.report();
         assert_eq!(r.abort_total(), 1);
         assert_eq!(r.aborts_conflict, 1);
@@ -687,8 +697,14 @@ mod tests {
         assert_eq!(StallCause::CoherenceNack.as_str(), "coherence_nack");
         assert_eq!(StallCause::SiblingNack.as_str(), "sibling_nack");
         assert_eq!(StallCause::SummaryConflict.as_str(), "summary_conflict");
-        assert_eq!(AbortCause::ConflictResolution.as_str(), "conflict_resolution");
-        assert_eq!(AbortCause::SummaryStallLimit.as_str(), "summary_stall_limit");
+        assert_eq!(
+            AbortCause::ConflictResolution.as_str(),
+            "conflict_resolution"
+        );
+        assert_eq!(
+            AbortCause::SummaryStallLimit.as_str(),
+            "summary_stall_limit"
+        );
         assert_eq!(AbortCause::StickyOverflow.as_str(), "sticky_overflow");
         assert_eq!(
             AbortCause::ParkedBySummaryHandler.as_str(),

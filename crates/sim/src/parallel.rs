@@ -99,10 +99,12 @@ where
     }
     slots
         .into_iter()
-        .map(|slot| match slot.expect("every index claimed exactly once") {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        })
+        .map(
+            |slot| match slot.expect("every index claimed exactly once") {
+                Ok(v) => v,
+                Err(payload) => resume_unwind(payload),
+            },
+        )
         .collect()
 }
 
@@ -135,7 +137,11 @@ mod tests {
     fn par_map_indexed_orders_and_balances() {
         for jobs in [1, 2, 5, 16] {
             let got = par_map_indexed(33, jobs, |i| i * 3);
-            assert_eq!(got, (0..33).map(|i| i * 3).collect::<Vec<_>>(), "jobs={jobs}");
+            assert_eq!(
+                got,
+                (0..33).map(|i| i * 3).collect::<Vec<_>>(),
+                "jobs={jobs}"
+            );
         }
         assert!(par_map_indexed(0, 4, |i| i).is_empty());
     }
@@ -146,7 +152,10 @@ mod tests {
         // default-path clamp.
         assert_eq!(effective_jobs(Some(3)), 3);
         assert_eq!(effective_jobs(Some(0)), 1, "clamped to at least 1");
-        assert_eq!(effective_jobs(Some(MAX_DEFAULT_JOBS + 9)), MAX_DEFAULT_JOBS + 9);
+        assert_eq!(
+            effective_jobs(Some(MAX_DEFAULT_JOBS + 9)),
+            MAX_DEFAULT_JOBS + 9
+        );
         // Fallback is within [1, MAX_DEFAULT_JOBS] (env-var path is covered
         // by the integration smoke in scripts/verify.sh; mutating the
         // process environment from a unit test would race other tests).

@@ -522,7 +522,9 @@ mod tests {
         // A deterministic LCG produces value streams with many ties.
         let mut state = 0x1234_5678_u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         for &n in &[1usize, 2, 3, 7, 100, 101, 1000] {
@@ -535,11 +537,7 @@ mod tests {
             }
             values.sort_unstable();
             for p in 0..=100u8 {
-                assert_eq!(
-                    h.percentile(p),
-                    Some(reference(&values, p)),
-                    "n={n} p={p}"
-                );
+                assert_eq!(h.percentile(p), Some(reference(&values, p)), "n={n} p={p}");
             }
         }
     }
@@ -558,7 +556,9 @@ mod tests {
         }
         let mut state = 0x9e37_79b9_u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         for &n in &[1usize, 2, 999, 1000, 1001, 4096] {
@@ -579,7 +579,11 @@ mod tests {
             }
             // Percent and permille grids must agree where they overlap.
             for p in 0..=100u8 {
-                assert_eq!(h.percentile(p), h.percentile_permille(p as u32 * 10), "n={n} p={p}");
+                assert_eq!(
+                    h.percentile(p),
+                    h.percentile_permille(p as u32 * 10),
+                    "n={n} p={p}"
+                );
             }
         }
     }

@@ -48,7 +48,10 @@ mod tests {
 
     #[test]
     fn stm_drives_through_the_backend_trait() {
-        let mut sys = StmBuilder::new().seed(2).check_serializability(true).build();
+        let mut sys = StmBuilder::new()
+            .seed(2)
+            .check_serializability(true)
+            .build();
         let backend: &mut dyn TmBackend = &mut sys;
         assert_eq!(backend.backend_name(), "stm");
         backend.poke_word(WordAddr(0), 3);
@@ -74,10 +77,17 @@ mod tests {
                 backend.add_thread(Box::new(TxScript::counter(WordAddr(0), 5)));
             }
             let r = backend.run_backend().expect("run completes");
-            assert!(backend.finish_checks().is_empty(), "{}", backend.backend_name());
+            assert!(
+                backend.finish_checks().is_empty(),
+                "{}",
+                backend.backend_name()
+            );
             (r.commits, r.work_units, backend.read_word(WordAddr(0)))
         };
-        let mut stm = StmBuilder::new().seed(6).check_serializability(true).build();
+        let mut stm = StmBuilder::new()
+            .seed(6)
+            .check_serializability(true)
+            .build();
         let stm_out = drive(&mut stm);
         let mut sim = logtm_se::SystemBuilder::small_for_tests()
             .seed(6)

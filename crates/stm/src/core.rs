@@ -392,7 +392,11 @@ impl<'a> Tx<'a> {
     /// Escape-action reads use this to mimic eager hardware, where an
     /// enclosing transaction's stores are visible in place.
     pub fn peek_buffered(&self, word: u64) -> Option<u64> {
-        self.writes.iter().rev().find(|&&(w, _)| w == word).map(|&(_, v)| v)
+        self.writes
+            .iter()
+            .rev()
+            .find(|&&(w, _)| w == word)
+            .map(|&(_, v)| v)
     }
 
     /// Attempts to commit. On `Ok` all buffered writes are globally visible,

@@ -396,9 +396,7 @@ impl StmSystem {
                 .zip(seeds)
                 .enumerate()
                 .map(|(tid, (program, seed))| {
-                    scope.spawn(move || {
-                        Worker::new(stm, tid as u32, seed, check).run(program)
-                    })
+                    scope.spawn(move || Worker::new(stm, tid as u32, seed, check).run(program))
                 })
                 .collect();
             handles
@@ -476,7 +474,8 @@ impl StmSystem {
         obs.metrics.add("stm_serial_commits", r.serial_commits);
         obs.metrics.add("stm_mini_commits", r.mini_commits);
         obs.metrics.add("stm_mini_aborts", r.mini_aborts);
-        obs.metrics.add("stm_max_retry_streak", r.max_retry_streak as u64);
+        obs.metrics
+            .add("stm_max_retry_streak", r.max_retry_streak as u64);
         Some(obs)
     }
 
@@ -771,9 +770,7 @@ impl<'a> Worker<'a> {
                     self.stats.mini_commits += 1;
                     return Ok(out);
                 }
-                Err(Conflict::TableFull) => {
-                    return Err(StmError::TableFull { thread: self.tid })
-                }
+                Err(Conflict::TableFull) => return Err(StmError::TableFull { thread: self.tid }),
                 Err(_) => {
                     drop(escalated);
                     self.stats.mini_aborts += 1;
@@ -970,7 +967,10 @@ mod tests {
     #[test]
     fn policy_levers_map_each_policy() {
         let cfg = StmConfig::default();
-        assert_eq!(policy_levers(&cfg, 0), (BackoffKind::RandExp, cfg.max_retries));
+        assert_eq!(
+            policy_levers(&cfg, 0),
+            (BackoffKind::RandExp, cfg.max_retries)
+        );
         let with = |p| StmConfig {
             contention: p,
             ..cfg
@@ -1023,7 +1023,11 @@ mod tests {
         let (a, b) = (WordAddr(0), WordAddr(8));
         for t in 0..4u64 {
             let ops = if t % 2 == 0 {
-                vec![ScriptOp::AddTo(a, 1), ScriptOp::FetchAdd(b, 2), ScriptOp::Work(20)]
+                vec![
+                    ScriptOp::AddTo(a, 1),
+                    ScriptOp::FetchAdd(b, 2),
+                    ScriptOp::Work(20),
+                ]
             } else {
                 vec![ScriptOp::FetchAdd(b, 2), ScriptOp::AddTo(a, 1)]
             };
@@ -1052,7 +1056,11 @@ mod tests {
                             return Op::Done;
                         }
                         step = 1;
-                        Op::Cas { addr: lock, expected: 0, new: 1 }
+                        Op::Cas {
+                            addr: lock,
+                            expected: 0,
+                            new: 1,
+                        }
                     }
                     1 => {
                         if t.last_value != 0 {
@@ -1231,10 +1239,7 @@ mod tests {
         };
         assert!(run(false).is_empty(), "healthy STM replays clean");
         let errs = run(true);
-        assert!(
-            !errs.is_empty(),
-            "oracle must catch the dropped write-back"
-        );
+        assert!(!errs.is_empty(), "oracle must catch the dropped write-back");
         let all = errs.join("; ");
         assert!(
             all.contains("expects") || all.contains("diverges"),

@@ -138,7 +138,11 @@ fn read_set_validation_rejects_stale_snapshots() {
             (false, Err(e)) => panic!("uncontended commit failed: {e}"),
         }
         if interfere {
-            assert_eq!(stm.read_word_raw(word), seen + 1, "victim's abort left no trace");
+            assert_eq!(
+                stm.read_word_raw(word),
+                seen + 1,
+                "victim's abort left no trace"
+            );
         }
     });
 }
@@ -186,7 +190,10 @@ fn serial_fallback_alone_is_still_serializable() {
         let report = sys.run().expect("run completes");
         assert!(sys.finish_checks().is_empty());
         assert_eq!(sys.read_word(addr), threads as u64 * iters as u64);
-        assert_eq!(report.serial_commits, report.commits, "every commit escalated");
+        assert_eq!(
+            report.serial_commits, report.commits,
+            "every commit escalated"
+        );
     });
 }
 

@@ -562,8 +562,14 @@ mod tests {
         assert_eq!(r, Resolution::Stall);
         assert!(f);
         // Non-transactional and summary conflicts stall as everywhere else.
-        assert_eq!(km.resolve(&cx(None, false, Some(st(1, 0)))).0, Resolution::Stall);
-        assert_eq!(km.resolve(&cx(Some(st(1, 0)), true, None)).0, Resolution::Stall);
+        assert_eq!(
+            km.resolve(&cx(None, false, Some(st(1, 0)))).0,
+            Resolution::Stall
+        );
+        assert_eq!(
+            km.resolve(&cx(Some(st(1, 0)), true, None)).0,
+            Resolution::Stall
+        );
     }
 
     #[test]

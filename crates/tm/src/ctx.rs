@@ -98,7 +98,13 @@ pub struct AbortCosts {
 impl ThreadTmState {
     /// Creates idle TM state for a thread. `log_base` must be a
     /// thread-private address (each thread gets a disjoint log region).
-    pub fn new(thread_id: u32, asid: Asid, config: &TmConfig, log_base: WordAddr, seed: u64) -> Self {
+    pub fn new(
+        thread_id: u32,
+        asid: Asid,
+        config: &TmConfig,
+        log_base: WordAddr,
+        seed: u64,
+    ) -> Self {
         ThreadTmState {
             thread_id,
             asid,
@@ -550,7 +556,9 @@ impl ThreadTmState {
             v.push(format!("thread {t}: transaction timestamp still installed"));
         }
         if self.possible_cycle {
-            v.push(format!("thread {t}: possible_cycle flag survived the transaction"));
+            v.push(format!(
+                "thread {t}: possible_cycle flag survived the transaction"
+            ));
         }
         if self.in_summary {
             v.push(format!(

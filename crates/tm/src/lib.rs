@@ -75,8 +75,8 @@ mod os;
 mod stats;
 mod unit;
 
-pub use conflict::ConflictHistory;
 pub use config::TmConfig;
+pub use conflict::ConflictHistory;
 pub use ctx::{NestKind, ThreadTmState, TxPhase};
 pub use filter::LogFilter;
 pub use log::{saved_sig_conflicts, unroll_frame, FrameHeader, LogFrame, TxLog, UndoRecord};

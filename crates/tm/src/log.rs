@@ -18,7 +18,7 @@
 //! their working size.
 
 use ltse_mem::{WordAddr, WORDS_PER_BLOCK};
-use ltse_sig::{SigOp, ShadowedRwSignature};
+use ltse_sig::{ShadowedRwSignature, SigOp};
 
 use crate::ctx::NestKind;
 

@@ -230,12 +230,7 @@ impl OsModel {
     /// signature trap handler would have to deal with. When several do, the
     /// lowest thread id wins, so the choice does not depend on `HashMap`
     /// iteration order.
-    pub fn parked_tx_conflictor(
-        &self,
-        asid: Asid,
-        op: ltse_sig::SigOp,
-        block: u64,
-    ) -> Option<u32> {
+    pub fn parked_tx_conflictor(&self, asid: Asid, op: ltse_sig::SigOp, block: u64) -> Option<u32> {
         let proc = self.processes.get(&asid)?;
         proc.contributions
             .iter()
@@ -277,7 +272,10 @@ impl OsModel {
             .parked
             .get_mut(&thread_id)
             .unwrap_or_else(|| panic!("thread {thread_id} is not parked"));
-        assert!(state.in_tx(), "parked thread {thread_id} has no transaction");
+        assert!(
+            state.in_tx(),
+            "parked thread {thread_id} has no transaction"
+        );
         let costs = state.abort_all(&config, now, restore);
         let mut cost = costs.handler_cycles;
         if costs.needs_summary_update {
@@ -321,7 +319,9 @@ impl OsModel {
 
         // Running threads: interrupt, walk, and update in place.
         for ctx in 0..tm.n_ctxs() {
-            let Some(t) = tm.thread_mut(ctx) else { continue };
+            let Some(t) = tm.thread_mut(ctx) else {
+                continue;
+            };
             if t.asid != asid {
                 continue;
             }
@@ -341,7 +341,10 @@ impl OsModel {
         let mut rebuilt = false;
         for contribution in proc.contributions.values_mut() {
             let mut tmp = ReadWriteSignature::new(&kind);
-            tmp.restore(&(contribution.read_save.clone(), contribution.write_save.clone()));
+            tmp.restore(&(
+                contribution.read_save.clone(),
+                contribution.write_save.clone(),
+            ));
             tmp.rehash_page(
                 old.first_block().as_u64(),
                 new.first_block().as_u64(),
@@ -383,7 +386,11 @@ impl OsModel {
     /// Builds the summary signature for a context running `exclude_thread`
     /// of process `asid` — the union of all *other* contributions — or
     /// `None` when no contribution remains.
-    fn summary_for(&mut self, asid: Asid, exclude_thread: Option<u32>) -> Option<ShadowedRwSignature> {
+    fn summary_for(
+        &mut self,
+        asid: Asid,
+        exclude_thread: Option<u32>,
+    ) -> Option<ShadowedRwSignature> {
         let kind = self.kind;
         let proc = self.process(asid);
         let relevant: Vec<&Contribution> = proc
@@ -480,7 +487,9 @@ mod tests {
             let t1 = tm.thread(1).unwrap();
             assert!(t1.check_summary(SigOp::Write, BlockAddr(42)), "{kind}");
             assert!(t1.check_summary(SigOp::Read, BlockAddr(42)), "{kind}");
-            assert!(!t1.check_summary(SigOp::Read, BlockAddr(43)) || kind != SignatureKind::Perfect);
+            assert!(
+                !t1.check_summary(SigOp::Read, BlockAddr(43)) || kind != SignatureKind::Perfect
+            );
         }
     }
 
@@ -510,7 +519,10 @@ mod tests {
             "own sets excluded from own summary"
         );
         // Another context still sees the (uncommitted) contribution.
-        assert!(tm.thread(1).unwrap().check_summary(SigOp::Write, BlockAddr(42)));
+        assert!(tm
+            .thread(1)
+            .unwrap()
+            .check_summary(SigOp::Write, BlockAddr(42)));
     }
 
     #[test]
@@ -526,7 +538,9 @@ mod tests {
         os.on_outer_commit(&mut tm, Asid(0), 0);
         for ctx in [1u32, 2, 3, 4, 5, 7] {
             assert!(
-                !tm.thread(ctx).unwrap().check_summary(SigOp::Write, BlockAddr(42)),
+                !tm.thread(ctx)
+                    .unwrap()
+                    .check_summary(SigOp::Write, BlockAddr(42)),
                 "ctx {ctx} summary cleared"
             );
         }
@@ -605,7 +619,10 @@ mod tests {
         os.relocate_page(&mut tm, Asid(0), old, new);
 
         // Running thread's signature covers the new physical address.
-        assert!(tm.thread(1).unwrap().check_conflict(SigOp::Read, new.block(3)));
+        assert!(tm
+            .thread(1)
+            .unwrap()
+            .check_conflict(SigOp::Read, new.block(3)));
         // Summaries (built from the parked thread's save) cover it too.
         assert!(tm
             .thread(3)
@@ -628,14 +645,14 @@ mod tests {
         tm.record_access(0, AccessKind::Load, BlockAddr(42));
         os.deschedule(&mut tm, 0);
         // A write to 42 conflicts with the parked read-set…
-        assert_eq!(
-            os.parked_tx_conflictor(Asid(0), SigOp::Write, 42),
-            Some(0)
-        );
+        assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Write, 42), Some(0));
         // …a read does not (read-read), and aliases (42+64 under BS_64)
         // never match because the lookup uses the exact shadow sets.
         assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Read, 42), None);
-        assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Write, 42 + 64), None);
+        assert_eq!(
+            os.parked_tx_conflictor(Asid(0), SigOp::Write, 42 + 64),
+            None
+        );
         // Other processes never match.
         assert_eq!(os.parked_tx_conflictor(Asid(9), SigOp::Write, 42), None);
     }
@@ -662,7 +679,10 @@ mod tests {
         tm.record_access(0, AccessKind::Store, BlockAddr(7));
         tm.log_store_if_needed(0, BlockAddr(7), || [99; 8]);
         os.deschedule(&mut tm, 0);
-        assert!(tm.thread(1).unwrap().check_summary(SigOp::Write, BlockAddr(7)));
+        assert!(tm
+            .thread(1)
+            .unwrap()
+            .check_summary(SigOp::Write, BlockAddr(7)));
 
         let mut restored = Vec::new();
         let cost = os.abort_parked(&mut tm, Asid(0), 0, Cycle(50), &mut |base, old| {
@@ -672,7 +692,10 @@ mod tests {
         assert_eq!(restored.len(), 1);
         assert_eq!(restored[0].1, 99, "old contents handed to the caller");
         // Isolation released everywhere.
-        assert!(!tm.thread(1).unwrap().check_summary(SigOp::Write, BlockAddr(7)));
+        assert!(!tm
+            .thread(1)
+            .unwrap()
+            .check_summary(SigOp::Write, BlockAddr(7)));
         assert_eq!(os.parked_tx_conflictor(Asid(0), SigOp::Write, 7), None);
         // The thread stays parked, idle, and can be rescheduled normally.
         os.deschedule(&mut tm, 3);

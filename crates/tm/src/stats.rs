@@ -89,8 +89,7 @@ impl TmStats {
     /// signalled (`None` when it signalled none).
     pub fn false_positive_pct(&self) -> Option<f64> {
         let total = self.conflicts_signalled();
-        (total > 0)
-            .then(|| 100.0 * self.false_conflicts_signalled.get() as f64 / total as f64)
+        (total > 0).then(|| 100.0 * self.false_conflicts_signalled.get() as f64 / total as f64)
     }
 
     /// Merges another thread's stats into this aggregate.
@@ -130,18 +129,30 @@ impl TmStats {
         self.partial_aborts = self.partial_aborts.saturating_add(*partial_aborts);
         self.stalls = self.stalls.saturating_add(*stalls);
         self.sibling_stalls = self.sibling_stalls.saturating_add(*sibling_stalls);
-        self.true_conflicts_signalled
-            .set(self.true_conflicts_signalled.get().saturating_add(true_conflicts_signalled.get()));
-        self.false_conflicts_signalled.set(
-            self.false_conflicts_signalled.get().saturating_add(false_conflicts_signalled.get()),
+        self.true_conflicts_signalled.set(
+            self.true_conflicts_signalled
+                .get()
+                .saturating_add(true_conflicts_signalled.get()),
         );
-        self.summary_true_conflicts
-            .set(self.summary_true_conflicts.get().saturating_add(summary_true_conflicts.get()));
-        self.summary_false_conflicts
-            .set(self.summary_false_conflicts.get().saturating_add(summary_false_conflicts.get()));
+        self.false_conflicts_signalled.set(
+            self.false_conflicts_signalled
+                .get()
+                .saturating_add(false_conflicts_signalled.get()),
+        );
+        self.summary_true_conflicts.set(
+            self.summary_true_conflicts
+                .get()
+                .saturating_add(summary_true_conflicts.get()),
+        );
+        self.summary_false_conflicts.set(
+            self.summary_false_conflicts
+                .get()
+                .saturating_add(summary_false_conflicts.get()),
+        );
         self.log_writes = self.log_writes.saturating_add(*log_writes);
-        self.log_writes_suppressed =
-            self.log_writes_suppressed.saturating_add(*log_writes_suppressed);
+        self.log_writes_suppressed = self
+            .log_writes_suppressed
+            .saturating_add(*log_writes_suppressed);
         self.wasted_cycles = self.wasted_cycles.saturating_add(*wasted_cycles);
         self.read_set.merge(read_set);
         self.write_set.merge(write_set);

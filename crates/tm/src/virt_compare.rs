@@ -132,7 +132,10 @@ pub struct SystemRow {
 impl SystemRow {
     /// Actions for `event`.
     pub fn actions(&self, event: Event) -> &'static [Action] {
-        let idx = Event::all().iter().position(|e| *e == event).expect("known");
+        let idx = Event::all()
+            .iter()
+            .position(|e| *e == event)
+            .expect("known");
         self.actions[idx]
     }
 

@@ -84,7 +84,9 @@ fn log_matches_snapshot_model() {
                         NestKind::Closed
                     };
                     tm.begin(kind, Cycle(now));
-                    model.frames.push((kind == NestKind::Open, model.memory.clone()));
+                    model
+                        .frames
+                        .push((kind == NestKind::Open, model.memory.clone()));
                 }
                 Step::Store { block, value } => {
                     if model.frames.is_empty() {
@@ -159,7 +161,9 @@ fn log_matches_snapshot_model() {
                         continue;
                     }
                     let mut restores = Vec::new();
-                    tm.abort_all(&config, Cycle(now), &mut |base, old| restores.push((base, *old)));
+                    tm.abort_all(&config, Cycle(now), &mut |base, old| {
+                        restores.push((base, *old))
+                    });
                     // The correct post-state: the OUTERMOST frame's begin
                     // snapshot, except that open-committed children along the
                     // way are permanent. Open commits pop their frames at

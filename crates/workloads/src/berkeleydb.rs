@@ -95,7 +95,10 @@ impl BerkeleyDb {
     }
 
     fn hot_block(start: u64, i: u64) -> WordAddr {
-        block(layout::LOCK_REGION_BASE, (start + i) % layout::LOCK_REGION_BLOCKS)
+        block(
+            layout::LOCK_REGION_BASE,
+            (start + i) % layout::LOCK_REGION_BLOCKS,
+        )
     }
 
     /// The region mutex guarding the bucket run starting at `start`.

@@ -287,12 +287,15 @@ mod tests {
         let mut r = rng();
         let mut l = LockDriver::new(WordAddr(5));
         l.step(0, &mut r); // issue read
-        // Lock reads as held (1) repeatedly → keeps reading the lock word.
+                           // Lock reads as held (1) repeatedly → keeps reading the lock word.
         for _ in 0..10 {
             assert_eq!(l.step(1, &mut r), LockOutcome::Issue(Op::Read(WordAddr(5))));
         }
         // Finally free → CAS.
-        assert!(matches!(l.step(0, &mut r), LockOutcome::Issue(Op::Cas { .. })));
+        assert!(matches!(
+            l.step(0, &mut r),
+            LockOutcome::Issue(Op::Cas { .. })
+        ));
     }
 
     #[test]
@@ -301,7 +304,7 @@ mod tests {
         let mut l = LockDriver::new(WordAddr(5));
         l.step(0, &mut r); // read issued
         l.step(0, &mut r); // free → CAS issued
-        // CAS old value = 1: someone beat us.
+                           // CAS old value = 1: someone beat us.
         let out = l.step(1, &mut r);
         assert!(matches!(out, LockOutcome::Issue(Op::Work(_))));
         // After backoff: read again.
@@ -319,7 +322,7 @@ mod tests {
         let mut r = rng();
         let mut b = BarrierDriver::new(WordAddr(0), 3);
         b.step(0, &mut r); // fetch-add issued
-        // Old count 2 → we are the 3rd of 3: reset, flip, pass.
+                           // Old count 2 → we are the 3rd of 3: reset, flip, pass.
         assert_eq!(
             b.step(2, &mut r),
             LockOutcome::Issue(Op::Write(WordAddr(0), 0))
@@ -341,7 +344,7 @@ mod tests {
         let mut r = rng();
         let mut b = BarrierDriver::new(WordAddr(0), 3);
         b.step(0, &mut r); // fetch-add
-        // Old count 0 → waiter; spins on the sense word.
+                           // Old count 0 → waiter; spins on the sense word.
         assert!(matches!(b.step(0, &mut r), LockOutcome::Issue(Op::Read(_))));
         b.step(0, &mut r); // first read result pending
         for _ in 0..10 {
@@ -357,10 +360,13 @@ mod tests {
     fn barrier_sense_reverses_each_crossing() {
         let mut r = rng();
         let mut b = BarrierDriver::new(WordAddr(0), 1); // solo barrier
-        // Sole participant: every arrival is the last arrival.
+                                                        // Sole participant: every arrival is the last arrival.
         for expected_sense in [1u64, 0, 1] {
             b.step(0, &mut r); // fetch-add
-            assert!(matches!(b.step(0, &mut r), LockOutcome::Issue(Op::Write(_, 0))));
+            assert!(matches!(
+                b.step(0, &mut r),
+                LockOutcome::Issue(Op::Write(_, 0))
+            ));
             match b.step(0, &mut r) {
                 LockOutcome::Issue(Op::Write(_, s)) => assert_eq!(s, expected_sense),
                 other => panic!("{other:?}"),

@@ -93,7 +93,8 @@ impl SectionSource for Mp3d {
             // Collision: several molecules and neighbouring cells at once —
             // the Table 2 tails (reads ≤18, writes ≤10).
             let extra = uniform_incl(rng, 3, 8);
-            let mut body = Vec::with_capacity(2 + 2 * extra as usize + 2 * (extra / 2 + 1) as usize);
+            let mut body =
+                Vec::with_capacity(2 + 2 * extra as usize + 2 * (extra / 2 + 1) as usize);
             body.push(BodyOp::Read(molecule(mol)));
             body.push(BodyOp::Update(cell(target_cell)));
             for i in 0..extra {
@@ -128,8 +129,7 @@ impl SectionSource for Mp3d {
             // The real Mp3d separates steps with a barrier; we keep it
             // (paper §6.2: "retaining barriers and other synchronization
             // mechanisms").
-            barrier_after: unit_done
-                .then_some((WordAddr(layout::STEP_BARRIER), self.n_threads)),
+            barrier_after: unit_done.then_some((WordAddr(layout::STEP_BARRIER), self.n_threads)),
         })
     }
 }

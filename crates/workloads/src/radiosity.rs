@@ -80,8 +80,8 @@ impl SectionSource for Radiosity {
             // Rebalance: scan the victim queue (long read set) and move a
             // batch of task descriptors (long write set) — the Table 2
             // tail (reads ≤25, writes ≤45).
-            let victim = (self.thread_id + 1 + rng.gen_range(0, self.n_threads - 1))
-                % self.n_threads;
+            let victim =
+                (self.thread_id + 1 + rng.gen_range(0, self.n_threads - 1)) % self.n_threads;
             let scan = uniform_incl(rng, 6, 23);
             let moved = uniform_incl(rng, 8, 43);
             let mut body = Vec::with_capacity(2 + (scan + moved) as usize);
@@ -92,10 +92,16 @@ impl SectionSource for Radiosity {
             // common block is the queue header itself (as in the real
             // deques).
             for i in 0..scan {
-                body.push(BodyOp::Read(task_block(victim, 32 + (self.cursor * 17 + i) % 32)));
+                body.push(BodyOp::Read(task_block(
+                    victim,
+                    32 + (self.cursor * 17 + i) % 32,
+                )));
             }
             for i in 0..moved {
-                body.push(BodyOp::Write(task_block(victim, 32 + (self.cursor * 17 + i) % 32)));
+                body.push(BodyOp::Write(task_block(
+                    victim,
+                    32 + (self.cursor * 17 + i) % 32,
+                )));
             }
             Section {
                 think: uniform_incl(rng, 800, 2_000),
@@ -110,12 +116,21 @@ impl SectionSource for Radiosity {
             let (read_next, write_back) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
             let mut body = Vec::with_capacity(2 + read_next as usize + write_back as usize);
             body.push(BodyOp::Update(queue_head(self.thread_id)));
-            body.push(BodyOp::Read(task_block(self.thread_id, (self.cursor * 31) % 32)));
+            body.push(BodyOp::Read(task_block(
+                self.thread_id,
+                (self.cursor * 31) % 32,
+            )));
             if read_next {
-                body.push(BodyOp::Read(task_block(self.thread_id, (self.cursor * 31 + 1) % 32)));
+                body.push(BodyOp::Read(task_block(
+                    self.thread_id,
+                    (self.cursor * 31 + 1) % 32,
+                )));
             }
             if write_back {
-                body.push(BodyOp::Write(task_block(self.thread_id, (self.cursor * 31) % 32)));
+                body.push(BodyOp::Write(task_block(
+                    self.thread_id,
+                    (self.cursor * 31) % 32,
+                )));
             }
             Section {
                 think: uniform_incl(rng, 2_000, 6_000),

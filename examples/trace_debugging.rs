@@ -79,14 +79,21 @@ fn main() {
     let report = system.run().expect("run completes");
 
     println!("Opposite-order updates: LogTM resolves the deadlock cycles");
-    println!("  block A = {}  block B = {}", system.read_word(a), system.read_word(b));
+    println!(
+        "  block A = {}  block B = {}",
+        system.read_word(a),
+        system.read_word(b)
+    );
     println!(
         "  commits={} aborts={} stalls={}",
         report.tm.commits, report.tm.aborts, report.tm.stalls
     );
     assert_eq!(system.read_word(a), 24);
     assert_eq!(system.read_word(b), 24);
-    assert!(report.tm.aborts > 0, "cycles must have been broken by aborts");
+    assert!(
+        report.tm.aborts > 0,
+        "cycles must have been broken by aborts"
+    );
 
     println!("\nLast {} traced events:", 64);
     print!("{}", system.trace_dump());

@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --example virtualization`
 
-use logtm_se::{
-    Asid, Cycle, Op, ProgCtx, SignatureKind, SystemBuilder, ThreadProgram, WordAddr,
-};
+use logtm_se::{Asid, Cycle, Op, ProgCtx, SignatureKind, SystemBuilder, ThreadProgram, WordAddr};
 
 /// Each thread increments its own counter word; all 48 live in virtual
 /// page 0, so the page relocations move every thread's data mid-run.
@@ -96,8 +94,14 @@ fn main() {
     println!("  sum of counters          : {total}");
     println!("  context switches         : {}", report.os.deschedules);
     println!("  …of which mid-transaction: {}", report.os.tx_deschedules);
-    println!("  summary sigs installed   : {}", report.os.summary_installs);
-    println!("  summary-recompute commits: {}", report.os.commit_recomputes);
+    println!(
+        "  summary sigs installed   : {}",
+        report.os.summary_installs
+    );
+    println!(
+        "  summary-recompute commits: {}",
+        report.os.commit_recomputes
+    );
     println!("  pages relocated          : {}", report.os.pages_relocated);
     println!("  commits                  : {}", report.tm.commits);
     println!("  aborts                   : {}", report.tm.aborts);

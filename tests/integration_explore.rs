@@ -32,7 +32,10 @@ fn budget(default: usize) -> usize {
 /// system was built with tracing enabled, a failing schedule automatically
 /// carries its protocol-event trace in the error — the shrunk reproducer
 /// then arrives with the event history that produced it.
-fn check_one(chooser: &mut ScheduleChooser, mut build: impl FnMut() -> System) -> Result<(), String> {
+fn check_one(
+    chooser: &mut ScheduleChooser,
+    mut build: impl FnMut() -> System,
+) -> Result<(), String> {
     let mut s = build();
     s.run_explored(chooser, WINDOW, HORIZON)
         .map_err(|e| format!("run error: {e}"))?;
@@ -156,9 +159,15 @@ fn parallel_exploration_matches_sequential_on_real_systems() {
     for jobs in [1, 2, 4] {
         let par = explore_jobs(&cfg, jobs, |c| check_one(c, contended_counters));
         assert_eq!(seq.schedules_run, par.schedules_run, "jobs={jobs}");
-        assert_eq!(seq.distinct_schedules, par.distinct_schedules, "jobs={jobs}");
+        assert_eq!(
+            seq.distinct_schedules, par.distinct_schedules,
+            "jobs={jobs}"
+        );
         assert_eq!(seq.fingerprint, par.fingerprint, "jobs={jobs}");
-        assert!(par.failure.is_none(), "jobs={jobs}: clean workload must stay clean");
+        assert!(
+            par.failure.is_none(),
+            "jobs={jobs}: clean workload must stay clean"
+        );
     }
 }
 
@@ -179,7 +188,9 @@ fn seeded_undo_bug_is_caught_and_shrunk() {
         ..ExploreConfig::with_budget(budget(200).min(200))
     };
     let report = explore_system(&cfg, || opposite_order(true));
-    let failure = report.failure.expect("the broken undo path must be detected");
+    let failure = report
+        .failure
+        .expect("the broken undo path must be detected");
     assert!(
         failure.schedule.steps() <= 10,
         "shrunk schedule still has {} steps: {}",
@@ -194,7 +205,9 @@ fn seeded_undo_bug_is_caught_and_shrunk() {
     // Tracing was on, so the failure must carry the event history that
     // produced it — structured tags rendered for human consumption.
     assert!(
-        failure.message.contains("-- trace of the failing schedule --"),
+        failure
+            .message
+            .contains("-- trace of the failing schedule --"),
         "failing schedule should dump its trace automatically"
     );
     assert!(
@@ -214,7 +227,9 @@ fn victimized_transactions_restore_memory_on_abort() {
     // conflict coverage survives only via sticky states. Two counter threads
     // contend on the first word to force aborts of the big transaction.
     let build = || {
-        let big: Vec<ScriptOp> = (0..12).map(|i| ScriptOp::AddTo(WordAddr(8 * i), 1)).collect();
+        let big: Vec<ScriptOp> = (0..12)
+            .map(|i| ScriptOp::AddTo(WordAddr(8 * i), 1))
+            .collect();
         let mut s = SystemBuilder::small_for_tests()
             .seed(9)
             .check_serializability(true)

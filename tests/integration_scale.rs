@@ -38,14 +38,19 @@ fn scaled_system(n_cores: u16, smt: u8, checked: bool) -> System {
 
 fn run_checked(n_cores: u16, smt: u8) {
     let mut s = scaled_system(n_cores, smt, true);
-    let r = s.run().unwrap_or_else(|e| panic!("{n_cores}x{smt} run failed: {e}"));
+    let r = s
+        .run()
+        .unwrap_or_else(|e| panic!("{n_cores}x{smt} run failed: {e}"));
     let errs = s.finish_checks();
     assert!(
         errs.is_empty(),
         "{n_cores}x{smt}: serializability violations: {}",
         errs.join("; ")
     );
-    assert!(r.tm.commits > 0, "{n_cores}x{smt}: no transactions committed");
+    assert!(
+        r.tm.commits > 0,
+        "{n_cores}x{smt}: no transactions committed"
+    );
     assert_eq!(
         r.threads_completed,
         n_cores as usize * smt as usize,
@@ -100,5 +105,9 @@ fn scaled_runs_are_deterministic() {
         let r = s.run().expect("scaled run");
         (r.cycles, r.events_dispatched, r.tm.commits, r.tm.aborts)
     };
-    assert_eq!(run(()), run(()), "128-core run must be a pure function of (config, seed)");
+    assert_eq!(
+        run(()),
+        run(()),
+        "128-core run must be a pure function of (config, seed)"
+    );
 }

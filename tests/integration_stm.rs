@@ -101,7 +101,10 @@ fn run_case(case_seed: u64, threads: u32) -> StmReport {
     // interleaving, and each one reports its work-unit marker.
     assert_eq!(report.commits, expected_txs, "commit count ({repro})");
     assert_eq!(report.work_units, expected_txs, "work units ({repro})");
-    assert_eq!(report.threads_completed, threads as usize, "joins ({repro})");
+    assert_eq!(
+        report.threads_completed, threads as usize,
+        "joins ({repro})"
+    );
     report
 }
 
@@ -141,10 +144,7 @@ fn stm_replays_one_seed() {
     let Ok(raw) = std::env::var("LTSE_STM_SEED") else {
         return;
     };
-    let seed = raw
-        .trim()
-        .trim_start_matches("0x")
-        .trim_start_matches("0X");
+    let seed = raw.trim().trim_start_matches("0x").trim_start_matches("0X");
     let seed = u64::from_str_radix(seed, 16)
         .or_else(|_| raw.trim().parse())
         .unwrap_or_else(|_| panic!("LTSE_STM_SEED must be hex or decimal, got `{raw}`"));
@@ -176,7 +176,8 @@ fn stm_injected_fault_is_detected() {
         let errs = sys.finish_checks();
         if !errs.is_empty() {
             assert!(
-                errs.iter().any(|e| e.contains("expects") || e.contains("diverges")),
+                errs.iter()
+                    .any(|e| e.contains("expects") || e.contains("diverges")),
                 "violation text should pinpoint the divergence: {errs:?}"
             );
             detected += 1;
@@ -185,7 +186,8 @@ fn stm_injected_fault_is_detected() {
     // The fault drops a counter increment, which the final-memory sweep
     // catches deterministically; every run must be flagged.
     assert_eq!(
-        detected, runs,
+        detected,
+        runs,
         "oracle missed an injected lost write-back in {} of {runs} runs",
         runs - detected
     );

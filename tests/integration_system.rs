@@ -1,9 +1,7 @@
 //! Cross-crate integration: the composed system upholds transactional
 //! invariants under every signature implementation on the paper machine.
 
-use logtm_se::{
-    Asid, Op, ProgCtx, SignatureKind, SystemBuilder, ThreadProgram, WordAddr,
-};
+use logtm_se::{Asid, Op, ProgCtx, SignatureKind, SystemBuilder, ThreadProgram, WordAddr};
 
 /// A bank-transfer program: moves 1 unit between two accounts per
 /// transaction, alternating direction. Total money is conserved iff every
@@ -81,7 +79,10 @@ fn money_is_conserved_under_every_signature() {
     // 8 threads transfer between 4 shared accounts; the sum must stay 0
     // (mod 2^64) no matter how many aborts/stalls the signature causes.
     for kind in all_kinds() {
-        let mut system = SystemBuilder::paper_default().signature(kind).seed(21).build();
+        let mut system = SystemBuilder::paper_default()
+            .signature(kind)
+            .seed(21)
+            .build();
         let accounts = [WordAddr(0), WordAddr(64), WordAddr(128), WordAddr(192)];
         for t in 0..8usize {
             system.add_thread(Box::new(Transfer::new(
@@ -105,7 +106,10 @@ fn smaller_signatures_cause_at_least_as_many_conflicts() {
     // Monotonicity of aliasing: with identical workload and seed, a 64-bit
     // BS signature must signal at least as many conflicts as perfect.
     let run = |kind| {
-        let mut system = SystemBuilder::paper_default().signature(kind).seed(5).build();
+        let mut system = SystemBuilder::paper_default()
+            .signature(kind)
+            .seed(5)
+            .build();
         for t in 0..8u64 {
             // Disjoint footprints: ANY conflict is a false positive.
             let base = WordAddr(4096 + t * 4096);
@@ -134,13 +138,20 @@ fn smaller_signatures_cause_at_least_as_many_conflicts() {
     };
     let perfect = run(SignatureKind::Perfect);
     let tiny = run(SignatureKind::BitSelect { bits: 64 });
-    assert_eq!(perfect.conflicts_signalled(), 0, "disjoint ⇒ no true conflicts");
+    assert_eq!(
+        perfect.conflicts_signalled(),
+        0,
+        "disjoint ⇒ no true conflicts"
+    );
     assert!(
         tiny.conflicts_signalled() > 0,
         "64-bit filter must alias 9-block × 8-thread footprints"
     );
     assert_eq!(tiny.false_positive_pct(), Some(100.0));
-    assert_eq!(perfect.commits, tiny.commits, "aliasing affects time, not results");
+    assert_eq!(
+        perfect.commits, tiny.commits,
+        "aliasing affects time, not results"
+    );
 }
 
 #[test]
@@ -290,7 +301,10 @@ fn aborted_transaction_rolls_back_tracked_but_not_escaped_writes() {
     )));
     let report = system.run().unwrap();
     assert_eq!(report.tm.commits, 50);
-    assert!(report.tm.aborts > 0, "opposite-order must deadlock sometimes");
+    assert!(
+        report.tm.aborts > 0,
+        "opposite-order must deadlock sometimes"
+    );
     // Both words hold some committed token (odd per CsProgram convention).
     assert_eq!(system.read_word(WordAddr(0)) & 1, 1);
     assert_eq!(system.read_word(WordAddr(64)) & 1, 1);
@@ -644,8 +658,14 @@ fn warmup_boundary_discards_cold_start_statistics() {
     let warm = run(16);
     assert_eq!(cold.tm.work_units, 48, "cold run counts everything");
     assert_eq!(warm.tm.work_units, 48 - 16, "warm-up units discarded");
-    assert!(warm.measured_cycles < warm.cycles, "window excludes warm-up");
-    assert_eq!(cold.measured_cycles, cold.cycles, "no warm-up ⇒ full window");
+    assert!(
+        warm.measured_cycles < warm.cycles,
+        "window excludes warm-up"
+    );
+    assert_eq!(
+        cold.measured_cycles, cold.cycles,
+        "no warm-up ⇒ full window"
+    );
     // The 64-block slabs are first-touch DRAM misses during warm-up; the
     // measured window must see a far lower DRAM rate per unit.
     let cold_dram_per_unit = cold.mem.dram_accesses.get() as f64 / cold.tm.work_units as f64;

@@ -130,7 +130,10 @@ fn deferral_reduces_tx_deschedules() {
 #[test]
 fn paging_under_contention_is_safe_for_every_signature() {
     for kind in [SignatureKind::Perfect, SignatureKind::paper_bs_2kb()] {
-        let mut system = SystemBuilder::small_for_tests().signature(kind).seed(45).build();
+        let mut system = SystemBuilder::small_for_tests()
+            .signature(kind)
+            .seed(45)
+            .build();
         for _ in 0..6 {
             system.add_thread(Box::new(Incr::new(WordAddr(24), 25, 30)));
         }
@@ -222,6 +225,9 @@ fn run_beyond_context_count_requires_preemption() {
     }
     assert!(matches!(
         system.run(),
-        Err(logtm_se::RunError::TooManyThreads { threads: 9, ctxs: 8 })
+        Err(logtm_se::RunError::TooManyThreads {
+            threads: 9,
+            ctxs: 8
+        })
     ));
 }

@@ -92,7 +92,12 @@ fn footprints_sit_in_the_table2_neighbourhood() {
 fn raytrace_is_the_victimizing_benchmark() {
     // Result 4's qualitative claim: only Raytrace victimizes transactional
     // blocks in any number.
-    let mut raytrace = params(Benchmark::Raytrace, SyncMode::Tm, SignatureKind::Perfect, 34);
+    let mut raytrace = params(
+        Benchmark::Raytrace,
+        SyncMode::Tm,
+        SignatureKind::Perfect,
+        34,
+    );
     raytrace.units_per_thread = 60;
     let rt = run_benchmark(&raytrace).unwrap();
     assert!(
@@ -121,7 +126,10 @@ fn berkeleydb_prefers_transactions_and_cholesky_is_parity() {
     };
     let bdb_speedup =
         thr(Benchmark::BerkeleyDb, SyncMode::Tm) / thr(Benchmark::BerkeleyDb, SyncMode::Lock);
-    assert!(bdb_speedup > 1.05, "BerkeleyDB TM should win, got {bdb_speedup:.2}x");
+    assert!(
+        bdb_speedup > 1.05,
+        "BerkeleyDB TM should win, got {bdb_speedup:.2}x"
+    );
 
     let chol_speedup =
         thr(Benchmark::Cholesky, SyncMode::Tm) / thr(Benchmark::Cholesky, SyncMode::Lock);
@@ -152,8 +160,8 @@ fn false_positive_rate_grows_as_signatures_shrink() {
 #[test]
 fn escape_actions_appear_in_berkeleydb_only() {
     for benchmark in Benchmark::all() {
-        let r = run_benchmark(&params(benchmark, SyncMode::Tm, SignatureKind::Perfect, 37))
-            .unwrap();
+        let r =
+            run_benchmark(&params(benchmark, SyncMode::Tm, SignatureKind::Perfect, 37)).unwrap();
         if benchmark == Benchmark::BerkeleyDb {
             assert!(r.tm.escapes > 0, "BerkeleyDB models syscalls via escapes");
         } else {
