@@ -11,6 +11,11 @@
 //!   4's scale (32 threads on the paper's 16-core × 2-SMT CMP), recording
 //!   its event count: the lock run spins on L1 hits of a core shared with
 //!   an SMT sibling, the TM run stalls and retries NACKed misses.
+//!   `end_to_end/small_checked_berkeleydb` runs `explore_oracle`'s machine
+//!   (4 BerkeleyDB threads × 2 units on `small_for_tests`, perfect
+//!   signatures) once unexplored under the serializability oracle, checked
+//!   with `finish_checks`: victim coverage and signature checks on a short
+//!   event loop.
 //!
 //! Writes `BENCH_hotpath.json` through [`ltse_bench::harness`].
 
@@ -154,6 +159,28 @@ fn main() {
             run_benchmark(&params).expect("run")
         });
     }
+
+    // One schedule of `explore_oracle` is ~0.1 ms, so it takes the full
+    // iteration count.
+    bench.group("end_to_end", iters);
+    let small_checked = || {
+        let mut sys = SystemBuilder::small_for_tests()
+            .check_serializability(true)
+            .build();
+        for p in Benchmark::BerkeleyDb.programs(SyncMode::Tm, 4, 2) {
+            sys.add_thread(p);
+        }
+        let report = sys.run().expect("run");
+        let errors = sys.finish_checks();
+        assert!(errors.is_empty(), "serializability: {errors:?}");
+        report
+    };
+    let events = small_checked().events_dispatched;
+    bench.case_with(
+        "small_checked_berkeleydb",
+        vec![("events", events.into())],
+        small_checked,
+    );
 
     bench.speedup(
         "event_queue_churn",

@@ -3,8 +3,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use ltse_mem::{
-    AccessKind, AccessOutcome, Asid, BlockAddr, CtxId, MemorySystem, PageId, SerializabilityOracle,
-    WordAddr, WORDS_PER_BLOCK,
+    AccessKind, AccessOutcome, Asid, BlockAddr, ConflictOracle, CtxId, MemorySystem, PageId,
+    SerializabilityOracle, WordAddr, WORDS_PER_BLOCK,
 };
 use ltse_sim::config::SimLimits;
 use ltse_sim::obs::{AbortCause, DetectPath, ObsCore, ObsReport, StallCause};
@@ -633,7 +633,7 @@ impl System {
         let cfg = *self.tm.config();
 
         // TM-layer checks: summary signature, then same-core siblings.
-        match self.tm.pre_access(ctx, kind, block) {
+        match self.tm.pre_access(ctx, self.mem.core_of(ctx), kind, block) {
             PreAccessCheck::SummaryConflict => {
                 // The paper's §4.1: a summary hit "immediately traps to a
                 // conflict handler, since stalling is not sufficient to
@@ -727,7 +727,7 @@ impl System {
                 // state. The exact-set re-judgement separates true sharing
                 // from signature aliasing.
                 let (path, judged) = if self.obs.is_some() {
-                    let in_cache = self.mem.l1_contains(self.tm.core_of(nacker), block);
+                    let in_cache = self.mem.l1_contains(self.mem.core_of(nacker), block);
                     let sig_op = match kind {
                         AccessKind::Load => ltse_sig::SigOp::Read,
                         AccessKind::Store => ltse_sig::SigOp::Write,
@@ -1054,7 +1054,7 @@ impl System {
         }
         for ev in self.mem.take_overflow_events() {
             for ctx in 0..self.tm.n_ctxs() {
-                if self.tm.core_of(ctx) != ev.core {
+                if self.mem.core_of(ctx) != ev.core {
                     continue;
                 }
                 let Some(t) = self.tm.thread(ctx) else {
@@ -1177,11 +1177,7 @@ impl System {
             let old_block = BlockAddr(old_first_block + i);
             self.mem.invalidate_block_everywhere(old_block);
             let new_block = BlockAddr(new_first_block + i);
-            let covered = (0..self.mem.config().n_cores).any(|c| {
-                use ltse_mem::ConflictOracle;
-                self.tm.block_is_transactional_hw(c, new_block)
-            });
-            if covered {
+            if !self.tm.coverage(new_block, None).hw.is_empty() {
                 self.mem.mark_block_lost(new_block);
             }
         }

@@ -63,7 +63,7 @@ pub use cache::{CacheConfig, SetAssocCache, Way};
 pub use dir::{CoreId, DirEntry, ForwardTargets, SharerIter, SharerSet, MAX_CORES};
 pub use latency::LatencyConfig;
 pub use network::Grid;
-pub use oracle::{AccessKind, ConflictOracle, DataOp, NullOracle, SerializabilityOracle};
+pub use oracle::{AccessKind, ConflictOracle, Coverage, DataOp, NullOracle, SerializabilityOracle};
 pub use stats::MemStats;
 pub use store::MemStore;
 pub use system::{

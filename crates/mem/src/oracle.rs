@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use crate::addr::{AddrBuildHasher, BlockAddr};
+use crate::dir::SharerSet;
 
 /// Whether a memory access reads or writes (maps to the paper's GETS/GETM
 /// coherence requests and to `SigOp` in `ltse-sig`).
@@ -57,19 +58,25 @@ pub trait ConflictOracle {
         requester_ctx: u32,
     ) -> Option<u32>;
 
-    /// Does `core`'s *hardware* view (its signatures, false positives
-    /// included) consider `block` transactional? Controls the sticky-state
-    /// decision on L1 eviction and the broadcast-needed decision on L2
-    /// eviction.
-    fn block_is_transactional_hw(&self, core: crate::dir::CoreId, block: BlockAddr) -> bool;
+    /// Which cores have a thread context whose *hardware* view (its
+    /// signatures, false positives included) holds `block`, and whether any
+    /// context holds it *exactly* (shadow sets, no false positives) — one
+    /// pass over the contexts. `core` restricts the question to that core's
+    /// contexts. The hardware answer controls the sticky-state decision on
+    /// L1 eviction and the broadcast-needed decision on L2 eviction; the
+    /// exact one feeds only the paper's Result 4 victimization statistics,
+    /// never a protocol decision. Exact coverage implies hardware coverage
+    /// (signatures have no false negatives).
+    fn coverage(&self, block: BlockAddr, core: Option<crate::dir::CoreId>) -> Coverage;
+}
 
-    /// Does any active transaction on `core` *exactly* (shadow sets, no
-    /// false positives) hold `block` in its read- or write-set? Used only
-    /// for the paper's Result 4 victimization statistics, never for
-    /// protocol decisions. Must imply [`Self::block_is_transactional_hw`]
-    /// (signatures have no false negatives): the memory system asks only
-    /// where the hardware view already hits.
-    fn block_is_transactional_exact(&self, core: crate::dir::CoreId, block: BlockAddr) -> bool;
+/// The answer to [`ConflictOracle::coverage`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Coverage {
+    /// The cores with a context whose signatures hold the block.
+    pub hw: SharerSet,
+    /// Whether some context's exact read or write set holds it.
+    pub exact: bool,
 }
 
 /// An oracle with no transactions anywhere: nothing conflicts, nothing is
@@ -89,12 +96,8 @@ impl ConflictOracle for NullOracle {
         None
     }
 
-    fn block_is_transactional_hw(&self, _core: crate::dir::CoreId, _block: BlockAddr) -> bool {
-        false
-    }
-
-    fn block_is_transactional_exact(&self, _core: crate::dir::CoreId, _block: BlockAddr) -> bool {
-        false
+    fn coverage(&self, _block: BlockAddr, _core: Option<crate::dir::CoreId>) -> Coverage {
+        Coverage::default()
     }
 }
 
@@ -412,8 +415,8 @@ mod tests {
     fn null_oracle_never_conflicts() {
         let o = NullOracle;
         assert_eq!(o.check_core(0, AccessKind::Store, BlockAddr(1), 99), None);
-        assert!(!o.block_is_transactional_hw(0, BlockAddr(1)));
-        assert!(!o.block_is_transactional_exact(0, BlockAddr(1)));
+        assert_eq!(o.coverage(BlockAddr(1), None), Coverage::default());
+        assert_eq!(o.coverage(BlockAddr(1), Some(0)), Coverage::default());
     }
 
     #[test]

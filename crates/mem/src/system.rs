@@ -341,6 +341,17 @@ impl MemorySystem {
         }
     }
 
+    /// The core hosting `ctx`, read from the machine's context → core
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is out of range.
+    #[inline]
+    pub fn core_of(&self, ctx: CtxId) -> CoreId {
+        self.ctx_core[ctx as usize]
+    }
+
     /// The configuration this system was built with.
     pub fn config(&self) -> &MemConfig {
         &self.config
@@ -778,14 +789,10 @@ impl MemorySystem {
         self.lost.remove(&block);
         self.count_dram(block);
         let mut dir = DirEntry::new();
-        let mut covered_any = false;
-        for c in 0..self.config.n_cores {
-            if c != core && oracle.block_is_transactional_hw(c, block) {
-                dir.add_sharer(c);
-                dir.sticky = true;
-                covered_any = true;
-            }
-        }
+        dir.sharers = oracle.coverage(block, None).hw;
+        dir.sharers.remove(core);
+        let covered_any = !dir.sharers.is_empty();
+        dir.sticky = covered_any;
         let l1_state = match kind {
             AccessKind::Load if covered_any => {
                 dir.add_sharer(core);
@@ -1077,10 +1084,8 @@ impl MemorySystem {
         oracle: &dyn ConflictOracle,
     ) {
         self.stats.l1_evictions.inc();
-        let tx_hw = oracle.block_is_transactional_hw(core, victim);
-        // Exact coverage implies hardware coverage (signatures have no false
-        // negatives), so the exact probe only runs where the hardware hits.
-        let tx_exact = tx_hw && oracle.block_is_transactional_exact(core, victim);
+        let cov = oracle.coverage(victim, Some(core));
+        let (tx_hw, tx_exact) = (!cov.hw.is_empty(), cov.exact);
         if tx_exact {
             self.stats.l1_tx_evictions_exact.inc();
         }
@@ -1159,25 +1164,18 @@ impl MemorySystem {
         for c in 0..self.config.n_cores {
             self.l1s[c as usize].remove(&victim);
         }
-        let mut tx_hw_any = false;
-        let mut tx_exact_any = false;
-        for c in 0..self.config.n_cores {
-            // As on L1 eviction: only a hardware hit can be an exact one.
-            if oracle.block_is_transactional_hw(c, victim) {
-                tx_hw_any = true;
-                if !self.config.sticky_enabled {
-                    self.overflow_events.push(OverflowEvent {
-                        core: c,
-                        block: victim,
-                    });
-                }
-                tx_exact_any = tx_exact_any || oracle.block_is_transactional_exact(c, victim);
-            }
+        let cov = oracle.coverage(victim, None);
+        if !self.config.sticky_enabled {
+            self.overflow_events
+                .extend(cov.hw.iter().map(|core| OverflowEvent {
+                    core,
+                    block: victim,
+                }));
         }
-        if tx_exact_any {
+        if cov.exact {
             self.stats.l2_tx_evictions_exact.inc();
         }
-        if tx_hw_any {
+        if !cov.hw.is_empty() {
             self.stats.l2_tx_evictions_hw.inc();
             if self.config.sticky_enabled {
                 // Directory info lost; subsequent misses must broadcast.
@@ -1210,7 +1208,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::NullOracle;
+    use crate::oracle::{Coverage, NullOracle};
     use std::cell::RefCell;
 
     /// A programmable oracle for protocol tests.
@@ -1243,14 +1241,15 @@ mod tests {
                 .map(|&(_, _, n)| n)
         }
 
-        fn block_is_transactional_hw(&self, core: u16, block: BlockAddr) -> bool {
-            self.tx_blocks
-                .iter()
-                .any(|&(c, b)| c == core && b == block.0)
-        }
-
-        fn block_is_transactional_exact(&self, core: u16, block: BlockAddr) -> bool {
-            self.block_is_transactional_hw(core, block)
+        fn coverage(&self, block: BlockAddr, core: Option<u16>) -> Coverage {
+            let mut cov = Coverage::default();
+            for &(c, b) in &self.tx_blocks {
+                if b == block.0 && core.is_none_or(|only| only == c) {
+                    cov.hw.insert(c);
+                    cov.exact = true;
+                }
+            }
+            cov
         }
     }
 

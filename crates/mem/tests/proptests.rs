@@ -7,8 +7,8 @@ use ltse_sim::check::{cases, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 
 use ltse_mem::{
-    AccessKind, AccessOutcome, BlockAddr, CacheConfig, CoherenceKind, ConflictOracle, MemConfig,
-    MemorySystem, NullOracle, SetAssocCache, Way,
+    AccessKind, AccessOutcome, BlockAddr, CacheConfig, CoherenceKind, ConflictOracle, Coverage,
+    MemConfig, MemorySystem, NullOracle, SetAssocCache, SharerSet, Way,
 };
 
 #[derive(Debug, Clone)]
@@ -106,11 +106,16 @@ fn nacks_never_mutate_protocol_state() {
         fn check_core(&self, core: u16, _k: AccessKind, b: BlockAddr, req: u32) -> Option<u32> {
             (core == 0 && req != 0 && self.0.contains(&b.0)).then_some(0)
         }
-        fn block_is_transactional_hw(&self, core: u16, b: BlockAddr) -> bool {
-            core == 0 && self.0.contains(&b.0)
-        }
-        fn block_is_transactional_exact(&self, core: u16, b: BlockAddr) -> bool {
-            self.block_is_transactional_hw(core, b)
+        fn coverage(&self, b: BlockAddr, core: Option<u16>) -> Coverage {
+            let covered = core.is_none_or(|c| c == 0) && self.0.contains(&b.0);
+            Coverage {
+                hw: if covered {
+                    SharerSet::single(0)
+                } else {
+                    SharerSet::new()
+                },
+                exact: covered,
+            }
         }
     }
 

@@ -34,9 +34,10 @@
 //!   per-process summary signatures (paper §4.1 footnote, citing VTM's XF).
 //!   A summary signature is an ordinary [`SigRepr`] pair, rebuilt from the
 //!   counts by [`CountingSignature::materialize`].
-//! * [`ShadowedRwSignature`] — pairs any signature with exact shadow sets to
-//!   classify each reported conflict as a true hit or a false positive
-//!   (regenerates the paper's Table 3 "False Positive %" columns).
+//! * [`ShadowedRwSignature`] — pairs a hashed signature with exact shadow
+//!   sets to classify each reported conflict as a true hit or a false
+//!   positive (regenerates the paper's Table 3 "False Positive %" columns);
+//!   a perfect signature is its own shadow.
 //! * [`SavedSignature`] — a signature's software-visible saved state.
 //!
 //! Addresses passed to this crate are **block numbers** (byte address divided
@@ -78,7 +79,7 @@ pub use bits::SigBits;
 pub use counting::CountingSignature;
 pub use kind::SignatureKind;
 pub use perfect::PerfectSignature;
-pub use repr::{SigProbe, SigRepr};
+pub use repr::SigRepr;
 pub use rw::{ReadWriteSignature, SigOp};
 pub use shadow::{ConflictVerdict, ShadowedRwSignature, ShadowedSave};
 pub use traits::SavedSignature;

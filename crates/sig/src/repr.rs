@@ -14,69 +14,6 @@
 use crate::bits::SigBits;
 use crate::{PerfectSignature, SavedSignature, SignatureKind};
 
-/// Maximum number of bit indices a [`SigProbe`] carries: one for BS and
-/// CBS, two for DBS.
-const PROBE_MAX_INDICES: usize = 2;
-
-/// A precompiled membership test: the kind-specific hash of one address,
-/// computed once by [`SigRepr::probe`] and reusable against every signature
-/// of the same kind via [`SigRepr::test_probe`]. See `probe` for the
-/// sweep-shaped use case.
-#[derive(Debug, Clone, Copy)]
-pub enum SigProbe {
-    /// Membership ⇔ for each of the first `n` entries, the filter word at
-    /// `word[i]` has some bit of `mask[i]` set. The word/mask split is
-    /// precomputed here so the per-signature test is a bare load-AND — no
-    /// shifts in the sweep's inner loop.
-    Indices {
-        /// Filter word index of each probed bit.
-        word: [u32; PROBE_MAX_INDICES],
-        /// Single-bit mask within that word.
-        mask: [u64; PROBE_MAX_INDICES],
-        /// How many of `word`/`mask` are meaningful.
-        n: u8,
-    },
-    /// The probed address, for perfect signatures, which don't compile to
-    /// bit indices: testing falls back to the full per-signature membership
-    /// check.
-    Fallback(u64),
-}
-
-impl SigProbe {
-    #[inline]
-    fn indices(src: &[u32]) -> SigProbe {
-        let mut word = [0u32; PROBE_MAX_INDICES];
-        let mut mask = [0u64; PROBE_MAX_INDICES];
-        for (i, &idx) in src.iter().enumerate() {
-            word[i] = idx / 64;
-            mask[i] = 1u64 << (idx % 64);
-        }
-        SigProbe::Indices {
-            word,
-            mask,
-            n: src.len() as u8,
-        }
-    }
-
-    /// Tests an index probe against a raw filter: `n` word loads and ANDs.
-    /// [`SigRepr::test_probe`] resolves fallback probes by address before
-    /// it gets here.
-    #[inline]
-    fn test_bits(&self, bits: &SigBits) -> bool {
-        match self {
-            SigProbe::Indices { word, mask, n } => {
-                let words = bits.words();
-                let mut ok = true;
-                for i in 0..*n as usize {
-                    ok &= words[word[i] as usize] & mask[i] != 0;
-                }
-                ok
-            }
-            SigProbe::Fallback(_) => unreachable!("fallback probes are tested by address"),
-        }
-    }
-}
-
 /// A read- or write-set signature of any configured kind, dispatched by
 /// `match`. [`SigRepr::new`] builds one from a [`SignatureKind`].
 ///
@@ -254,53 +191,47 @@ impl SigRepr {
         }
     }
 
-    /// Compiles the membership test for `a` into a [`SigProbe`]: the
-    /// kind-specific hashing is done **once**, and the resulting bit indices
-    /// can then be tested against any number of signatures of the same kind
-    /// and geometry with [`SigRepr::test_probe`] — pure word loads, no
-    /// hashing and no dispatch in the inner loop.
+    /// `CONFLICT(A)` against this set or `other`, a set of the same kind
+    /// and geometry (a context's read and write sets): the kind is matched
+    /// and `a` decoded once for both filters. Answers equal
+    /// `self.test_block(a) || other.test_block(a)`.
     ///
-    /// This is the fast path for sweep-shaped checks (one incoming request
-    /// against many contexts' signatures, or a read/write pair): all
-    /// signatures in a simulated system share one configured kind, so the
-    /// probe is computed per *address*, not per *signature*.
+    /// # Panics
+    ///
+    /// Panics if `other` is of another kind.
     #[inline]
-    pub fn probe(&self, a: u64) -> SigProbe {
-        match self {
-            SigRepr::Perfect(_) => SigProbe::Fallback(a),
-            SigRepr::BitSelect { mask, .. } => SigProbe::indices(&[(a & *mask) as u32]),
-            SigRepr::CoarseBitSelect { mask, shift, .. } => {
-                SigProbe::indices(&[((a >> *shift) & *mask) as u32])
+    pub(crate) fn test_either(&self, other: &SigRepr, a: u64) -> bool {
+        match (self, other) {
+            (SigRepr::Perfect(s), SigRepr::Perfect(o)) => {
+                s.maybe_contains(a) || o.maybe_contains(a)
             }
-            SigRepr::DoubleBitSelect {
-                half, field_bits, ..
-            } => {
+            (SigRepr::BitSelect { bits: s, mask }, SigRepr::BitSelect { bits: o, .. }) => {
+                let i = (a & *mask) as usize;
+                s.test(i) | o.test(i)
+            }
+            (
+                SigRepr::CoarseBitSelect {
+                    bits: s,
+                    mask,
+                    shift,
+                },
+                SigRepr::CoarseBitSelect { bits: o, .. },
+            ) => {
+                let i = ((a >> *shift) & *mask) as usize;
+                s.test(i) | o.test(i)
+            }
+            (
+                SigRepr::DoubleBitSelect {
+                    bits: s,
+                    half,
+                    field_bits,
+                },
+                SigRepr::DoubleBitSelect { bits: o, .. },
+            ) => {
                 let (lo, hi) = dbs_indices(a, *half, *field_bits);
-                SigProbe::indices(&[lo as u32, hi as u32])
+                (s.test(lo) & s.test(hi)) | (o.test(lo) & o.test(hi))
             }
-        }
-    }
-
-    /// Tests a precompiled probe against this signature. Must only be given
-    /// probes built (via [`SigRepr::probe`]) from a signature of the **same
-    /// kind and geometry** — the bit indices are meaningless in any other
-    /// filter. Answers are bit-for-bit identical to
-    /// [`SigRepr::test_block`] on the probed address.
-    #[inline]
-    pub fn test_probe(&self, p: &SigProbe) -> bool {
-        match p {
-            SigProbe::Fallback(a) => self.test_block(*a),
-            SigProbe::Indices { .. } => {
-                let bits = match self {
-                    SigRepr::BitSelect { bits, .. }
-                    | SigRepr::CoarseBitSelect { bits, .. }
-                    | SigRepr::DoubleBitSelect { bits, .. } => bits,
-                    SigRepr::Perfect(_) => {
-                        unreachable!("index probe tested against a perfect signature")
-                    }
-                };
-                p.test_bits(bits)
-            }
+            _ => panic!("read and write signatures of different kinds"),
         }
     }
 
@@ -432,60 +363,29 @@ mod tests {
     }
 
     #[test]
-    fn probe_matches_test_block_for_every_kind() {
+    fn test_either_matches_test_block_for_every_kind() {
         for kind in all_kinds() {
             let mut a = SigRepr::new(&kind);
-            let mut b = SigRepr::new(&kind); // differently filled second target
-            for i in 0..200u64 {
+            let mut b = SigRepr::new(&kind); // differently filled second set
+            for i in 0..150u64 {
                 a.insert_block(mix64(i) >> 24);
                 b.insert_block(mix64(i ^ 0xF00D) >> 24);
             }
-            for i in 0..20_000u64 {
-                let addr = mix64(i.wrapping_mul(31)) >> 22;
-                let p = a.probe(addr);
-                assert_eq!(a.test_probe(&p), a.test_block(addr), "{kind} self");
-                assert_eq!(b.test_probe(&p), b.test_block(addr), "{kind} other");
-            }
-        }
-    }
-
-    /// The raw filter of a hashed kind; `None` for perfect signatures.
-    fn raw_bits(s: &SigRepr) -> Option<&SigBits> {
-        match s {
-            SigRepr::Perfect(_) => None,
-            SigRepr::BitSelect { bits, .. }
-            | SigRepr::CoarseBitSelect { bits, .. }
-            | SigRepr::DoubleBitSelect { bits, .. } => Some(bits),
-        }
-    }
-
-    #[test]
-    fn test_bits_matches_test_probe_for_hashed_kinds() {
-        for kind in all_kinds() {
-            if matches!(kind, SignatureKind::Perfect) {
-                continue;
-            }
-            let mut s = SigRepr::new(&kind);
-            for i in 0..150u64 {
-                s.insert_block(mix64(i) >> 24);
-            }
-            let bits = raw_bits(&s).expect("hashed kind has a filter");
             for i in 0..5_000u64 {
                 let addr = mix64(i ^ 0xBEEF) >> 22;
-                let p = s.probe(addr);
-                assert!(matches!(p, SigProbe::Indices { .. }), "{kind}");
-                assert_eq!(p.test_bits(bits), s.test_block(addr), "{kind}");
+                let either = a.test_block(addr) || b.test_block(addr);
+                assert_eq!(a.test_either(&b, addr), either, "{kind}");
+                assert_eq!(b.test_either(&a, addr), either, "{kind}");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "fallback probe")]
-    fn fallback_probe_rejects_raw_bits() {
+    #[should_panic(expected = "different kinds")]
+    fn test_either_rejects_mixed_kinds() {
         let perfect = SigRepr::new(&SignatureKind::Perfect);
         let hashed = SigRepr::new(&SignatureKind::paper_bs_2kb());
-        let p = perfect.probe(1);
-        p.test_bits(raw_bits(&hashed).unwrap());
+        perfect.test_either(&hashed, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The paired read/write signatures a thread context owns, with the paper's
 //! conflict semantics.
 
-use crate::{SavedSignature, SigRepr, SignatureKind};
+use crate::{PerfectSignature, SavedSignature, SigRepr, SignatureKind};
 
 /// Whether a memory access (or the coherence request it generates) reads or
 /// writes — the `O` in the paper's `INSERT(O, A)` / `CONFLICT(O, A)`.
@@ -76,26 +76,31 @@ impl ReadWriteSignature {
     }
 
     /// `CONFLICT(op, a)`: does an incoming access of kind `op` to address `a`
-    /// conflict with this context's sets? For an incoming write both sets are
-    /// consulted, but the address is hashed only once ([`SigRepr::probe`]).
+    /// conflict with this context's sets? An incoming write tests both sets
+    /// with one decode of `a` ([`Self::in_either_set`]).
     #[inline]
     pub fn conflicts_with(&self, op: SigOp, a: u64) -> bool {
         match op {
             SigOp::Read => self.write.test_block(a),
-            SigOp::Write => {
-                let p = self.read.probe(a);
-                self.read.test_probe(&p) || self.write.test_probe(&p)
-            }
+            SigOp::Write => self.in_either_set(a),
         }
     }
 
     /// Whether `a` may be in either set (used to decide if an evicted block
-    /// is "transactional" and needs a sticky directory state). Hashes `a`
-    /// once and tests both filters.
+    /// is "transactional" and needs a sticky directory state). Matches the
+    /// kind once and decodes `a` once for both filters.
     #[inline]
     pub fn in_either_set(&self, a: u64) -> bool {
-        let p = self.read.probe(a);
-        self.read.test_probe(&p) || self.write.test_probe(&p)
+        self.read.test_either(&self.write, a)
+    }
+
+    /// The read and write sets of a perfect pair, which are exact; `None`
+    /// for a hashed kind.
+    pub(crate) fn perfect_sets(&self) -> Option<(&PerfectSignature, &PerfectSignature)> {
+        match (&self.read, &self.write) {
+            (SigRepr::Perfect(read), SigRepr::Perfect(write)) => Some((read, write)),
+            _ => None,
+        }
     }
 
     /// `CLEAR` on both sets — the core of LogTM-SE's local commit.

@@ -3,10 +3,11 @@
 //! The paper's Table 3 reports, per signature configuration, the fraction of
 //! conflicts that are *false positives* — conflicts the hashed signature
 //! reports but a perfect signature would not. [`ShadowedRwSignature`] keeps
-//! exact read/write shadow sets alongside the configured signature so every
-//! conflict check can be classified.
+//! exact read/write shadow sets alongside a hashed signature so every
+//! conflict check can be classified. A perfect signature is exact already,
+//! so it is its own shadow.
 
-use crate::{PerfectSignature, ReadWriteSignature, SavedSignature, SigOp, SignatureKind};
+use crate::{PerfectSignature, ReadWriteSignature, SavedSignature, SigOp, SigRepr, SignatureKind};
 
 /// Classification of a reported conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +28,8 @@ pub enum ConflictVerdict {
 /// The shadow is *accounting only*: conflict decisions made by the simulated
 /// hardware use the signature's answer (including its false positives), the
 /// shadow merely labels them. It also provides the exact read/write-set
-/// sizes for the paper's Table 2.
+/// sizes for the paper's Table 2. A perfect signature keeps no separate
+/// shadow: its hardware sets are the exact sets.
 ///
 /// ```
 /// use ltse_sig::{ShadowedRwSignature, SignatureKind, SigOp, ConflictVerdict};
@@ -43,8 +45,9 @@ pub enum ConflictVerdict {
 #[derive(Debug, Clone)]
 pub struct ShadowedRwSignature {
     sig: ReadWriteSignature,
-    exact_read: PerfectSignature,
-    exact_write: PerfectSignature,
+    /// Perfect read and write sets shadowing a hashed kind; `None` for a
+    /// perfect signature, whose hardware sets already are exact.
+    shadow: Option<ReadWriteSignature>,
 }
 
 impl ShadowedRwSignature {
@@ -52,14 +55,14 @@ impl ShadowedRwSignature {
     pub fn new(kind: &SignatureKind) -> Self {
         ShadowedRwSignature {
             sig: ReadWriteSignature::new(kind),
-            exact_read: PerfectSignature::new(),
-            exact_write: PerfectSignature::new(),
+            shadow: (*kind != SignatureKind::Perfect)
+                .then(|| ReadWriteSignature::new(&SignatureKind::Perfect)),
         }
     }
 
-    /// Assembles a shadowed pair from pre-built hardware signatures and
-    /// exact shadow sets (summary-signature materialization in the OS
-    /// model).
+    /// Assembles a shadowed pair from pre-built hashed hardware signatures
+    /// and their exact shadow sets (summary-signature materialization in
+    /// the OS model).
     pub fn from_raw(
         sig: ReadWriteSignature,
         exact_read: PerfectSignature,
@@ -67,47 +70,76 @@ impl ShadowedRwSignature {
     ) -> Self {
         ShadowedRwSignature {
             sig,
-            exact_read,
-            exact_write,
+            shadow: Some(ReadWriteSignature::from_parts(
+                SigRepr::Perfect(exact_read),
+                SigRepr::Perfect(exact_write),
+            )),
         }
+    }
+
+    /// A perfect pair whose hardware sets are `read` and `write` (the OS
+    /// model's summary of perfect signatures).
+    pub fn from_exact(read: PerfectSignature, write: PerfectSignature) -> Self {
+        ShadowedRwSignature {
+            sig: ReadWriteSignature::from_parts(SigRepr::Perfect(read), SigRepr::Perfect(write)),
+            shadow: None,
+        }
+    }
+
+    /// The exact read and write sets: the shadow's, or a perfect
+    /// signature's own.
+    fn exact(&self) -> (&PerfectSignature, &PerfectSignature) {
+        self.shadow
+            .as_ref()
+            .unwrap_or(&self.sig)
+            .perfect_sets()
+            .expect("the exact sets are perfect")
     }
 
     /// The exact read-set as a sorted block list (OS summary bookkeeping).
     pub fn exact_read_blocks(&self) -> Vec<u64> {
-        self.exact_read.iter().collect()
+        self.exact().0.iter().collect()
     }
 
     /// The exact write-set as a sorted block list (OS summary bookkeeping).
     pub fn exact_write_blocks(&self) -> Vec<u64> {
-        self.exact_write.iter().collect()
+        self.exact().1.iter().collect()
     }
 
     /// Records a local access in both the signature and the shadow.
+    #[inline]
     pub fn insert(&mut self, op: SigOp, a: u64) {
         self.sig.insert(op, a);
-        match op {
-            SigOp::Read => self.exact_read.insert(a),
-            SigOp::Write => self.exact_write.insert(a),
+        if let Some(shadow) = &mut self.shadow {
+            shadow.insert(op, a);
         }
     }
 
     /// The hardware conflict decision (may be a false positive).
+    #[inline]
     pub fn conflicts_with(&self, op: SigOp, a: u64) -> bool {
         self.sig.conflicts_with(op, a)
     }
 
     /// The exact (perfect-signature) conflict decision.
+    #[inline]
     pub fn conflicts_exactly(&self, op: SigOp, a: u64) -> bool {
-        match op {
-            SigOp::Read => self.exact_write.maybe_contains(a),
-            SigOp::Write => self.exact_read.maybe_contains(a) || self.exact_write.maybe_contains(a),
-        }
+        self.shadow
+            .as_ref()
+            .unwrap_or(&self.sig)
+            .conflicts_with(op, a)
     }
 
     /// Classifies an incoming access: none, true conflict, or false
-    /// positive.
+    /// positive. A perfect signature's answer is its own exact one.
+    #[inline]
     pub fn classify(&self, op: SigOp, a: u64) -> ConflictVerdict {
-        match (self.conflicts_with(op, a), self.conflicts_exactly(op, a)) {
+        let hw = self.sig.conflicts_with(op, a);
+        let exact = match &self.shadow {
+            Some(shadow) => shadow.conflicts_with(op, a),
+            None => hw,
+        };
+        match (hw, exact) {
             (false, false) => ConflictVerdict::None,
             (true, true) => ConflictVerdict::True,
             (true, false) => ConflictVerdict::FalsePositive,
@@ -117,15 +149,16 @@ impl ShadowedRwSignature {
 
     /// Exact read-set size in blocks (paper Table 2 "Read Avg/Max" input).
     pub fn exact_read_set_size(&self) -> usize {
-        self.exact_read.len()
+        self.exact().0.len()
     }
 
     /// Exact write-set size in blocks (paper Table 2 "Write Avg/Max" input).
     pub fn exact_write_set_size(&self) -> usize {
-        self.exact_write.len()
+        self.exact().1.len()
     }
 
     /// Whether `a` may be in either hardware set.
+    #[inline]
     pub fn in_either_set(&self, a: u64) -> bool {
         self.sig.in_either_set(a)
     }
@@ -133,13 +166,18 @@ impl ShadowedRwSignature {
     /// Clears signature and shadow (commit/abort completion).
     pub fn clear(&mut self) {
         self.sig.clear();
-        self.exact_read.clear();
-        self.exact_write.clear();
+        if let Some(shadow) = &mut self.shadow {
+            shadow.clear();
+        }
     }
 
     /// Whether both the signature and the shadow are empty.
     pub fn is_empty(&self) -> bool {
-        self.sig.is_empty() && self.exact_read.is_empty() && self.exact_write.is_empty()
+        self.sig.is_empty()
+            && self
+                .shadow
+                .as_ref()
+                .is_none_or(ReadWriteSignature::is_empty)
     }
 
     /// Saves the full state (signature pair + exact shadows) for a log frame
@@ -147,16 +185,22 @@ impl ShadowedRwSignature {
     pub fn save(&self) -> ShadowedSave {
         ShadowedSave {
             sig: self.sig.save(),
-            exact_read: self.exact_read.save(),
-            exact_write: self.exact_write.save(),
+            shadow: self.shadow.as_ref().map(ReadWriteSignature::save),
         }
     }
 
     /// Restores previously saved state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `saved` was taken from a signature of another kind.
     pub fn restore(&mut self, saved: &ShadowedSave) {
         self.sig.restore(&saved.sig);
-        self.exact_read.restore(&saved.exact_read);
-        self.exact_write.restore(&saved.exact_write);
+        match (&mut self.shadow, &saved.shadow) {
+            (Some(shadow), Some(saved)) => shadow.restore(saved),
+            (None, None) => {}
+            _ => panic!("saved state shape mismatch"),
+        }
     }
 
     /// Underlying hardware signature pair.
@@ -170,10 +214,9 @@ impl ShadowedRwSignature {
     pub fn rehash_page(&mut self, old_page_base_block: u64, new_page_base_block: u64, blocks: u64) {
         self.sig
             .rehash_page(old_page_base_block, new_page_base_block, blocks);
-        self.exact_read
-            .rehash_page(old_page_base_block, new_page_base_block, blocks);
-        self.exact_write
-            .rehash_page(old_page_base_block, new_page_base_block, blocks);
+        if let Some(shadow) = &mut self.shadow {
+            shadow.rehash_page(old_page_base_block, new_page_base_block, blocks);
+        }
     }
 }
 
@@ -181,8 +224,8 @@ impl ShadowedRwSignature {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShadowedSave {
     sig: (SavedSignature, SavedSignature),
-    exact_read: SavedSignature,
-    exact_write: SavedSignature,
+    /// The saved exact shadow of a hashed kind; `None` for a perfect one.
+    shadow: Option<(SavedSignature, SavedSignature)>,
 }
 
 #[cfg(test)]

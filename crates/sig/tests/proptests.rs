@@ -353,3 +353,98 @@ fn perfect_signature_filter_never_changes_an_answer() {
         }
     });
 }
+
+/// `ReadWriteSignature`'s one-dispatch answers against the answers composed
+/// from each set's own `SigRepr::test_block`: an incoming read tests the
+/// write set, an incoming write and `in_either_set` test either set.
+#[test]
+fn rw_answers_compose_per_set_test_block() {
+    cases(64, 0xE17E_5E75, |rng| {
+        let kind = random_kind(rng);
+        let span = 1u64 << rng.gen_range(8, 20);
+        let (mut read, mut write) = (SigRepr::new(&kind), SigRepr::new(&kind));
+        for a in vec_of(rng, 0, 100, |r| r.gen_range(0, span)) {
+            read.insert_block(a);
+        }
+        for a in vec_of(rng, 0, 100, |r| r.gen_range(0, span)) {
+            write.insert_block(a);
+        }
+        let rw = ReadWriteSignature::from_parts(read.clone(), write.clone());
+        for a in vec_of(rng, 200, 400, |r| r.gen_range(0, span)) {
+            let either = read.test_block(a) || write.test_block(a);
+            assert_eq!(
+                rw.conflicts_with(SigOp::Read, a),
+                write.test_block(a),
+                "{kind}"
+            );
+            assert_eq!(rw.conflicts_with(SigOp::Write, a), either, "{kind}");
+            assert_eq!(rw.in_either_set(a), either, "{kind}");
+        }
+    });
+}
+
+/// A perfect `ShadowedRwSignature` keeps no shadow of its own; a reference
+/// kept beside it as two `PerfectSignature`s must agree with it on every
+/// verdict, the exact sizes and blocks, a save/restore round trip and a
+/// page rehash.
+#[test]
+fn perfect_shadowed_signature_matches_a_two_set_reference() {
+    cases(64, 0x5EAD_0F5E, |rng| {
+        let mut rw = ShadowedRwSignature::new(&SignatureKind::Perfect);
+        let (mut read, mut write) = (PerfectSignature::new(), PerfectSignature::new());
+        let span = 1u64 << rng.gen_range(6, 10);
+        for _ in 0..rng.gen_range(0, 80) {
+            let a = rng.gen_range(0, span);
+            if rng.gen_bool(0.5) {
+                rw.insert(SigOp::Write, a);
+                write.insert(a);
+            } else {
+                rw.insert(SigOp::Read, a);
+                read.insert(a);
+            }
+        }
+        let agree =
+            |rw: &ShadowedRwSignature, read: &PerfectSignature, write: &PerfectSignature| {
+                assert_eq!(rw.exact_read_set_size(), read.len());
+                assert_eq!(rw.exact_write_set_size(), write.len());
+                assert_eq!(rw.exact_read_blocks(), read.iter().collect::<Vec<_>>());
+                assert_eq!(rw.exact_write_blocks(), write.iter().collect::<Vec<_>>());
+                assert_eq!(rw.is_empty(), read.is_empty() && write.is_empty());
+                for a in 0..span * 2 {
+                    let on_write = write.maybe_contains(a);
+                    let on_either = read.maybe_contains(a) || on_write;
+                    for (op, hit) in [(SigOp::Read, on_write), (SigOp::Write, on_either)] {
+                        let want = if hit {
+                            ConflictVerdict::True
+                        } else {
+                            ConflictVerdict::None
+                        };
+                        assert_eq!(rw.classify(op, a), want, "{op} {a}");
+                        assert_eq!(rw.conflicts_exactly(op, a), hit, "{op} {a}");
+                    }
+                    assert_eq!(rw.in_either_set(a), on_either, "{a}");
+                }
+            };
+        agree(&rw, &read, &write);
+
+        let saved = rw.save();
+        let mut fresh = ShadowedRwSignature::new(&SignatureKind::Perfect);
+        fresh.restore(&saved);
+        assert_eq!(fresh.save(), saved);
+        agree(&fresh, &read, &write);
+
+        let pages = span / 64 + 1;
+        let (old, new) = (
+            rng.gen_range(0, pages) * 64,
+            rng.gen_range(0, pages + 2) * 64,
+        );
+        rw.rehash_page(old, new, 64);
+        read.rehash_page(old, new, 64);
+        write.rehash_page(old, new, 64);
+        agree(&rw, &read, &write);
+
+        rw.clear();
+        assert!(rw.is_empty());
+        agree(&rw, &PerfectSignature::new(), &PerfectSignature::new());
+    });
+}

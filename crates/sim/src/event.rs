@@ -474,7 +474,13 @@ impl<E: Copy> EventQueue<E> {
         } else {
             0
         };
-        let payload = if pick < in_buckets {
+        let payload = if pick == 0 && in_buckets > 0 {
+            // The earliest candidate heads the bucket for `fire_at`, since
+            // bucket appends carry the largest seq: unlink it as `pop`
+            // does, without walking the buckets again.
+            let idx = (fire_at.0 & self.mask) as usize;
+            self.unlink(idx, NIL, self.heads[idx])
+        } else if pick < in_buckets {
             let (t, prev, node) = self
                 .nth_bucketed(cutoff, pick)
                 .expect("the pick is a bucketed candidate");

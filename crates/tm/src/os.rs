@@ -413,7 +413,7 @@ impl OsModel {
                 exact_write.insert(b);
             }
         }
-        let (read_hw, write_hw) = match (&proc.counting_read, &proc.counting_write) {
+        Some(match (&proc.counting_read, &proc.counting_write) {
             (Some(cr), Some(cw)) => {
                 // Counting structures cover ALL contributions; clone and
                 // subtract the excluded thread's.
@@ -425,19 +425,15 @@ impl OsModel {
                         cw.remove(&c.write_save);
                     }
                 }
-                (cr.materialize(&kind), cw.materialize(&kind))
+                ShadowedRwSignature::from_raw(
+                    ReadWriteSignature::from_parts(cr.materialize(&kind), cw.materialize(&kind)),
+                    exact_read,
+                    exact_write,
+                )
             }
             // Perfect signatures: the exact union is the summary.
-            _ => (
-                SigRepr::Perfect(exact_read.clone()),
-                SigRepr::Perfect(exact_write.clone()),
-            ),
-        };
-        Some(ShadowedRwSignature::from_raw(
-            ReadWriteSignature::from_parts(read_hw, write_hw),
-            exact_read,
-            exact_write,
-        ))
+            _ => ShadowedRwSignature::from_exact(exact_read, exact_write),
+        })
     }
 
     /// Pushes refreshed summaries to every context running `asid`.

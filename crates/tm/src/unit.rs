@@ -1,7 +1,9 @@
 //! [`TmUnit`]: the TM state of every hardware thread context, and the
 //! [`ConflictOracle`] implementation the coherence protocol calls into.
 
-use ltse_mem::{AccessKind, Asid, BlockAddr, ConflictOracle, CtxId, WordAddr, WORDS_PER_BLOCK};
+use ltse_mem::{
+    AccessKind, Asid, BlockAddr, ConflictOracle, CoreId, Coverage, CtxId, WordAddr, WORDS_PER_BLOCK,
+};
 use ltse_sig::SigOp;
 use ltse_sim::Cycle;
 
@@ -66,9 +68,6 @@ pub struct CommitOutcome {
 pub struct TmUnit {
     config: TmConfig,
     smt_per_core: u8,
-    /// `ctx_core[ctx]` is `ctx / smt_per_core`, built once so that the
-    /// pre-access check divides nothing to find a context's siblings.
-    ctx_core: Box<[ltse_mem::CoreId]>,
     slots: Vec<Option<ThreadTmState>>,
     /// Stats of threads that were destroyed/descheduled-forever, so nothing
     /// is lost from aggregates.
@@ -129,9 +128,6 @@ impl TmUnit {
         TmUnit {
             config,
             smt_per_core,
-            ctx_core: (0..n_ctxs)
-                .map(|ctx| (ctx / smt_per_core as u32) as ltse_mem::CoreId)
-                .collect(),
             slots: (0..n_ctxs).map(|_| None).collect(),
             retired_stats: TmStats::new(),
             serial_holder: None,
@@ -257,16 +253,6 @@ impl TmUnit {
             .unwrap_or_default()
     }
 
-    /// The core hosting `ctx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    #[inline]
-    pub fn core_of(&self, ctx: CtxId) -> ltse_mem::CoreId {
-        self.ctx_core[ctx as usize]
-    }
-
     // ---- lifecycle pass-throughs (see [`ThreadTmState`]) -----------------
 
     /// Begins a transaction on `ctx`; returns the header's log address.
@@ -353,9 +339,17 @@ impl TmUnit {
 
     /// TM-layer checks before a memory access is issued: the summary
     /// signature (every reference, §4.1) and same-core sibling signatures
-    /// (SMT conflicts never reach the coherence protocol, §2).
+    /// (SMT conflicts never reach the coherence protocol, §2). `core` is
+    /// the core hosting `ctx`, from the memory system's context → core
+    /// table.
     #[inline]
-    pub fn pre_access(&self, ctx: CtxId, kind: AccessKind, block: BlockAddr) -> PreAccessCheck {
+    pub fn pre_access(
+        &self,
+        ctx: CtxId,
+        core: CoreId,
+        kind: AccessKind,
+        block: BlockAddr,
+    ) -> PreAccessCheck {
         let Some(me) = self.thread(ctx) else {
             return PreAccessCheck::Clear;
         };
@@ -363,8 +357,7 @@ impl TmUnit {
         if me.check_summary(op, block) {
             return PreAccessCheck::SummaryConflict;
         }
-        let my_core = self.core_of(ctx);
-        for sib in self.ctxs_on_core(my_core) {
+        for sib in self.ctxs_on_core(core) {
             if sib == ctx {
                 continue;
             }
@@ -480,7 +473,7 @@ impl TmUnit {
         agg
     }
 
-    fn ctxs_on_core(&self, core: ltse_mem::CoreId) -> std::ops::Range<CtxId> {
+    fn ctxs_on_core(&self, core: CoreId) -> std::ops::Range<CtxId> {
         let base = core as u32 * self.smt_per_core as u32;
         base..base + self.smt_per_core as u32
     }
@@ -502,7 +495,7 @@ fn sig_op(kind: AccessKind) -> SigOp {
 impl ConflictOracle for TmUnit {
     fn check_core(
         &self,
-        core: ltse_mem::CoreId,
+        core: CoreId,
         kind: AccessKind,
         block: BlockAddr,
         requester_ctx: u32,
@@ -528,16 +521,23 @@ impl ConflictOracle for TmUnit {
         None
     }
 
-    fn block_is_transactional_hw(&self, core: ltse_mem::CoreId, block: BlockAddr) -> bool {
-        self.ctxs_on_core(core)
-            .filter_map(|c| self.thread(c))
-            .any(|t| t.covers_hw(block))
-    }
-
-    fn block_is_transactional_exact(&self, core: ltse_mem::CoreId, block: BlockAddr) -> bool {
-        self.ctxs_on_core(core)
-            .filter_map(|c| self.thread(c))
-            .any(|t| t.covers_exact(block))
+    fn coverage(&self, block: BlockAddr, core: Option<CoreId>) -> Coverage {
+        let per_core = self.smt_per_core as usize;
+        let (first, slots) = match core {
+            Some(c) => (c, &self.slots[c as usize * per_core..][..per_core]),
+            None => (0, &self.slots[..]),
+        };
+        let mut cov = Coverage::default();
+        for (c, ctxs) in (first..).zip(slots.chunks(per_core)) {
+            for t in ctxs.iter().flatten() {
+                if t.covers_hw(block) {
+                    cov.hw.insert(c);
+                    // Only a hardware hit can be an exact one.
+                    cov.exact = cov.exact || t.covers_exact(block);
+                }
+            }
+        }
+        cov
     }
 }
 
@@ -580,7 +580,7 @@ mod tests {
         let mut tm = unit();
         tm.begin_tx(1, NestKind::Closed, Cycle(0)); // core 0 slot 1
         tm.record_access(1, AccessKind::Store, BlockAddr(9));
-        match tm.pre_access(0, AccessKind::Load, BlockAddr(9)) {
+        match tm.pre_access(0, 0, AccessKind::Load, BlockAddr(9)) {
             PreAccessCheck::SiblingConflict { nacker } => assert_eq!(nacker, 1),
             other => panic!("expected sibling conflict, got {other:?}"),
         }
@@ -589,7 +589,7 @@ mod tests {
         tm2.begin_tx(1, NestKind::Closed, Cycle(0));
         tm2.record_access(1, AccessKind::Load, BlockAddr(9));
         assert_eq!(
-            tm2.pre_access(0, AccessKind::Load, BlockAddr(9)),
+            tm2.pre_access(0, 0, AccessKind::Load, BlockAddr(9)),
             PreAccessCheck::Clear
         );
     }
@@ -649,12 +649,16 @@ mod tests {
         let mut tm = unit();
         tm.begin_tx(4, NestKind::Closed, Cycle(0)); // core 2
         tm.record_access(4, AccessKind::Load, BlockAddr(31));
-        assert!(tm.block_is_transactional_hw(2, BlockAddr(31)));
-        assert!(tm.block_is_transactional_exact(2, BlockAddr(31)));
-        assert!(!tm.block_is_transactional_hw(0, BlockAddr(31)));
+        let covered = Coverage {
+            hw: ltse_mem::SharerSet::single(2),
+            exact: true,
+        };
+        assert_eq!(tm.coverage(BlockAddr(31), None), covered);
+        assert_eq!(tm.coverage(BlockAddr(31), Some(2)), covered);
+        assert_eq!(tm.coverage(BlockAddr(31), Some(0)), Coverage::default());
         // After commit, nothing is transactional.
         tm.commit_tx(4, Cycle(5));
-        assert!(!tm.block_is_transactional_hw(2, BlockAddr(31)));
+        assert_eq!(tm.coverage(BlockAddr(31), None), Coverage::default());
     }
 
     #[test]

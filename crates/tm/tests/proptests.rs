@@ -8,10 +8,13 @@ use std::collections::HashMap;
 use ltse_sim::check::{cases, pick_weighted, vec_of};
 use ltse_sim::rng::Xoshiro256StarStar;
 
-use ltse_mem::{Asid, BlockAddr, WordAddr, WORDS_PER_BLOCK};
+use ltse_mem::{
+    AccessKind, Asid, BlockAddr, ConflictOracle, CoreId, Coverage, MemConfig, MemorySystem,
+    WordAddr, WORDS_PER_BLOCK,
+};
 use ltse_sig::{SigOp, SignatureKind};
 use ltse_sim::Cycle;
-use ltse_tm::{NestKind, ThreadTmState, TmConfig};
+use ltse_tm::{NestKind, ThreadTmState, TmConfig, TmUnit};
 
 /// The operations a fuzzed transaction script can perform.
 #[derive(Debug, Clone)]
@@ -263,4 +266,127 @@ mod explored {
     fn counters_serialize_with_the_paper_bs_64() {
         counters_serialize(SignatureKind::paper_bs_64(), 3, 3, 60);
     }
+}
+
+/// The per-core answer `TmUnit`'s one-pass coverage query replaces: each
+/// core's contexts folded through `covers_hw`, and `covers_exact` asked only
+/// of cores that hit in hardware. Conflict checks pass through.
+struct PerCoreFold<'a> {
+    tm: &'a TmUnit,
+    smt: u32,
+}
+
+impl ConflictOracle for PerCoreFold<'_> {
+    fn check_core(
+        &self,
+        core: CoreId,
+        kind: AccessKind,
+        block: BlockAddr,
+        req: u32,
+    ) -> Option<u32> {
+        self.tm.check_core(core, kind, block, req)
+    }
+
+    fn coverage(&self, block: BlockAddr, core: Option<CoreId>) -> Coverage {
+        let mut cov = Coverage::default();
+        for c in 0..(self.tm.n_ctxs() / self.smt) as CoreId {
+            if core.is_some_and(|only| only != c) {
+                continue;
+            }
+            let base = c as u32 * self.smt;
+            let threads = || (base..base + self.smt).filter_map(|ctx| self.tm.thread(ctx));
+            if threads().any(|t| t.covers_hw(block)) {
+                cov.hw.insert(c);
+                cov.exact = cov.exact || threads().any(|t| t.covers_exact(block));
+            }
+        }
+        cov
+    }
+}
+
+/// Random thread states on a 4-core × 2-SMT unit: each context idle, out of
+/// any transaction, or in one with random read and write sets over a small
+/// block range, under an exact, an aliasing or a two-field signature.
+fn random_unit(rng: &mut Xoshiro256StarStar) -> TmUnit {
+    let kind = match rng.gen_index(3) {
+        0 => SignatureKind::Perfect,
+        1 => SignatureKind::BitSelect { bits: 16 },
+        _ => SignatureKind::DoubleBitSelect { bits: 32 },
+    };
+    let mut tm = TmUnit::with_smt(TmConfig::default_with(kind), 8, 2);
+    for ctx in 0..8 {
+        match rng.gen_index(4) {
+            0 => drop(tm.take_thread(ctx)),
+            1 => {}
+            _ => {
+                tm.begin_tx(ctx, NestKind::Closed, Cycle(ctx as u64));
+                for _ in 0..rng.gen_range(0, 12) {
+                    let kind = if rng.gen_bool(0.5) {
+                        AccessKind::Load
+                    } else {
+                        AccessKind::Store
+                    };
+                    tm.record_access(ctx, kind, BlockAddr(rng.gen_range(0, 96)));
+                }
+            }
+        }
+    }
+    tm
+}
+
+/// `TmUnit::coverage` answers in one pass what the per-core fold answers
+/// core by core, for the whole machine and for each core alone; and two
+/// memory systems driven by the two answers stay identical access by
+/// access, the overflow events of the sticky-disabled ablation included
+/// (one per covering core, in ascending core order).
+#[test]
+fn one_pass_coverage_equals_the_per_core_fold() {
+    cases(48, 0xC0FE_4A6E, |rng| {
+        let tm = random_unit(rng);
+        let fold = PerCoreFold { tm: &tm, smt: 2 };
+        for b in 0..128 {
+            let block = BlockAddr(b);
+            assert_eq!(
+                tm.coverage(block, None),
+                fold.coverage(block, None),
+                "{block}"
+            );
+            for core in 0..4 {
+                assert_eq!(
+                    tm.coverage(block, Some(core)),
+                    fold.coverage(block, Some(core)),
+                    "{block} core {core}"
+                );
+            }
+        }
+        for sticky_enabled in [false, true] {
+            let config = MemConfig {
+                sticky_enabled,
+                ..MemConfig::small_for_tests()
+            };
+            let (mut one_pass, mut per_core) =
+                (MemorySystem::new(config), MemorySystem::new(config));
+            for _ in 0..400 {
+                let ctx = rng.gen_index(8) as u32;
+                let kind = if rng.gen_bool(0.3) {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                let block = BlockAddr(rng.gen_range(0, 160));
+                let a = one_pass.access(ctx, kind, block, &tm);
+                let b = per_core.access(ctx, kind, block, &fold);
+                assert_eq!(a, b, "{kind} {block} from ctx {ctx}");
+                assert_eq!(
+                    one_pass.take_overflow_events(),
+                    per_core.take_overflow_events(),
+                    "{kind} {block} from ctx {ctx}, sticky {sticky_enabled}"
+                );
+            }
+            assert_eq!(
+                format!("{:?}", one_pass.stats()),
+                format!("{:?}", per_core.stats())
+            );
+        }
+    });
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + tests (which must compile without a
 # single warning), a warning-free clippy pass over every target (and over
-# the benchmark/ workspace, with its smoke), then a determinism smoke of
-# the parallel experiment runner (quick-scale repro on 1 vs. 4 workers must
-# produce byte-identical stdout).
+# the benchmark/ workspace, with its smoke), a rustfmt check of the root
+# workspace, then a determinism smoke of the parallel experiment runner
+# (quick-scale repro on 1 vs. 4 workers must produce byte-identical stdout).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +33,11 @@ echo "== lint: cargo clippy --all-targets =="
 # run, so lint debt cannot pile up unseen. The separate benchmark/ workspace
 # is linted with its smoke below.
 no_warnings cargo clippy --all-targets -q
+
+echo "== lint: cargo fmt --check =="
+# The root workspace is rustfmt-clean, and a formatting diff fails the run.
+# The separate benchmark/ workspace is not formatted here.
+cargo fmt --check
 
 echo "== exploration smoke: bounded schedule search with the oracle =="
 # A capped budget keeps this under ~30 s while still covering every
