@@ -767,8 +767,9 @@ impl MemorySystem {
         let crossing = self.interchip_broadcast();
         let bcast = self.grid.broadcast_latency(self.bank_node(bank)) + crossing;
         self.stats.messages.add(self.config.n_cores as u64); // fan-out
-                                                             // Check every other core's signatures (the requester's own core is
-                                                             // covered by the TM layer's same-core checks).
+
+        // Check every other core's signatures (the requester's own core is
+        // covered by the TM layer's same-core checks).
         if let Some(nacker) = self.check_cores_except(core, kind, block, requester, oracle) {
             self.stats.nacks.inc();
             let nack_core = self.ctx_core[nacker as usize];

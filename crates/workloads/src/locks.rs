@@ -360,7 +360,8 @@ mod tests {
     fn barrier_sense_reverses_each_crossing() {
         let mut r = rng();
         let mut b = BarrierDriver::new(WordAddr(0), 1); // solo barrier
-                                                        // Sole participant: every arrival is the last arrival.
+
+        // Sole participant: every arrival is the last arrival.
         for expected_sense in [1u64, 0, 1] {
             b.step(0, &mut r); // fetch-add
             assert!(matches!(
