@@ -86,12 +86,15 @@ impl ShadowedRwSignature {
         }
     }
 
-    /// The exact read and write sets: the shadow's, or a perfect
-    /// signature's own.
+    /// The exact pair: the shadow, or a perfect signature itself.
+    #[inline]
+    fn exact_pair(&self) -> &ReadWriteSignature {
+        self.shadow.as_ref().unwrap_or(&self.sig)
+    }
+
+    /// The exact read and write sets.
     fn exact(&self) -> (&PerfectSignature, &PerfectSignature) {
-        self.shadow
-            .as_ref()
-            .unwrap_or(&self.sig)
+        self.exact_pair()
             .perfect_sets()
             .expect("the exact sets are perfect")
     }
@@ -124,10 +127,7 @@ impl ShadowedRwSignature {
     /// The exact (perfect-signature) conflict decision.
     #[inline]
     pub fn conflicts_exactly(&self, op: SigOp, a: u64) -> bool {
-        self.shadow
-            .as_ref()
-            .unwrap_or(&self.sig)
-            .conflicts_with(op, a)
+        self.exact_pair().conflicts_with(op, a)
     }
 
     /// Classifies an incoming access: none, true conflict, or false
