@@ -53,19 +53,55 @@
 //! the other's writes: its stripe samples came after the other's clock
 //! bump, and a reader that sees a new version synchronizes with the unlock.
 //!
+//! The serial gate adds two accesses to the clock word, both `SeqCst`
+//! read-modify-writes: the `fetch_or` that sets [`SERIAL`] and the
+//! `fetch_and` that clears it. Every writer commit reads the bit through the
+//! `fetch_add` it already makes. Read-modify-writes of one word are totally
+//! ordered, and that order is part of the single `SeqCst` order, which is
+//! what the argument below leans on.
+//!
 //! # Progress: the serial fallback
 //!
 //! TL2 alone can livelock under pathological contention. The executor layer
 //! bounds retries: after [`StmConfig::max_retries`] consecutive aborts a
-//! transaction re-runs under the global *serial token* — the write half of
-//! an `RwLock` whose read half every ordinary writer commit briefly holds.
-//! With the token held no other transaction can commit, so no stripe version
-//! can advance and no stripe can be (or become) locked: the serial attempt
-//! cannot fail, giving starvation freedom.
+//! transaction re-runs under the global *serial token*. Taking it locks a
+//! mutex that only serial holders contend on, then sets [`SERIAL`] in the
+//! clock word; dropping it clears the bit, then unlocks the mutex. An
+//! ordinary commit thus pays for the gate with no access beyond the clock
+//! bump it makes anyway. Site by site, while a thread holds the token:
+//!
+//! * **An ordinary writer whose `fetch_add` returns the bit** has locked
+//!   its write set but stored nothing. It restores its stripes and aborts
+//!   as [`Conflict::Locked`], so the executor's locked/stale split still
+//!   partitions every abort. It never waits.
+//! * **An ordinary writer whose `fetch_add` came before the `fetch_or`**
+//!   had locked its whole write set before it: the locks come first in
+//!   its commit. Every stripe load of the serial transaction comes after
+//!   the `fetch_or` in the `SeqCst` order, so it sees that writer's lock or
+//!   what followed it, the version the writer restored or stamped at
+//!   unlock. Either unlock is a `Release` store, so a serial load that sees
+//!   it also sees the finished write-back. This writer does not wait either.
+//! * **The serial transaction** waits, yielding, on any stripe another
+//!   writer holds, both when it reads (`Stm::load_serial`) and when it
+//!   locks its write set. Every holder is an ordinary writer: one of the
+//!   two above, or one that backs out before its `fetch_add` (a lost lock,
+//!   a full table). None of them waits for anything, so the waits end and
+//!   cannot deadlock.
+//!   Once a stripe is free, no other thread stores under it until the token
+//!   is dropped, so every value the serial transaction reads stays current
+//!   until it commits. It therefore records no read stripes and skips read
+//!   validation, which at `rv = u64::MAX` was vacuous anyway, and its
+//!   commit cannot fail with a transient conflict: the token gives
+//!   starvation freedom.
+//! * **Versions.** The serial transaction's own `fetch_add` returns its
+//!   own bit, so it masks the bit off its write version, as
+//!   [`Stm::clock_now`] and every `rv` do: no version ever carries it. Its
+//!   version exceeds every version taken before the `fetch_or`, and every
+//!   writer that commits after the token is dropped takes a larger one.
 
 use std::sync::atomic::Ordering::{Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use logtm_se::ContentionPolicy;
 
@@ -75,6 +111,19 @@ use crate::table::{Table, TableFull};
 /// 63 bits always carry the stripe's last committed version, locked or not,
 /// so validation against `rv` works in either state.
 const LOCKED: u64 = 1 << 63;
+
+/// Bit of the clock word that is set while a thread holds the serial token
+/// (see the module docs). The low 62 bits count writer commits; no run makes
+/// 2^62 of them, so a `fetch_add` never carries into the bit.
+const SERIAL: u64 = 1 << 62;
+
+/// The global version clock, on two cache lines that no other field
+/// shares: every writer commit read-modify-writes it, and the neighbouring
+/// fields are read by every read and commit. 128 bytes, not 64, because
+/// the adjacent-line prefetcher fetches lines in aligned pairs.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Clock(AtomicU64);
 
 /// Tuning and test knobs for the STM runtime. Post-abort backoff spins
 /// are fixed constants of the executor; [`StmConfig::contention`] picks
@@ -166,10 +215,24 @@ pub struct CommitInfo {
     pub serial: bool,
 }
 
-/// Exclusive commit permission used by the serial fallback. While any thread
-/// holds one, no ordinary transaction can commit a write; transactions begun
-/// with [`Stm::begin_serial`] therefore run free of conflicts.
-pub struct SerialToken<'a>(#[allow(dead_code)] RwLockWriteGuard<'a, ()>);
+/// Exclusive commit permission used by the serial fallback. While a thread
+/// holds one, the clock word carries the serial bit and every ordinary
+/// writer commit aborts before it stores anything; transactions begun with
+/// [`Stm::begin_serial`] wait out the writers already committing and then
+/// run free of conflicts. Dropping it clears the bit, then lets the next
+/// serial holder in.
+pub struct SerialToken<'a> {
+    stm: &'a Stm,
+    _holder: MutexGuard<'a, ()>,
+}
+
+impl Drop for SerialToken<'_> {
+    fn drop(&mut self) {
+        // Runs before the guard field is dropped, so the next holder sets
+        // the bit afresh rather than having it cleared under it.
+        self.stm.clock.0.fetch_and(!SERIAL, SeqCst);
+    }
+}
 
 impl std::fmt::Debug for SerialToken<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -182,18 +245,18 @@ impl std::fmt::Debug for SerialToken<'_> {
 /// reference (it is `Sync` — every field is an atomic or a lock).
 #[derive(Debug)]
 pub struct Stm {
-    cfg: StmConfig,
     /// The global version clock. Incremented by every writer commit; its
-    /// value after increment is that commit's unique write version.
-    clock: AtomicU64,
+    /// value after increment, without the serial bit, is that commit's
+    /// unique write version.
+    clock: Clock,
+    cfg: StmConfig,
     /// Versioned write-locks, one per stripe (see [`LOCKED`]).
     stripes: Box<[AtomicU64]>,
     /// The shared word store.
     mem: Table,
-    /// Serial-fallback gate: writer commits hold the read side across their
-    /// write-back window; a starving transaction takes the write side and
-    /// becomes the only thread able to commit.
-    serial: RwLock<()>,
+    /// Serial holders queue here, so one thread at a time owns the
+    /// clock's serial bit. Ordinary transactions never touch it.
+    serial: Mutex<()>,
     /// One-shot trigger for [`StmConfig::fault_skip_one_writeback`].
     fault_armed: AtomicBool,
 }
@@ -203,10 +266,10 @@ impl Stm {
     pub fn new(cfg: StmConfig) -> Self {
         let n = cfg.n_stripes.max(2).next_power_of_two();
         Stm {
-            clock: AtomicU64::new(0),
+            clock: Clock(AtomicU64::new(0)),
             stripes: (0..n).map(|_| AtomicU64::new(0)).collect(),
             mem: Table::new(cfg.mem_slots),
-            serial: RwLock::new(()),
+            serial: Mutex::new(()),
             fault_armed: AtomicBool::new(cfg.fault_skip_one_writeback),
             cfg,
         }
@@ -229,7 +292,7 @@ impl Stm {
 
     /// Current clock value (the version the next writer commit will exceed).
     pub fn clock_now(&self) -> u64 {
-        self.clock.load(SeqCst)
+        self.clock.0.load(SeqCst) & !SERIAL
     }
 
     /// Reads a word directly, outside any transaction. Used for memory
@@ -250,14 +313,23 @@ impl Stm {
         Tx::new(self, None)
     }
 
-    /// Acquires the serial-fallback token, blocking until every in-flight
-    /// writer commit drains. See the module docs for the progress argument.
+    /// Acquires the serial-fallback token: waits for any other serial
+    /// holder, then sets the clock's serial bit, from which point every
+    /// ordinary writer commit aborts before storing. It does not wait for
+    /// the writers already past their clock bump; the serial transaction's
+    /// reads and locks wait out each one on its stripes. See the module docs
+    /// for the progress argument.
     pub fn serial_token(&self) -> SerialToken<'_> {
-        SerialToken(self.serial.write().unwrap_or_else(|e| e.into_inner()))
+        let holder = self.serial.lock().unwrap_or_else(|e| e.into_inner());
+        self.clock.0.fetch_or(SERIAL, SeqCst);
+        SerialToken {
+            stm: self,
+            _holder: holder,
+        }
     }
 
-    /// Starts a transaction under the serial token. The token proves no
-    /// other thread can commit, so this transaction's commit cannot fail
+    /// Starts a transaction under the serial token. With the token held no
+    /// other writer can commit, so this transaction's commit cannot fail
     /// with a transient conflict. Borrowing the token (rather than a flag)
     /// makes "serial tx without the token" unrepresentable.
     pub fn begin_serial<'a>(&'a self, token: &SerialToken<'a>) -> Tx<'a> {
@@ -274,6 +346,37 @@ impl Stm {
             return Err(Conflict::Stale { stripe: s });
         }
         Ok(w)
+    }
+
+    /// A serial transaction's load of `word`, guarded by stripe `s`. Where
+    /// an ordinary read would abort on a held stripe, this waits the holder
+    /// out: the module docs give why the value it returns stays current.
+    /// Kept out of line: serial transactions are rare, and every ordinary
+    /// read shares the function that calls this.
+    #[cold]
+    #[inline(never)]
+    fn load_serial(&self, s: usize, word: u64) -> u64 {
+        loop {
+            let before = self.stripes[s].load(SeqCst);
+            if before & LOCKED == 0 {
+                let value = self.mem.load(word);
+                if self.stripes[s].load(SeqCst) == before {
+                    return value;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// One attempt to lock stripe `s`: its pre-lock version, or `None` if
+    /// another writer holds it or takes it first.
+    fn try_lock(&self, s: usize) -> Option<u64> {
+        let w = self.stripes[s].load(SeqCst);
+        let won = w & LOCKED == 0
+            && self.stripes[s]
+                .compare_exchange(w, w | LOCKED, SeqCst, SeqCst)
+                .is_ok();
+        won.then_some(w)
     }
 
     /// Unlocks `locked` stripes: restoring their pre-lock versions on abort
@@ -339,15 +442,16 @@ impl<'a> Tx<'a> {
     /// it under the serial token, as [`Stm::begin_serial`] does.
     pub(crate) fn restart(&mut self, token: Option<&SerialToken<'a>>) {
         // A serial transaction validates against u64::MAX — i.e. not at all.
-        // Sound because the held token excludes every other committer: the
-        // only versions that can advance during the transaction are those
-        // its own thread publishes (escape-action minis under the same
-        // token), and those the thread must be allowed to observe.
+        // Sound because under the held token no other writer stores: the
+        // serial reads wait out the writers already committing (module
+        // docs), and the only versions that can advance after that are
+        // those its own thread publishes (escape-action minis under the same
+        // token), which the thread must be allowed to observe.
         self.serial = token.is_some();
         self.rv = if self.serial {
             u64::MAX
         } else {
-            self.stm.clock.load(SeqCst)
+            self.stm.clock_now()
         };
         self.read_stripes.clear();
         self.writes.clear();
@@ -365,6 +469,10 @@ impl<'a> Tx<'a> {
             return Ok(v);
         }
         let s = self.stm.stripe_of(word);
+        if self.serial {
+            // Nothing validates a serial read, so its stripe is not kept.
+            return Ok(self.stm.load_serial(s, word));
+        }
         let before = self.stm.stripe_ok(s, self.rv)?;
         let value = self.stm.mem.load(word);
         // Re-sample: if the stripe moved (locked or re-versioned) while we
@@ -415,8 +523,10 @@ impl<'a> Tx<'a> {
             // Read-only: every read already validated against rv at read
             // time, so the snapshot at rv is consistent — serialize there.
             // A serial transaction's rv is the MAX sentinel; it serializes
-            // at the current clock (nothing else committed since begin, so
-            // that is exactly what its reads observed).
+            // at the current clock. Every writer below that version took
+            // it before the serial bit was set, and each read waited out
+            // any such writer on its stripe, so that is exactly what its
+            // reads observed.
             let version = if self.serial {
                 stm.clock_now()
             } else {
@@ -429,16 +539,9 @@ impl<'a> Tx<'a> {
             });
         }
 
-        // Writer commits exclude the serial fallback (never the reverse:
-        // a serial transaction IS the write side of this lock).
-        let _commit_permit: Option<RwLockReadGuard<'_, ()>> = if self.serial {
-            None
-        } else {
-            Some(stm.serial.read().unwrap_or_else(|e| e.into_inner()))
-        };
-
         // Lock the write-set's stripes in ascending order (deadlock-free
-        // against all other committers), one CAS attempt each.
+        // against all other committers), one CAS attempt each for an
+        // ordinary writer. A serial one waits each holder out instead.
         self.wstripes.clear();
         self.wstripes
             .extend(self.writes.iter().map(|&(w, _)| stm.stripe_of(w)));
@@ -446,16 +549,17 @@ impl<'a> Tx<'a> {
         self.wstripes.dedup();
         self.locked.clear();
         for &s in &self.wstripes {
-            let w = stm.stripes[s].load(SeqCst);
-            if w & LOCKED != 0
-                || stm.stripes[s]
-                    .compare_exchange(w, w | LOCKED, SeqCst, SeqCst)
-                    .is_err()
-            {
-                stm.release(&self.locked, None);
-                return Err(Conflict::Locked { stripe: s });
-            }
-            self.locked.push((s, w));
+            let old = loop {
+                match stm.try_lock(s) {
+                    Some(old) => break old,
+                    None if self.serial => std::thread::yield_now(),
+                    None => {
+                        stm.release(&self.locked, None);
+                        return Err(Conflict::Locked { stripe: s });
+                    }
+                }
+            };
+            self.locked.push((s, old));
         }
 
         // Reserve table slots *before* taking wv: a full table must abort
@@ -473,11 +577,23 @@ impl<'a> Tx<'a> {
         }
 
         // Fresh write version. fetch_add returns the old value; ours is +1.
-        let wv = stm.clock.fetch_add(1, SeqCst) + 1;
+        // The same read-modify-write reads the serial bit: while another
+        // thread holds the token, an ordinary writer backs out here, having
+        // stored nothing. The write set's first stripe names the conflict.
+        let clock = stm.clock.0.fetch_add(1, SeqCst);
+        if clock & SERIAL != 0 && !self.serial {
+            stm.release(&self.locked, None);
+            return Err(Conflict::Locked {
+                stripe: self.wstripes[0],
+            });
+        }
+        let wv = (clock & !SERIAL) + 1;
 
         // Validate the read-set: every stripe we read must still be at a
         // version ≤ rv and unlocked — except by us, where the pre-lock
-        // version (still visible in the low bits) stands in.
+        // version (still visible in the low bits) stands in. A serial
+        // transaction kept no read stripes: nothing it read can change
+        // before it commits.
         for &s in &self.read_stripes {
             let w = stm.stripes[s].load(SeqCst);
             let effective = if w & LOCKED != 0 {
@@ -622,6 +738,75 @@ mod tests {
         let mut tx = stm.begin();
         tx.write(16, 1);
         assert!(tx.commit().unwrap().writer);
+    }
+
+    #[test]
+    fn the_clock_has_its_two_cache_lines_to_itself() {
+        // A 128-byte-aligned, 128-byte cell: whatever the field order and
+        // wherever `Stm` lives, no other field shares either line.
+        assert_eq!(std::mem::align_of::<Clock>(), 128);
+        assert_eq!(std::mem::size_of::<Clock>(), 128);
+        assert_eq!(std::mem::offset_of!(Stm, clock) % 128, 0);
+    }
+
+    #[test]
+    fn the_serial_bit_aborts_ordinary_writers_until_the_token_drops() {
+        let stm = tiny();
+        stm.poke_word_raw(8, 5).unwrap();
+        let s = stm.stripe_of(8);
+        let mut tx = stm.begin();
+        let v = tx.read(8).unwrap();
+        tx.write(8, v + 1);
+        let stripe_before = stm.stripes[s].load(SeqCst);
+
+        let token = stm.serial_token();
+        assert_ne!(stm.clock.0.load(SeqCst) & SERIAL, 0, "the bit is set");
+        let (mut tx, refused) = std::thread::scope(|sc| {
+            sc.spawn(move || {
+                let r = tx.try_commit();
+                (tx, r)
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(refused, Err(Conflict::Locked { stripe: s }));
+        assert_eq!(stm.read_word_raw(8), 5, "the refused commit stored nothing");
+        assert_eq!(
+            stm.stripes[s].load(SeqCst),
+            stripe_before,
+            "stripe restored"
+        );
+        assert_eq!(stm.clock_now(), 1, "one burnt tick, without the bit");
+
+        drop(token);
+        assert_eq!(stm.clock.0.load(SeqCst) & SERIAL, 0, "the bit is cleared");
+        let info = std::thread::scope(|sc| sc.spawn(move || tx.try_commit()).join().unwrap());
+        assert_eq!(info.unwrap().version, 2);
+        assert_eq!(stm.read_word_raw(8), 6);
+        assert_eq!(stm.clock_now(), 2);
+    }
+
+    #[test]
+    fn a_serial_read_waits_out_a_writer_that_locked_before_the_bit() {
+        // The stripe is locked as a writer mid-commit leaves it, before the
+        // token is taken. The serial read may find it locked or released,
+        // but it must return the value published at release, never the
+        // old one (an ordinary read would abort on the lock instead).
+        let stm = tiny();
+        stm.poke_word_raw(8, 1).unwrap();
+        let s = stm.stripe_of(8);
+        stm.stripes[s].fetch_or(LOCKED, SeqCst);
+        let token = stm.serial_token();
+        let seen = std::thread::scope(|sc| {
+            let reader = sc.spawn(|| {
+                let mut tx = stm.begin_serial(&token);
+                tx.read(8).unwrap()
+            });
+            stm.mem.store(8, 2).unwrap();
+            stm.release(&[(s, 0)], Some(1));
+            reader.join().unwrap()
+        });
+        assert_eq!(seen, 2);
     }
 
     #[test]

@@ -755,8 +755,9 @@ impl<'a> Worker<'a> {
         loop {
             // If this worker already holds the serial token (an escape
             // action inside a serial transaction), the mini MUST run under
-            // it: taking the commit read-gate from the token-holding thread
-            // would self-deadlock on the RwLock.
+            // it: an ordinary mini writer would abort on this thread's own
+            // serial bit every time, and escalating would then self-deadlock
+            // on the serial mutex this thread holds.
             let (kind, max_retries) = policy_levers(&self.cfg, retry.streak);
             let escalated = if self.token.is_none() && retry.should_escalate(max_retries) {
                 Some(self.stm.serial_token())

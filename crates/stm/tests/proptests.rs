@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use logtm_se::{TxScript, WordAddr};
+use logtm_se::{ScriptOp, TxScript, WordAddr};
 use ltse_sim::check::{cases, pick, vec_of};
 use ltse_stm::{Conflict, Stm, StmBuilder, StmConfig};
 
@@ -230,4 +230,54 @@ fn table_exhaustion_is_clean_not_torn() {
             assert_eq!(stm.read_word_raw(1000 + i * 7919), 0, "no torn write-back");
         }
     });
+}
+
+/// The serial gate under load: one abort escalates (`max_retries(1)`) and
+/// two stripes alias every hot word, so serial transactions keep taking
+/// the token while ordinary writers are mid-commit. Reads and `AddTo`s
+/// over four hot words must still sum exactly and replay clean, every
+/// serial-bit abort must count as a locked abort, and the serial path
+/// must actually run.
+#[test]
+fn serial_gate_holds_under_escalation_and_aliasing() {
+    const THREADS: u64 = 4;
+    const TXS_PER_THREAD: usize = 3_000;
+    let hot: Vec<WordAddr> = (0..4).map(|i| WordAddr(i * 8)).collect();
+    let mut serial_commits = 0;
+    cases(60, 0x0057_A77F, |rng| {
+        let mut sys = StmBuilder::new()
+            .seed(rng.gen_range(0, u64::MAX))
+            .max_retries(1)
+            .n_stripes(2)
+            .check_serializability(true)
+            .build();
+        let mut expected = [0u64; 4];
+        for _ in 0..THREADS {
+            let txs = (0..TXS_PER_THREAD)
+                .map(|_| {
+                    vec_of(rng, 1, 4, |rng| {
+                        let k = rng.gen_index(hot.len());
+                        if rng.gen_range(0, 2) == 0 {
+                            ScriptOp::Read(hot[k])
+                        } else {
+                            let delta = rng.gen_range(1, 8);
+                            expected[k] += delta;
+                            ScriptOp::AddTo(hot[k], delta)
+                        }
+                    })
+                })
+                .collect();
+            sys.add_thread(Box::new(TxScript::new(txs)));
+        }
+        let r = sys.run().expect("run completes");
+        let errs = sys.finish_checks();
+        assert!(errs.is_empty(), "oracle clean: {errs:?}");
+        for (&a, &want) in hot.iter().zip(&expected) {
+            assert_eq!(sys.read_word(a), want, "word {}", a.0);
+        }
+        assert_eq!(r.commits, THREADS * TXS_PER_THREAD as u64);
+        assert_eq!(r.aborts_locked + r.aborts_stale, r.aborts);
+        serial_commits += r.serial_commits;
+    });
+    assert!(serial_commits > 0, "no transaction escalated");
 }

@@ -65,10 +65,11 @@ t_sc1=$(date +%s%N)
 echo "ok: scale smoke in $(( (t_sc1 - t_sc0) / 1000000 )) ms"
 
 echo "== stm smoke: differential STM-vs-oracle run =="
-# A reduced case budget keeps this under ~30 s while still running real
-# multi-threaded STM transactions through the serializability oracle.
+# 2000 cases per thread count (the test's default is 400) run real
+# multi-threaded STM transactions, the serial fallback among them, through
+# the serializability oracle in about 2 s on a 2-vCPU host.
 t_stm0=$(date +%s%N)
-LTSE_STM_CASES=60 cargo test -q --release --test integration_stm
+LTSE_STM_CASES=2000 cargo test -q --release --test integration_stm
 t_stm1=$(date +%s%N)
 echo "ok: stm differential smoke in $(( (t_stm1 - t_stm0) / 1000000 )) ms"
 
