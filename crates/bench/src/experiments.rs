@@ -544,7 +544,7 @@ pub fn table2(scale: &ExperimentScale) -> Result<Vec<Table2Row>, SweepError> {
                     transactions: r.tm.commits,
                     read_avg: r.tm.read_set.mean().unwrap_or(0.0),
                     read_max: r.tm.read_set.max().unwrap_or(0),
-                    read_p95: r.tm.read_set_hist.percentile(95).unwrap_or(0),
+                    read_p95: r.tm.read_set.percentile(95).unwrap_or(0),
                     write_avg: r.tm.write_set.mean().unwrap_or(0.0),
                     write_max: r.tm.write_set.max().unwrap_or(0),
                 })

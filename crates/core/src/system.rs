@@ -11,6 +11,9 @@ use ltse_sim::obs::{AbortCause, DetectPath, ObsCore, ObsReport, StallCause};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::trace::{TraceBuffer, TraceTag};
 use ltse_sim::{Cycle, EventChooser, EventQueue};
+use ltse_tm::config::{
+    BACKOFF_BASE_CYCLES, BACKOFF_CAP_SHIFT, BEGIN_CYCLES, SIG_SAVE_CYCLES, STALL_RETRY_CYCLES,
+};
 use ltse_tm::conflict::Resolution;
 use ltse_tm::{NestKind, OsModel, PreAccessCheck, ThreadTmState, TmUnit};
 
@@ -95,6 +98,25 @@ struct ThreadSlot {
     ready_while_parked: bool,
     done: bool,
     seq: u64,
+}
+
+impl ThreadSlot {
+    /// Calls into thread `tid`'s program with the [`ProgCtx`] it sees at
+    /// `now`.
+    fn with_prog<R>(
+        &mut self,
+        tid: u32,
+        now: Cycle,
+        f: impl FnOnce(&mut dyn ThreadProgram, &mut ProgCtx) -> R,
+    ) -> R {
+        let mut ctx = ProgCtx {
+            thread_id: tid,
+            last_value: self.last_value,
+            now,
+            rng: &mut self.rng,
+        };
+        f(&mut *self.program, &mut ctx)
+    }
 }
 
 /// A configured simulated machine with its threads. Create one with
@@ -476,20 +498,9 @@ impl System {
 
         let op = match self.threads[tid as usize].pending_op.take() {
             Some(op) => op,
-            None => self.next_op(now, tid),
+            None => self.threads[tid as usize].with_prog(tid, now, |p, t| p.next_op(t)),
         };
         self.exec_op(now, tid, op);
-    }
-
-    fn next_op(&mut self, now: Cycle, tid: u32) -> Op {
-        let slot = &mut self.threads[tid as usize];
-        let mut ctx = ProgCtx {
-            thread_id: tid,
-            last_value: slot.last_value,
-            now,
-            rng: &mut slot.rng,
-        };
-        slot.program.next_op(&mut ctx)
     }
 
     fn exec_op(&mut self, now: Cycle, tid: u32, op: Op) {
@@ -546,15 +557,13 @@ impl System {
                 // exempt from conflict aborts, so it commits in bounded
                 // time and the token frees.
                 if !was_nested {
-                    let cfg = *self.tm.config();
-                    if let Some(limit) = cfg.escalate_after {
+                    if let Some(limit) = self.tm.config().escalate_after {
                         let streak = self.tm.thread(ctx).map_or(0, |t| t.abort_attempts());
                         if streak >= limit && !self.tm.try_acquire_serial(ctx) {
                             self.trace(now, TraceTag::Begin, || {
                                 format!("tid={tid} ctx={ctx} waiting on serialization token")
                             });
-                            self.threads[tid as usize].pending_op = Some(op);
-                            self.schedule_resume(tid, cfg.stall_retry_cycles);
+                            self.retry_op(tid, op, STALL_RETRY_CYCLES);
                             return;
                         }
                     }
@@ -575,10 +584,9 @@ impl System {
                 let out = self
                     .mem
                     .access(ctx, AccessKind::Store, header_addr.block(), &self.tm);
-                let cfg = self.tm.config();
-                let mut cost = cfg.begin_cycles + out.latency();
+                let mut cost = BEGIN_CYCLES + out.latency();
                 if was_nested {
-                    cost += cfg.sig_save_cycles; // signature save to header
+                    cost += SIG_SAVE_CYCLES; // signature save to header
                 }
                 self.schedule_resume(tid, cost);
             }
@@ -630,7 +638,6 @@ impl System {
         let asid = self.threads[tid as usize].asid;
         let paddr = self.translate(asid, vaddr);
         let block = paddr.block();
-        let cfg = *self.tm.config();
 
         // TM-layer checks: summary signature, then same-core siblings.
         match self.tm.pre_access(ctx, self.mem.core_of(ctx), kind, block) {
@@ -638,50 +645,42 @@ impl System {
                 // The paper's §4.1: a summary hit "immediately traps to a
                 // conflict handler, since stalling is not sufficient to
                 // resolve a conflict with a descheduled thread". The
-                // handler aborts the parked conflictor in software.
-                let sig_op = match kind {
-                    AccessKind::Load => ltse_sig::SigOp::Read,
-                    AccessKind::Store => ltse_sig::SigOp::Write,
+                // handler aborts the parked conflictor in software, and the
+                // trapping thread stalls for the handler's duration plus
+                // its own retry.
+                let victim = self
+                    .os
+                    .parked_tx_conflictor(asid, sig_op(kind), block.as_u64());
+                let handler = match victim {
+                    Some(victim) => {
+                        self.threads[tid as usize].summary_stalls = 0;
+                        self.abort_parked_thread(now, ctx, asid, victim)
+                    }
+                    // No parked conflictor: either the summary hit was a
+                    // false positive, or the conflicting thread has been
+                    // rescheduled (its contribution persists until commit).
+                    // Stall; if that drags on while we hold isolation, abort
+                    // ourselves.
+                    None => {
+                        let slot = &mut self.threads[tid as usize];
+                        slot.summary_stalls += 1;
+                        if self.tm.in_tx(ctx) && slot.summary_stalls > SUMMARY_STALL_ABORT_LIMIT {
+                            slot.summary_stalls = 0;
+                            self.do_abort(now, tid, AbortCause::SummaryStallLimit);
+                            return;
+                        }
+                        Cycle::ZERO
+                    }
                 };
-                if let Some(victim) = self.os.parked_tx_conflictor(asid, sig_op, block.as_u64()) {
-                    let cost = self.abort_parked_thread(now, ctx, asid, victim);
-                    if let Some(t) = self.tm.thread_mut(ctx) {
-                        t.stats.stalls += 1;
-                    }
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        // The trapping thread "stalls" for the handler's
-                        // duration plus its own retry.
-                        o.on_stall(
-                            tid,
-                            StallCause::SummaryConflict,
-                            cost + cfg.stall_retry_cycles,
-                        );
-                    }
-                    let slot = &mut self.threads[tid as usize];
-                    slot.summary_stalls = 0;
-                    slot.pending_op = Some(op);
-                    self.schedule_resume(tid, cost + cfg.stall_retry_cycles);
-                    return;
+                if let Some(t) = self.tm.thread_mut(ctx) {
+                    t.stats.stalls += 1;
                 }
-                // No parked conflictor: either the summary hit was a false
-                // positive, or the conflicting thread has been rescheduled
-                // (its contribution persists until commit). Stall; if that
-                // drags on while we hold isolation, abort ourselves.
-                let slot = &mut self.threads[tid as usize];
-                slot.summary_stalls += 1;
-                if self.tm.in_tx(ctx) && slot.summary_stalls > SUMMARY_STALL_ABORT_LIMIT {
-                    slot.summary_stalls = 0;
-                    self.do_abort(now, tid, AbortCause::SummaryStallLimit);
-                } else {
-                    slot.pending_op = Some(op);
-                    if let Some(t) = self.tm.thread_mut(ctx) {
-                        t.stats.stalls += 1;
-                    }
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.on_stall(tid, StallCause::SummaryConflict, cfg.stall_retry_cycles);
-                    }
-                    self.schedule_resume(tid, cfg.stall_retry_cycles);
-                }
+                self.stall(
+                    tid,
+                    op,
+                    StallCause::SummaryConflict,
+                    handler + STALL_RETRY_CYCLES,
+                );
                 return;
             }
             PreAccessCheck::SiblingConflict { nacker } => {
@@ -689,24 +688,8 @@ impl System {
                     t.stats.sibling_stalls += 1;
                 }
                 let resolution = self.tm.on_nack(ctx, Some(nacker));
-                if let Some(o) = self.obs.as_deref_mut() {
-                    // `on_nack` bumps the TM stall counter for either
-                    // resolution; mirror that so the totals reconcile. An
-                    // abort costs no stall wait — its time lands in the
-                    // aborted bucket instead.
-                    let wait = match resolution {
-                        Resolution::Stall => cfg.stall_retry_cycles,
-                        Resolution::Abort => Cycle::ZERO,
-                    };
-                    o.on_stall(tid, StallCause::SiblingNack, wait);
-                }
-                match resolution {
-                    Resolution::Stall => {
-                        self.threads[tid as usize].pending_op = Some(op);
-                        self.schedule_resume(tid, cfg.stall_retry_cycles);
-                    }
-                    Resolution::Abort => self.do_abort(now, tid, AbortCause::ConflictResolution),
-                }
+                let cause = StallCause::SiblingNack;
+                self.resolve(now, tid, op, cause, resolution, STALL_RETRY_CYCLES);
                 return;
             }
             PreAccessCheck::Clear => {}
@@ -728,14 +711,10 @@ impl System {
                 // from signature aliasing.
                 let (path, judged) = if self.obs.is_some() {
                     let in_cache = self.mem.l1_contains(self.mem.core_of(nacker), block);
-                    let sig_op = match kind {
-                        AccessKind::Load => ltse_sig::SigOp::Read,
-                        AccessKind::Store => ltse_sig::SigOp::Write,
-                    };
                     let judged = self
                         .tm
                         .thread(nacker)
-                        .and_then(|t| t.judge_conflict(sig_op, block));
+                        .and_then(|t| t.judge_conflict(sig_op(kind), block));
                     let path = if in_cache {
                         DetectPath::InCache
                     } else {
@@ -751,19 +730,9 @@ impl System {
                 });
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.on_nack_pair(nacker, ctx, path, judged);
-                    let wait = match resolution {
-                        Resolution::Stall => latency + cfg.stall_retry_cycles,
-                        Resolution::Abort => Cycle::ZERO,
-                    };
-                    o.on_stall(tid, StallCause::CoherenceNack, wait);
                 }
-                match resolution {
-                    Resolution::Stall => {
-                        self.threads[tid as usize].pending_op = Some(op);
-                        self.schedule_resume(tid, latency + cfg.stall_retry_cycles);
-                    }
-                    Resolution::Abort => self.do_abort(now, tid, AbortCause::ConflictResolution),
-                }
+                let wait = latency + STALL_RETRY_CYCLES;
+                self.resolve(now, tid, op, StallCause::CoherenceNack, resolution, wait);
             }
             AccessOutcome::Done(done) => {
                 self.tm.record_access(ctx, kind, block);
@@ -804,7 +773,7 @@ impl System {
                                 log_write.addr.block(),
                                 &self.tm,
                             );
-                            total += cfg.stall_retry_cycles + retry.latency();
+                            total += STALL_RETRY_CYCLES + retry.latency();
                         }
                     }
                 }
@@ -832,6 +801,45 @@ impl System {
         }
     }
 
+    /// Re-issues `op` after `wait`: the one place a held-back op's retry is
+    /// scheduled.
+    fn retry_op(&mut self, tid: u32, op: Op, wait: Cycle) {
+        self.threads[tid as usize].pending_op = Some(op);
+        self.schedule_resume(tid, wait);
+    }
+
+    /// A stall of `tid` on `op`: obs is told `wait`, and `op` retries after
+    /// that same `wait`. The caller has counted the stall in `TmStats`.
+    fn stall(&mut self, tid: u32, op: Op, cause: StallCause, wait: Cycle) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on_stall(tid, cause, wait);
+        }
+        self.retry_op(tid, op, wait);
+    }
+
+    /// Acts on a NACK's verdict, which `TmUnit::on_nack` has counted as a
+    /// stall either way: a stall retries `op` after `wait`; an abort costs
+    /// no stall wait, as its time lands in the aborted bucket instead.
+    fn resolve(
+        &mut self,
+        now: Cycle,
+        tid: u32,
+        op: Op,
+        cause: StallCause,
+        resolution: Resolution,
+        wait: Cycle,
+    ) {
+        match resolution {
+            Resolution::Stall => self.stall(tid, op, cause, wait),
+            Resolution::Abort => {
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.on_stall(tid, cause, Cycle::ZERO);
+                }
+                self.do_abort(now, tid, AbortCause::ConflictResolution);
+            }
+        }
+    }
+
     /// Aborts `tid`'s transaction: unrolls the log (restoring memory and
     /// charging the restore traffic), rewinds the program, and schedules
     /// the retry after handler cost + randomized backoff.
@@ -850,48 +858,21 @@ impl System {
         let asid = self.threads[tid as usize].asid;
         let depth = self.tm.thread(ctx).map(|t| t.depth()).unwrap_or(0);
         if depth > 1 && self.threads[tid as usize].partial_streak < 3 {
-            let partials_before = self.tm.thread(ctx).map_or(0, |t| t.stats.partial_aborts);
-            let mut undo = std::mem::take(&mut self.undo_scratch);
-            let handler = self.tm.abort_innermost(ctx, &mut |base, old| {
-                undo.push((base, *old));
-            });
+            let undo = &mut self.undo_scratch;
+            let handler = self
+                .tm
+                .abort_innermost(ctx, &mut |base, old| undo.push((base, *old)));
+            let log_walk = handler + self.restore_undo(ctx, asid);
             if let Some(o) = self.oracle.as_mut() {
                 o.abort_innermost(tid);
             }
-            let mut traffic = Cycle::ZERO;
-            for (vbase, old) in undo.drain(..) {
-                let pbase = self.translate(asid, vbase);
-                let out = self
-                    .mem
-                    .access(ctx, AccessKind::Store, pbase.block(), &self.tm);
-                traffic += out.latency();
-                for (i, w) in old.iter().enumerate() {
-                    self.mem.write_word(pbase.offset(i as u64), *w);
-                }
-            }
-            self.undo_scratch = undo;
-            self.drain_overflow_events();
-            // Delta-counted against the TM stats so the obs metric equals
-            // `TmStats::partial_aborts` by construction (this fires whether
-            // or not the program can resume mid-nest — the frame is already
-            // unrolled either way).
-            let partials_after = self.tm.thread(ctx).map_or(0, |t| t.stats.partial_aborts);
+            // Counted whether or not the program can resume mid-nest: the
+            // frame is already unrolled either way.
             if let Some(o) = self.obs.as_deref_mut() {
-                o.on_partial_abort(
-                    tid,
-                    partials_after.saturating_sub(partials_before),
-                    handler + traffic,
-                );
+                o.on_partial_abort(tid, log_walk);
             }
-            let cfg = *self.tm.config();
             let slot = &mut self.threads[tid as usize];
-            let mut prog_ctx = ProgCtx {
-                thread_id: tid,
-                last_value: slot.last_value,
-                now,
-                rng: &mut slot.rng,
-            };
-            if slot.program.on_partial_abort(&mut prog_ctx, depth - 1) {
+            if slot.with_prog(tid, now, |p, t| p.on_partial_abort(t, depth - 1)) {
                 slot.partial_streak += 1;
                 slot.pending_op = None;
                 // The partial-abort retry waits under the same
@@ -901,41 +882,75 @@ impl System {
                 // flat window.
                 let backoff = ltse_tm::conflict::abort_backoff(
                     &mut slot.rng,
-                    cfg.backoff_base_cycles,
-                    cfg.backoff_cap_shift,
+                    BACKOFF_BASE_CYCLES,
+                    BACKOFF_CAP_SHIFT,
                     slot.partial_streak - 1,
                 );
-                self.schedule_resume(tid, handler + traffic + backoff);
+                self.schedule_resume(tid, log_walk + backoff);
                 return;
             }
             // Program can't resume mid-nest: fall through to a full abort
             // of the remaining frames (the inner one is already unrolled).
         }
         self.threads[tid as usize].partial_streak = 0;
-        let (aborts_before, wasted_before) = self
+        let undo = &mut self.undo_scratch;
+        let costs = self
             .tm
-            .thread(ctx)
-            .map_or((0, 0), |t| (t.stats.aborts, t.stats.wasted_cycles));
-        let mut undo = std::mem::take(&mut self.undo_scratch);
-        let costs = self.tm.abort_tx(ctx, now, &mut |base, old| {
-            undo.push((base, *old));
-        });
+            .abort_tx(ctx, now, &mut |base, old| undo.push((base, *old)));
         self.trace(now, TraceTag::Abort, || {
             format!(
                 "tid={tid} restored={} backoff={}",
-                undo.len(),
-                costs.backoff
+                costs.restored_blocks, costs.backoff
             )
         });
-        // Apply the restores and charge their memory traffic. The whole
-        // abort happens within this event, so isolation is not observable
-        // by other threads mid-restore (the paper's handler holds isolation
-        // until the walk completes).
-        let asid = self.threads[tid as usize].asid;
+        let log_walk = costs.handler_cycles + self.restore_undo(ctx, asid);
+        let mut os_cost = Cycle::ZERO;
+        if costs.needs_summary_update {
+            os_cost = self.os.on_outer_abort(&mut self.tm, asid, tid);
+        }
+        self.end_aborted_tx(now, tid, cause, costs.wasted_cycles, log_walk);
+        if let Some(o) = self.oracle.as_mut() {
+            for v in self.tm.post_tx_violations(ctx) {
+                o.note(v);
+            }
+        }
+        self.schedule_resume(tid, log_walk + costs.backoff + os_cost);
+    }
+
+    /// Software abort of a *parked* thread's transaction (the summary-
+    /// signature trap handler's escape valve, paper §4.1). The handler runs
+    /// on the trapping thread's core, so the restore traffic is charged to
+    /// `handler_ctx`. Returns the handler's cost.
+    fn abort_parked_thread(
+        &mut self,
+        now: Cycle,
+        handler_ctx: CtxId,
+        asid: Asid,
+        victim: u32,
+    ) -> Cycle {
+        let undo = &mut self.undo_scratch;
+        let costs = self
+            .os
+            .abort_parked(&mut self.tm, asid, victim, now, &mut |base, old| {
+                undo.push((base, *old))
+            });
+        let cost = costs.handler_cycles + self.restore_undo(handler_ctx, asid);
+        let cause = AbortCause::ParkedBySummaryHandler;
+        self.end_aborted_tx(now, victim, cause, costs.wasted_cycles, cost);
+        cost
+    }
+
+    /// The abort handler's restore: writes back the undo records the LIFO
+    /// log walk left in `undo_scratch`, in walk order, as stores from `ctx`,
+    /// and returns their memory traffic. Undo records hold virtual
+    /// addresses; each is translated now, so a relocated page is restored
+    /// at its new home (§4.2). The whole abort happens within one event, so
+    /// isolation is not observable by other threads mid-restore (the
+    /// paper's handler holds isolation until the walk completes).
+    fn restore_undo(&mut self, ctx: CtxId, asid: Asid) -> Cycle {
+        let mut undo = std::mem::take(&mut self.undo_scratch);
         let mut traffic = Cycle::ZERO;
         for (vbase, old) in undo.drain(..) {
-            // Undo records hold virtual addresses; translate at restore
-            // time so a relocated page is restored at its new home (§4.2).
             let pbase = self.translate(asid, vbase);
             let out = self
                 .mem
@@ -947,101 +962,29 @@ impl System {
         }
         self.undo_scratch = undo;
         self.drain_overflow_events();
-        // Delta-counted so `ObsReport::abort_total` equals `TmStats::aborts`
-        // by construction, whatever `abort_tx` decided to charge.
-        let (aborts_after, wasted_after) = self
-            .tm
-            .thread(ctx)
-            .map_or((0, 0), |t| (t.stats.aborts, t.stats.wasted_cycles));
+        traffic
+    }
+
+    /// Books an outermost abort of `tid` in obs and the oracle, and rewinds
+    /// its program to re-issue `TxBegin`.
+    fn end_aborted_tx(
+        &mut self,
+        now: Cycle,
+        tid: u32,
+        cause: AbortCause,
+        wasted: u64,
+        log_walk: Cycle,
+    ) {
         if let Some(o) = self.obs.as_deref_mut() {
-            o.on_abort(
-                tid,
-                now,
-                cause,
-                aborts_after.saturating_sub(aborts_before),
-                wasted_after.saturating_sub(wasted_before),
-                costs.handler_cycles + traffic,
-            );
-        }
-        let mut os_cost = Cycle::ZERO;
-        if costs.needs_summary_update {
-            let asid = self.threads[tid as usize].asid;
-            os_cost = self.os.on_outer_abort(&mut self.tm, asid, tid);
+            o.on_abort(tid, now, cause, wasted, log_walk);
         }
         if let Some(o) = self.oracle.as_mut() {
             o.abort_all(tid);
-            for v in self.tm.post_tx_violations(ctx) {
-                o.note(v);
-            }
         }
         let slot = &mut self.threads[tid as usize];
         slot.pending_op = None;
-        let mut prog_ctx = ProgCtx {
-            thread_id: tid,
-            last_value: slot.last_value,
-            now,
-            rng: &mut slot.rng,
-        };
-        slot.program.on_tx_abort(&mut prog_ctx);
-        self.schedule_resume(
-            tid,
-            costs.handler_cycles + traffic + costs.backoff + os_cost,
-        );
-    }
-
-    /// Software abort of a *parked* thread's transaction (the summary-
-    /// signature trap handler's escape valve, paper §4.1). The handler runs
-    /// on the trapping thread's core, so the restore traffic is charged to
-    /// `handler_ctx`.
-    fn abort_parked_thread(
-        &mut self,
-        now: Cycle,
-        handler_ctx: CtxId,
-        asid: Asid,
-        victim: u32,
-    ) -> Cycle {
-        let mut undo = std::mem::take(&mut self.undo_scratch);
-        let mut cost = self
-            .os
-            .abort_parked(&mut self.tm, asid, victim, now, &mut |base, old| {
-                undo.push((base, *old));
-            });
-        for (vbase, old) in undo.drain(..) {
-            let pbase = self.translate(asid, vbase);
-            let out = self
-                .mem
-                .access(handler_ctx, AccessKind::Store, pbase.block(), &self.tm);
-            cost += out.latency();
-            for (i, w) in old.iter().enumerate() {
-                self.mem.write_word(pbase.offset(i as u64), *w);
-            }
-        }
-        self.undo_scratch = undo;
-        self.drain_overflow_events();
-        if let Some(o) = self.obs.as_deref_mut() {
-            // `OsLayer::abort_parked` asserts the victim is in a transaction
-            // and unrolls it exactly once, so the count is 1 by contract.
-            // The victim's wasted cycles live inside the OS-held state and
-            // are not reachable here; the handler + restore time is charged
-            // to its log-walk bucket instead.
-            o.on_abort(victim, now, AbortCause::ParkedBySummaryHandler, 1, 0, cost);
-        }
-        if let Some(o) = self.oracle.as_mut() {
-            o.abort_all(victim);
-        }
-        // Rewind the victim's program so it re-issues TxBegin when it is
-        // next scheduled.
-        let slot = &mut self.threads[victim as usize];
-        slot.pending_op = None;
         slot.pending_abort = false;
-        let mut prog_ctx = ProgCtx {
-            thread_id: victim,
-            last_value: slot.last_value,
-            now,
-            rng: &mut slot.rng,
-        };
-        slot.program.on_tx_abort(&mut prog_ctx);
-        cost
+        slot.with_prog(tid, now, |p, t| p.on_tx_abort(t));
     }
 
     /// With sticky states disabled (ablation A2), evictions of
@@ -1053,10 +996,7 @@ impl System {
             return;
         }
         for ev in self.mem.take_overflow_events() {
-            for ctx in 0..self.tm.n_ctxs() {
-                if self.mem.core_of(ctx) != ev.core {
-                    continue;
-                }
+            for ctx in self.mem.config().ctxs_on_core(ev.core) {
                 let Some(t) = self.tm.thread(ctx) else {
                     continue;
                 };
@@ -1181,6 +1121,13 @@ impl System {
                 self.mem.mark_block_lost(new_block);
             }
         }
+    }
+}
+
+fn sig_op(kind: AccessKind) -> ltse_sig::SigOp {
+    match kind {
+        AccessKind::Load => ltse_sig::SigOp::Read,
+        AccessKind::Store => ltse_sig::SigOp::Write,
     }
 }
 
@@ -1346,6 +1293,11 @@ mod tests {
                 "{kind}: sibling split"
             );
             assert_eq!(o.abort_total(), r.tm.aborts, "{kind}: abort causes");
+            assert_eq!(
+                o.cycles_total().aborted,
+                r.tm.wasted_cycles,
+                "{kind}: aborted cycles"
+            );
             assert_eq!(
                 o.metrics.get("partial_aborts"),
                 r.tm.partial_aborts,

@@ -7,7 +7,7 @@ use std::fmt;
 pub type CoreId = u16;
 
 /// Hard ceiling on simulated cores, set by the widest [`SharerSet`]
-/// representation (1 inline word + [`EXT_WORDS`] spilled words of 64 bits).
+/// representation (1 inline word + 3 spilled words of 64 bits).
 pub const MAX_CORES: usize = 64 * (1 + EXT_WORDS);
 
 /// Spill words a [`SharerSet`] grows when a core id ≥ 64 appears.

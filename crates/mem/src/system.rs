@@ -249,7 +249,7 @@ impl MemConfig {
     }
 
     /// All context ids on `core`.
-    pub fn ctxs_on_core(&self, core: CoreId) -> impl Iterator<Item = CtxId> + '_ {
+    pub fn ctxs_on_core(&self, core: CoreId) -> std::ops::Range<CtxId> {
         let base = core as u32 * self.smt_per_core as u32;
         base..base + self.smt_per_core as u32
     }

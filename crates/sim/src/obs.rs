@@ -417,41 +417,38 @@ impl ObsCore {
         });
     }
 
-    /// `tid` aborted `count` outermost transaction(s) at `now` (normally 1;
-    /// pass the TM counter delta so reconciliation holds by construction).
-    /// `wasted` is the wasted-cycle delta and `log_walk` the handler +
-    /// restore-traffic time.
+    /// `tid` aborted one outermost transaction at `now`, exactly as the TM
+    /// layer counted it. `wasted` is the cycles the TM layer charged the
+    /// transaction as wasted and `log_walk` the handler + restore-traffic
+    /// time.
     pub fn on_abort(
         &mut self,
         tid: u32,
         now: Cycle,
         cause: AbortCause,
-        count: u64,
         wasted: u64,
         log_walk: Cycle,
     ) {
-        self.abort_causes[abort_idx(cause)] += count;
+        self.abort_causes[abort_idx(cause)] += 1;
         let t = self.thread_mut(tid);
         t.cycles.aborted = t.cycles.aborted.saturating_add(wasted);
         t.cycles.log_walk = t.cycles.log_walk.saturating_add(log_walk.as_u64());
-        if count > 0 {
-            if let Some(open) = t.open.take() {
-                self.spans.push(TxSpan {
-                    thread: tid,
-                    begin: open.begin,
-                    end: now,
-                    committed: false,
-                    stall_cycles: open.stall_cycles,
-                    stalls: open.stalls,
-                });
-            }
+        if let Some(open) = t.open.take() {
+            self.spans.push(TxSpan {
+                thread: tid,
+                begin: open.begin,
+                end: now,
+                committed: false,
+                stall_cycles: open.stall_cycles,
+                stalls: open.stalls,
+            });
         }
     }
 
     /// A partial (inner-frame) abort on `tid`: the outer span stays open,
     /// only handler time is charged.
-    pub fn on_partial_abort(&mut self, tid: u32, count: u64, log_walk: Cycle) {
-        self.metrics.add("partial_aborts", count);
+    pub fn on_partial_abort(&mut self, tid: u32, log_walk: Cycle) {
+        self.metrics.bump("partial_aborts");
         let t = self.thread_mut(tid);
         t.cycles.log_walk = t.cycles.log_walk.saturating_add(log_walk.as_u64());
     }
@@ -618,14 +615,7 @@ mod tests {
     fn abort_closes_span_and_charges_wasted_and_log_walk() {
         let mut o = ObsCore::new(16);
         o.on_tx_begin(0, Cycle(10));
-        o.on_abort(
-            0,
-            Cycle(50),
-            AbortCause::ConflictResolution,
-            1,
-            40,
-            Cycle(7),
-        );
+        o.on_abort(0, Cycle(50), AbortCause::ConflictResolution, 40, Cycle(7));
         let r = o.report();
         assert_eq!(r.abort_total(), 1);
         assert_eq!(r.aborts_conflict, 1);
@@ -633,16 +623,6 @@ mod tests {
         assert!(!r.spans[0].committed);
         assert_eq!(r.per_thread[0].aborted, 40);
         assert_eq!(r.per_thread[0].log_walk, 7);
-        // A zero-count abort call (TM counter didn't move) must not close
-        // an open span or count a cause.
-        let mut o2 = ObsCore::new(16);
-        o2.on_tx_begin(0, Cycle(0));
-        o2.on_abort(0, Cycle(5), AbortCause::ConflictResolution, 0, 0, Cycle(2));
-        let r2 = o2.report();
-        assert_eq!(r2.abort_total(), 0);
-        assert_eq!(r2.spans_aborted, 0);
-        o2.on_commit(0, Cycle(9));
-        assert_eq!(o2.report().spans_committed, 1, "span stayed open");
     }
 
     #[test]
@@ -716,7 +696,7 @@ mod tests {
     fn partial_abort_keeps_span_open() {
         let mut o = ObsCore::new(8);
         o.on_tx_begin(2, Cycle(0));
-        o.on_partial_abort(2, 1, Cycle(11));
+        o.on_partial_abort(2, Cycle(11));
         o.on_commit(2, Cycle(40));
         let r = o.report();
         assert_eq!(r.metrics.get("partial_aborts"), 1);

@@ -56,87 +56,8 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Running summary of a stream of `u64` observations: count, sum, mean, min,
-/// max. Used for read/write-set sizes (paper Table 2) among other things.
-///
-/// ```
-/// use ltse_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [8, 30, 4] { s.record(v); }
-/// assert_eq!(s.max(), Some(30));
-/// assert_eq!(s.min(), Some(4));
-/// assert!((s.mean().unwrap() - 14.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Summary {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean, or `None` if no observations were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Maximum, or `None` if empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Minimum, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A sparse histogram over `u64` keys (e.g. read-set size distribution).
+/// A sparse histogram over `u64` keys: the read- and write-set size
+/// distributions of the paper's Table 2 (mean, max and tail percentiles).
 ///
 /// ```
 /// use ltse_sim::stats::Histogram;
@@ -148,7 +69,8 @@ impl Summary {
 /// assert_eq!(h.count_of(2), 2);
 /// assert_eq!(h.total(), 3);
 /// assert_eq!(h.percentile(50), Some(2));
-/// assert_eq!(h.percentile(100), Some(550));
+/// assert_eq!(h.max(), Some(550));
+/// assert!((h.mean().unwrap() - 184.666).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -176,6 +98,18 @@ impl Histogram {
     /// Total number of observations.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// Mean of the observations (their exact integer sum over their
+    /// count), or `None` if the histogram is empty.
+    pub fn mean(&self) -> Option<f64> {
+        let sum: u64 = self.iter().map(|(v, n)| v * n).sum();
+        (self.total > 0).then(|| sum as f64 / self.total as f64)
+    }
+
+    /// Largest observation, or `None` if the histogram is empty.
+    pub fn max(&self) -> Option<u64> {
+        self.buckets.keys().next_back().copied()
     }
 
     /// The `p`-th percentile (0–100) using the nearest-rank method, or
@@ -353,75 +287,40 @@ mod tests {
     }
 
     #[test]
-    fn summary_empty_is_none() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
+    fn histogram_tracks_extremes() {
+        let mut h = Histogram::new();
         for v in [5, 1, 9, 3] {
-            s.record(v);
+            h.record(v);
         }
-        assert_eq!(s.min(), Some(1));
-        assert_eq!(s.max(), Some(9));
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.sum(), 18);
+        assert_eq!(h.percentile(0), Some(1));
+        assert_eq!(h.max(), Some(9));
+        assert_eq!(h.total(), 4);
+        assert_eq!(h.mean(), Some(18.0 / 4.0));
     }
 
     #[test]
-    fn summary_merge() {
-        let mut a = Summary::new();
-        a.record(10);
-        let mut b = Summary::new();
-        b.record(1);
-        b.record(20);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(20));
-
-        let mut empty = Summary::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential_recording() {
-        // A caller that keeps one Summary per worker merges them at join;
-        // the merged aggregate must equal recording the same
-        // stream into a single Summary, regardless of how the stream was
-        // split across workers.
+    fn histogram_merge_matches_sequential_recording() {
+        // A caller that keeps one histogram per worker merges them at join;
+        // the merged aggregate must equal recording the same stream into a
+        // single histogram, regardless of how the stream was split across
+        // workers.
         let stream: Vec<u64> = (0..97).map(|i| (i * 7919) % 1000).collect();
-        let mut sequential = Summary::new();
+        let mut sequential = Histogram::new();
         for &v in &stream {
             sequential.record(v);
         }
         for n_workers in [1, 2, 3, 8] {
-            let mut locals = vec![Summary::new(); n_workers];
+            let mut locals = vec![Histogram::new(); n_workers];
             for (i, &v) in stream.iter().enumerate() {
                 locals[i % n_workers].record(v);
             }
-            let mut merged = Summary::new();
+            let mut merged = Histogram::new();
             for local in &locals {
                 merged.merge(local);
             }
             assert_eq!(merged, sequential, "{n_workers} workers");
+            assert_eq!(merged.mean(), sequential.mean(), "{n_workers} workers");
         }
-    }
-
-    #[test]
-    fn summary_merge_of_empties_is_empty() {
-        let mut a = Summary::new();
-        a.merge(&Summary::new());
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.mean(), None);
     }
 
     #[test]
@@ -437,9 +336,14 @@ mod tests {
 
     #[test]
     fn histogram_empty() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         assert_eq!(h.percentile(50), None);
         assert_eq!(h.total(), 0);
+        assert_eq!(h.mean(), None);
+        assert_eq!(h.percentile(0), None);
+        assert_eq!(h.max(), None);
+        h.merge(&Histogram::new());
+        assert_eq!(h, Histogram::new(), "merging empties stays empty");
     }
 
     #[test]
@@ -453,6 +357,14 @@ mod tests {
         assert_eq!(a.total(), 3);
         assert_eq!(a.count_of(1), 2);
         assert_eq!(a.percentile(100), Some(9));
+        assert_eq!(a.percentile(0), Some(1));
+
+        let mut empty = Histogram::new();
+        empty.merge(&a);
+        assert_eq!(empty, a);
+        let before = a.clone();
+        a.merge(&Histogram::new());
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -278,9 +278,9 @@ impl StmBuilder {
         self
     }
 
-    /// Contention policy (vocabulary shared with the simulator); maps onto
-    /// the STM's backoff family and serial-escalation threshold — see
-    /// [`policy_levers`].
+    /// Contention policy (vocabulary shared with the simulator); a fixed
+    /// per-policy table maps it onto the STM's backoff family and
+    /// serial-escalation threshold.
     pub fn contention(mut self, policy: ContentionPolicy) -> Self {
         self.cfg.contention = policy;
         self

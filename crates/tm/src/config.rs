@@ -1,24 +1,46 @@
 //! Configuration of the transactional hardware and runtime.
+//!
+//! The fixed cycle costs below model the paper's qualitative claims: commit
+//! is a fast local operation (clear signature + reset log pointer); abort
+//! traps to a software handler and takes time proportional to the number of
+//! logged blocks; nested begins save the signature to the log frame header.
 
 use ltse_sig::SignatureKind;
 use ltse_sim::Cycle;
 
 use crate::conflict::ContentionPolicy;
 
+/// Cycles for a commit (signature clear + log pointer reset; local).
+pub const COMMIT_CYCLES: Cycle = Cycle(2);
+/// Fixed cycles to trap into the software abort handler.
+pub const ABORT_TRAP_CYCLES: Cycle = Cycle(80);
+/// Cycles per logged block restored by the abort handler's LIFO walk (in
+/// addition to the memory traffic of the restoring stores).
+pub const ABORT_PER_BLOCK_CYCLES: Cycle = Cycle(10);
+/// Cycles to save/restore a signature to/from a log frame header (nested
+/// begin / open commit / partial abort).
+pub const SIG_SAVE_CYCLES: Cycle = Cycle(8);
+/// How long a NACKed requester waits before retrying its coherence request.
+pub const STALL_RETRY_CYCLES: Cycle = Cycle(20);
+/// Base for randomized-exponential backoff after an abort; the k-th
+/// consecutive abort waits `U(0, base << min(k, cap_shift))`.
+pub const BACKOFF_BASE_CYCLES: Cycle = Cycle(60);
+/// Maximum left-shift applied to the backoff base.
+pub const BACKOFF_CAP_SHIFT: u32 = 6;
+/// Cycles to begin a transaction (register checkpoint).
+pub const BEGIN_CYCLES: Cycle = Cycle(4);
+
 /// Configuration for the LogTM-SE hardware additions and software handlers.
-///
-/// Cost parameters model the paper's qualitative claims: commit is a fast
-/// local operation (clear signature + reset log pointer); abort traps to a
-/// software handler and takes time proportional to the number of logged
-/// blocks; nested begins save the signature to the log frame header.
+/// Their cycle costs are this module's constants.
 ///
 /// ```
 /// use ltse_sig::SignatureKind;
+/// use ltse_tm::config::{ABORT_PER_BLOCK_CYCLES, COMMIT_CYCLES};
 /// use ltse_tm::TmConfig;
 ///
 /// let cfg = TmConfig::default_with(SignatureKind::paper_bs_2kb());
 /// assert_eq!(cfg.signature, SignatureKind::paper_bs_2kb());
-/// assert!(cfg.abort_per_block_cycles > cfg.commit_cycles);
+/// assert!(ABORT_PER_BLOCK_CYCLES > COMMIT_CYCLES);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmConfig {
@@ -28,26 +50,6 @@ pub struct TmConfig {
     /// disables the filter (every transactional store logs — correct but
     /// wasteful, exactly as the paper notes).
     pub log_filter_entries: usize,
-    /// Cycles for a commit (signature clear + log pointer reset; local).
-    pub commit_cycles: Cycle,
-    /// Fixed cycles to trap into the software abort handler.
-    pub abort_trap_cycles: Cycle,
-    /// Cycles per logged block restored by the abort handler's LIFO walk
-    /// (in addition to the memory traffic of the restoring stores).
-    pub abort_per_block_cycles: Cycle,
-    /// Cycles to save/restore a signature to/from a log frame header
-    /// (nested begin / open commit / partial abort).
-    pub sig_save_cycles: Cycle,
-    /// How long a NACKed requester waits before retrying its coherence
-    /// request.
-    pub stall_retry_cycles: Cycle,
-    /// Base for randomized-exponential backoff after an abort; the k-th
-    /// consecutive abort waits `U(0, base << min(k, cap_shift))`.
-    pub backoff_base_cycles: Cycle,
-    /// Maximum left-shift applied to the backoff base.
-    pub backoff_cap_shift: u32,
-    /// Cycles to begin a transaction (register checkpoint).
-    pub begin_cycles: Cycle,
     /// Contention-management policy on NACKs.
     pub contention: ContentionPolicy,
     /// Bounded-retry escalation: after this many consecutive aborts of one
@@ -70,21 +72,12 @@ pub struct TmConfig {
 }
 
 impl TmConfig {
-    /// Defaults with a chosen signature kind: 16-entry log filter and cost
-    /// parameters reflecting the paper's fast-commit / software-abort
-    /// asymmetry.
+    /// Defaults with a chosen signature kind: a 16-entry log filter and
+    /// requester-stalls contention management.
     pub fn default_with(signature: SignatureKind) -> Self {
         TmConfig {
             signature,
             log_filter_entries: 16,
-            commit_cycles: Cycle(2),
-            abort_trap_cycles: Cycle(80),
-            abort_per_block_cycles: Cycle(10),
-            sig_save_cycles: Cycle(8),
-            stall_retry_cycles: Cycle(20),
-            backoff_base_cycles: Cycle(60),
-            backoff_cap_shift: 6,
-            begin_cycles: Cycle(4),
             contention: ContentionPolicy::RequesterStalls,
             escalate_after: None,
             adaptive_pin: None,
@@ -110,7 +103,6 @@ mod tests {
 
     #[test]
     fn commit_is_cheap_abort_is_dear() {
-        let c = TmConfig::default();
-        assert!(c.commit_cycles < c.abort_trap_cycles);
+        assert!(COMMIT_CYCLES < ABORT_TRAP_CYCLES);
     }
 }

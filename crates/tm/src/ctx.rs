@@ -6,7 +6,10 @@ use ltse_sig::{ConflictVerdict, ShadowedRwSignature, SigOp};
 use ltse_sim::rng::Xoshiro256StarStar;
 use ltse_sim::Cycle;
 
-use crate::config::TmConfig;
+use crate::config::{
+    TmConfig, ABORT_PER_BLOCK_CYCLES, ABORT_TRAP_CYCLES, BACKOFF_BASE_CYCLES, BACKOFF_CAP_SHIFT,
+    COMMIT_CYCLES, SIG_SAVE_CYCLES,
+};
 use crate::conflict::{abort_backoff, ConflictHistory, TxStamp};
 use crate::filter::LogFilter;
 use crate::log::{unroll_frame, TxLog};
@@ -86,6 +89,9 @@ pub struct AbortCosts {
     pub handler_cycles: Cycle,
     /// Blocks restored from the log.
     pub restored_blocks: u64,
+    /// Cycles the aborted transaction ran before this abort (what
+    /// [`TmStats::wasted_cycles`] grew by).
+    pub wasted_cycles: u64,
     /// Randomized-exponential backoff before retrying.
     pub backoff: Cycle,
     /// The thread had been context-switched during this transaction; the
@@ -285,7 +291,7 @@ impl ThreadTmState {
     /// # Panics
     ///
     /// Panics if no transaction is active.
-    pub fn commit(&mut self, config: &TmConfig, _now: Cycle) -> (bool, Cycle) {
+    pub fn commit(&mut self, _now: Cycle) -> (bool, Cycle) {
         assert!(self.in_tx(), "commit outside a transaction");
         if self.depth() > 1 {
             let kind = self.log.innermost().expect("active frame").header.kind;
@@ -293,7 +299,7 @@ impl ThreadTmState {
                 NestKind::Closed => {
                     let _header = self.log.merge_into_parent();
                     self.filter.clear();
-                    (false, config.commit_cycles)
+                    (false, COMMIT_CYCLES)
                 }
                 NestKind::Open => {
                     let frame = self.log.pop_frame().expect("active frame");
@@ -305,7 +311,7 @@ impl ThreadTmState {
                     self.sig.restore(saved);
                     self.log.recycle(frame);
                     self.filter.clear();
-                    (false, config.commit_cycles + config.sig_save_cycles)
+                    (false, COMMIT_CYCLES + SIG_SAVE_CYCLES)
                 }
             }
         } else {
@@ -327,7 +333,7 @@ impl ThreadTmState {
             self.preserved_stamp = None;
             self.possible_cycle = false;
             self.abort_attempts = 0;
-            (true, config.commit_cycles)
+            (true, COMMIT_CYCLES)
         }
     }
 
@@ -339,11 +345,7 @@ impl ThreadTmState {
     ///
     /// Panics unless nesting depth is at least 2 (use [`Self::abort_all`]
     /// for the outermost transaction).
-    pub fn abort_innermost(
-        &mut self,
-        config: &TmConfig,
-        restore: &mut dyn FnMut(WordAddr, &[u64; 8]),
-    ) -> Cycle {
+    pub fn abort_innermost(&mut self, restore: &mut dyn FnMut(WordAddr, &[u64; 8])) -> Cycle {
         assert!(self.depth() >= 2, "partial abort requires a nested frame");
         let frame = self.log.pop_frame().expect("nested frame");
         unroll_frame(&frame, |base, old| restore(base, old));
@@ -357,9 +359,7 @@ impl ThreadTmState {
         self.stats.partial_aborts += 1;
         let restored = frame.undo.len() as u64;
         self.log.recycle(frame);
-        config.abort_trap_cycles
-            + Cycle(restored * config.abort_per_block_cycles.as_u64())
-            + config.sig_save_cycles
+        ABORT_TRAP_CYCLES + Cycle(restored * ABORT_PER_BLOCK_CYCLES.as_u64()) + SIG_SAVE_CYCLES
     }
 
     /// Aborts the whole transaction: walks every live frame's undo records
@@ -395,21 +395,22 @@ impl ThreadTmState {
         self.sig.clear();
         self.filter.clear();
         self.possible_cycle = false;
+        let wasted_cycles = now.saturating_sub(stamp.begin).as_u64();
         self.stats.aborts += 1;
-        self.stats.wasted_cycles += now.saturating_sub(stamp.begin).as_u64();
+        self.stats.wasted_cycles += wasted_cycles;
         self.history.on_abort();
         self.abort_attempts += 1;
         let needs_summary_update = std::mem::take(&mut self.in_summary);
         let backoff = abort_backoff(
             &mut self.rng,
-            config.backoff_base_cycles,
-            config.backoff_cap_shift,
+            BACKOFF_BASE_CYCLES,
+            BACKOFF_CAP_SHIFT,
             self.abort_attempts - 1,
         );
         AbortCosts {
-            handler_cycles: config.abort_trap_cycles
-                + Cycle(restored * config.abort_per_block_cycles.as_u64()),
+            handler_cycles: ABORT_TRAP_CYCLES + Cycle(restored * ABORT_PER_BLOCK_CYCLES.as_u64()),
             restored_blocks: restored,
+            wasted_cycles,
             backoff,
             needs_summary_update,
         }
@@ -601,11 +602,11 @@ mod tests {
         t.record_access(SigOp::Write, BlockAddr(5));
         let logged = t.log_store_if_needed(BlockAddr(5), || [1; 8]);
         assert!(logged.is_some());
-        let (outer, _) = t.commit(&c, Cycle(20));
+        let (outer, _) = t.commit(Cycle(20));
         assert!(outer);
         assert!(!t.in_tx());
         assert_eq!(t.stats.commits, 1);
-        assert_eq!(t.stats.read_set.count(), 1);
+        assert_eq!(t.stats.read_set.total(), 1);
         assert_eq!(t.stats.write_set.max(), Some(1));
     }
 
@@ -649,10 +650,14 @@ mod tests {
         });
         assert_eq!(restored, vec![(16, 22), (8, 11)], "LIFO");
         assert_eq!(costs.restored_blocks, 2);
-        assert!(costs.handler_cycles >= c.abort_trap_cycles);
+        assert!(costs.handler_cycles >= ABORT_TRAP_CYCLES);
         assert!(!t.in_tx());
         assert_eq!(t.stats.aborts, 1);
         assert!(t.stats.wasted_cycles >= 95);
+        assert_eq!(
+            costs.wasted_cycles, t.stats.wasted_cycles,
+            "returned as charged"
+        );
         // Signature released.
         assert!(!t.check_conflict(SigOp::Read, BlockAddr(1)));
     }
@@ -669,7 +674,7 @@ mod tests {
             Cycle(5),
             "retry keeps the original timestamp so old transactions win"
         );
-        t.commit(&c, Cycle(300));
+        t.commit(Cycle(300));
         t.begin(NestKind::Closed, Cycle(400));
         assert_eq!(t.stamp().unwrap().begin, Cycle(400), "fresh after commit");
     }
@@ -683,7 +688,7 @@ mod tests {
         t.begin(NestKind::Closed, Cycle(1));
         assert_eq!(t.depth(), 2);
         t.log_store_if_needed(BlockAddr(2), || [2; 8]);
-        let (outer, _) = t.commit(&c, Cycle(2));
+        let (outer, _) = t.commit(Cycle(2));
         assert!(!outer);
         assert_eq!(t.depth(), 1);
         assert_eq!(t.log().total_undo_records(), 2, "child undo kept");
@@ -702,7 +707,7 @@ mod tests {
         t.begin(NestKind::Open, Cycle(1));
         t.record_access(SigOp::Write, BlockAddr(20));
         assert!(t.check_conflict(SigOp::Read, BlockAddr(20)));
-        let (outer, _) = t.commit(&c, Cycle(2));
+        let (outer, _) = t.commit(Cycle(2));
         assert!(!outer);
         // Child-only block released; parent's retained.
         assert!(!t.check_conflict(SigOp::Read, BlockAddr(20)));
@@ -726,7 +731,7 @@ mod tests {
         t.log_store_if_needed(BlockAddr(2), || [2; 8]);
 
         let mut restored = Vec::new();
-        t.abort_innermost(&c, &mut |b, _| restored.push(b.0 / 8));
+        t.abort_innermost(&mut |b, _| restored.push(b.0 / 8));
         assert_eq!(restored, vec![2], "only the child frame unrolled");
         assert_eq!(t.depth(), 1);
         assert_eq!(t.stats.partial_aborts, 1);
@@ -841,7 +846,7 @@ mod tests {
             !t.post_outer_violations().is_empty(),
             "mid-transaction state is (correctly) flagged as residual"
         );
-        t.commit(&c, Cycle(10));
+        t.commit(Cycle(10));
         assert_eq!(t.post_outer_violations(), Vec::<String>::new());
 
         t.begin(NestKind::Closed, Cycle(20));
@@ -856,6 +861,6 @@ mod tests {
     fn commit_idle_panics() {
         let c = cfg();
         let mut t = state(&c);
-        t.commit(&c, Cycle(0));
+        t.commit(Cycle(0));
     }
 }

@@ -64,10 +64,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod conflict;
 pub mod virt_compare;
 
-mod config;
 mod ctx;
 mod filter;
 mod log;
@@ -77,7 +77,7 @@ mod unit;
 
 pub use config::TmConfig;
 pub use conflict::ConflictHistory;
-pub use ctx::{NestKind, ThreadTmState, TxPhase};
+pub use ctx::{AbortCosts, NestKind, ThreadTmState, TxPhase};
 pub use filter::LogFilter;
 pub use log::{saved_sig_conflicts, unroll_frame, FrameHeader, LogFrame, TxLog, UndoRecord};
 pub use os::{OsModel, OsStats};

@@ -19,7 +19,7 @@ use ltse_sig::{
 };
 use ltse_sim::Cycle;
 
-use crate::ctx::ThreadTmState;
+use crate::ctx::{AbortCosts, ThreadTmState};
 use crate::unit::TmUnit;
 
 /// Fixed OS-operation costs (cycles), chosen to make context switches
@@ -253,7 +253,9 @@ impl OsModel {
     /// thread's contribution leaves the process summary and refreshed
     /// summaries are pushed.
     ///
-    /// Returns the OS cycle cost.
+    /// Returns the victim's abort costs. Its `handler_cycles` include the
+    /// summary refresh, which is done here, so `needs_summary_update` is
+    /// always false.
     ///
     /// # Panics
     ///
@@ -265,7 +267,7 @@ impl OsModel {
         thread_id: u32,
         now: Cycle,
         restore: &mut dyn FnMut(ltse_mem::WordAddr, &[u64; 8]),
-    ) -> Cycle {
+    ) -> AbortCosts {
         let config = *tm.config();
         let proc = self.process(asid);
         let state = proc
@@ -276,12 +278,11 @@ impl OsModel {
             state.in_tx(),
             "parked thread {thread_id} has no transaction"
         );
-        let costs = state.abort_all(&config, now, restore);
-        let mut cost = costs.handler_cycles;
-        if costs.needs_summary_update {
-            cost += self.on_outer_abort(tm, asid, thread_id);
+        let mut costs = state.abort_all(&config, now, restore);
+        if std::mem::take(&mut costs.needs_summary_update) {
+            costs.handler_cycles += self.on_outer_abort(tm, asid, thread_id);
         }
-        cost
+        costs
     }
 
     /// Called when a thread's outermost transaction commits and it had been
@@ -684,7 +685,9 @@ mod tests {
         let cost = os.abort_parked(&mut tm, Asid(0), 0, Cycle(50), &mut |base, old| {
             restored.push((base, old[0]));
         });
-        assert!(cost > Cycle(0));
+        assert!(cost.handler_cycles > Cycle(0));
+        assert_eq!(cost.wasted_cycles, 50, "began at 0, aborted at 50");
+        assert!(!cost.needs_summary_update, "the OS refreshed the summary");
         assert_eq!(restored.len(), 1);
         assert_eq!(restored[0].1, 99, "old contents handed to the caller");
         // Isolation released everywhere.

@@ -8,7 +8,7 @@
 
 use std::cell::Cell;
 
-use ltse_sim::stats::{Histogram, Summary};
+use ltse_sim::stats::Histogram;
 
 /// Read/write-set sizes of one committed transaction (exact, from the
 /// shadow sets).
@@ -51,15 +51,12 @@ pub struct TmStats {
     pub log_writes_suppressed: u64,
     /// Cycles spent inside transactions that ultimately aborted.
     pub wasted_cycles: u64,
-    /// Distribution of committed read-set sizes (Table 2 "Read Avg/Max").
-    pub read_set: Summary,
+    /// Distribution of committed read-set sizes (Table 2 "Read Avg/Max",
+    /// and the percentiles of the skewed tails the paper highlights in
+    /// §6.3).
+    pub read_set: Histogram,
     /// Distribution of committed write-set sizes (Table 2 "Write Avg/Max").
-    pub write_set: Summary,
-    /// Full histogram of committed read-set sizes (percentile analysis of
-    /// the skewed tails the paper highlights in §6.3).
-    pub read_set_hist: Histogram,
-    /// Full histogram of committed write-set sizes.
-    pub write_set_hist: Histogram,
+    pub write_set: Histogram,
     /// Peak undo-log footprint in 64-bit words over any single transaction
     /// (the paper's logs are unbounded virtual memory; this is how much was
     /// actually used).
@@ -117,8 +114,6 @@ impl TmStats {
             wasted_cycles,
             read_set,
             write_set,
-            read_set_hist,
-            write_set_hist,
             log_high_water_words,
             work_units,
             escapes,
@@ -156,8 +151,6 @@ impl TmStats {
         self.wasted_cycles = self.wasted_cycles.saturating_add(*wasted_cycles);
         self.read_set.merge(read_set);
         self.write_set.merge(write_set);
-        self.read_set_hist.merge(read_set_hist);
-        self.write_set_hist.merge(write_set_hist);
         self.log_high_water_words = self.log_high_water_words.max(*log_high_water_words);
         self.work_units = self.work_units.saturating_add(*work_units);
         self.escapes = self.escapes.saturating_add(*escapes);
@@ -168,8 +161,6 @@ impl TmStats {
     pub fn record_commit_sets(&mut self, sizes: TxSetSizes) {
         self.read_set.record(sizes.read_blocks);
         self.write_set.record(sizes.write_blocks);
-        self.read_set_hist.record(sizes.read_blocks);
-        self.write_set_hist.record(sizes.write_blocks);
     }
 }
 
@@ -203,10 +194,8 @@ mod tests {
             log_writes: k + 10,
             log_writes_suppressed: k + 11,
             wasted_cycles: k + 12,
-            read_set: Summary::new(),
-            write_set: Summary::new(),
-            read_set_hist: Histogram::new(),
-            write_set_hist: Histogram::new(),
+            read_set: Histogram::new(),
+            write_set: Histogram::new(),
             log_high_water_words: k + 13,
             work_units: k + 14,
             escapes: k + 15,
@@ -243,8 +232,6 @@ mod tests {
             wasted_cycles,
             read_set,
             write_set,
-            read_set_hist,
-            write_set_hist,
             log_high_water_words,
             work_units,
             escapes,
@@ -262,16 +249,12 @@ mod tests {
         assert_eq!(log_writes, 110 + 1010);
         assert_eq!(log_writes_suppressed, 111 + 1011);
         assert_eq!(wasted_cycles, 112 + 1012);
-        assert_eq!(read_set.count(), 2);
-        assert_eq!(read_set.min(), Some(116));
+        assert_eq!(read_set.total(), 2);
+        assert_eq!(read_set.percentile(0), Some(116));
         assert_eq!(read_set.max(), Some(1016));
-        assert_eq!(write_set.count(), 2);
-        assert_eq!(write_set.min(), Some(117));
+        assert_eq!(write_set.total(), 2);
+        assert_eq!(write_set.percentile(0), Some(117));
         assert_eq!(write_set.max(), Some(1017));
-        assert_eq!(read_set_hist.total(), 2);
-        assert_eq!(read_set_hist.percentile(100), Some(1016));
-        assert_eq!(write_set_hist.total(), 2);
-        assert_eq!(write_set_hist.percentile(100), Some(1017));
         assert_eq!(log_high_water_words, 1013, "high water merges via max");
         assert_eq!(work_units, 114 + 1014);
         assert_eq!(escapes, 115 + 1015);

@@ -285,10 +285,9 @@ impl TmUnit {
 
     /// Commits the innermost transaction on `ctx`.
     pub fn commit_tx(&mut self, ctx: CtxId, now: Cycle) -> CommitOutcome {
-        let config = self.config;
         let t = self.slot_mut(ctx);
         let was_in_summary = t.in_summary;
-        let (outermost, cycles) = t.commit(&config, now);
+        let (outermost, cycles) = t.commit(now);
         if outermost {
             t.in_summary = false;
         }
@@ -321,8 +320,7 @@ impl TmUnit {
         ctx: CtxId,
         restore: &mut dyn FnMut(WordAddr, &[u64; 8]),
     ) -> Cycle {
-        let config = self.config;
-        self.slot_mut(ctx).abort_innermost(&config, restore)
+        self.slot_mut(ctx).abort_innermost(restore)
     }
 
     /// Enters an escape action on `ctx`.

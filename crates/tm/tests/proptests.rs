@@ -115,7 +115,7 @@ fn log_matches_snapshot_model() {
                     if model.frames.is_empty() {
                         continue;
                     }
-                    tm.commit(&config, Cycle(now));
+                    tm.commit(Cycle(now));
                     let (open, snapshot) = model.frames.pop().expect("frame");
                     if open {
                         // An open commit publishes the child's writes: no
@@ -151,7 +151,7 @@ fn log_matches_snapshot_model() {
                         continue;
                     }
                     let mut restores = Vec::new();
-                    tm.abort_innermost(&config, &mut |base, old| restores.push((base, *old)));
+                    tm.abort_innermost(&mut |base, old| restores.push((base, *old)));
                     let (_, snapshot) = model.frames.pop().expect("frame");
                     apply_restores(&mut model.memory, &restores);
                     assert_eq!(

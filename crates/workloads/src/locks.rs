@@ -138,7 +138,7 @@ enum BarrierPhase {
 
 /// A sense-reversing centralized barrier driven through the simulated
 /// memory system (SPLASH programs separate their phases with exactly this
-/// structure; the paper "retain[s] barriers and other synchronization
+/// structure; the paper "retain\[s\] barriers and other synchronization
 /// mechanisms" when transactifying them).
 ///
 /// Layout: `addr` holds the arrival counter, `addr + 1` the global sense.

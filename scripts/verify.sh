@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + tests (which must compile without a
 # single warning), a warning-free clippy pass over every target (and over
-# the benchmark/ workspace, with its smoke), a rustfmt check of the root
-# workspace, then a determinism smoke of the parallel experiment runner
-# (quick-scale repro on 1 vs. 4 workers must produce byte-identical stdout).
+# the benchmark/ workspace, with its smoke), a warning-free rustdoc build, a
+# rustfmt check of the root workspace, then a determinism smoke of the
+# parallel experiment runner (quick-scale repro on 1 vs. 4 workers must
+# produce byte-identical stdout).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,11 @@ echo "== lint: cargo clippy --all-targets =="
 # run, so lint debt cannot pile up unseen. The separate benchmark/ workspace
 # is linted with its smoke below.
 no_warnings cargo clippy --all-targets -q
+
+echo "== lint: cargo doc --no-deps =="
+# Rustdoc warnings fail the run: a deleted item cannot leave a dangling
+# intra-doc link behind, and public docs cannot link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "== lint: cargo fmt --check =="
 # The root workspace is rustfmt-clean, and a formatting diff fails the run.

@@ -693,3 +693,110 @@ fn log_high_water_tracks_transaction_size() {
     let report = system.run().unwrap();
     assert_eq!(report.tm.log_high_water_words, 16 + 6 * 9);
 }
+
+/// Checks that obs's cause-attributed counts and cycles add up to the TM
+/// layer's counters for one run, and returns the obs report.
+fn reconciled(label: &str, r: &logtm_se::RunReport) -> logtm_se::ObsReport {
+    let o = r.obs.clone().expect("observe(true) fills the report");
+    assert_eq!(o.abort_total(), r.tm.aborts, "{label}: abort causes");
+    assert_eq!(o.stall_total(), r.tm.stalls, "{label}: stall causes");
+    assert_eq!(
+        o.metrics.get("partial_aborts"),
+        r.tm.partial_aborts,
+        "{label}: partial aborts"
+    );
+    assert_eq!(
+        o.cycles_total().aborted,
+        r.tm.wasted_cycles,
+        "{label}: aborted cycles"
+    );
+    o
+}
+
+/// The obs attribution reconciles with the TM counters on every abort
+/// path, not only the conflict-resolution aborts of flat transactions:
+/// partial aborts of a closed-nested phase, overflow aborts with sticky
+/// states off, and the summary-stall-limit and parked-victim aborts of
+/// oversubscribed threads preempted mid-transaction.
+#[test]
+fn obs_attribution_reconciles_on_every_abort_path() {
+    use logtm_se::{Cycle, SimLimits};
+    use ltse_workloads::{Benchmark, CsProgram, HotColdArray, SyncMode};
+
+    // Opposite-order inner frames: partial aborts, and full aborts by
+    // conflict resolution once a partial streak runs out.
+    let mut system = SystemBuilder::small_for_tests()
+        .signature(SignatureKind::paper_bs_64())
+        .seed(61)
+        .observe(true)
+        .build();
+    for t in 0..8u64 {
+        let (first, second) = if t % 2 == 0 {
+            (WordAddr(0), WordAddr(64))
+        } else {
+            (WordAddr(64), WordAddr(0))
+        };
+        system.add_thread(Box::new(NestedProducer {
+            private: WordAddr(4096 + t * 8),
+            first,
+            second,
+            remaining: 10,
+            step: 0,
+        }));
+    }
+    let r = system.run().unwrap();
+    let o = reconciled("nested", &r);
+    assert!(r.tm.partial_aborts > 0, "nested: partial aborts");
+    assert!(o.aborts_conflict > 0, "nested: conflict-resolution aborts");
+
+    // Read sets beyond the 8-block L1 with sticky states off: every
+    // eviction of a transactional block aborts its transaction, so the run
+    // livelocks by design (as in `repro sticky`) until the watchdog stops
+    // it; the counters reconcile wherever it stops.
+    let mut system = SystemBuilder::small_for_tests()
+        .signature(SignatureKind::Perfect)
+        .sticky(false)
+        .seed(47)
+        .limits(SimLimits {
+            max_cycles: Cycle(200_000),
+            max_events: 5_000_000,
+        })
+        .observe(true)
+        .build();
+    for t in 0..4u64 {
+        system.add_thread(Box::new(CsProgram::new(
+            HotColdArray::new(
+                WordAddr(t * 8),
+                WordAddr((1 << 14) + t * 4096),
+                16,
+                12,
+                WordAddr(1 << 16),
+                10,
+            ),
+            SyncMode::Tm,
+            t << 32,
+        )));
+    }
+    assert!(system.run().is_err(), "sticky off: the watchdog fires");
+    let r = system.report();
+    let o = reconciled("sticky off", &r);
+    assert!(o.aborts_sticky_overflow > 0, "sticky off: overflow aborts");
+
+    // 12 BerkeleyDB threads on 8 contexts, preempted inside transactions.
+    let mut system = SystemBuilder::small_for_tests()
+        .signature(SignatureKind::paper_bs_64())
+        .seed(7)
+        .preemption(Cycle(2_000), false)
+        .observe(true)
+        .build();
+    for p in Benchmark::BerkeleyDb.programs(SyncMode::Tm, 12, 4) {
+        system.add_thread(p);
+    }
+    let r = system.run().unwrap();
+    let o = reconciled("oversubscribed", &r);
+    assert!(
+        o.aborts_summary_limit > 0,
+        "oversubscribed: summary-limit aborts"
+    );
+    assert!(o.aborts_parked > 0, "oversubscribed: parked aborts");
+}

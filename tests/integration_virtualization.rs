@@ -218,6 +218,57 @@ fn sticky_disabled_turns_victimization_into_overflow_aborts() {
 }
 
 #[test]
+fn sticky_disabled_full_abort_drops_the_queued_overflow_abort() {
+    use logtm_se::{FnProgram, RunError, SimLimits};
+    // With sticky states off, a partial abort's restore stores can evict
+    // the outer frame's own read block and queue an overflow abort for the
+    // same thread. When the program cannot resume mid-nest, the full abort
+    // that follows ends that transaction, so the queued abort must go with
+    // it rather than fire on a thread that is no longer in a transaction.
+    let mut system = SystemBuilder::small_for_tests()
+        .signature(SignatureKind::paper_bs_64())
+        .sticky(false)
+        .seed(0)
+        .limits(SimLimits {
+            max_cycles: Cycle(300_000),
+            max_events: 2_000_000,
+        })
+        .build();
+    for t in 0..8u64 {
+        let (first, second) = (WordAddr((t % 2) * 8), WordAddr(((t + 1) % 2) * 8));
+        let (mut step, mut remaining) = (0, 4);
+        system.add_thread(Box::new(FnProgram::new(move |_t, aborted| {
+            if aborted {
+                step = 0;
+            }
+            step += 1;
+            match step {
+                1 if remaining == 0 => Op::Done,
+                1 | 3 => Op::TxBegin, // outer, then inner (closed)
+                2 => Op::Read(WordAddr((1 << 14) + t * 4096)),
+                4 => Op::FetchAdd(first, 1),
+                5 => Op::Work(60),
+                6 => Op::FetchAdd(second, 1),
+                7 | 8 => Op::TxCommit,
+                _ => {
+                    step = 0;
+                    remaining -= 1;
+                    Op::WorkUnitDone
+                }
+            }
+        })));
+    }
+    // Overflow aborts may livelock the run (ablation A2); it must not panic.
+    let result = system.run();
+    assert!(
+        matches!(result, Ok(_) | Err(RunError::CycleLimit { .. })),
+        "{result:?}"
+    );
+    let report = system.report();
+    assert!(report.tm.partial_aborts > 0 && report.tm.aborts > 0);
+}
+
+#[test]
 fn run_beyond_context_count_requires_preemption() {
     let mut system = SystemBuilder::small_for_tests().seed(48).build();
     for t in 0..9u64 {
