@@ -69,8 +69,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.count_of(2), 2);
 /// assert_eq!(h.total(), 3);
 /// assert_eq!(h.percentile(50), Some(2));
-/// assert_eq!(h.max(), Some(550));
-/// assert!((h.mean().unwrap() - 184.666).abs() < 1e-3);
+/// assert_eq!(h.percentile(100), Some(550));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -102,6 +101,16 @@ impl Histogram {
 
     /// Mean of the observations (their exact integer sum over their
     /// count), or `None` if the histogram is empty.
+    ///
+    /// ```
+    /// use ltse_sim::stats::Histogram;
+    ///
+    /// let mut h = Histogram::new();
+    /// for v in [8, 30, 4] { h.record(v); }
+    /// assert_eq!(h.max(), Some(30));
+    /// assert_eq!(h.percentile(0), Some(4));
+    /// assert!((h.mean().unwrap() - 14.0).abs() < 1e-9);
+    /// ```
     pub fn mean(&self) -> Option<f64> {
         let sum: u64 = self.iter().map(|(v, n)| v * n).sum();
         (self.total > 0).then(|| sum as f64 / self.total as f64)
@@ -287,6 +296,14 @@ mod tests {
     }
 
     #[test]
+    fn histogram_empty_has_no_mean_or_extremes() {
+        let h = Histogram::new();
+        assert_eq!(h.mean(), None);
+        assert_eq!(h.percentile(0), None);
+        assert_eq!(h.max(), None);
+    }
+
+    #[test]
     fn histogram_tracks_extremes() {
         let mut h = Histogram::new();
         for v in [5, 1, 9, 3] {
@@ -336,14 +353,18 @@ mod tests {
 
     #[test]
     fn histogram_empty() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert_eq!(h.percentile(50), None);
         assert_eq!(h.total(), 0);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.percentile(0), None);
-        assert_eq!(h.max(), None);
-        h.merge(&Histogram::new());
-        assert_eq!(h, Histogram::new(), "merging empties stays empty");
+    }
+
+    #[test]
+    fn histogram_merge_of_empties_is_empty() {
+        let mut a = Histogram::new();
+        a.merge(&Histogram::new());
+        assert_eq!(a.total(), 0);
+        assert_eq!(a.mean(), None);
+        assert_eq!(a, Histogram::new());
     }
 
     #[test]
@@ -357,7 +378,19 @@ mod tests {
         assert_eq!(a.total(), 3);
         assert_eq!(a.count_of(1), 2);
         assert_eq!(a.percentile(100), Some(9));
+    }
+
+    #[test]
+    fn histogram_merge_keeps_extremes_and_empty_identities() {
+        let mut a = Histogram::new();
+        a.record(10);
+        let mut b = Histogram::new();
+        b.record(1);
+        b.record(20);
+        a.merge(&b);
+        assert_eq!(a.total(), 3);
         assert_eq!(a.percentile(0), Some(1));
+        assert_eq!(a.max(), Some(20));
 
         let mut empty = Histogram::new();
         empty.merge(&a);
